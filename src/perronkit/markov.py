@@ -1,7 +1,7 @@
 """Stationary distributions of row-stochastic matrices.
 
-The stationary vector u (u^T P = u^T) is the dominant eigenvector of P^T,
-so it drops out of the balancing solver run on the transpose; the dominant
+The stationary vector u (u^T P = u^T) is the dominant left eigenvector of
+P, so it drops out of the balancing solver run on P's columns; the dominant
 eigenvalue must come back as 1, which doubles as an input sanity check.
 Chains that are not primitive can be made so by blending with the uniform
 matrix (damping) before solving.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NotStochasticError, RootNotOneError, ZeroSumError
-from .matcore import NonnegMatrix, Side, _matvec, _raw_sums
+from .matcore import NonnegMatrix, Side, _raw_sums, _vecmat
 from .solver import SolverConfig, Status, algorithm_b
 
 __all__ = [
@@ -90,18 +90,18 @@ def damp(P: StochasticMatrix, alpha: float) -> StochasticMatrix:
 def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> StationaryDistribution:
     """Stationary distribution of a primitive row-stochastic matrix.
 
-    Runs the accumulating solver on P^T balancing row sums (the side is
-    forced: automatic selection would pick the already-equal transpose
-    columns and return the trivial all-ones direction).  The returned
-    vector is normalized to unit sum; the residual is ||u^T P - u^T||_inf.
+    Runs the accumulating solver on P balancing column sums, which iterates
+    u^T <- u^T P (the side is forced: automatic selection would pick the
+    already-equal rows and return the trivial all-ones direction).  The
+    returned vector is normalized to unit sum; the residual is
+    ||u^T P - u^T||_inf.
     Raises RootNotOneError when a converged run's eigenvalue strays from 1
     by more than 100x tolerance, which signals a mis-scaled input.
     """
-    cfg = replace(cfg or SolverConfig(), side=Side.ROW)
-    transposed = P.matrix.transpose()
-    res = algorithm_b(transposed, cfg)
+    cfg = replace(cfg or SolverConfig(), side=Side.COLUMN)
+    res = algorithm_b(P.matrix, cfg)
     if res.status is Status.CONVERGED and abs(res.root - 1.0) > 100.0 * cfg.tolerance:
         raise RootNotOneError(res.root)
     u = res.eigenvector
-    residual = float(np.abs(_matvec(transposed, u) - u).max())
+    residual = float(np.abs(_vecmat(P.matrix, u) - u).max())
     return StationaryDistribution(u=u, residual=residual, iterations=res.iterations, status=res.status)

@@ -145,7 +145,7 @@ class GerschgorinDisc:
 
 def _validated_array(rows) -> np.ndarray:
     try:
-        arr = np.asarray(rows, dtype=np.float64)
+        arr = np.asarray(rows, dtype=np.float64, order="C")  # axis-0 reductions rely on row-major
     except (ValueError, TypeError) as exc:
         raise NotSquareError(f"input is not a rectangular numeric table: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -203,20 +203,13 @@ def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
     return NonnegMatrix(n, indptr=indptr, indices=cols, data=values)
 
 
-def _segment_sums(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    # np.bincount accumulates in input order: index-ascending sequential adds.
-    return np.bincount(bins, weights=weights, minlength=n)
-
-
 def _raw_sums(A: NonnegMatrix, side: Side) -> np.ndarray:
-    n = A.n
     if A.storage == "dense":
-        flat = A._dense.ravel()
-        if side is Side.ROW:
-            return _segment_sums(np.repeat(np.arange(n), n), flat, n)
-        return _segment_sums(np.tile(np.arange(n), n), flat, n)
+        D = A._dense if side is Side.COLUMN else np.ascontiguousarray(A._dense.T)
+        return np.add.reduce(D, axis=0)
+    # np.bincount accumulates in input order: index-ascending sequential adds.
     bins = A._row_indices() if side is Side.ROW else A._indices
-    return _segment_sums(bins, A._data, n)
+    return np.bincount(bins, weights=A._data, minlength=A.n)
 
 
 def sums(A: NonnegMatrix, side: Side) -> SumVector:
@@ -228,6 +221,18 @@ def _matvec(A: NonnegMatrix, v: np.ndarray) -> np.ndarray:
     if A.storage == "dense":
         return A._dense @ v
     return np.bincount(A._row_indices(), weights=A._data * v[A._indices], minlength=A.n)
+
+
+def _vecmat(A: NonnegMatrix, v: np.ndarray) -> np.ndarray:
+    """vᵀA, each column's terms added in ascending row order for both storages.
+
+    Only an axis-0 reduction of a C-contiguous array adds in the same order
+    as the CSR bincount; axis=1, reductions over a transposed view and BLAS
+    ``@`` all round differently, which would break dense/CSR bit identity.
+    """
+    if A.storage == "dense":
+        return np.add.reduce(A._dense * v[:, None], axis=0)
+    return np.bincount(A._indices, weights=A._data * v[A._row_indices()], minlength=A.n)
 
 
 def _checked_scale(v, n) -> np.ndarray:

@@ -1,21 +1,25 @@
 """Iterative balancing of row or column sums to the dominant eigenvalue.
 
-Each step replaces the working matrix B by the similarity D_r^{-1} B D_r,
-where D_r is the diagonal of B's current row sums.  For a primitive matrix
-the minimum sum rises, the maximum sum falls, and both converge to the
-dominant eigenvalue; the final matrix has (near-)equal sums and is
-diagonally similar to the input.  Two variants are provided:
+The paper's step replaces the working matrix B by the similarity
+D_r^{-1} B D_r, where D_r is the diagonal of B's current row sums.  After t
+steps the working matrix is D^{-1} A D with D = diag(y) and y = A^t 1, and
+its row sums are the Collatz-Wielandt quotients (A y)_i / y_i.  So the
+solver never forms the scaled matrices: it runs the power recurrence
+y <- A y (normalized to max 1) and reads the sums off as r = (A y) / y.
+For a primitive matrix min r rises, max r falls, and both converge to the
+dominant eigenvalue.  The balanced matrix D^{-1} A D is built once, from
+the final y, and keeps the input's diagonal and zero pattern exactly.
+Column sums are balanced the same way on the transpose.
 
-* :func:`algorithm_a` scales the working matrix in place and returns only
-  the eigenvalue enclosure.
-* :func:`algorithm_b` accumulates the scaling vector y and rebuilds the
-  working matrix from the original each step; y converges to the dominant
-  eigenvector (of the transpose when column sums were balanced).
+:func:`algorithm_a` and :func:`algorithm_b` run this one kernel; B also
+returns y, which converges to the dominant eigenvector (of the transpose
+when column sums were balanced).
 
 On matrices whose dominant eigenvalue is not strictly dominant in modulus
 (imprimitive matrices), the sums oscillate instead of converging; the solver
 reports this as ``Status.STAGNATED``, which doubles as a cheap primitivity
-screen.
+screen.  A run whose y or A y leaves the normal floating-point range (on
+reducible input) also stops as ``STAGNATED``, with the last accurate step.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .matcore import (
     SumVector,
     _checked_scale,
     _raw_sums,
-    _snap_unit,
+    _vecmat,
     gerschgorin,
     rank_one_hadamard,
 )
@@ -55,10 +59,6 @@ __all__ = [
     "recover_X",
     "convergence_discs",
 ]
-
-# accumulated scaling components beyond this magnitude trigger a rescale
-_Y_RESCALE_LIMIT = 1e150
-
 
 class Stopping(str, Enum):
     RANGE = "range"
@@ -141,55 +141,6 @@ class PerronResult:
     history: ConvergenceHistory
 
 
-class _Iterate:
-    """Mutable working copy of the matrix being balanced."""
-
-    def __init__(self, M: NonnegMatrix):
-        self.n = M.n
-        if M.storage == "dense":
-            self._orig = M._dense
-            self._cur = M._dense.copy()
-            self._rows_flat = np.repeat(np.arange(self.n), self.n)
-            self._diag_idx = np.arange(self.n)
-            self._csr = None
-        else:
-            self._csr = (M._indptr, M._indices, M._row_indices())
-            self._orig = M._data
-            self._cur = M._data.copy()
-            self._on_diag = M._row_indices() == M._indices
-
-    def row_sums(self) -> np.ndarray:
-        if self._csr is None:
-            return np.bincount(self._rows_flat, weights=self._cur.ravel(), minlength=self.n)
-        _, _, rowidx = self._csr
-        return np.bincount(rowidx, weights=self._cur, minlength=self.n)
-
-    def _scale_matrix(self, x: np.ndarray, y: np.ndarray):
-        if self._csr is None:
-            scale = np.multiply.outer(x, y)
-            d = self._diag_idx
-            scale[d, d] = _snap_unit(scale[d, d])
-            return scale
-        _, indices, rowidx = self._csr
-        scale = x[rowidx] * y[indices]
-        scale[self._on_diag] = _snap_unit(scale[self._on_diag])
-        return scale
-
-    def scale_by(self, x, y):
-        """cur <- cur o (x y^T), with unit diagonal factors kept exact."""
-        self._cur *= self._scale_matrix(x, y)
-
-    def reset_scale(self, x, y):
-        """cur <- original o (x y^T)."""
-        self._cur = self._orig * self._scale_matrix(x, y)
-
-    def to_matrix(self) -> NonnegMatrix:
-        if self._csr is None:
-            return NonnegMatrix(self.n, dense=self._cur)
-        indptr, indices, _ = self._csr
-        return NonnegMatrix(self.n, indptr=indptr.copy(), indices=indices.copy(), data=self._cur)
-
-
 def choose_side(A: NonnegMatrix) -> Side:
     """Side whose initial sum range is smaller; ties go to rows."""
     row = _raw_sums(A, Side.ROW)
@@ -259,20 +210,22 @@ def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
     return gerschgorin(B)
 
 
+@np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED
 def _run(A: NonnegMatrix, cfg: SolverConfig, want_vector: bool, record_sums: bool) -> PerronResult:
     side = cfg.side if cfg.side is not None else choose_side(A)
-    M = A if side is Side.ROW else A.transpose()
-    work = _Iterate(M)
+    # _vecmat(K, y) is yᵀK: A y for rows, Aᵀ y for columns
+    K = A.transpose() if side is Side.ROW else A
 
-    r = work.row_sums()
+    y = np.ones(A.n)
+    r = w = _vecmat(K, y)
     zero = np.flatnonzero(r == 0)
     if zero.size:
         raise ZeroSumError(int(zero[0]), side=side.value)
 
     rmin = [float(r.min())]
     rmax = [float(r.max())]
-    trace = [r.copy()] if record_sums else None
-    y = np.ones(A.n) if want_vector else None
+    trace = [r] if record_sums else None
+    tiny = np.finfo(np.float64).tiny
 
     t = 0
     while True:
@@ -294,23 +247,25 @@ def _run(A: NonnegMatrix, cfg: SolverConfig, want_vector: bool, record_sums: boo
             status = Status.MAX_ITERATIONS
             break
 
-        if want_vector:
-            y *= r / r[0]
-            if y.max() > _Y_RESCALE_LIMIT or y.min() < 1.0 / _Y_RESCALE_LIMIT:
-                y /= np.exp(np.log(y).mean())
-            work.reset_scale(np.reciprocal(y), y)
-        else:
-            work.scale_by(np.reciprocal(r), r)
-        r = work.row_sums()
+        y_next = w / w.max()
+        w = _vecmat(K, y_next)
+        r_next = w / y_next
+        # below the normal range y and w lose precision, and the quotients
+        # lose monotonicity or turn inf or nan; keep the last accurate step
+        if min(y_next.min(), w.min()) < tiny or not np.isfinite(r_next).all():
+            status = Status.STAGNATED
+            break
+        y, r = y_next, r_next
         t += 1
         rmin.append(float(r.min()))
         rmax.append(float(r.max()))
         if record_sums:
-            trace.append(r.copy())
+            trace.append(r)
 
-    balanced = work.to_matrix()
-    if side is Side.COLUMN:
-        balanced = balanced.transpose()
+    if side is Side.ROW:
+        balanced = rank_one_hadamard(A, np.reciprocal(y), y)
+    else:
+        balanced = rank_one_hadamard(A, y, np.reciprocal(y))
     history = ConvergenceHistory(
         rmin=np.array(rmin),
         rmax=np.array(rmax),
@@ -331,22 +286,20 @@ def _run(A: NonnegMatrix, cfg: SolverConfig, want_vector: bool, record_sums: boo
 
 
 def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, record_sums: bool = False) -> PerronResult:
-    """Balance the sums by in-place rescaling; returns the root enclosure only.
+    """Balance the sums; returns the root enclosure only.
 
-    Each iteration multiplies entry (i, j) of the working matrix by
-    r_j / r_i, where r is the current sum vector on the chosen side.
+    Each step is equivalent to multiplying entry (i, j) of the working
+    matrix by r_j / r_i, where r is the current sum vector on the chosen
+    side; see the module docstring for how the solver computes it.
     """
     return _run(A, cfg or SolverConfig(), want_vector=False, record_sums=record_sums)
 
 
 def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, record_sums: bool = False) -> PerronResult:
-    """Balance the sums while accumulating the scaling vector y.
+    """Balance the sums and also return the accumulated scaling vector y.
 
-    The working matrix is rebuilt from the original as A o ((1/y) yᵀ) each
-    iteration, which keeps the zero pattern and diagonal exact; y is
-    renormalized so its first component stays 1 (and rescaled by its
-    geometric mean if any component passes 1e±150).  On convergence y spans
-    the dominant eigenvector: M y = root * y within 10x tolerance, where M
-    is the matrix in the balanced orientation.
+    Same iteration as :func:`algorithm_a`.  On convergence y spans the
+    dominant eigenvector: M y = root * y within 10x tolerance, where M is
+    the matrix in the balanced orientation.
     """
     return _run(A, cfg or SolverConfig(), want_vector=True, record_sums=record_sums)

@@ -85,11 +85,11 @@ class TestSums:
         for _ in range(50):
             n = int(rng.integers(1, 12))
             arr = np.where(rng.random((n, n)) < 0.6, rng.random((n, n)), 0.0)
-            dense = from_dense(arr)
             i, j = np.nonzero(arr)
             csr = from_coordinates(n, i, j, arr[i, j])
-            for side in Side:
-                assert np.array_equal(sums(dense, side).values, sums(csr, side).values)
+            for dense in (from_dense(arr), from_dense(np.asfortranarray(arr))):
+                for side in Side:
+                    assert np.array_equal(sums(dense, side).values, sums(csr, side).values)
 
 
 class TestRankOneHadamard:

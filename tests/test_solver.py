@@ -158,6 +158,26 @@ class TestAlgorithmB:
         assert res.root == pytest.approx(3.0, abs=1e-8)
         assert np.all(res.eigenvector > 0)
 
+    @pytest.mark.parametrize(
+        "rows, side",
+        [
+            ([[1e20, 1.0], [0.0, 1.0]], Side.ROW),
+            ([[1.0, 1.0, 0.0], [0.0, 1e40, 1.0], [0.0, 0.0, 1.0]], Side.ROW),
+            ([[1.0, 1.0, 0.0], [0.0, 1e40, 1.0], [0.0, 0.0, 1.0]], Side.COLUMN),
+        ],
+        ids=["2x2-row", "3x3-row", "3x3-col"],
+    )
+    def test_reducible_underflow_stops_finite(self, rows, side):
+        # the scaling vector underflows on these reducible inputs; the run
+        # must stop early and keep its last finite step
+        cfg = SolverConfig(side=side)
+        res = algorithm_b(from_dense(rows), cfg)
+        assert res.status is Status.STAGNATED
+        assert res.iterations <= cfg.stagnation_window + 5
+        assert np.all(np.isfinite([res.root_lo, res.root_hi, res.root]))
+        assert np.all(np.isfinite(res.eigenvector))
+        assert np.all(np.isfinite(res.balanced.to_dense()))
+
 
 class TestStoppingRules:
     def test_delta_rule_converges_on_sample3(self, sample3):
@@ -305,16 +325,21 @@ class TestInvariants:
             res = algorithm_a(scaled, SolverConfig(tolerance=beta * 1e-8))
             assert abs(res.root - beta * base) <= 1e-9 * beta
 
-    def test_csr_and_dense_runs_are_bit_identical(self):
+    @pytest.mark.parametrize("side", [Side.ROW, Side.COLUMN], ids=["row", "col"])
+    @pytest.mark.parametrize("solve", [algorithm_a, algorithm_b], ids=["algorithm_a", "algorithm_b"])
+    def test_csr_and_dense_runs_are_bit_identical(self, solve, side):
         T = tridiagonal(8, 1.0, 3.0, 2.0)
         D = from_dense(T.to_dense())
-        cfg = SolverConfig(side=Side.ROW)
-        res_sparse = algorithm_a(T, cfg)
-        res_dense = algorithm_a(D, cfg)
+        cfg = SolverConfig(side=side)
+        res_sparse = solve(T, cfg, record_sums=True)
+        res_dense = solve(D, cfg, record_sums=True)
         assert res_sparse.iterations == res_dense.iterations
         assert np.array_equal(res_sparse.history.rmin, res_dense.history.rmin)
         assert np.array_equal(res_sparse.history.rmax, res_dense.history.rmax)
+        assert np.array_equal(res_sparse.history.sums, res_dense.history.sums)
         assert np.array_equal(res_sparse.balanced.to_dense(), res_dense.balanced.to_dense())
+        if solve is algorithm_b:
+            assert np.array_equal(res_sparse.eigenvector, res_dense.eigenvector)
 
     def test_scaling_vector_first_component_stays_one(self, sample3):
         res = algorithm_b(sample3, SolverConfig(side=Side.ROW))
