@@ -1,11 +1,12 @@
 """Dominant eigenvalue and eigenvector of primitive nonnegative matrices.
 
-The solver repeatedly rescales a matrix by the diagonal similarity built
-from its own row (or column) sums; for primitive matrices the sums squeeze
-onto the dominant eigenvalue and the accumulated scaling recovers the
-dominant eigenvector.  Companion modules supply sum-based eigenvalue
-enclosures, a power-iteration baseline, exact primitivity tests, and
-stationary distributions of row-stochastic matrices.
+The solver balances row (or column) sums by diagonal similarity.  It runs
+the equivalent power recurrence y <- A y and reads the balanced sums off as
+the quotients (A y) / y; for primitive matrices they squeeze onto the
+dominant eigenvalue and y onto the dominant eigenvector.  The balanced
+matrix is built once, from the final y.  Companion modules supply sum-based
+eigenvalue enclosures, a power-iteration baseline, exact primitivity tests
+by graph search, and stationary distributions of row-stochastic matrices.
 """
 
 __version__ = "0.1.0"
@@ -44,16 +45,10 @@ from .matcore import (
     tridiagonal,
     tridiagonal_eigs,
 )
-from .primitivity import (
-    BoolPattern,
-    CrossCheckReport,
-    is_irreducible,
-    is_primitive,
-    stagnation_cross_check,
-    wielandt_bound,
-)
+from .primitivity import is_irreducible, is_primitive, wielandt_bound
 from .solver import (
     ConvergenceHistory,
+    CrossCheckReport,
     PerronResult,
     SolverConfig,
     Status,
@@ -67,4 +62,5 @@ from .solver import (
     estimate_iterations,
     range_error,
     recover_X,
+    stagnation_cross_check,
 )

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 # Diagonal scale factors this close to 1 are rounding residue of a reciprocal
-# pair (1/d)*d and are snapped to 1 so similarity scalings keep the diagonal
+# pair (1/d)*d and are taken as 1 so similarity scalings keep the diagonal
 # bit-exact.
 _UNIT_SNAP = 2.0**-50
 
@@ -161,16 +161,31 @@ def _validated_array(rows) -> np.ndarray:
     return arr + 0.0  # normalizes -0.0 so stored zeros compare equal
 
 
+def _finite_sums(A: NonnegMatrix) -> NonnegMatrix:
+    """A itself, once no row or column sum overflows to inf."""
+    for side, name in ((Side.ROW, "row"), (Side.COLUMN, "column")):
+        with np.errstate(over="ignore"):
+            over = np.flatnonzero(np.isinf(_raw_sums(A, side)))
+        if over.size:
+            raise DomainError(f"{name} {int(over[0])} sum overflows; scale the matrix down")
+    return A
+
+
 def from_dense(rows) -> NonnegMatrix:
-    """Validated dense matrix from a list of row lists (or any 2-D array-like)."""
+    """Validated dense matrix from a list of row lists (or any 2-D array-like).
+
+    Rejects a matrix whose row or column sums overflow, since every sum,
+    bound and solver step would turn inf.
+    """
     arr = _validated_array(rows)
-    return NonnegMatrix(arr.shape[0], dense=arr)
+    return _finite_sums(NonnegMatrix(arr.shape[0], dense=arr))
 
 
 def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
     """Validated CSR matrix from coordinate triplets (0-based, any order).
 
-    Explicit zeros are dropped; duplicate coordinates are rejected.
+    Explicit zeros are dropped; duplicate coordinates and row or column
+    sums that overflow are rejected.
     """
     if n < 1:
         raise NotSquareError(f"order must be >= 1, got {n}")
@@ -200,7 +215,7 @@ def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
             raise DomainError(f"duplicate coordinate ({rows[k]}, {cols[k]})")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return NonnegMatrix(n, indptr=indptr, indices=cols, data=values)
+    return _finite_sums(NonnegMatrix(n, indptr=indptr, indices=cols, data=values))
 
 
 def _raw_sums(A: NonnegMatrix, side: Side) -> np.ndarray:
@@ -246,34 +261,35 @@ def _checked_scale(v, n) -> np.ndarray:
     return v
 
 
-def _snap_unit(s: np.ndarray) -> np.ndarray:
-    near = np.abs(s - 1.0) <= _UNIT_SNAP
-    if near.any():
-        s[near] = 1.0
-    return s
-
-
 def rank_one_hadamard(A: NonnegMatrix, x, y) -> NonnegMatrix:
     """Entrywise product of A with the rank-one matrix x yᵀ: b_ij = a_ij x_i y_j.
 
     x and y must be strictly positive, so the zero pattern of A is preserved.
-    Where x_i y_i = 1 the diagonal is preserved exactly.
+    Where x_i y_i = 1 the diagonal is preserved exactly.  No partial product
+    overflows unless b_ij itself does.
     """
     n = A.n
     x = _checked_scale(x, n)
     y = _checked_scale(y, n)
+    # with x_i = m_i 2^e_i and y_j = m_j 2^e_j, b_ij = (a_ij m_i m_j) 2^(e_i + e_j):
+    # the mantissa product rounds as a_ij (x_i y_j) does and the exponents go
+    # in last, so neither x_i y_j nor a_ij x_i can overflow on the way
+    mx, ex = np.frexp(x)
+    my, ey = np.frexp(y)
+    with np.errstate(over="ignore"):
+        unit = np.abs(x * y - 1.0) <= _UNIT_SNAP
     if A.storage == "dense":
-        scale = np.multiply.outer(x, y)
-        idx = np.arange(n)
-        scale[idx, idx] = _snap_unit(scale[idx, idx])
-        return NonnegMatrix(n, dense=A._dense * scale)
+        B = np.multiply.outer(mx, my)
+        B *= A._dense
+        np.ldexp(B, np.add.outer(ex, ey), out=B)
+        idx = np.flatnonzero(unit)
+        B[idx, idx] = A._dense[idx, idx]
+        return NonnegMatrix(n, dense=B)
     rows, cols = A._row_indices(), A._indices
-    scale = x[rows] * y[cols]
-    on_diag = rows == cols
-    scale[on_diag] = _snap_unit(scale[on_diag])
-    return NonnegMatrix(
-        n, indptr=A._indptr.copy(), indices=cols.copy(), data=A._data * scale
-    )
+    data = np.ldexp(A._data * (mx[rows] * my[cols]), ex[rows] + ey[cols])
+    keep = (rows == cols) & unit[rows]
+    data[keep] = A._data[keep]
+    return NonnegMatrix(n, indptr=A._indptr.copy(), indices=cols.copy(), data=data)
 
 
 def diag_similarity(A: NonnegMatrix, d) -> NonnegMatrix:

@@ -1,68 +1,26 @@
-"""Exact structural tests over the boolean semiring.
+"""Exact structural tests by graph search.
 
-Patterns are stored as one Python integer per row (bit j set when a_ij > 0),
-so a boolean matrix product ORs whole rows at machine-word width and never
-overflows, unlike numeric matrix powers.
+A nonnegative matrix A has a directed graph with an edge i -> j wherever
+a_ij > 0.  A is irreducible when that graph is strongly connected, and
+primitive when it is irreducible with period 1, the period being the gcd of
+its cycle lengths.  With level[v] the breadth-first distance from node 0,
+the period of a strongly connected graph is the gcd of
+level[u] + 1 - level[v] over its edges u -> v (Denardo, Math. Oper. Res.
+1977; Jarvis & Shier, 1999).  Both tests read the edges straight from
+storage and run in O(n + nnz); they never form matrix powers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .matcore import NonnegMatrix
-from .solver import PerronResult, Status
 
 __all__ = [
-    "BoolPattern",
     "wielandt_bound",
     "is_irreducible",
     "is_primitive",
-    "stagnation_cross_check",
-    "CrossCheckReport",
 ]
-
-
-@dataclass(frozen=True)
-class BoolPattern:
-    """Adjacency pattern of a nonnegative matrix, one row bitset per row."""
-
-    n: int
-    rows: tuple[int, ...]
-
-    @classmethod
-    def of(cls, A: NonnegMatrix) -> "BoolPattern":
-        dense = A.to_dense()
-        rows = []
-        for i in range(A.n):
-            bits = 0
-            for j in range(A.n):
-                if dense[i, j] > 0:
-                    bits |= 1 << j
-            rows.append(bits)
-        return cls(A.n, tuple(rows))
-
-    @property
-    def full(self) -> bool:
-        mask = (1 << self.n) - 1
-        return all(r == mask for r in self.rows)
-
-    def __or__(self, other: "BoolPattern") -> "BoolPattern":
-        return BoolPattern(self.n, tuple(a | b for a, b in zip(self.rows, other.rows)))
-
-    def __matmul__(self, other: "BoolPattern") -> "BoolPattern":
-        out = []
-        for bits in self.rows:
-            acc = 0
-            while bits:
-                low = bits & -bits
-                acc |= other.rows[low.bit_length() - 1]
-                bits ^= low
-            out.append(acc)
-        return BoolPattern(self.n, tuple(out))
-
-    @classmethod
-    def identity(cls, n: int) -> "BoolPattern":
-        return cls(n, tuple(1 << i for i in range(n)))
 
 
 def wielandt_bound(n: int) -> int:
@@ -70,65 +28,43 @@ def wielandt_bound(n: int) -> int:
     return n * n - 2 * n + 2
 
 
-def is_irreducible(A: NonnegMatrix) -> bool:
-    """True when (I + P)^(n-1) is all-true over the boolean semiring.
+def _levels(src: np.ndarray, dst: np.ndarray, n: int) -> list[int]:
+    """Breadth-first distance from node 0 along the edges src -> dst; -1 where unreached."""
+    order = np.argsort(src, kind="stable")
+    heads = dst[order].tolist()
+    start = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    level = [-1] * n
+    level[0] = 0
+    queue = [0]
+    for u in queue:
+        for v in heads[start[u]:start[u + 1]]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
 
-    Computed by repeated squaring; since I + P is reflexive, its boolean
-    powers stabilize at the reachability closure, so squaring
-    ceil(log2(n-1)) times is exact.
-    """
-    if A.n == 1:
-        return True
-    q = BoolPattern.of(A) | BoolPattern.identity(A.n)
-    e = 1
-    while e < A.n - 1:
-        q = q @ q
-        e *= 2
-    return q.full
+
+def _period(A: NonnegMatrix) -> int | None:
+    """Period of A's graph, None when A is reducible; 0 when the graph has no cycle."""
+    if A.storage == "dense":
+        src, dst = np.nonzero(A._dense)
+    else:
+        src, dst = A._row_indices(), A._indices
+    level = _levels(src, dst, A.n)
+    if -1 in level or -1 in _levels(dst, src, A.n):
+        return None
+    level = np.array(level, dtype=np.int64)
+    return int(np.gcd.reduce(level[src] + 1 - level[dst]))
+
+
+def is_irreducible(A: NonnegMatrix) -> bool:
+    """True when the graph of A is strongly connected (every order-1 matrix is)."""
+    return _period(A) is not None
 
 
 def is_primitive(A: NonnegMatrix) -> bool:
-    """True when some boolean power of the pattern up to n^2 - 2n + 2 is all-true.
+    """True when A is irreducible with period 1, i.e. some power of A is positive.
 
-    Squares the pattern with an all-true check at each power of two.  A
-    positive power is absorbing (a primitive matrix has no zero column), and
-    a primitive matrix is positive at every exponent from the bound upward,
-    so checking the powers of two through the first one at or above the
-    bound is equivalent to checking every exponent up to the bound.
+    The first such power is at most :func:`wielandt_bound` (n).
     """
-    p = BoolPattern.of(A)
-    limit = wielandt_bound(A.n)
-    e = 1
-    while True:
-        if p.full:
-            return True
-        if e >= limit:
-            return False
-        p = p @ p
-        e *= 2
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """Agreement between the solver's stagnation signal and the exact test."""
-
-    primitive: bool
-    irreducible: bool
-    solver_status: Status
-    agreement: bool
-
-
-def stagnation_cross_check(A: NonnegMatrix, result: PerronResult) -> CrossCheckReport:
-    """Compare a finished solve against the exact primitivity test.
-
-    The solver's STAGNATED status is the heuristic claim "not primitive";
-    agreement means that claim matches the boolean-semiring answer.
-    """
-    primitive = is_primitive(A)
-    stagnated = result.status is Status.STAGNATED
-    return CrossCheckReport(
-        primitive=primitive,
-        irreducible=is_irreducible(A),
-        solver_status=result.status,
-        agreement=stagnated == (not primitive),
-    )
+    return _period(A) == 1

@@ -16,10 +16,13 @@ returns y, which converges to the dominant eigenvector (of the transpose
 when column sums were balanced).
 
 On matrices whose dominant eigenvalue is not strictly dominant in modulus
-(imprimitive matrices), the sums oscillate instead of converging; the solver
-reports this as ``Status.STAGNATED``, which doubles as a cheap primitivity
-screen.  A run whose y or A y leaves the normal floating-point range (on
-reducible input) also stops as ``STAGNATED``, with the last accurate step.
+(imprimitive matrices), the sums oscillate instead of converging.  When the
+spread stops shrinking the solver runs the exact test
+:func:`~perronkit.primitivity.is_primitive` once: an imprimitive matrix
+stops as ``Status.STAGNATED``, while a primitive one that merely converges
+slowly keeps iterating.  A run whose y or A y leaves the normal
+floating-point range (on reducible input) also stops as ``STAGNATED``, with
+the last accurate step.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .matcore import (
     gerschgorin,
     rank_one_hadamard,
 )
+from .primitivity import is_irreducible, is_primitive
 
 __all__ = [
     "Stopping",
@@ -58,6 +62,8 @@ __all__ = [
     "estimate_iterations",
     "recover_X",
     "convergence_discs",
+    "CrossCheckReport",
+    "stagnation_cross_check",
 ]
 
 class Stopping(str, Enum):
@@ -226,6 +232,7 @@ def _run(A: NonnegMatrix, cfg: SolverConfig, want_vector: bool, record_sums: boo
     rmax = [float(r.max())]
     trace = [r] if record_sums else None
     tiny = np.finfo(np.float64).tiny
+    primitive = None  # exact test, run once when the heuristic first fires
 
     t = 0
     while True:
@@ -241,8 +248,11 @@ def _run(A: NonnegMatrix, cfg: SolverConfig, want_vector: bool, record_sums: boo
                 status = Status.CONVERGED if spread <= cfg.tolerance else Status.STAGNATED
                 break
         if _stagnant(rmin, rmax, cfg):
-            status = Status.STAGNATED
-            break
+            if primitive is None:
+                primitive = is_primitive(A)
+            if not primitive:
+                status = Status.STAGNATED
+                break
         if t >= cfg.max_iterations:
             status = Status.MAX_ITERATIONS
             break
@@ -275,7 +285,7 @@ def _run(A: NonnegMatrix, cfg: SolverConfig, want_vector: bool, record_sums: boo
     return PerronResult(
         root_lo=lo,
         root_hi=hi,
-        root=0.5 * (lo + hi),
+        root=0.5 * lo + 0.5 * hi,  # lo + hi may overflow
         eigenvector=(y / y.sum()) if want_vector else None,
         balanced=balanced,
         iterations=t,
@@ -303,3 +313,29 @@ def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, record_sums
     the matrix in the balanced orientation.
     """
     return _run(A, cfg or SolverConfig(), want_vector=True, record_sums=record_sums)
+
+
+@dataclass(frozen=True)
+class CrossCheckReport:
+    """Agreement between the solver's stagnation signal and the exact test."""
+
+    primitive: bool
+    irreducible: bool
+    solver_status: Status
+    agreement: bool
+
+
+def stagnation_cross_check(A: NonnegMatrix, result: PerronResult) -> CrossCheckReport:
+    """Compare a finished solve against the exact primitivity test.
+
+    The solver's STAGNATED status is the claim "not primitive"; agreement
+    means that claim matches the exact graph test.
+    """
+    primitive = is_primitive(A)
+    stagnated = result.status is Status.STAGNATED
+    return CrossCheckReport(
+        primitive=primitive,
+        irreducible=is_irreducible(A),
+        solver_status=result.status,
+        agreement=stagnated == (not primitive),
+    )

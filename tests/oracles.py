@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: determinants
 come from cofactor expansion, characteristic polynomials from the trace
-recursion, primitivity from stepwise boolean powers, stationary vectors from
-a linear solve, and eigenvalues from numpy's dense QR solver.
+recursion, primitivity from stepwise boolean powers, irreducibility from a
+boolean transitive closure, stationary vectors from a linear solve, and
+eigenvalues from numpy's dense QR solver.
 """
 
 import numpy as np
@@ -54,6 +55,14 @@ def primitive_by_stepwise_powers(arr, limit: int) -> bool:
             return True
         q = (q.astype(np.int64) @ p.astype(np.int64)) > 0
     return bool(q.all())
+
+
+def irreducible_by_closure(arr) -> bool:
+    """Every node reaches every other: Warshall closure of the boolean pattern."""
+    reach = (np.asarray(arr, dtype=float) > 0) | np.eye(len(arr), dtype=bool)
+    for k in range(len(reach)):
+        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    return bool(reach.all())
 
 
 def stationary_linear_solve(p) -> np.ndarray:

@@ -62,6 +62,14 @@ class TestPerronCommand:
         path.write_text("0,0\n1,1\n")
         assert main(["perron", "--side", "row", str(path)]) == 1
 
+    @pytest.mark.parametrize("command", [["perron", "--json"], ["power"]], ids=["perron", "power"])
+    def test_overflowing_sums_are_input_error(self, capsys, tmp_path, command):
+        path = tmp_path / "big.csv"
+        path.write_text("1e308,1e308\n1,1\n")
+        assert main([*command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "row 0 sum overflows" in captured.err
+
     def test_result_payload_is_deterministic(self, capsys, sample3_file):
         _, first = run_json(capsys, ["perron", "--json", sample3_file])
         _, second = run_json(capsys, ["perron", "--json", sample3_file])

@@ -51,6 +51,19 @@ class TestConstruction:
         with pytest.raises(NonFiniteEntryError):
             from_dense([[1, float("inf")], [0, 1]])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [([[1e308, 1e308], [1.0, 1.0]], "row 0"), ([[1.0, 1.0], [1e308, 1e308]], "row 1"),
+         ([[1e308, 1.0], [1e308, 1.0]], "column 0")],
+        ids=["row0", "row1", "col0"],
+    )
+    def test_rejects_overflowing_sums(self, rows, message):
+        arr = np.array(rows)
+        nz = np.nonzero(arr)
+        for build in (lambda: from_dense(arr), lambda: from_coordinates(2, *nz, arr[nz])):
+            with pytest.raises(DomainError, match=message):
+                build()
+
     def test_coordinates_build_sorted_csr(self):
         A = from_coordinates(3, [2, 0, 0, 1], [1, 2, 0, 1], [5.0, 2.0, 1.0, 4.0])
         assert A.storage == "csr" and A.nnz == 4

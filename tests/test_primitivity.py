@@ -3,7 +3,6 @@ import pytest
 
 from oracles import primitive_by_stepwise_powers
 from perronkit import (
-    BoolPattern,
     SolverConfig,
     Side,
     Status,
@@ -40,8 +39,9 @@ class TestPrimitive:
     def test_sample3_is_primitive(self, sample3):
         assert is_primitive(sample3)
 
-    def test_order_50_tridiagonal_is_primitive(self):
-        assert is_primitive(tridiagonal(50, 1.0, 3.0, 2.0))
+    @pytest.mark.parametrize("n", [50, 3000])
+    def test_tridiagonal_is_primitive(self, n):
+        assert is_primitive(tridiagonal(n, 1.0, 3.0, 2.0))
 
     def test_zero_row_is_imprimitive(self):
         assert not is_primitive(from_dense([[1.0, 1.0], [0.0, 0.0]]))
@@ -94,18 +94,6 @@ class TestWielandtBound:
         assert is_primitive(A)
         assert primitive_by_stepwise_powers(arr, wielandt_bound(n))
         assert not primitive_by_stepwise_powers(arr, wielandt_bound(n) - 2)
-
-
-class TestBoolPattern:
-    def test_full_detection(self):
-        assert BoolPattern(2, (0b11, 0b11)).full
-        assert not BoolPattern(2, (0b11, 0b01)).full
-
-    def test_product_is_reachability_composition(self):
-        # cyclic shift 0 -> 1 -> 2 -> 0; its square is the shift by two
-        p = BoolPattern(3, (0b010, 0b100, 0b001))
-        q = p @ p
-        assert q.rows == (0b100, 0b001, 0b010)
 
 
 class TestCrossCheck:

@@ -27,6 +27,12 @@ def hostile_matrices(draw):
 )
 # A y underflows into the subnormal range while y itself stays normal
 @example(A=from_dense([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1e-15]]), solve=algorithm_a, side=Side.COLUMN)
+# y_0 falls to about 1e-307, so a_01 / y_0 overflows although a_01 y_1 / y_0 = 100
+@example(
+    A=from_dense([[0.0, 100.0, 0.0, 0.0], [0.0, 100.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1e11], [0.0, 0.0, 1.0, 1e4]]),
+    solve=algorithm_a,
+    side=None,
+)
 def test_results_are_finite_and_enclosure_is_monotone(A, solve, side):
     try:
         res = solve(A, SolverConfig(side=side, max_iterations=500))
