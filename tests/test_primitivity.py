@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import primitive_by_stepwise_powers
+from oracles import irreducible_by_closure, primitive_by_stepwise_powers
 from perronkit import (
     SolverConfig,
     Side,
@@ -94,6 +94,28 @@ class TestWielandtBound:
         assert is_primitive(A)
         assert primitive_by_stepwise_powers(arr, wielandt_bound(n))
         assert not primitive_by_stepwise_powers(arr, wielandt_bound(n) - 2)
+
+
+class TestBoolPattern:
+    """Boolean power patterns, seen through the oracles and the graph search."""
+
+    def test_full_detection(self):
+        # the first power of a positive pattern is full; one zero entry is not,
+        # though that pattern fills at its square
+        assert primitive_by_stepwise_powers([[1.0, 1.0], [1.0, 1.0]], 1)
+        assert not primitive_by_stepwise_powers([[1.0, 1.0], [1.0, 0.0]], 1)
+        assert primitive_by_stepwise_powers([[1.0, 1.0], [1.0, 0.0]], 2)
+        assert is_primitive(from_dense([[1.0, 1.0], [1.0, 0.0]]))
+
+    def test_product_is_reachability_composition(self):
+        # cyclic shift 0 -> 1 -> 2 -> 0; its square is the shift by two
+        shift = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        square = (shift @ shift > 0).astype(float)
+        np.testing.assert_array_equal(square, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        for p in (shift, square):
+            assert irreducible_by_closure(p) and is_irreducible(from_dense(p))
+            assert not primitive_by_stepwise_powers(p, wielandt_bound(3))
+            assert not is_primitive(from_dense(p))
 
 
 class TestCrossCheck:
