@@ -16,7 +16,6 @@ from .bounds import BoundsReport, bounds_report, frobenius_bounds, minc_bounds, 
 from .errors import (
     BreakdownError,
     DomainError,
-    InsufficientHistoryError,
     MatrixParseError,
     NegativeEntryError,
     NonFiniteEntryError,
@@ -52,12 +51,10 @@ from .solver import (
     PerronResult,
     SolverConfig,
     Status,
-    Stopping,
     algorithm_a,
     algorithm_b,
     choose_side,
     convergence_discs,
-    delta_error,
     detect_stagnation,
     estimate_iterations,
     range_error,

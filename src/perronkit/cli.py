@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success or
-converged, 1 input/usage error, 2 stagnated (suspected imprimitive input),
-3 iteration cap reached.  ``--json`` wraps any command's result in a run
-record carrying the command, input path, configuration echo, timing, and
-package version; the result member is byte-deterministic for identical
-input and flags.
+converged, 1 input/usage error, 2 stagnated (not primitive by the exact
+test, or y left the floating-point range), 3 iteration cap reached.
+``--json`` wraps any command's result in a run record carrying the
+command, input path, configuration echo, timing, and package version; the
+result member is byte-deterministic for identical input and flags.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -31,24 +30,11 @@ from .solver import (
     PerronResult,
     SolverConfig,
     Status,
-    Stopping,
     algorithm_a,
     algorithm_b,
 )
 
 _STATUS_EXIT = {Status.CONVERGED: 0, Status.STAGNATED: 2, Status.MAX_ITERATIONS: 3}
-_DEFAULT_MAX_ITER = 100_000
-
-
-def _max_iter_default() -> int:
-    raw = os.environ.get("PERRONKIT_MAX_ITER")
-    if raw is None:
-        return _DEFAULT_MAX_ITER
-    try:
-        return int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer PERRONKIT_MAX_ITER={raw!r}", file=sys.stderr)
-        return _DEFAULT_MAX_ITER
 
 
 def _add_matrix_arg(sp):
@@ -58,22 +44,22 @@ def _add_matrix_arg(sp):
 
 
 def _add_run_flags(sp):
-    sp.add_argument("--tol", type=float, default=1e-8, help="stopping tolerance (default 1e-8)")
-    sp.add_argument("--max-iter", type=int, default=None,
-                    help=f"iteration cap (default {_DEFAULT_MAX_ITER}, or PERRONKIT_MAX_ITER)")
+    sp.add_argument("--tol", type=float, default=SolverConfig.tolerance,
+                    help="stopping tolerance (default %(default)s)")
+    sp.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations,
+                    help="iteration cap (default %(default)s)")
     sp.add_argument("--json", action="store_true", help="emit a JSON run record on stdout")
 
 
 def _matrix_payload(M: NonnegMatrix) -> dict:
     if M.storage == "dense":
-        return {"n": M.n, "storage": "dense",
-                "rows": [[float(v) for v in row] for row in M.to_dense()]}
+        return {"n": M.n, "storage": "dense", "rows": M.to_dense().tolist()}
     return {
         "n": M.n,
         "storage": "csr",
-        "indptr": [int(v) for v in M._indptr],
-        "indices": [int(v) for v in M._indices],
-        "values": [float(v) for v in M._data],
+        "indptr": M._indptr.tolist(),
+        "indices": M._indices.tolist(),
+        "values": M._data.tolist(),
     }
 
 
@@ -94,7 +80,7 @@ def _solver_result_payload(res: PerronResult) -> dict:
         "root_lo": res.root_lo,
         "root_hi": res.root_hi,
         "root": res.root,
-        "eigenvector": None if res.eigenvector is None else [float(v) for v in res.eigenvector],
+        "eigenvector": None if res.eigenvector is None else res.eigenvector.tolist(),
         "balanced": _matrix_payload(res.balanced),
         "iterations": res.iterations,
         "side_used": res.side_used.value,
@@ -123,8 +109,7 @@ def _cmd_perron(args) -> int:
     A = parse_matrix(args.matrix, args.format)
     cfg = SolverConfig(
         tolerance=args.tol,
-        max_iterations=args.max_iter if args.max_iter is not None else _max_iter_default(),
-        stopping=Stopping(args.stop),
+        max_iterations=args.max_iter,
         side=None if args.side == "auto" else Side(args.side),
     )
     solve = algorithm_a if args.algo == "a" else algorithm_b
@@ -134,7 +119,7 @@ def _cmd_perron(args) -> int:
     if args.discs:
         _write_discs(args.discs, res)
     config = {
-        "tol": cfg.tolerance, "max_iter": cfg.max_iterations, "stop": cfg.stopping.value,
+        "tol": cfg.tolerance, "max_iter": cfg.max_iterations,
         "side": args.side, "algo": args.algo,
     }
     if args.json:
@@ -150,12 +135,11 @@ def _cmd_perron(args) -> int:
 def _cmd_power(args) -> int:
     started = time.perf_counter()
     A = parse_matrix(args.matrix, args.format)
-    max_iter = args.max_iter if args.max_iter is not None else _max_iter_default()
-    res = power_method(A, tol=args.tol, max_iter=max_iter)
-    config = {"tol": args.tol, "max_iter": max_iter}
+    res = power_method(A, tol=args.tol, max_iter=args.max_iter)
+    config = {"tol": args.tol, "max_iter": args.max_iter}
     result = {
         "eigenvalue": res.eigenvalue,
-        "eigenvector": [float(v) for v in res.eigenvector],
+        "eigenvector": res.eigenvector.tolist(),
         "iterations": res.iterations,
         "status": res.status.value,
     }
@@ -205,18 +189,15 @@ def _cmd_stationary(args) -> int:
     P = make_stochastic(A) if args.normalize else StochasticMatrix(A)
     if not args.no_damp:
         P = damp(P, args.alpha)
-    cfg = SolverConfig(
-        tolerance=args.tol,
-        max_iterations=args.max_iter if args.max_iter is not None else _max_iter_default(),
-    )
+    cfg = SolverConfig(tolerance=args.tol, max_iterations=args.max_iter)
     dist = stationary(P, cfg)
-    ranked = [int(i) for i in np.argsort(-dist.u, kind="stable")]
+    ranked = np.argsort(-dist.u, kind="stable").tolist()
     config = {
         "tol": cfg.tolerance, "max_iter": cfg.max_iterations,
         "alpha": None if args.no_damp else args.alpha, "normalize": args.normalize,
     }
     result = {
-        "u": [float(v) for v in dist.u],
+        "u": dist.u.tolist(),
         "ranked": ranked,
         "residual": dist.residual,
         "iterations": dist.iterations,
@@ -250,10 +231,7 @@ def _cmd_bench(args) -> int:
         raise DomainError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if not sizes:
         raise DomainError("--sizes is empty")
-    cfg = SolverConfig(
-        tolerance=args.tol,
-        max_iterations=args.max_iter if args.max_iter is not None else _max_iter_default(),
-    )
+    cfg = SolverConfig(tolerance=args.tol, max_iterations=args.max_iter)
     records = run_bench(tridiagonal_suite(sizes, c=args.c, a=args.a, b=args.b), cfg)
     converged = [
         r for r in records
@@ -291,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_arg(sp)
     _add_run_flags(sp)
     sp.add_argument("--side", choices=["auto", "row", "col"], default="auto")
-    sp.add_argument("--stop", choices=["range", "delta"], default="range")
     sp.add_argument("--algo", choices=["a", "b"], default="a",
                     help="a: root only; b: root plus eigenvector")
     sp.add_argument("--trace", metavar="FILE", help="write per-iteration min/max sums as CSV")

@@ -49,10 +49,6 @@ class MatrixParseError(PerronError):
         super().__init__(f"line {lineno}: {message}")
 
 
-class InsufficientHistoryError(PerronError):
-    """The convergence history is too short for the requested statistic."""
-
-
 class DomainError(PerronError):
     """A numeric argument is outside the domain an operation is defined on."""
 

@@ -23,6 +23,11 @@ stops as ``Status.STAGNATED``, while a primitive one that merely converges
 slowly keeps iterating.  A run whose y or A y leaves the normal
 floating-point range (on reducible input) also stops as ``STAGNATED``, with
 the last accurate step.
+
+The one stopping rule is the paper's: the run has converged once the
+balanced sums agree, that is once max r - min r is within the tolerance
+or within one unit in the last place of max r, the rounding floor below
+which no step can shrink the spread of a root far above 1.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InsufficientHistoryError, ZeroSumError
+from .errors import DomainError, ZeroSumError
 from .matcore import (
     GerschgorinDisc,
     NonnegMatrix,
@@ -48,7 +53,6 @@ from .matcore import (
 from .primitivity import is_irreducible, is_primitive
 
 __all__ = [
-    "Stopping",
     "Status",
     "SolverConfig",
     "ConvergenceHistory",
@@ -57,7 +61,6 @@ __all__ = [
     "algorithm_b",
     "choose_side",
     "range_error",
-    "delta_error",
     "detect_stagnation",
     "estimate_iterations",
     "recover_X",
@@ -65,11 +68,6 @@ __all__ = [
     "CrossCheckReport",
     "stagnation_cross_check",
 ]
-
-class Stopping(str, Enum):
-    RANGE = "range"
-    DELTA = "delta"
-
 
 class Status(str, Enum):
     CONVERGED = "converged"
@@ -79,33 +77,23 @@ class Status(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rules and side selection for one solve.
+    """Tolerance, iteration cap and side selection for one solve.
 
     ``side=None`` picks the side whose initial sum range is smaller.  The
-    range rule stops when max sum - min sum <= tolerance.  The delta rule
-    stops when neither the minimum nor the maximum sum moved by more than
-    the tolerance in one step; a run that stops this way while the range is
-    still above tolerance is reported as STAGNATED, not CONVERGED, since
-    per-step progress alone cannot distinguish convergence from the
-    period-two oscillation of imprimitive matrices.
+    run converges when max sum - min sum <= tolerance, or when the spread
+    is down to the rounding floor, one unit in the last place of the
+    maximum sum, which an absolute tolerance cannot reach on a large root.
     """
 
     tolerance: float = 1e-8
     max_iterations: int = 100_000
-    stopping: Stopping = Stopping.RANGE
     side: Side | None = None
-    stagnation_window: int = 20
-    stagnation_factor: float = 0.999
 
     def __post_init__(self):
         if not (self.tolerance > 0):
             raise DomainError(f"tolerance must be > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise DomainError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (0 < self.stagnation_factor < 1):
-            raise DomainError(f"stagnation_factor must be in (0, 1), got {self.stagnation_factor}")
-        if self.stagnation_window < 1:
-            raise DomainError(f"stagnation_window must be >= 1, got {self.stagnation_window}")
 
 
 @dataclass(frozen=True)
@@ -162,26 +150,25 @@ def range_error(s) -> float:
     return float(values.max() - values.min())
 
 
-def delta_error(h: ConvergenceHistory) -> tuple[float, float]:
-    """Last one-step movement of the minimum and maximum sums."""
-    if len(h.rmin) < 2:
-        raise InsufficientHistoryError("need at least two recorded iterations")
-    return float(h.rmin[-1] - h.rmin[-2]), float(h.rmax[-2] - h.rmax[-1])
+# steps the spread gets to shrink before the exact primitivity test is run
+_STAGNATION_WINDOW = 20
+# a spread that keeps more than this share of itself over the window has stalled
+_STAGNATION_FACTOR = 0.999
 
 
 def _stagnant(rmin, rmax, cfg: SolverConfig) -> bool:
-    w = cfg.stagnation_window
+    w = _STAGNATION_WINDOW
     if len(rmin) < w + 1:
         return False
     now = rmax[-1] - rmin[-1]
     then = rmax[-1 - w] - rmin[-1 - w]
     if now <= cfg.tolerance or then <= 0:
         return False
-    return now / then > cfg.stagnation_factor
+    return now / then > _STAGNATION_FACTOR
 
 
 def detect_stagnation(h: ConvergenceHistory, cfg: SolverConfig) -> bool:
-    """True when the sum range made essentially no progress over the window.
+    """True when the sum range made essentially no progress over 20 steps.
 
     Histories shorter than the window report False, as does any history
     whose current range is already within tolerance.
@@ -237,16 +224,9 @@ def _run(A: NonnegMatrix, cfg: SolverConfig, want_vector: bool, record_sums: boo
     t = 0
     while True:
         spread = rmax[-1] - rmin[-1]
-        if cfg.stopping is Stopping.RANGE:
-            if spread <= cfg.tolerance:
-                status = Status.CONVERGED
-                break
-        elif len(rmin) >= 2:
-            er_min = rmin[-1] - rmin[-2]
-            er_max = rmax[-2] - rmax[-1]
-            if er_min <= cfg.tolerance and er_max <= cfg.tolerance:
-                status = Status.CONVERGED if spread <= cfg.tolerance else Status.STAGNATED
-                break
+        if spread <= cfg.tolerance or spread <= math.ulp(rmax[-1]):
+            status = Status.CONVERGED
+            break
         if _stagnant(rmin, rmax, cfg):
             if primitive is None:
                 primitive = is_primitive(A)

@@ -6,7 +6,6 @@ from perronkit import from_dense
 # Primitive 3x3 sample: dominant eigenvalue 5.739952, row sums (3, 5.5, 7),
 # column sums (3.5, 6, 6), so automatic side selection picks columns.
 SAMPLE3_ROWS = [[2.0, 1.0, 0.0], [0.5, 3.0, 2.0], [1.0, 2.0, 4.0]]
-SAMPLE3_ROOT = 5.739951594795529  # converged midpoint, tol 1e-8
 
 # Irreducible but imprimitive 3x3 (period 2): eigenvalues 3, -3, 0.  All
 # column sums equal 3, while row-sum balancing oscillates forever.

@@ -1,5 +1,7 @@
 """Randomised properties of the balancing solver over hostile inputs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perronkit import PerronError, Side, SolverConfig, algorithm_a, algorithm_b, from_dense
+from perronkit import PerronError, Side, SolverConfig, Status, algorithm_a, algorithm_b, from_dense
 
 
 @st.composite
@@ -34,8 +36,9 @@ def hostile_matrices(draw):
     side=None,
 )
 def test_results_are_finite_and_enclosure_is_monotone(A, solve, side):
+    cfg = SolverConfig(side=side, max_iterations=500)
     try:
-        res = solve(A, SolverConfig(side=side, max_iterations=500))
+        res = solve(A, cfg)
     except PerronError:
         return
     assert np.all(np.isfinite([res.root_lo, res.root_hi, res.root]))
@@ -46,3 +49,5 @@ def test_results_are_finite_and_enclosure_is_monotone(A, solve, side):
     rmin, rmax = res.history.rmin, res.history.rmax
     assert np.all(rmin[1:] >= rmin[:-1] * (1 - 1e-12))
     assert np.all(rmax[1:] <= rmax[:-1] * (1 + 1e-12))
+    if res.status is Status.CONVERGED:
+        assert res.root_hi - res.root_lo <= max(cfg.tolerance, math.ulp(res.root_hi))
