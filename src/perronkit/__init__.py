@@ -5,13 +5,13 @@ the equivalent power recurrence y <- A y and reads the balanced sums off as
 the quotients (A y) / y; for primitive matrices they squeeze onto the
 dominant eigenvalue and y onto the dominant eigenvector.  The balanced
 matrix is built once, from the final y.  Companion modules supply sum-based
-eigenvalue enclosures, a power-iteration baseline, exact primitivity tests
+eigenvalue enclosures, a power-iteration oracle, exact primitivity tests
 by graph search, and stationary distributions of row-stochastic matrices.
 """
 
 __version__ = "0.1.0"
 
-from .baseline import BenchRecord, PowerResult, power_method, run_bench, tridiagonal_suite
+from .baseline import PowerResult, power_method
 from .bounds import BoundsReport, bounds_report, frobenius_bounds, minc_bounds, perron_2x2
 from .errors import (
     BreakdownError,
@@ -33,7 +33,6 @@ from .matcore import (
     GerschgorinDisc,
     NonnegMatrix,
     Side,
-    SumVector,
     diag_similarity,
     from_coordinates,
     from_dense,

@@ -1,30 +1,23 @@
-"""Power iteration baseline and a small benchmark harness.
+"""Power iteration: the independent oracle for the balancing solver.
 
-The power method serves as the independent correctness oracle for the
-balancing solver; the harness runs both (plus both solver variants) over a
-suite of matrices and records roots, iteration counts, and wall times.  Both
-methods slow down together as the second eigenvalue approaches the first,
-which the tridiagonal family exposes through its closed-form spectrum.
+It runs the solver's recurrence y <- A y through separate code (a BLAS
+matvec on dense storage, sup-norm normalization, its own stopping test),
+so agreement between the two is evidence for both.  Both slow down
+together as the second eigenvalue approaches the first, which the
+tridiagonal family exposes through its closed-form spectrum.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BreakdownError, PerronError
-from .matcore import NonnegMatrix, _matvec, tridiagonal, tridiagonal_eigs
-from .solver import SolverConfig, Status, algorithm_a, algorithm_b
+from .errors import BreakdownError
+from .matcore import NonnegMatrix, _matvec
+from .solver import SolverConfig, Status
 
-__all__ = [
-    "PowerResult",
-    "power_method",
-    "BenchRecord",
-    "run_bench",
-    "tridiagonal_suite",
-]
+__all__ = ["PowerResult", "power_method"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +40,11 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
     a two-sided enclosure of the dominant eigenvalue, so the returned
     estimate is within tol of it even when the second eigenvalue is close
     enough to the first that per-step deltas alone go quiet early.
+
+    tol and max_iter are checked as SolverConfig's tolerance and
+    max_iterations are; bad values raise DomainError.
     """
+    SolverConfig(tolerance=tol, max_iterations=max_iter)
     v = np.ones(A.n)
     lam = float(np.abs(_matvec(A, v)).max())
     if lam == 0:
@@ -68,110 +65,3 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
             return PowerResult(nw, v_new, t, Status.CONVERGED)
         v, lam = v_new, nw
     return PowerResult(lam, v, max_iter, Status.MAX_ITERATIONS)
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    """Per-matrix comparison of the two solver variants and the power method."""
-
-    label: str
-    order: int
-    ratio: float | None
-    root_a: float
-    root_b: float
-    root_power: float
-    iters_a: int
-    iters_b: int
-    iters_power: int
-    status_a: str
-    status_b: str
-    status_power: str
-    time_a: float
-    time_b: float
-    time_power: float
-
-    CSV_HEADER = (
-        "label,order,ratio,root_a,root_b,root_power,"
-        "iters_a,iters_b,iters_power,status_a,status_b,status_power,"
-        "time_a,time_b,time_power"
-    )
-
-    def csv_row(self) -> str:
-        ratio = "" if self.ratio is None else repr(self.ratio)
-        return ",".join(
-            [
-                self.label,
-                str(self.order),
-                ratio,
-                repr(self.root_a),
-                repr(self.root_b),
-                repr(self.root_power),
-                str(self.iters_a),
-                str(self.iters_b),
-                str(self.iters_power),
-                self.status_a,
-                self.status_b,
-                self.status_power,
-                f"{self.time_a:.6f}",
-                f"{self.time_b:.6f}",
-                f"{self.time_power:.6f}",
-            ]
-        )
-
-
-def _timed(fn, *args):
-    start = time.perf_counter()
-    try:
-        out = fn(*args)
-        return out, time.perf_counter() - start, None
-    except PerronError as exc:
-        return None, time.perf_counter() - start, exc
-
-
-def run_bench(suite, cfg: SolverConfig | None = None) -> list[BenchRecord]:
-    """Run all three methods over (label, matrix, ratio) triples.
-
-    Non-convergence or per-matrix errors are captured in the status fields
-    rather than aborting the suite.
-    """
-    cfg = cfg or SolverConfig()
-    records = []
-    for label, A, ratio in suite:
-        res_a, t_a, err_a = _timed(algorithm_a, A, cfg)
-        res_b, t_b, err_b = _timed(algorithm_b, A, cfg)
-        res_p, t_p, err_p = _timed(power_method, A, cfg.tolerance, cfg.max_iterations)
-        records.append(
-            BenchRecord(
-                label=label,
-                order=A.n,
-                ratio=ratio,
-                root_a=res_a.root if res_a else float("nan"),
-                root_b=res_b.root if res_b else float("nan"),
-                root_power=res_p.eigenvalue if res_p else float("nan"),
-                iters_a=res_a.iterations if res_a else -1,
-                iters_b=res_b.iterations if res_b else -1,
-                iters_power=res_p.iterations if res_p else -1,
-                status_a=res_a.status.value if res_a else f"error:{type(err_a).__name__}",
-                status_b=res_b.status.value if res_b else f"error:{type(err_b).__name__}",
-                status_power=res_p.status.value if res_p else f"error:{type(err_p).__name__}",
-                time_a=t_a,
-                time_b=t_b,
-                time_power=t_p,
-            )
-        )
-    return records
-
-
-def tridiagonal_suite(sizes, c: float = 1.0, a: float = 3.0, b: float = 2.0):
-    """(label, matrix, ratio) triples for the constant-tridiagonal family.
-
-    The ratio of the two largest eigenvalues comes from the closed form and
-    approaches 1 as the order grows, which is exactly the slow regime for
-    both the solver and the power method.
-    """
-    suite = []
-    for n in sizes:
-        eigs = tridiagonal_eigs(n, c, a, b)
-        ratio = float(abs(eigs[1] / eigs[0])) if n >= 2 and eigs[0] != 0 else None
-        suite.append((f"tridiag-{n}", tridiagonal(n, c, a, b), ratio))
-    return suite

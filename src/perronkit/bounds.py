@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotApplicableError, ZeroSumError
-from .matcore import NonnegMatrix, Side, _raw_sums, diag_similarity
+from .matcore import NonnegMatrix, Side, diag_similarity, sums
 
 __all__ = [
     "BoundsReport",
@@ -37,7 +37,7 @@ class BoundsReport:
 
 def frobenius_bounds(A: NonnegMatrix, side: Side) -> tuple[float, float]:
     """(min, max) of the chosen sums; brackets the dominant eigenvalue."""
-    s = _raw_sums(A, side)
+    s = sums(A, side)
     return float(s.min()), float(s.max())
 
 
@@ -51,7 +51,7 @@ def minc_bounds(A: NonnegMatrix, side: Side) -> tuple[float, float]:
     if side is Side.COLUMN:
         lo, hi = minc_bounds(A.transpose(), Side.ROW)
         return lo, hi
-    r = _raw_sums(A, Side.ROW)
+    r = sums(A, Side.ROW)
     zero = np.flatnonzero(r == 0)
     if zero.size:
         raise ZeroSumError(int(zero[0]), side="row")

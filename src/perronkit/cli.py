@@ -11,7 +11,6 @@ result member is byte-deterministic for identical input and flags.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -19,9 +18,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .baseline import BenchRecord, power_method, run_bench, tridiagonal_suite
+from .baseline import power_method
 from .bounds import bounds_report
-from .errors import DomainError, PerronError
+from .errors import PerronError
 from .io import parse_matrix, write_matrix_market
 from .markov import StochasticMatrix, damp, make_stochastic, stationary
 from .matcore import NonnegMatrix, Side, random_primitive, tridiagonal
@@ -223,41 +222,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    started = time.perf_counter()
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        raise DomainError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
-    if not sizes:
-        raise DomainError("--sizes is empty")
-    cfg = SolverConfig(tolerance=args.tol, max_iterations=args.max_iter)
-    records = run_bench(tridiagonal_suite(sizes, c=args.c, a=args.a, b=args.b), cfg)
-    converged = [
-        r for r in records
-        if (r.status_a, r.status_b, r.status_power) == ("converged",) * 3
-    ]
-    spread = max(
-        (max(r.root_a, r.root_b, r.root_power) - min(r.root_a, r.root_b, r.root_power)
-         for r in converged),
-        default=None,
-    )
-    summary = {
-        "records": len(records),
-        "converged": len(converged),
-        "max_root_spread": spread,
-    }
-    if args.json:
-        result = {"records": [dataclasses.asdict(r) for r in records], "summary": summary}
-        _emit("bench", None, {"sizes": sizes, "tol": cfg.tolerance}, result, started)
-    else:
-        print(BenchRecord.CSV_HEADER)
-        for r in records:
-            print(r.csv_row())
-        print(json.dumps(summary), file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perronkit",
@@ -315,15 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--seed", type=int, default=None)
     gr.add_argument("-o", "--output", default="-", help="output path (default stdout)")
     gr.set_defaults(func=_cmd_gen, kind="random")
-
-    sp = sub.add_parser("bench", help="compare solver variants against power iteration")
-    sp.add_argument("--sizes", default="5,10,20,50",
-                    help="comma-separated tridiagonal orders (default 5,10,20,50)")
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--a", type=float, default=3.0)
-    sp.add_argument("--b", type=float, default=2.0)
-    _add_run_flags(sp)
-    sp.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NotStochasticError, RootNotOneError, ZeroSumError
-from .matcore import NonnegMatrix, Side, _raw_sums, _vecmat
+from .matcore import NonnegMatrix, Side, _vecmat, sums
 from .solver import SolverConfig, Status, algorithm_b
 
 __all__ = [
@@ -35,7 +35,7 @@ class StochasticMatrix:
     matrix: NonnegMatrix
 
     def __post_init__(self):
-        r = _raw_sums(self.matrix, Side.ROW)
+        r = sums(self.matrix, Side.ROW)
         off = np.flatnonzero(np.abs(r - 1.0) > _ROWSUM_TOL)
         if off.size:
             i = int(off[0])
@@ -58,7 +58,7 @@ class StationaryDistribution:
 
 def make_stochastic(A: NonnegMatrix) -> StochasticMatrix:
     """Divide each row by its sum; preserves the storage layout."""
-    r = _raw_sums(A, Side.ROW)
+    r = sums(A, Side.ROW)
     zero = np.flatnonzero(r == 0)
     if zero.size:
         raise ZeroSumError(int(zero[0]), side="row")

@@ -25,7 +25,6 @@ from .errors import (
 __all__ = [
     "Side",
     "NonnegMatrix",
-    "SumVector",
     "GerschgorinDisc",
     "from_dense",
     "from_coordinates",
@@ -123,14 +122,6 @@ class NonnegMatrix:
 
 
 @dataclass(frozen=True)
-class SumVector:
-    """Per-row or per-column totals of a matrix."""
-
-    values: np.ndarray
-    side: Side
-
-
-@dataclass(frozen=True)
 class GerschgorinDisc:
     """Disc with center on the diagonal entry and radius the off-diagonal row sum."""
 
@@ -165,7 +156,7 @@ def _finite_sums(A: NonnegMatrix) -> NonnegMatrix:
     """A itself, once no row or column sum overflows to inf."""
     for side, name in ((Side.ROW, "row"), (Side.COLUMN, "column")):
         with np.errstate(over="ignore"):
-            over = np.flatnonzero(np.isinf(_raw_sums(A, side)))
+            over = np.flatnonzero(np.isinf(sums(A, side)))
         if over.size:
             raise DomainError(f"{name} {int(over[0])} sum overflows; scale the matrix down")
     return A
@@ -218,18 +209,14 @@ def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
     return _finite_sums(NonnegMatrix(n, indptr=indptr, indices=cols, data=values))
 
 
-def _raw_sums(A: NonnegMatrix, side: Side) -> np.ndarray:
+def sums(A: NonnegMatrix, side: Side) -> np.ndarray:
+    """Row or column totals, O(nnz), entries added in index-ascending order."""
     if A.storage == "dense":
         D = A._dense if side is Side.COLUMN else np.ascontiguousarray(A._dense.T)
         return np.add.reduce(D, axis=0)
     # np.bincount accumulates in input order: index-ascending sequential adds.
     bins = A._row_indices() if side is Side.ROW else A._indices
     return np.bincount(bins, weights=A._data, minlength=A.n)
-
-
-def sums(A: NonnegMatrix, side: Side) -> SumVector:
-    """Row or column totals, O(nnz), entries added in index-ascending order."""
-    return SumVector(values=_raw_sums(A, side), side=side)
 
 
 def _matvec(A: NonnegMatrix, v: np.ndarray) -> np.ndarray:
@@ -303,7 +290,7 @@ def diag_similarity(A: NonnegMatrix, d) -> NonnegMatrix:
 
 def gerschgorin(A: NonnegMatrix) -> list[GerschgorinDisc]:
     """One disc per row: center a_ii, radius the row sum minus a_ii."""
-    r = _raw_sums(A, Side.ROW)
+    r = sums(A, Side.ROW)
     diag = A.diagonal()
     return [GerschgorinDisc(float(c), float(s - c)) for c, s in zip(diag, r)]
 

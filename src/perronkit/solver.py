@@ -43,12 +43,11 @@ from .matcore import (
     GerschgorinDisc,
     NonnegMatrix,
     Side,
-    SumVector,
     _checked_scale,
-    _raw_sums,
     _vecmat,
     gerschgorin,
     rank_one_hadamard,
+    sums,
 )
 from .primitivity import is_irreducible, is_primitive
 
@@ -90,8 +89,8 @@ class SolverConfig:
     side: Side | None = None
 
     def __post_init__(self):
-        if not (self.tolerance > 0):
-            raise DomainError(f"tolerance must be > 0, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise DomainError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
@@ -137,17 +136,15 @@ class PerronResult:
 
 def choose_side(A: NonnegMatrix) -> Side:
     """Side whose initial sum range is smaller; ties go to rows."""
-    row = _raw_sums(A, Side.ROW)
-    col = _raw_sums(A, Side.COLUMN)
-    row_range = row.max() - row.min()
-    col_range = col.max() - col.min()
+    row_range = range_error(sums(A, Side.ROW))
+    col_range = range_error(sums(A, Side.COLUMN))
     return Side.ROW if row_range <= col_range else Side.COLUMN
 
 
 def range_error(s) -> float:
     """Spread max - min of a sum vector; zero when the sums are equalized."""
-    values = s.values if isinstance(s, SumVector) else np.asarray(s, dtype=np.float64)
-    return float(values.max() - values.min())
+    s = np.asarray(s, dtype=np.float64)
+    return float(s.max() - s.min())
 
 
 # steps the spread gets to shrink before the exact primitivity test is run

@@ -3,16 +3,15 @@ import pytest
 
 from perronkit import (
     BreakdownError,
-    SolverConfig,
+    DomainError,
     Status,
+    algorithm_a,
     algorithm_b,
     from_dense,
     power_method,
     random_primitive,
-    run_bench,
     tridiagonal,
     tridiagonal_eigs,
-    tridiagonal_suite,
 )
 
 
@@ -58,62 +57,29 @@ class TestPowerMethod:
             A = random_primitive(int(rng.integers(2, 9)), rng=rng)
             assert abs(power_method(A).eigenvalue - algorithm_b(A).root) <= 1e-7
 
-
-class TestBench:
-    def test_tridiagonal_family_records(self):
-        records = run_bench(tridiagonal_suite([5, 10, 20]), SolverConfig())
-        assert [r.label for r in records] == ["tridiag-5", "tridiag-10", "tridiag-20"]
-        for rec in records:
-            assert rec.status_a == rec.status_b == rec.status_power == "converged"
-            roots = (rec.root_a, rec.root_b, rec.root_power)
-            assert max(roots) - min(roots) <= 1e-6
-            assert rec.time_a >= 0 and rec.time_b >= 0 and rec.time_power >= 0
-
-    def test_analytic_ratio_attached(self):
-        (label, _, ratio), = tridiagonal_suite([50])
-        eigs = tridiagonal_eigs(50, 1, 3, 2)
-        assert label == "tridiag-50"
-        assert ratio == pytest.approx(abs(eigs[1] / eigs[0]), abs=0)
-        assert ratio == pytest.approx(0.99724, abs=1e-5)
-
-    def test_order_50_record_counts_in_the_thousands(self):
-        (rec,) = run_bench(tridiagonal_suite([50]), SolverConfig())
-        assert rec.status_a == rec.status_b == rec.status_power == "converged"
-        for iters in (rec.iters_a, rec.iters_b, rec.iters_power):
-            assert 3000 <= iters <= 8000
-        assert max(rec.root_a, rec.root_b, rec.root_power) - min(
-            rec.root_a, rec.root_b, rec.root_power
-        ) <= 1e-6
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": float("inf")},
+            {"tol": float("nan")},
+            {"tol": 0.0},
+            {"tol": -1.0},
+            {"max_iter": 0},
+        ],
+        ids=["tol-inf", "tol-nan", "tol-0", "tol-neg", "max_iter-0"],
+    )
+    def test_rejects_bad_arguments(self, sample3, kwargs):
+        with pytest.raises(DomainError):
+            power_method(sample3, **kwargs)
 
     def test_iterations_grow_with_the_eigenvalue_ratio(self):
-        records = run_bench(tridiagonal_suite([5, 10, 20]), SolverConfig())
-        ratios = [r.ratio for r in records]
-        assert ratios == sorted(ratios)
-        for iters in (
-            [r.iters_a for r in records],
-            [r.iters_b for r in records],
-            [r.iters_power for r in records],
-        ):
-            assert iters == sorted(iters)
-
-    def test_equal_row_sums_need_at_most_one_iteration(self):
-        A = from_dense([[1.0, 2.0], [2.0, 1.0]])
-        (rec,) = run_bench([("balanced", A, None)], SolverConfig())
-        assert rec.iters_a <= 1 and rec.iters_b <= 1
-
-    def test_errors_recorded_without_aborting(self):
-        from perronkit import Side
-
-        bad = from_dense([[0.0, 0.0], [1.0, 1.0]])
-        good = from_dense([[1.0, 2.0], [2.0, 1.0]])
-        cfg = SolverConfig(side=Side.ROW)
-        records = run_bench([("bad", bad, None), ("good", good, None)], cfg)
-        assert records[0].status_a == "error:ZeroSumError"
-        assert records[0].status_power == "converged"  # captured per method
-        assert records[1].status_a == "converged"
-
-    def test_csv_row_shape(self):
-        (rec,) = run_bench(tridiagonal_suite([5]), SolverConfig())
-        from perronkit import BenchRecord
-
-        assert len(rec.csv_row().split(",")) == len(BenchRecord.CSV_HEADER.split(","))
+        # lambda2/lambda1 of tridiag(n, 1, 3, 2) rises towards 1 with n
+        for method in (algorithm_a, algorithm_b, power_method):
+            iterations = []
+            for n in (5, 10, 20):
+                res = method(tridiagonal(n, 1.0, 3.0, 2.0))
+                root = res.eigenvalue if method is power_method else res.root
+                assert res.status is Status.CONVERGED
+                assert abs(root - tridiagonal_eigs(n, 1, 3, 2)[0]) <= 1e-6
+                iterations.append(res.iterations)
+            assert iterations[0] < iterations[1] < iterations[2], method.__name__

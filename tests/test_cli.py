@@ -70,6 +70,23 @@ class TestPerronCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "row 0 sum overflows" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["perron", "--tol", "inf"], "inf"),
+            (["stationary", "--tol", "inf"], "inf"),
+            (["power", "--tol", "inf"], "inf"),
+            (["power", "--max-iter", "0"], "0"),
+        ],
+        ids=["perron-tol", "stationary-tol", "power-tol", "power-max-iter"],
+    )
+    def test_bad_run_flags_are_input_error(self, capsys, tmp_path, argv, value):
+        path = tmp_path / "chain.csv"
+        path.write_text("0.9,0.1\n0.5,0.5\n")  # stochastic, so stationary reaches its config too
+        assert main([*argv, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"got {value}" in captured.err
+
     def test_result_payload_is_deterministic(self, capsys, sample3_file):
         _, first = run_json(capsys, ["perron", "--json", sample3_file])
         _, second = run_json(capsys, ["perron", "--json", sample3_file])
@@ -191,21 +208,3 @@ class TestGenCommand:
         code, payload = run_json(capsys, ["primitivity", str(out)])
         assert payload["primitive"] is True
 
-
-class TestBenchCommand:
-    def test_csv_output(self, capsys):
-        assert main(["bench", "--sizes", "5,10"]) == 0
-        captured = capsys.readouterr()
-        lines = captured.out.strip().splitlines()
-        assert lines[0].startswith("label,order,ratio")
-        assert len(lines) == 3
-        summary = json.loads(captured.err.strip().splitlines()[-1])
-        assert summary["records"] == 2 and summary["converged"] == 2
-
-    def test_json_output(self, capsys):
-        code, record = run_json(capsys, ["bench", "--sizes", "5", "--json"])
-        assert code == 0
-        assert record["result"]["summary"]["records"] == 1
-        (rec,) = record["result"]["records"]
-        assert rec["label"] == "tridiag-5"
-        assert abs(rec["root_a"] - rec["root_power"]) <= 1e-6

@@ -369,6 +369,7 @@ class TestConfigValidation:
             {"tolerance": 0.0},
             {"tolerance": -1e-8},
             {"max_iterations": 0},
+            {"tolerance": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
