@@ -46,7 +46,6 @@ from .matcore import (
 from .primitivity import is_irreducible, is_primitive, wielandt_bound
 from .solver import (
     ConvergenceHistory,
-    CrossCheckReport,
     PerronResult,
     SolverConfig,
     Status,
@@ -58,5 +57,4 @@ from .solver import (
     estimate_iterations,
     range_error,
     recover_X,
-    stagnation_cross_check,
 )

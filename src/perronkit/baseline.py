@@ -1,10 +1,11 @@
 """Power iteration: the independent oracle for the balancing solver.
 
 It runs the solver's recurrence y <- A y through separate code (a BLAS
-matvec on dense storage, sup-norm normalization, its own stopping test),
-so agreement between the two is evidence for both.  Both slow down
-together as the second eigenvalue approaches the first, which the
-tridiagonal family exposes through its closed-form spectrum.
+matvec on dense storage, sup-norm normalization, its own convergence
+test), so agreement between the two is evidence for both.  Only the stall
+rule is shared: on input that is not primitive both stop as STAGNATED.
+Both slow down together as the second eigenvalue approaches the first,
+which the tridiagonal family exposes through its closed-form spectrum.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import BreakdownError
 from .matcore import NonnegMatrix, _matvec
-from .solver import SolverConfig, Status
+from .solver import SolverConfig, Status, _stall_rule
 
 __all__ = ["PowerResult", "power_method"]
 
@@ -44,7 +45,8 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
     tol and max_iter are checked as SolverConfig's tolerance and
     max_iterations are; bad values raise DomainError.
     """
-    SolverConfig(tolerance=tol, max_iterations=max_iter)
+    stalled = _stall_rule(A, SolverConfig(tolerance=tol, max_iterations=max_iter))
+    qmin, qmax = [], []
     v = np.ones(A.n)
     lam = float(np.abs(_matvec(A, v)).max())
     if lam == 0:
@@ -55,7 +57,9 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
         if nw == 0:
             raise BreakdownError(f"iterate vanished at iteration {t}")
         quotients = w[v > 0] / v[v > 0]
-        spread = float(quotients.max() - quotients.min())
+        qmin.append(float(quotients.min()))
+        qmax.append(float(quotients.max()))
+        spread = qmax[-1] - qmin[-1]
         v_new = w / nw
         if (
             spread <= tol
@@ -64,4 +68,6 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
         ):
             return PowerResult(nw, v_new, t, Status.CONVERGED)
         v, lam = v_new, nw
+        if stalled(qmin, qmax):
+            return PowerResult(lam, v, t, Status.STAGNATED)
     return PowerResult(lam, v, max_iter, Status.MAX_ITERATIONS)

@@ -1,7 +1,7 @@
 """Stationary distributions of row-stochastic matrices.
 
 The stationary vector u (u^T P = u^T) is the dominant left eigenvector of
-P, so it drops out of the balancing solver run on P's columns; the dominant
+P, so it drops out of the solver's loop run on P's columns; the dominant
 eigenvalue must come back as 1, which doubles as an input sanity check.
 Chains that are not primitive can be made so by blending with the uniform
 matrix (damping) before solving.
@@ -9,13 +9,13 @@ matrix (damping) before solving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NotStochasticError, RootNotOneError, ZeroSumError
 from .matcore import NonnegMatrix, Side, _vecmat, sums
-from .solver import SolverConfig, Status, algorithm_b
+from .solver import SolverConfig, Status, _iterate
 
 __all__ = [
     "StochasticMatrix",
@@ -90,18 +90,19 @@ def damp(P: StochasticMatrix, alpha: float) -> StochasticMatrix:
 def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> StationaryDistribution:
     """Stationary distribution of a primitive row-stochastic matrix.
 
-    Runs the accumulating solver on P balancing column sums, which iterates
-    u^T <- u^T P (the side is forced: automatic selection would pick the
-    already-equal rows and return the trivial all-ones direction).  The
-    returned vector is normalized to unit sum; the residual is
-    ||u^T P - u^T||_inf.
+    Runs the solver's loop alone on P's columns, which iterates
+    u^T <- u^T P; it builds no balanced matrix and does not read
+    ``cfg.side`` (automatic selection would pick the already-equal rows and
+    return the trivial all-ones direction).  The returned vector is
+    normalized to unit sum; the residual is ||u^T P - u^T||_inf.
     Raises RootNotOneError when a converged run's eigenvalue strays from 1
     by more than 100x tolerance, which signals a mis-scaled input.
     """
-    cfg = replace(cfg or SolverConfig(), side=Side.COLUMN)
-    res = algorithm_b(P.matrix, cfg)
-    if res.status is Status.CONVERGED and abs(res.root - 1.0) > 100.0 * cfg.tolerance:
-        raise RootNotOneError(res.root)
-    u = res.eigenvector
+    cfg = cfg or SolverConfig()
+    y, iterations, status, history = _iterate(P.matrix, Side.COLUMN, cfg)
+    root = 0.5 * float(history.rmin[-1]) + 0.5 * float(history.rmax[-1])
+    if status is Status.CONVERGED and abs(root - 1.0) > 100.0 * cfg.tolerance:
+        raise RootNotOneError(root)
+    u = y / y.sum()
     residual = float(np.abs(_vecmat(P.matrix, u) - u).max())
-    return StationaryDistribution(u=u, residual=residual, iterations=res.iterations, status=res.status)
+    return StationaryDistribution(u=u, residual=residual, iterations=iterations, status=status)

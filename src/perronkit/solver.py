@@ -11,13 +11,15 @@ dominant eigenvalue.  The balanced matrix D^{-1} A D is built once, from
 the final y, and keeps the input's diagonal and zero pattern exactly.
 Column sums are balanced the same way on the transpose.
 
-:func:`algorithm_a` and :func:`algorithm_b` run this one kernel; B also
-returns y, which converges to the dominant eigenvector (of the transpose
-when column sums were balanced).
+One loop runs over K = Aᵀ (rows) or K = A (columns) and returns only y
+and its trace.  :func:`algorithm_b` picks the side, runs it and builds the
+result: the balanced matrix, and y, the dominant eigenvector (of the
+transpose for columns).  :func:`algorithm_a` drops y; the stationary
+distribution of :mod:`~perronkit.markov` runs the loop alone.
 
 On matrices whose dominant eigenvalue is not strictly dominant in modulus
 (imprimitive matrices), the sums oscillate instead of converging.  When the
-spread stops shrinking the solver runs the exact test
+spread stops shrinking the loop runs the exact test
 :func:`~perronkit.primitivity.is_primitive` once: an imprimitive matrix
 stops as ``Status.STAGNATED``, while a primitive one that merely converges
 slowly keeps iterating.  A run whose y or A y leaves the normal
@@ -32,8 +34,9 @@ which no step can shrink the spread of a root far above 1.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -49,7 +52,7 @@ from .matcore import (
     rank_one_hadamard,
     sums,
 )
-from .primitivity import is_irreducible, is_primitive
+from .primitivity import is_primitive
 
 __all__ = [
     "Status",
@@ -64,8 +67,6 @@ __all__ = [
     "estimate_iterations",
     "recover_X",
     "convergence_discs",
-    "CrossCheckReport",
-    "stagnation_cross_check",
 ]
 
 class Status(str, Enum):
@@ -93,6 +94,8 @@ class SolverConfig:
             raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise DomainError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.side is not None and not isinstance(self.side, Side):
+            raise DomainError(f"side must be a Side or None, got {self.side!r}")
 
 
 @dataclass(frozen=True)
@@ -164,6 +167,14 @@ def _stagnant(rmin, rmax, cfg: SolverConfig) -> bool:
     return now / then > _STAGNATION_FACTOR
 
 
+def _stall_rule(K: NonnegMatrix, cfg: SolverConfig):
+    """``stop(rmin, rmax)`` for the power loops: the spread stalled and K is
+    not primitive.  The exact test runs at most once.
+    """
+    primitive = functools.cache(lambda: is_primitive(K))
+    return lambda rmin, rmax: _stagnant(rmin, rmax, cfg) and not primitive()
+
+
 def detect_stagnation(h: ConvergenceHistory, cfg: SolverConfig) -> bool:
     """True when the sum range made essentially no progress over 20 steps.
 
@@ -201,12 +212,14 @@ def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
 
 
 @np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED
-def _run(A: NonnegMatrix, cfg: SolverConfig, want_vector: bool, record_sums: bool) -> PerronResult:
-    side = cfg.side if cfg.side is not None else choose_side(A)
-    # _vecmat(K, y) is yᵀK: A y for rows, Aᵀ y for columns
-    K = A.transpose() if side is Side.ROW else A
+def _iterate(K: NonnegMatrix, side: Side, cfg: SolverConfig, record_sums: bool = False):
+    """The one loop: y <- Kᵀ y from y = 1, with the sums r = (Kᵀ y) / y.
 
-    y = np.ones(A.n)
+    Returns (y, iterations, status, history).  ``side`` only labels a
+    ZeroSumError; K and Kᵀ are primitive together, so the exact test runs
+    on K.
+    """
+    y = np.ones(K.n)
     r = w = _vecmat(K, y)
     zero = np.flatnonzero(r == 0)
     if zero.size:
@@ -216,7 +229,7 @@ def _run(A: NonnegMatrix, cfg: SolverConfig, want_vector: bool, record_sums: boo
     rmax = [float(r.max())]
     trace = [r] if record_sums else None
     tiny = np.finfo(np.float64).tiny
-    primitive = None  # exact test, run once when the heuristic first fires
+    stalled = _stall_rule(K, cfg)
 
     t = 0
     while True:
@@ -224,12 +237,9 @@ def _run(A: NonnegMatrix, cfg: SolverConfig, want_vector: bool, record_sums: boo
         if spread <= cfg.tolerance or spread <= math.ulp(rmax[-1]):
             status = Status.CONVERGED
             break
-        if _stagnant(rmin, rmax, cfg):
-            if primitive is None:
-                primitive = is_primitive(A)
-            if not primitive:
-                status = Status.STAGNATED
-                break
+        if stalled(rmin, rmax):
+            status = Status.STAGNATED
+            break
         if t >= cfg.max_iterations:
             status = Status.MAX_ITERATIONS
             break
@@ -249,21 +259,37 @@ def _run(A: NonnegMatrix, cfg: SolverConfig, want_vector: bool, record_sums: boo
         if record_sums:
             trace.append(r)
 
-    if side is Side.ROW:
-        balanced = rank_one_hadamard(A, np.reciprocal(y), y)
-    else:
-        balanced = rank_one_hadamard(A, y, np.reciprocal(y))
     history = ConvergenceHistory(
         rmin=np.array(rmin),
         rmax=np.array(rmax),
         sums=np.array(trace) if record_sums else None,
     )
-    lo, hi = rmin[-1], rmax[-1]
+    return y, t, status, history
+
+
+def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, record_sums: bool = False) -> PerronResult:
+    """Balance the sums and also return the accumulated scaling vector y.
+
+    Picks the side, runs the loop and builds the balanced matrix once from
+    the final y.  On convergence y spans the dominant eigenvector:
+    M y = root * y within 10x tolerance, where M is the matrix in the
+    balanced orientation.
+    """
+    cfg = cfg or SolverConfig()
+    side = cfg.side if cfg.side is not None else choose_side(A)
+    # _vecmat(K, y) is yᵀK: A y for rows, Aᵀ y for columns
+    K = A.transpose() if side is Side.ROW else A
+    y, t, status, history = _iterate(K, side, cfg, record_sums)
+    if side is Side.ROW:
+        balanced = rank_one_hadamard(A, np.reciprocal(y), y)
+    else:
+        balanced = rank_one_hadamard(A, y, np.reciprocal(y))
+    lo, hi = float(history.rmin[-1]), float(history.rmax[-1])
     return PerronResult(
         root_lo=lo,
         root_hi=hi,
         root=0.5 * lo + 0.5 * hi,  # lo + hi may overflow
-        eigenvector=(y / y.sum()) if want_vector else None,
+        eigenvector=y / y.sum(),
         balanced=balanced,
         iterations=t,
         side_used=side,
@@ -279,40 +305,4 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, record_sums
     matrix by r_j / r_i, where r is the current sum vector on the chosen
     side; see the module docstring for how the solver computes it.
     """
-    return _run(A, cfg or SolverConfig(), want_vector=False, record_sums=record_sums)
-
-
-def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, record_sums: bool = False) -> PerronResult:
-    """Balance the sums and also return the accumulated scaling vector y.
-
-    Same iteration as :func:`algorithm_a`.  On convergence y spans the
-    dominant eigenvector: M y = root * y within 10x tolerance, where M is
-    the matrix in the balanced orientation.
-    """
-    return _run(A, cfg or SolverConfig(), want_vector=True, record_sums=record_sums)
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """Agreement between the solver's stagnation signal and the exact test."""
-
-    primitive: bool
-    irreducible: bool
-    solver_status: Status
-    agreement: bool
-
-
-def stagnation_cross_check(A: NonnegMatrix, result: PerronResult) -> CrossCheckReport:
-    """Compare a finished solve against the exact primitivity test.
-
-    The solver's STAGNATED status is the claim "not primitive"; agreement
-    means that claim matches the exact graph test.
-    """
-    primitive = is_primitive(A)
-    stagnated = result.status is Status.STAGNATED
-    return CrossCheckReport(
-        primitive=primitive,
-        irreducible=is_irreducible(A),
-        solver_status=result.status,
-        agreement=stagnated == (not primitive),
-    )
+    return replace(algorithm_b(A, cfg, record_sums=record_sums), eigenvector=None)

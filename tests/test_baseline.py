@@ -13,6 +13,7 @@ from perronkit import (
     tridiagonal,
     tridiagonal_eigs,
 )
+from perronkit.solver import _STAGNATION_WINDOW
 
 
 class TestPowerMethod:
@@ -46,6 +47,11 @@ class TestPowerMethod:
         # strictly upper triangular: iterates reach the zero vector
         with pytest.raises(BreakdownError):
             power_method(from_dense([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_period_two_matrix_stagnates(self, periodic3):
+        res = power_method(periodic3)
+        assert res.status is Status.STAGNATED
+        assert res.iterations <= _STAGNATION_WINDOW + 5
 
     def test_max_iteration_cap(self, sample3):
         res = power_method(sample3, tol=1e-14, max_iter=3)

@@ -47,8 +47,9 @@ class TestPerronCommand:
         out = capsys.readouterr().out
         assert "root" in out and "converged" in out
 
-    def test_stagnation_exit_code(self, capsys, periodic3_file):
-        assert main(["perron", "--side", "row", periodic3_file]) == 2
+    @pytest.mark.parametrize("command", [["perron", "--side", "row"], ["power"]], ids=["perron-row", "power"])
+    def test_stagnation_exit_code(self, capsys, periodic3_file, command):
+        assert main([*command, periodic3_file]) == 2
 
     def test_max_iteration_exit_code(self, capsys, sample3_file):
         assert main(["perron", "--max-iter", "2", sample3_file]) == 3

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+import perronkit.solver
 from oracles import stationary_linear_solve
 from perronkit import (
     NotStochasticError,
     RootNotOneError,
+    Side,
     SolverConfig,
     Status,
     StochasticMatrix,
     ZeroSumError,
+    algorithm_b,
     damp,
+    from_coordinates,
     from_dense,
     is_primitive,
     make_stochastic,
@@ -19,6 +23,16 @@ from perronkit import (
 from perronkit.errors import DomainError
 
 TWO_STATE = [[0.9, 0.1], [0.5, 0.5]]  # stationary vector (5/6, 1/6) by hand
+
+
+@pytest.fixture
+def damped_chain():
+    """Sparse chain of order 300, four nonzeros a row, damped at 0.85."""
+    rng = np.random.default_rng(8)
+    n, k = 300, 4
+    cols = np.concatenate([rng.choice(n, k, replace=False) for _ in range(n)])
+    P = make_stochastic(from_coordinates(n, np.repeat(np.arange(n), k), cols, rng.uniform(0.1, 1.0, n * k)))
+    return damp(P, 0.85)
 
 
 class TestMakeStochastic:
@@ -115,6 +129,19 @@ class TestStationary:
             assert min(abs(np.diff(np.sort(u)))) > 1e-3
             orders.append(tuple(np.argsort(-u)))
         assert orders[0] == orders[1] == orders[2]
+
+    def test_same_vector_as_column_side_algorithm_b(self, damped_chain):
+        dist = stationary(damped_chain)
+        res = algorithm_b(damped_chain.matrix, SolverConfig(side=Side.COLUMN))
+        assert dist.u.tobytes() == res.eigenvector.tobytes()
+        assert (dist.iterations, dist.status) == (res.iterations, res.status)
+
+    def test_builds_no_balanced_matrix(self, damped_chain, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("stationary built a balanced matrix")
+
+        monkeypatch.setattr(perronkit.solver, "rank_one_hadamard", refuse)
+        assert stationary(damped_chain).status is Status.CONVERGED
 
     def test_mis_scaled_input_raises_root_not_one(self):
         # bypass validation to simulate a corrupted "stochastic" matrix

@@ -31,3 +31,4 @@ def test_structure_tests_match_oracles(arr, storage):
         A = from_coordinates(n, rows, cols, arr[rows, cols])
     assert is_primitive(A) == primitive_by_stepwise_powers(arr, wielandt_bound(n))
     assert is_irreducible(A) == irreducible_by_closure(arr)
+    assert is_primitive(A) == is_primitive(A.transpose())

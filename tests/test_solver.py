@@ -370,6 +370,7 @@ class TestConfigValidation:
             {"tolerance": -1e-8},
             {"max_iterations": 0},
             {"tolerance": float("inf")},
+            {"side": "row"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
