@@ -77,6 +77,8 @@ def read_matrix_market(path) -> NonnegMatrix:
             nrow, ncol = int(size[0]), int(size[1])
         except ValueError:
             raise _bad(size_lineno, "size line entries are not integers") from None
+        if nrow < 1 or ncol < 1:
+            raise _bad(size_lineno, f"matrix size must be positive, got {nrow}x{ncol}")
         entries = list(body())
         if len(entries) != nrow * ncol:
             raise _bad(len(lines), f"expected {nrow * ncol} values, found {len(entries)}")

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -92,8 +93,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise DomainError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        cap = self.max_iterations
+        if not (isinstance(cap, numbers.Integral) and not isinstance(cap, bool) and cap >= 1):
+            raise DomainError(f"max_iterations must be an integer >= 1, got {cap!r}")
         if self.side is not None and not isinstance(self.side, Side):
             raise DomainError(f"side must be a Side or None, got {self.side!r}")
 
@@ -211,6 +213,10 @@ def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
     return gerschgorin(B)
 
 
+# the ufunc reductions, without ndarray.min's Python wrapper
+_min, _max = np.minimum.reduce, np.maximum.reduce
+
+
 @np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED
 def _iterate(K: NonnegMatrix, side: Side, cfg: SolverConfig, record_sums: bool = False):
     """The one loop: y <- Kᵀ y from y = 1, with the sums r = (Kᵀ y) / y.
@@ -218,6 +224,14 @@ def _iterate(K: NonnegMatrix, side: Side, cfg: SolverConfig, record_sums: bool =
     Returns (y, iterations, status, history).  ``side`` only labels a
     ZeroSumError; K and Kᵀ are primitive together, so the exact test runs
     on K.
+
+    A step is one kernel call, two divisions (y = w / max w and
+    r = (Kᵀ y) / y) and four reductions: min and max of r, min and max of
+    w = Kᵀ y, the max only once the step is accepted.  The guard needs no
+    pass of its own and is exact.  Rounding is monotone, so min y equals
+    fl(min w / max w), computed from the extremes carried from the last
+    step.  NaN propagates through the min and max reductions and r >= 0,
+    so any NaN or inf among the quotients shows in max r.
     """
     y = np.ones(K.n)
     r = w = _vecmat(K, y)
@@ -225,8 +239,9 @@ def _iterate(K: NonnegMatrix, side: Side, cfg: SolverConfig, record_sums: bool =
     if zero.size:
         raise ZeroSumError(int(zero[0]), side=side.value)
 
-    rmin = [float(r.min())]
-    rmax = [float(r.max())]
+    rmin = [float(_min(r))]
+    rmax = [float(_max(r))]
+    wmin, wmax = rmin[0], rmax[0]  # r = w on the first step
     trace = [r] if record_sums else None
     tiny = np.finfo(np.float64).tiny
     stalled = _stall_rule(K, cfg)
@@ -244,20 +259,22 @@ def _iterate(K: NonnegMatrix, side: Side, cfg: SolverConfig, record_sums: bool =
             status = Status.MAX_ITERATIONS
             break
 
-        y_next = w / w.max()
-        w = _vecmat(K, y_next)
-        r_next = w / y_next
+        y_next = w / wmax
+        w_next = _vecmat(K, y_next)
+        r_next = w_next / y_next
+        lo, hi = _min(r_next), _max(r_next)
+        wmin_next = _min(w_next)
         # below the normal range y and w lose precision, and the quotients
         # lose monotonicity or turn inf or nan; keep the last accurate step
-        if min(y_next.min(), w.min()) < tiny or not np.isfinite(r_next).all():
+        if min(wmin / wmax, wmin_next) < tiny or not math.isfinite(hi):
             status = Status.STAGNATED
             break
-        y, r = y_next, r_next
+        y, w, wmin, wmax = y_next, w_next, wmin_next, _max(w_next)
         t += 1
-        rmin.append(float(r.min()))
-        rmax.append(float(r.max()))
+        rmin.append(float(lo))
+        rmax.append(float(hi))
         if record_sums:
-            trace.append(r)
+            trace.append(r_next)
 
     history = ConvergenceHistory(
         rmin=np.array(rmin),

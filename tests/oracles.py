@@ -4,10 +4,17 @@ Everything here deliberately avoids the code paths under test: determinants
 come from cofactor expansion, characteristic polynomials from the trace
 recursion, primitivity from stepwise boolean powers, irreducibility from a
 boolean transitive closure, stationary vectors from a linear solve, and
-eigenvalues from numpy's dense QR solver.
+eigenvalues from numpy's dense QR solver.  The reference balancing loop
+shares only the kernel and the stall rule with the solver and spells out
+its step with one reduction per guard.
 """
 
+import math
+
 import numpy as np
+
+from perronkit.matcore import _vecmat
+from perronkit.solver import Status, _stall_rule
 
 
 def det_cofactor(arr) -> float:
@@ -74,3 +81,43 @@ def stationary_linear_solve(p) -> np.ndarray:
     rhs[-1] = 1.0
     u, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     return u
+
+
+def reference_iterate(K, cfg):
+    """The balancing loop y <- Kᵀ y, written out with a pass per guard.
+
+    Returns (y, iterations, status, rmin, rmax), or None when some sum of
+    K is zero and the solver raises.  Every step reduces y and w = Kᵀ y
+    afresh and tests every quotient for finiteness.
+    """
+    tiny = np.finfo(np.float64).tiny
+    stalled = _stall_rule(K, cfg)
+    y = np.ones(K.n)
+    r = w = _vecmat(K, y)
+    if (r == 0).any():
+        return None
+    rmin, rmax = [float(r.min())], [float(r.max())]
+    t = 0
+    with np.errstate(all="ignore"):
+        while True:
+            spread = rmax[-1] - rmin[-1]
+            if spread <= cfg.tolerance or spread <= math.ulp(rmax[-1]):
+                status = Status.CONVERGED
+                break
+            if stalled(rmin, rmax):
+                status = Status.STAGNATED
+                break
+            if t >= cfg.max_iterations:
+                status = Status.MAX_ITERATIONS
+                break
+            y_next = w / w.max()
+            w = _vecmat(K, y_next)
+            r = w / y_next
+            if min(y_next.min(), w.min()) < tiny or not np.isfinite(r).all():
+                status = Status.STAGNATED
+                break
+            y = y_next
+            t += 1
+            rmin.append(float(r.min()))
+            rmax.append(float(r.max()))
+    return y, t, status, np.array(rmin), np.array(rmax)

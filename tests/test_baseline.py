@@ -71,8 +71,9 @@ class TestPowerMethod:
             {"tol": 0.0},
             {"tol": -1.0},
             {"max_iter": 0},
+            {"max_iter": 2.5},
         ],
-        ids=["tol-inf", "tol-nan", "tol-0", "tol-neg", "max_iter-0"],
+        ids=["tol-inf", "tol-nan", "tol-0", "tol-neg", "max_iter-0", "max_iter-2.5"],
     )
     def test_rejects_bad_arguments(self, sample3, kwargs):
         with pytest.raises(DomainError):

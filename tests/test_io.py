@@ -15,6 +15,7 @@ from perronkit import (
     tridiagonal,
     write_matrix_market,
 )
+from perronkit.cli import main
 
 
 def test_array_roundtrip(tmp_path, sample3):
@@ -104,6 +105,17 @@ def test_malformed_matrix_market_rejected(tmp_path, content):
     path.write_text(content)
     with pytest.raises(MatrixParseError):
         read_matrix_market(path)
+
+
+@pytest.mark.parametrize("size, values", [("-2 -2", 4), ("0 0", 0)], ids=["negative", "zero"])
+def test_non_positive_array_size_rejected_at_size_line(tmp_path, capsys, size, values):
+    path = tmp_path / "bad.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n{size}\n" + "1.0\n" * values)
+    with pytest.raises(MatrixParseError) as err:
+        read_matrix_market(path)
+    assert err.value.lineno == 2
+    assert main(["perron", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
 def test_malformed_csv_rejected(tmp_path):

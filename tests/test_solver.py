@@ -371,6 +371,9 @@ class TestConfigValidation:
             {"max_iterations": 0},
             {"tolerance": float("inf")},
             {"side": "row"},
+            {"max_iterations": float("nan")},
+            {"max_iterations": 2.5},
+            {"max_iterations": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
