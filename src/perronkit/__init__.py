@@ -16,6 +16,7 @@ from .bounds import BoundsReport, bounds_report, frobenius_bounds, minc_bounds, 
 from .errors import (
     BreakdownError,
     DomainError,
+    DuplicateEntryError,
     MatrixParseError,
     NegativeEntryError,
     NonFiniteEntryError,

@@ -4,8 +4,9 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success or
 converged, 1 input/usage error, 2 stagnated (not primitive by the exact
 test, or y left the floating-point range), 3 iteration cap reached.
 ``--json`` wraps any command's result in a run record carrying the
-command, input path, configuration echo, timing, and package version; the
-result member is byte-deterministic for identical input and flags.
+command, input path, configuration echo, timing, and package version, as
+compact single-line JSON; the result member is byte-deterministic for
+identical input and flags.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _emit(command: str, input_path, config: dict, result: dict, started: float) 
         "timing_seconds": time.perf_counter() - started,
         "version": __version__,
     }
-    print(json.dumps(record, indent=2))
+    print(json.dumps(record))  # no indent: the C encoder writes it, on one line
 
 
 def _solver_result_payload(res: PerronResult) -> dict:

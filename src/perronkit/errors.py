@@ -53,6 +53,18 @@ class DomainError(PerronError):
     """A numeric argument is outside the domain an operation is defined on."""
 
 
+class DuplicateEntryError(DomainError):
+    """Two coordinate triplets name the same entry.
+
+    first and second are the input positions of the two copies, second the
+    earliest position at which any coordinate repeats.
+    """
+
+    def __init__(self, i: int, j: int, first: int, second: int):
+        self.i, self.j, self.first, self.second = i, j, first, second
+        super().__init__(f"duplicate coordinate ({i}, {j})")
+
+
 class BreakdownError(PerronError):
     """Power iteration produced the zero vector and cannot continue."""
 

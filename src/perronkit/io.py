@@ -2,13 +2,18 @@
 
 Array files load into dense storage, coordinate files into CSR.  Writers emit
 values at 17 significant digits so a write/read round trip is lossless.
+A Matrix Market body is parsed in one ``np.loadtxt`` call.  A body it
+refuses (a faulty line, but also a comment line) is read again line by line.
 """
 
 from __future__ import annotations
 
+import warnings
+from itertools import chain
+
 import numpy as np
 
-from .errors import MatrixParseError, NegativeEntryError
+from .errors import DuplicateEntryError, MatrixParseError
 from .matcore import NonnegMatrix, from_coordinates, from_dense
 
 __all__ = [
@@ -19,6 +24,14 @@ __all__ = [
 ]
 
 _MM_BANNER = "%%matrixmarket"
+# One body line of each layout: its numpy record, Python's parser of each field,
+# and the messages for a wrong number of fields and for a field that fails.
+_LINE = {
+    "array": (np.dtype([("v", np.float64)]), (float,),
+              "expected one value per line, got {!r}", "expected one value per line, got {!r}"),
+    "coordinate": (np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)]), (int, int, float),
+                   "coordinate entry must be 'i j value', got {!r}", "malformed coordinate entry: {!r}"),
+}
 
 
 def parse_matrix(path, fmt: str = "auto") -> NonnegMatrix:
@@ -35,119 +48,108 @@ def parse_matrix(path, fmt: str = "auto") -> NonnegMatrix:
     return read_matrix_market(path) if fmt == "mm" else read_csv(path)
 
 
-def _bad(lineno: int, message: str) -> MatrixParseError:
-    return MatrixParseError(lineno, message)
-
-
 def read_matrix_market(path) -> NonnegMatrix:
     """Read a Matrix Market file; only `real general` array/coordinate variants."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise _bad(1, "empty file")
-    header = lines[0].lower().split()
-    if len(header) != 5 or header[0] != _MM_BANNER or header[1] != "matrix":
-        raise _bad(1, f"not a Matrix Market header: {lines[0].strip()!r}")
-    layout, field, symmetry = header[2], header[3], header[4]
-    if layout not in ("array", "coordinate"):
-        raise _bad(1, f"unsupported layout {layout!r}")
-    if field != "real" or symmetry != "general":
-        raise _bad(1, f"only 'real general' matrices are supported, got {field!r} {symmetry!r}")
+        first = fh.readline()
+        if not first:
+            raise MatrixParseError(1, "empty file")
+        header = first.lower().split()
+        if len(header) != 5 or header[0] != _MM_BANNER or header[1] != "matrix":
+            raise MatrixParseError(1, f"not a Matrix Market header: {first.strip()!r}")
+        layout, field, symmetry = header[2], header[3], header[4]
+        if layout not in ("array", "coordinate"):
+            raise MatrixParseError(1, f"unsupported layout {layout!r}")
+        if field != "real" or symmetry != "general":
+            raise MatrixParseError(1, f"only 'real general' matrices are supported, got {field!r} {symmetry!r}")
 
-    # first non-comment, non-blank line after the banner is the size line
-    pos = 1
-    while pos < len(lines) and (lines[pos].startswith("%") or not lines[pos].strip()):
-        pos += 1
-    if pos >= len(lines):
-        raise _bad(len(lines), "missing size line")
-    size_lineno = pos + 1
-    size = lines[pos].split()
-    pos += 1
-
-    def body():
-        for k in range(pos, len(lines)):
-            text = lines[k].strip()
-            if text and not text.startswith("%"):
-                yield k + 1, text
-
-    if layout == "array":
-        if len(size) != 2:
-            raise _bad(size_lineno, f"array size line must be 'rows cols', got {lines[size_lineno - 1].strip()!r}")
+        # first non-comment, non-blank line after the banner is the size line
+        size_lineno, line = 2, fh.readline()
+        while line and (line.startswith("%") or not line.strip()):
+            size_lineno, line = size_lineno + 1, fh.readline()
+        if not line:
+            raise MatrixParseError(size_lineno - 1, "missing size line")
+        size = line.split()
+        if len(size) != (2 if layout == "array" else 3):
+            shape = "'rows cols'" if layout == "array" else "'rows cols nnz'"
+            raise MatrixParseError(size_lineno, f"{layout} size line must be {shape}, got {line.strip()!r}")
         try:
-            nrow, ncol = int(size[0]), int(size[1])
+            nrow, ncol, *nnz = (int(s) for s in size)
         except ValueError:
-            raise _bad(size_lineno, "size line entries are not integers") from None
-        if nrow < 1 or ncol < 1:
-            raise _bad(size_lineno, f"matrix size must be positive, got {nrow}x{ncol}")
-        entries = list(body())
-        if len(entries) != nrow * ncol:
-            raise _bad(len(lines), f"expected {nrow * ncol} values, found {len(entries)}")
-        arr = np.empty((nrow, ncol))
-        for k, (lineno, text) in enumerate(entries):
-            parts = text.split()
+            raise MatrixParseError(size_lineno, "size line entries are not integers") from None
+        if layout == "array" and (nrow < 1 or ncol < 1):
+            raise MatrixParseError(size_lineno, f"matrix size must be positive, got {nrow}x{ncol}")
+        count = nnz[0] if nnz else nrow * ncol
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt", UserWarning)  # empty body: counted below
             try:
-                (raw,) = parts
-                v = float(raw)
+                body = np.loadtxt(fh, _LINE[layout][0], comments=None, ndmin=1)
             except ValueError:
-                raise _bad(lineno, f"expected one value per line, got {text!r}") from None
-            arr[k % nrow, k // nrow] = v  # array layout is column-major
-        return from_dense(arr)
+                body = None
 
-    if len(size) != 3:
-        raise _bad(size_lineno, f"coordinate size line must be 'rows cols nnz', got {lines[size_lineno - 1].strip()!r}")
-    try:
-        nrow, ncol, nnz = (int(s) for s in size)
-    except ValueError:
-        raise _bad(size_lineno, "size line entries are not integers") from None
-    rows, cols, vals = [], [], []
-    seen: dict[tuple[int, int], int] = {}
-    count = 0
-    for lineno, text in body():
-        parts = text.split()
-        if len(parts) != 3:
-            raise _bad(lineno, f"coordinate entry must be 'i j value', got {text!r}")
-        try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise _bad(lineno, f"malformed coordinate entry: {text!r}") from None
-        if not (1 <= i <= nrow and 1 <= j <= ncol):
-            raise _bad(lineno, f"index ({i}, {j}) outside {nrow}x{ncol}")
-        if (i, j) in seen:
-            raise _bad(lineno, f"duplicate entry ({i}, {j}), first seen on line {seen[i, j]}")
-        seen[i, j] = lineno
-        if v < 0:
-            raise NegativeEntryError(i - 1, j - 1, v)
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(v)
-        count += 1
-    if count != nnz:
-        raise _bad(len(lines), f"size line promises {nnz} entries, found {count}")
+    if body is None or len(body) != count or (layout == "coordinate" and not (
+        (body["i"] >= 1) & (body["i"] <= nrow) & (body["j"] >= 1) & (body["j"] <= ncol)
+    ).all()):
+        body = _rescan(path, size_lineno, layout, nrow, ncol, count)[0]
+    if layout == "array":
+        return from_dense(body["v"].reshape(ncol, nrow).T)  # array layout is column-major
     if nrow != ncol:
-        raise _bad(size_lineno, f"matrix is {nrow}x{ncol}, not square")
-    return from_coordinates(nrow, rows, cols, vals)
+        raise MatrixParseError(size_lineno, f"matrix is {nrow}x{ncol}, not square")
+    try:
+        return from_coordinates(nrow, body["i"] - 1, body["j"] - 1, body["v"])
+    except DuplicateEntryError as exc:
+        lines = _rescan(path, size_lineno, layout, nrow, ncol, count)[1]
+        msg = f"duplicate entry ({exc.i + 1}, {exc.j + 1}), first seen on line {lines[exc.first]}"
+        raise MatrixParseError(lines[exc.second], msg) from None
+
+
+def _rescan(path, size_lineno, layout, nrow, ncol, count):
+    """Read the body after the size line again, line by line.
+
+    Raise on the first faulty line; else return the records and their line
+    numbers.  Blank lines and lines starting with '%' are skipped, and
+    float() and int() also read spellings np.loadtxt refuses, such as 1_0.
+    """
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        lines = [line.strip() for line in fh]
+    body = enumerate(lines[size_lineno:], size_lineno + 1)
+    entries = [(k, text) for k, text in body if text and not text.startswith("%")]
+    if layout == "array" and len(entries) != count:
+        raise MatrixParseError(len(lines), f"expected {count} values, found {len(entries)}")
+    dtype, parsers, arity, malformed = _LINE[layout]
+    records = []
+    for lineno, text in entries:
+        parts = text.split()
+        if len(parts) != len(parsers):
+            raise MatrixParseError(lineno, arity.format(text))
+        try:
+            record = tuple(parse(part) for parse, part in zip(parsers, parts))
+        except ValueError:
+            raise MatrixParseError(lineno, malformed.format(text)) from None
+        if layout == "coordinate" and not (1 <= record[0] <= nrow and 1 <= record[1] <= ncol):
+            raise MatrixParseError(lineno, f"index ({record[0]}, {record[1]}) outside {nrow}x{ncol}")
+        records.append(record)
+    if len(records) != count:
+        raise MatrixParseError(len(lines), f"size line promises {count} entries, found {len(records)}")
+    return np.array(records, dtype=dtype), [k for k, _ in entries]
 
 
 def read_csv(path) -> NonnegMatrix:
     """Read a dense matrix from comma-separated values, one row per line."""
     table = []
-    width = None
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            cells = [c.strip() for c in line.split(",")]
             try:
-                row = [float(c) for c in cells]
+                row = [float(c) for c in line.split(",")]  # float() strips blanks
             except ValueError:
-                raise _bad(lineno, f"not a number in {line.strip()!r}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise _bad(lineno, f"row has {len(row)} values, expected {width}")
+                raise MatrixParseError(lineno, f"not a number in {line.strip()!r}") from None
+            if table and len(row) != len(table[0]):
+                raise MatrixParseError(lineno, f"row has {len(row)} values, expected {len(table[0])}")
             table.append(row)
     if not table:
-        raise _bad(1, "empty file")
+        raise MatrixParseError(1, "empty file")
     return from_dense(table)
 
 
@@ -161,16 +163,12 @@ def write_matrix_market(A: NonnegMatrix, path_or_file) -> None:
 
 
 def _write_mm(A: NonnegMatrix, fh) -> None:
+    # one %-format over the whole body: the bytes of a per-value f"{v:.17g}" loop
     if A.storage == "dense":
-        fh.write("%%MatrixMarket matrix array real general\n")
-        fh.write(f"{A.n} {A.n}\n")
-        dense = A.to_dense()
-        for j in range(A.n):
-            for i in range(A.n):
-                fh.write(f"{dense[i, j]:.17g}\n")
+        values = A._dense.T.ravel().tolist()  # array layout is column-major
+        fh.write(f"%%MatrixMarket matrix array real general\n{A.n} {A.n}\n")
+        fh.write(("%.17g\n" * len(values)) % tuple(values))
     else:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{A.n} {A.n} {A.nnz}\n")
-        rows = A._row_indices()
-        for i, j, v in zip(rows, A._indices, A._data):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        triplets = zip((A._row_indices() + 1).tolist(), (A._indices + 1).tolist(), A._data.tolist())
+        fh.write(f"%%MatrixMarket matrix coordinate real general\n{A.n} {A.n} {A.nnz}\n")
+        fh.write(("%d %d %.17g\n" * A.nnz) % tuple(chain.from_iterable(triplets)))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    DuplicateEntryError,
     NegativeEntryError,
     NonFiniteEntryError,
     NonPositiveScaleError,
@@ -41,6 +42,9 @@ __all__ = [
 # pair (1/d)*d and are taken as 1 so similarity scalings keep the diagonal
 # bit-exact.
 _UNIT_SNAP = 2.0**-50
+
+# Rows per block of the dense vᵀA: block and running sum stay in cache.
+_VECMAT_ROWS = 64
 
 
 class Side(str, Enum):
@@ -175,8 +179,8 @@ def from_dense(rows) -> NonnegMatrix:
 def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
     """Validated CSR matrix from coordinate triplets (0-based, any order).
 
-    Explicit zeros are dropped; duplicate coordinates and row or column
-    sums that overflow are rejected.
+    Duplicate coordinates (an explicit zero among them) and row or column
+    sums that overflow are rejected; explicit zeros are then dropped.
     """
     if n < 1:
         raise NotSquareError(f"order must be >= 1, got {n}")
@@ -195,15 +199,15 @@ def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
         raise NegativeEntryError(int(rows[k]), int(cols[k]), float(values[k]))
     if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
         raise NotSquareError(f"coordinate outside a {n}x{n} matrix")
-    keep = values != 0
-    rows, cols, values = rows[keep], cols[keep], values[keep] + 0.0
     order = np.lexsort((cols, rows))
     rows, cols, values = rows[order], cols[order], values[order]
-    if len(rows) > 1:
-        dup = np.flatnonzero((np.diff(rows) == 0) & (np.diff(cols) == 0))
-        if dup.size:
-            k = int(dup[0])
-            raise DomainError(f"duplicate coordinate ({rows[k]}, {cols[k]})")
+    # duplicates first, so an explicit zero cannot hide a second copy
+    dup = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+    if dup.size:
+        k = dup[np.argmin(order[dup + 1])]  # lexsort is stable: the first repeat in input order
+        raise DuplicateEntryError(int(rows[k]), int(cols[k]), int(order[k]), int(order[k + 1]))
+    keep = values != 0
+    rows, cols, values = rows[keep], cols[keep], values[keep] + 0.0
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return _finite_sums(NonnegMatrix(n, indptr=indptr, indices=cols, data=values))
@@ -231,9 +235,20 @@ def _vecmat(A: NonnegMatrix, v: np.ndarray) -> np.ndarray:
     Only an axis-0 reduction of a C-contiguous array adds in the same order
     as the CSR bincount; axis=1, reductions over a transposed view and BLAS
     ``@`` all round differently, which would break dense/CSR bit identity.
+    The dense product is reduced a block of rows at a time in one small
+    buffer whose row 0 carries the running sum, so each column still adds
+    in ascending row order without an n×n temporary.
     """
     if A.storage == "dense":
-        return np.add.reduce(A._dense * v[:, None], axis=0)
+        D, n = A._dense, A.n
+        buf = np.empty((min(_VECMAT_ROWS, n - 1) + 1, n))
+        acc = D[0] * v[0]
+        for s in range(1, n, _VECMAT_ROWS):
+            e = min(s + _VECMAT_ROWS, n)
+            buf[0] = acc
+            np.multiply(D[s:e], v[s:e, None], out=buf[1 : e - s + 1])
+            np.add.reduce(buf[: e - s + 1], axis=0, out=acc)
+        return acc
     return np.bincount(A._indices, weights=A._data * v[A._row_indices()], minlength=A.n)
 
 

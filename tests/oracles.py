@@ -6,7 +6,9 @@ recursion, primitivity from stepwise boolean powers, irreducibility from a
 boolean transitive closure, stationary vectors from a linear solve, and
 eigenvalues from numpy's dense QR solver.  The reference balancing loop
 shares only the kernel and the stall rule with the solver and spells out
-its step with one reduction per guard.
+its step with one reduction per guard.  The dense vᵀA is one n×n product
+reduced over axis 0, and Matrix Market files are written one value at a
+time.
 """
 
 import math
@@ -121,3 +123,24 @@ def reference_iterate(K, cfg):
             rmin.append(float(r.min()))
             rmax.append(float(r.max()))
     return y, t, status, np.array(rmin), np.array(rmax)
+
+
+def vecmat_unblocked(D, v) -> np.ndarray:
+    """vᵀD as one n×n product reduced over axis 0: each column in ascending row order."""
+    return np.add.reduce(D * v[:, None], axis=0)
+
+
+def write_matrix_market_per_value(A, fh) -> None:
+    """Matrix Market text of A, one f"{v:.17g}" value at a time."""
+    if A.storage == "dense":
+        fh.write("%%MatrixMarket matrix array real general\n")
+        fh.write(f"{A.n} {A.n}\n")
+        dense = A.to_dense()
+        for j in range(A.n):
+            for i in range(A.n):
+                fh.write(f"{dense[i, j]:.17g}\n")
+    else:
+        fh.write("%%MatrixMarket matrix coordinate real general\n")
+        fh.write(f"{A.n} {A.n} {A.nnz}\n")
+        for i, j, v in zip(A._row_indices(), A._indices, A._data):
+            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")

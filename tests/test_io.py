@@ -6,6 +6,7 @@ from oracles import det_cofactor
 from perronkit import (
     MatrixParseError,
     NegativeEntryError,
+    NonFiniteEntryError,
     Side,
     from_dense,
     parse_matrix,
@@ -151,3 +152,67 @@ def test_roundtrip_preserves_determinant(tmp_path):
     path = tmp_path / "d.mtx"
     write_matrix_market(A, path)
     assert det_cofactor(parse_matrix(path).to_dense()) == det_cofactor(arr)
+
+
+ARRAY = "%%MatrixMarket matrix array real general\n"
+COORD = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize(
+    "content, lineno, message",
+    [
+        (ARRAY + "2 2\n1\nx\n3\n4\n", 4, "expected one value per line, got 'x'"),
+        (ARRAY + "2 2\n1\n2 3\n4\n5\n", 4, "expected one value per line, got '2 3'"),
+        (ARRAY + "2 2\n1\n2\n3\n", 5, "expected 4 values, found 3"),
+        (ARRAY + "2 2\n1\n2\n3\n4\n5\n", 7, "expected 4 values, found 5"),
+        (ARRAY + "2 2\n1\n2 3\n4\n", 5, "expected 4 values, found 3"),
+        (ARRAY + "2 2\n1\n2\n3\n% c\n\n", 7, "expected 4 values, found 3"),
+        (ARRAY + "% c\n2 2\n1\n% c\n\n2\ny\n4\n", 8, "expected one value per line, got 'y'"),
+        (ARRAY + "1 1\n2.0 %c\n", 3, "expected one value per line, got '2.0 %c'"),
+        (COORD + "2 2 1\n1.5 1 1.0\n", 3, "malformed coordinate entry: '1.5 1 1.0'"),
+        (COORD + "2 2 1\n1 1 abc\n", 3, "malformed coordinate entry: '1 1 abc'"),
+        (COORD + "2 2 1\n1 1\n", 3, "coordinate entry must be 'i j value', got '1 1'"),
+        (COORD + "2 2 1\n1 1 1.0 2\n", 3, "coordinate entry must be 'i j value', got '1 1 1.0 2'"),
+        (COORD + "2 2 2\n1 1 1.0\n3 1 1.0\n", 4, "index (3, 1) outside 2x2"),
+        (COORD + "2 2 1\n0 1 1.0\n", 3, "index (0, 1) outside 2x2"),
+        (COORD + "2 2 1\n99999999999999999999 1 1.0\n", 3, "index (99999999999999999999, 1) outside 2x2"),
+        (COORD + "2 2 3\n1 1 1.0\n2 2 2.0\n1 1 5.0\n", 5, "duplicate entry (1, 1), first seen on line 3"),
+        (COORD + "2 2 2\n1 1 0\n1 1 1\n", 4, "duplicate entry (1, 1), first seen on line 3"),
+        (COORD + "2 2 2\n1 1 1\n1 1 0\n", 4, "duplicate entry (1, 1), first seen on line 3"),
+        (COORD + "2 2 2\n1 2 1.0\n% c\n\n1 2 2.0\n", 6, "duplicate entry (1, 2), first seen on line 3"),
+        (COORD + "2 2 4\n2 2 1\n2 2 1\n1 1 1\n1 1 1\n", 4, "duplicate entry (2, 2), first seen on line 3"),
+        (COORD + "% a\n\n2 2 2\n1 1 1.0\n% b\n\n2 2 x\n", 8, "malformed coordinate entry: '2 2 x'"),
+        (COORD + "2 2 2\n1 1 1.0\n", 3, "size line promises 2 entries, found 1"),
+        (COORD + "2 2 1\n1 1 1.0\n2 2 1.0\n", 4, "size line promises 1 entries, found 2"),
+        (COORD + "2 2 2\n1 1 1.0\n% c\n\n", 5, "size line promises 2 entries, found 1"),
+        (COORD + "2 3 1\n1 1 1.0\n", 2, "matrix is 2x3, not square"),
+        (COORD + "% c\n\n", 3, "missing size line"),
+        (ARRAY + "2\n1\n", 2, "array size line must be 'rows cols', got '2'"),
+        (COORD + "2 2\n", 2, "coordinate size line must be 'rows cols nnz', got '2 2'"),
+        (ARRAY + "2 x\n", 2, "size line entries are not integers"),
+        ("hello\n", 1, "not a Matrix Market header: 'hello'"),
+    ],
+)
+def test_malformed_matrix_market_names_line_and_fault(tmp_path, content, lineno, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(content)
+    with pytest.raises(MatrixParseError) as err:
+        read_matrix_market(path)
+    assert (err.value.lineno, str(err.value)) == (lineno, f"line {lineno}: {message}")
+
+
+@pytest.mark.parametrize(
+    "content, error, position",
+    [
+        (ARRAY + "2 2\n1\n-2\n3\n4\n", NegativeEntryError, (1, 0)),
+        (ARRAY + "2 2\n1\nnan\n3\n4\n", NonFiniteEntryError, (1, 0)),
+        (COORD + "2 2 2\n1 1 1.0\n% b\n1 2 -3.0\n", NegativeEntryError, (0, 1)),
+        (COORD + "2 2 1\n2 1 inf\n", NonFiniteEntryError, (1, 0)),
+    ],
+)
+def test_bad_entry_rejected_with_position(tmp_path, content, error, position):
+    path = tmp_path / "bad.mtx"
+    path.write_text(content)
+    with pytest.raises(error) as err:
+        read_matrix_market(path)
+    assert (err.value.i, err.value.j) == position

@@ -21,7 +21,7 @@ from perronkit import (
     tridiagonal,
     tridiagonal_eigs,
 )
-from perronkit.errors import DomainError
+from perronkit.errors import DomainError, DuplicateEntryError
 
 
 class TestConstruction:
@@ -75,6 +75,19 @@ class TestConstruction:
         assert A.nnz == 1
         with pytest.raises(DomainError):
             from_coordinates(2, [0, 0], [1, 1], [1.0, 2.0])
+
+    def test_explicit_zero_does_not_hide_a_duplicate(self):
+        with pytest.raises(DuplicateEntryError) as err:
+            from_coordinates(2, [0, 0, 1, 1], [0, 0, 1, 0], [0.0, 1.0, 2.0, 1.0])
+        assert (err.value.i, err.value.j, err.value.first, err.value.second) == (0, 0, 0, 1)
+
+    def test_duplicate_reported_at_its_first_repeat_in_input_order(self):
+        with pytest.raises(DuplicateEntryError) as err:
+            from_coordinates(3, [2, 2, 0, 1, 0], [2, 2, 0, 1, 0], [1.0, 1.0, 1.0, 1.0, 1.0])
+        assert (err.value.i, err.value.j, err.value.first, err.value.second) == (2, 2, 0, 1)
+        with pytest.raises(DuplicateEntryError) as err:
+            from_coordinates(3, [1, 0, 1, 0, 1], [1, 0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0, 1.0])
+        assert (err.value.i, err.value.j, err.value.first, err.value.second) == (1, 1, 0, 2)
 
     def test_matrices_are_immutable(self):
         A = from_dense(SAMPLE3_ROWS)
