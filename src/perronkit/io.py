@@ -80,11 +80,12 @@ def read_matrix_market(path) -> NonnegMatrix:
         if layout == "array" and (nrow < 1 or ncol < 1):
             raise MatrixParseError(size_lineno, f"matrix size must be positive, got {nrow}x{ncol}")
         count = nnz[0] if nnz else nrow * ncol
+        # a warning also means a rescan: an empty body, or older numpy truncating an index 1.5 to 1
         with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt", UserWarning)  # empty body: counted below
+            warnings.simplefilter("error")
             try:
                 body = np.loadtxt(fh, _LINE[layout][0], comments=None, ndmin=1)
-            except ValueError:
+            except (ValueError, Warning):
                 body = None
 
     if body is None or len(body) != count or (layout == "coordinate" and not (
@@ -137,16 +138,20 @@ def _rescan(path, size_lineno, layout, nrow, ncol, count):
 def read_csv(path) -> NonnegMatrix:
     """Read a dense matrix from comma-separated values, one row per line."""
     table = []
+    width = None
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            cells = [c.strip() for c in line.split(",")]
             try:
-                row = [float(c) for c in line.split(",")]  # float() strips blanks
+                row = [float(c) for c in cells]
             except ValueError:
                 raise MatrixParseError(lineno, f"not a number in {line.strip()!r}") from None
-            if table and len(row) != len(table[0]):
-                raise MatrixParseError(lineno, f"row has {len(row)} values, expected {len(table[0])}")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise MatrixParseError(lineno, f"row has {len(row)} values, expected {width}")
             table.append(row)
     if not table:
         raise MatrixParseError(1, "empty file")
@@ -163,12 +168,13 @@ def write_matrix_market(A: NonnegMatrix, path_or_file) -> None:
 
 
 def _write_mm(A: NonnegMatrix, fh) -> None:
-    # one %-format over the whole body: the bytes of a per-value f"{v:.17g}" loop
+    # %-format n lines at a time: the bytes of a per-value f"{v:.17g}" loop, in O(n) memory
     if A.storage == "dense":
-        values = A._dense.T.ravel().tolist()  # array layout is column-major
         fh.write(f"%%MatrixMarket matrix array real general\n{A.n} {A.n}\n")
-        fh.write(("%.17g\n" * len(values)) % tuple(values))
+        line, fields = "%.17g\n", [A._dense.T.flat]  # array layout is column-major
     else:
-        triplets = zip((A._row_indices() + 1).tolist(), (A._indices + 1).tolist(), A._data.tolist())
         fh.write(f"%%MatrixMarket matrix coordinate real general\n{A.n} {A.n} {A.nnz}\n")
-        fh.write(("%d %d %.17g\n" * A.nnz) % tuple(chain.from_iterable(triplets)))
+        line, fields = "%d %d %.17g\n", [A._row_indices() + 1, A._indices + 1, A._data]
+    for s in range(0, len(fields[0]), A.n):
+        chunk = list(zip(*(f[s:s + A.n].tolist() for f in fields)))
+        fh.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))

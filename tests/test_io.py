@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,35 @@ def test_malformed_matrix_market_names_line_and_fault(tmp_path, content, lineno,
     with pytest.raises(MatrixParseError) as err:
         read_matrix_market(path)
     assert (err.value.lineno, str(err.value)) == (lineno, f"line {lineno}: {message}")
+
+
+def _truncating_loadtxt(loadtxt):
+    """np.loadtxt as numpy runs it from 1.23 until that deprecation expired: an
+    integer field such as 1.5 is read as a float and truncated, with only a
+    DeprecationWarning, which becomes a ValueError when warnings are errors."""
+
+    def run(fh, dtype, **kwargs):
+        body = loadtxt(fh, np.dtype([(name, np.float64) for name in dtype.names]), **kwargs)
+        if any(dtype[name].kind == "i" and (body[name] % 1).any() for name in dtype.names):
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string to int64") from exc
+        return body.astype(dtype)
+
+    return run
+
+
+@pytest.mark.parametrize("entry", ["1.5 1 1.0", "2 2.7 1.0"])
+def test_index_truncated_by_older_numpy_is_still_malformed(tmp_path, monkeypatch, entry):
+    monkeypatch.setattr(np, "loadtxt", _truncating_loadtxt(np.loadtxt))
+    path = tmp_path / "bad.mtx"
+    path.write_text(COORD + f"2 2 1\n{entry}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Python's default filters ignore a warning raised inside numpy
+        with pytest.raises(MatrixParseError) as err:
+            read_matrix_market(path)
+    assert (err.value.lineno, str(err.value)) == (3, f"line 3: malformed coordinate entry: {entry!r}")
 
 
 @pytest.mark.parametrize(
