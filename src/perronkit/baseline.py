@@ -10,12 +10,14 @@ which the tridiagonal family exposes through its closed-form spectrum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BreakdownError
 from .matcore import NonnegMatrix, _matvec
+from .primitivity import is_primitive
 from .solver import SolverConfig, Status, _stall_rule
 
 __all__ = ["PowerResult", "power_method"]
@@ -45,7 +47,8 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
     tol and max_iter are checked as SolverConfig's tolerance and
     max_iterations are; bad values raise DomainError.
     """
-    stalled = _stall_rule(A, SolverConfig(tolerance=tol, max_iterations=max_iter))
+    cfg = SolverConfig(tolerance=tol, max_iterations=max_iter)
+    stalled = _stall_rule(functools.partial(is_primitive, A), cfg)
     qmin, qmax = [], []
     v = np.ones(A.n)
     lam = float(np.abs(_matvec(A, v)).max())

@@ -48,14 +48,12 @@ def minc_bounds(A: NonnegMatrix, side: Side) -> tuple[float, float]:
     interval equals the row interval of the transpose, which is the
     orientation that actually sharpens column sums.
     """
-    if side is Side.COLUMN:
-        lo, hi = minc_bounds(A.transpose(), Side.ROW)
-        return lo, hi
-    r = sums(A, Side.ROW)
-    zero = np.flatnonzero(r == 0)
+    s = sums(A, side)
+    zero = np.flatnonzero(s == 0)
     if zero.size:
-        raise ZeroSumError(int(zero[0]), side="row")
-    return frobenius_bounds(diag_similarity(A, r), Side.ROW)
+        raise ZeroSumError(int(zero[0]), side=side.value)
+    B = A if side is Side.ROW else A.transpose()
+    return frobenius_bounds(diag_similarity(B, s), Side.ROW)
 
 
 def bounds_report(A: NonnegMatrix) -> BoundsReport:

@@ -5,16 +5,24 @@ P, so it drops out of the solver's loop run on P's columns; the dominant
 eigenvalue must come back as 1, which doubles as an input sanity check.
 Chains that are not primitive can be made so by blending with the uniform
 matrix (damping) before solving.
+
+Damping is implicit: a damped chain keeps P as given, sparse or dense, next
+to its factor alpha, and each step applies the PageRank identity
+u^T (alpha P + (1 - alpha)/n 11^T) = alpha u^T P + (1 - alpha)/n sum(u) 1^T
+(Langville & Meyer, Google's PageRank and Beyond, 2006, ch. 4).  A step
+costs O(nnz + n) and no n x n matrix is ever built.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NotStochasticError, RootNotOneError, ZeroSumError
 from .matcore import NonnegMatrix, Side, _vecmat, sums
+from .primitivity import is_primitive
 from .solver import SolverConfig, Status, _iterate
 
 __all__ = [
@@ -30,11 +38,18 @@ _ROWSUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class StochasticMatrix:
-    """Square nonnegative matrix whose rows each sum to 1 within 1e-12."""
+    """The chain alpha*matrix + (1 - alpha)/n everywhere.
+
+    ``matrix`` is square and nonnegative, and its rows each sum to 1 within
+    1e-12; ``alpha`` is in (0, 1], and 1 leaves the chain undamped.
+    """
 
     matrix: NonnegMatrix
+    alpha: float = 1.0
 
     def __post_init__(self):
+        if not (0 < self.alpha <= 1):
+            raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
         r = sums(self.matrix, Side.ROW)
         off = np.flatnonzero(np.abs(r - 1.0) > _ROWSUM_TOL)
         if off.size:
@@ -79,30 +94,46 @@ def damp(P: StochasticMatrix, alpha: float) -> StochasticMatrix:
 
     Every entry of the result is at least (1 - alpha)/n > 0, so the damped
     chain is positive and therefore primitive, and rows still sum to 1.
+    P's matrix is shared, not copied; damping twice multiplies the factors.
     """
     if not (0 < alpha < 1):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    n = P.n
-    dense = alpha * P.matrix.to_dense() + (1.0 - alpha) / n
-    return StochasticMatrix(NonnegMatrix(n, dense=dense))
+    return StochasticMatrix(P.matrix, P.alpha * alpha)
+
+
+def _operator(P: StochasticMatrix):
+    """u -> u^T (alpha P + (1 - alpha)/n 11^T), in O(nnz + n)."""
+    A, alpha, beta = P.matrix, P.alpha, (1.0 - P.alpha) / P.n
+
+    def vecmat(u):
+        w = _vecmat(A, u)
+        w *= alpha
+        w += beta * u.sum()
+        return w
+
+    return vecmat
 
 
 def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> StationaryDistribution:
     """Stationary distribution of a primitive row-stochastic matrix.
 
-    Runs the solver's loop alone on P's columns, which iterates
-    u^T <- u^T P; it builds no balanced matrix and does not read
-    ``cfg.side`` (automatic selection would pick the already-equal rows and
-    return the trivial all-ones direction).  The returned vector is
-    normalized to unit sum; the residual is ||u^T P - u^T||_inf.
+    Runs the solver's loop alone on the damped chain's columns, which
+    iterates u^T <- u^T (alpha P + (1 - alpha)/n 11^T); it builds no
+    balanced matrix and does not read ``cfg.side`` (automatic selection
+    would pick the already-equal rows and return the trivial all-ones
+    direction).  The returned vector is normalized to unit sum; the
+    residual is the inf-norm of u^T times the damped chain minus u^T.
     Raises RootNotOneError when a converged run's eigenvalue strays from 1
     by more than 100x tolerance, which signals a mis-scaled input.
     """
     cfg = cfg or SolverConfig()
-    y, iterations, status, history = _iterate(P.matrix, Side.COLUMN, cfg)
+    vecmat = _operator(P)
+    # a damped chain is positive, hence primitive
+    primitive = functools.partial(is_primitive, P.matrix) if P.alpha == 1 else (lambda: True)
+    y, iterations, status, history = _iterate(vecmat, P.n, primitive, Side.COLUMN, cfg)
     root = 0.5 * float(history.rmin[-1]) + 0.5 * float(history.rmax[-1])
     if status is Status.CONVERGED and abs(root - 1.0) > 100.0 * cfg.tolerance:
         raise RootNotOneError(root)
     u = y / y.sum()
-    residual = float(np.abs(_vecmat(P.matrix, u) - u).max())
+    residual = float(np.abs(vecmat(u) - u).max())
     return StationaryDistribution(u=u, residual=residual, iterations=iterations, status=status)

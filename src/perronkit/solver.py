@@ -169,11 +169,12 @@ def _stagnant(rmin, rmax, cfg: SolverConfig) -> bool:
     return now / then > _STAGNATION_FACTOR
 
 
-def _stall_rule(K: NonnegMatrix, cfg: SolverConfig):
-    """``stop(rmin, rmax)`` for the power loops: the spread stalled and K is
-    not primitive.  The exact test runs at most once.
+def _stall_rule(primitive, cfg: SolverConfig):
+    """``stop(rmin, rmax)`` for the power loops: the spread stalled and the
+    thunk ``primitive()`` says the operator is not primitive.  The thunk
+    runs at most once.
     """
-    primitive = functools.cache(lambda: is_primitive(K))
+    primitive = functools.cache(primitive)
     return lambda rmin, rmax: _stagnant(rmin, rmax, cfg) and not primitive()
 
 
@@ -218,12 +219,13 @@ _min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 @np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED
-def _iterate(K: NonnegMatrix, side: Side, cfg: SolverConfig, record_sums: bool = False):
+def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, record_sums: bool = False):
     """The one loop: y <- Kᵀ y from y = 1, with the sums r = (Kᵀ y) / y.
 
-    Returns (y, iterations, status, history).  ``side`` only labels a
-    ZeroSumError; K and Kᵀ are primitive together, so the exact test runs
-    on K.
+    ``vecmat(y)`` computes Kᵀ y for an operator K of order n; it need not
+    be stored as a matrix.  ``primitive()`` answers whether K is primitive
+    and is called at most once, when the spread stalls.  Returns (y,
+    iterations, status, history).  ``side`` only labels a ZeroSumError.
 
     A step is one kernel call, two divisions (y = w / max w and
     r = (Kᵀ y) / y) and four reductions: min and max of r, min and max of
@@ -233,8 +235,8 @@ def _iterate(K: NonnegMatrix, side: Side, cfg: SolverConfig, record_sums: bool =
     step.  NaN propagates through the min and max reductions and r >= 0,
     so any NaN or inf among the quotients shows in max r.
     """
-    y = np.ones(K.n)
-    r = w = _vecmat(K, y)
+    y = np.ones(n)
+    r = w = vecmat(y)
     zero = np.flatnonzero(r == 0)
     if zero.size:
         raise ZeroSumError(int(zero[0]), side=side.value)
@@ -244,7 +246,7 @@ def _iterate(K: NonnegMatrix, side: Side, cfg: SolverConfig, record_sums: bool =
     wmin, wmax = rmin[0], rmax[0]  # r = w on the first step
     trace = [r] if record_sums else None
     tiny = np.finfo(np.float64).tiny
-    stalled = _stall_rule(K, cfg)
+    stalled = _stall_rule(primitive, cfg)
 
     t = 0
     while True:
@@ -260,7 +262,7 @@ def _iterate(K: NonnegMatrix, side: Side, cfg: SolverConfig, record_sums: bool =
             break
 
         y_next = w / wmax
-        w_next = _vecmat(K, y_next)
+        w_next = vecmat(y_next)
         r_next = w_next / y_next
         lo, hi = _min(r_next), _max(r_next)
         wmin_next = _min(w_next)
@@ -294,9 +296,12 @@ def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, record_sums
     """
     cfg = cfg or SolverConfig()
     side = cfg.side if cfg.side is not None else choose_side(A)
-    # _vecmat(K, y) is yᵀK: A y for rows, Aᵀ y for columns
+    # _vecmat(K, y) is yᵀK: A y for rows, Aᵀ y for columns.  K and Kᵀ are
+    # primitive together, so the exact test runs on K.
     K = A.transpose() if side is Side.ROW else A
-    y, t, status, history = _iterate(K, side, cfg, record_sums)
+    y, t, status, history = _iterate(
+        functools.partial(_vecmat, K), K.n, functools.partial(is_primitive, K), side, cfg, record_sums
+    )
     if side is Side.ROW:
         balanced = rank_one_hadamard(A, np.reciprocal(y), y)
     else:

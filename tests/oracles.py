@@ -4,18 +4,20 @@ Everything here deliberately avoids the code paths under test: determinants
 come from cofactor expansion, characteristic polynomials from the trace
 recursion, primitivity from stepwise boolean powers, irreducibility from a
 boolean transitive closure, stationary vectors from a linear solve, and
-eigenvalues from numpy's dense QR solver.  The reference balancing loop
-shares only the kernel and the stall rule with the solver and spells out
-its step with one reduction per guard.  The dense vᵀA is one n×n product
-reduced over axis 0, and Matrix Market files are written one value at a
-time.
+eigenvalues from numpy's dense QR solver.  A damped chain is written out as
+the n×n matrix it stands for.  The reference balancing loop shares only the
+kernel and the stall rule with the solver and spells out its step with one
+reduction per guard.  The dense vᵀA is one n×n product reduced over axis 0,
+and Matrix Market files are written one value at a time.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from perronkit.matcore import _vecmat
+from perronkit.primitivity import is_primitive
 from perronkit.solver import Status, _stall_rule
 
 
@@ -85,6 +87,11 @@ def stationary_linear_solve(p) -> np.ndarray:
     return u
 
 
+def damped_dense(P) -> np.ndarray:
+    """The n×n matrix a StochasticMatrix stands for: alpha*P + (1 - alpha)/n everywhere."""
+    return P.alpha * P.matrix.to_dense() + (1.0 - P.alpha) / P.n
+
+
 def reference_iterate(K, cfg):
     """The balancing loop y <- Kᵀ y, written out with a pass per guard.
 
@@ -93,7 +100,7 @@ def reference_iterate(K, cfg):
     afresh and tests every quotient for finiteness.
     """
     tiny = np.finfo(np.float64).tiny
-    stalled = _stall_rule(K, cfg)
+    stalled = _stall_rule(functools.partial(is_primitive, K), cfg)
     y = np.ones(K.n)
     r = w = _vecmat(K, y)
     if (r == 0).any():

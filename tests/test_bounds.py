@@ -11,6 +11,7 @@ from perronkit import (
     ZeroSumError,
     algorithm_a,
     bounds_report,
+    from_coordinates,
     from_dense,
     frobenius_bounds,
     minc_bounds,
@@ -57,6 +58,16 @@ class TestMincBounds:
         with pytest.raises(ZeroSumError) as err:
             minc_bounds(A, Side.ROW)
         assert err.value.index == 0
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_zero_column_reported_as_column(self, storage):
+        # both rows sum to 1; column 1 sums to zero
+        A = from_dense([[1.0, 0.0], [1.0, 0.0]])
+        if storage == "csr":
+            A = from_coordinates(2, [0, 1], [0, 0], [1.0, 1.0])
+        with pytest.raises(ZeroSumError) as err:
+            minc_bounds(A, Side.COLUMN)
+        assert (err.value.index, err.value.side) == (1, "col")
 
     def test_nesting_on_random_matrices(self):
         rng = np.random.default_rng(21)

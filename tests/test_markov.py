@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import perronkit.solver
-from oracles import stationary_linear_solve
+from oracles import damped_dense, stationary_linear_solve
 from perronkit import (
+    NonnegMatrix,
     NotStochasticError,
     RootNotOneError,
     Side,
@@ -26,13 +27,18 @@ TWO_STATE = [[0.9, 0.1], [0.5, 0.5]]  # stationary vector (5/6, 1/6) by hand
 
 
 @pytest.fixture
-def damped_chain():
-    """Sparse chain of order 300, four nonzeros a row, damped at 0.85."""
+def chain():
+    """Primitive sparse chain of order 300: i -> i + 1 and three random moves a row."""
     rng = np.random.default_rng(8)
     n, k = 300, 4
-    cols = np.concatenate([rng.choice(n, k, replace=False) for _ in range(n)])
-    P = make_stochastic(from_coordinates(n, np.repeat(np.arange(n), k), cols, rng.uniform(0.1, 1.0, n * k)))
-    return damp(P, 0.85)
+    moves = [np.append(1, 2 + rng.choice(n - 2, k - 1, replace=False)) for _ in range(n)]
+    cols = (np.arange(n)[:, None] + np.array(moves)).ravel() % n
+    return make_stochastic(from_coordinates(n, np.repeat(np.arange(n), k), cols, rng.uniform(0.1, 1.0, n * k)))
+
+
+@pytest.fixture
+def damped_chain(chain):
+    return damp(chain, 0.85)
 
 
 class TestMakeStochastic:
@@ -61,25 +67,35 @@ class TestMakeStochastic:
 class TestDamp:
     def test_half_damped_identity(self):
         P = StochasticMatrix(from_dense(np.eye(2)))
-        assert np.array_equal(damp(P, 0.5).matrix.to_dense(), [[0.75, 0.25], [0.25, 0.75]])
+        assert np.array_equal(damped_dense(damp(P, 0.5)), [[0.75, 0.25], [0.25, 0.75]])
 
     def test_entries_bounded_below(self):
         P = make_stochastic(from_dense([[1.0, 3.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 2.0]]))
         alpha = 0.85
-        damped = damp(P, alpha)
-        assert damped.matrix.to_dense().min() >= (1 - alpha) / 3
-        assert np.allclose(damped.matrix.to_dense().sum(axis=1), 1.0, atol=1e-12)
+        damped = damped_dense(damp(P, alpha))
+        assert damped.min() >= (1 - alpha) / 3
+        assert np.allclose(damped.sum(axis=1), 1.0, atol=1e-12)
 
     def test_damping_makes_a_cycle_primitive(self):
         cycle = StochasticMatrix(from_dense([[0, 1, 0], [0, 0, 1], [1, 0, 0.0]]))
         assert not is_primitive(cycle.matrix)
-        assert is_primitive(damp(cycle, 0.85).matrix)
+        assert is_primitive(from_dense(damped_dense(damp(cycle, 0.85))))
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
+    def test_shares_the_chain_and_multiplies_factors(self, chain):
+        damped = damp(damp(chain, 0.5), 0.85)
+        assert damped.matrix is chain.matrix
+        assert damped.alpha == 0.5 * 0.85
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, float("nan")])
     def test_alpha_domain(self, alpha):
         P = StochasticMatrix(from_dense(np.eye(2)))
         with pytest.raises(DomainError):
             damp(P, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5, float("nan")])
+    def test_constructor_alpha_domain(self, alpha):
+        with pytest.raises(DomainError):
+            StochasticMatrix(from_dense(np.eye(2)), alpha)
 
 
 class TestStationary:
@@ -130,10 +146,17 @@ class TestStationary:
             orders.append(tuple(np.argsort(-u)))
         assert orders[0] == orders[1] == orders[2]
 
-    def test_same_vector_as_column_side_algorithm_b(self, damped_chain):
-        dist = stationary(damped_chain)
-        res = algorithm_b(damped_chain.matrix, SolverConfig(side=Side.COLUMN))
+    def test_same_vector_as_column_side_algorithm_b(self, chain):
+        # undamped, both run the same kernel: bit for bit
+        dist = stationary(chain)
+        res = algorithm_b(chain.matrix, SolverConfig(side=Side.COLUMN))
         assert dist.u.tobytes() == res.eigenvector.tobytes()
+        assert (dist.iterations, dist.status) == (res.iterations, res.status)
+        # damped, the implicit operator adds in another order than the n×n matrix
+        damped = damp(chain, 0.85)
+        dist = stationary(damped)
+        res = algorithm_b(from_dense(damped_dense(damped)), SolverConfig(side=Side.COLUMN))
+        assert np.abs(dist.u - res.eigenvector).max() <= 1e-15 * res.eigenvector.max()
         assert (dist.iterations, dist.status) == (res.iterations, res.status)
 
     def test_builds_no_balanced_matrix(self, damped_chain, monkeypatch):
@@ -142,6 +165,13 @@ class TestStationary:
 
         monkeypatch.setattr(perronkit.solver, "rank_one_hadamard", refuse)
         assert stationary(damped_chain).status is Status.CONVERGED
+
+    def test_damping_builds_no_dense_matrix(self, chain, monkeypatch):
+        def refuse(self):
+            raise AssertionError("damping densified the chain")
+
+        monkeypatch.setattr(NonnegMatrix, "to_dense", refuse)
+        assert stationary(damp(chain, 0.85)).status is Status.CONVERGED
 
     def test_mis_scaled_input_raises_root_not_one(self):
         # bypass validation to simulate a corrupted "stochastic" matrix

@@ -1,0 +1,68 @@
+"""Randomised properties of implicit damping over random sparse chains."""
+
+import functools
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import damped_dense, stationary_linear_solve
+from perronkit import (
+    Side,
+    SolverConfig,
+    Status,
+    StochasticMatrix,
+    damp,
+    from_coordinates,
+    from_dense,
+    make_stochastic,
+    stationary,
+)
+from perronkit.matcore import _vecmat
+from perronkit.primitivity import is_primitive
+from perronkit.solver import _iterate
+
+EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def sparse_chains(draw):
+    """Order 1..8, CSR, each row a nonempty random set of columns with weights in [0.01, 1]."""
+    n = draw(st.integers(1, 8))
+    rows, cols = [], []
+    for i in range(n):
+        js = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        rows += [i] * len(js)
+        cols += js
+    vals = draw(st.lists(st.floats(0.01, 1.0), min_size=len(rows), max_size=len(rows)))
+    return make_stochastic(from_coordinates(n, rows, cols, vals))
+
+
+@settings(max_examples=150, deadline=None)
+@given(P=sparse_chains(), alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_implicit_damping_matches_the_dense_damped_chain(P, alpha):
+    cfg = SolverConfig(tolerance=1e-12, max_iterations=3000)
+    damped = damp(P, alpha)
+    dist = stationary(damped, cfg)
+
+    # dense and CSR storage of P run the same operator on the same numbers
+    dense_P = StochasticMatrix(from_dense(P.matrix.to_dense()))
+    other = stationary(damp(dense_P, alpha), cfg)
+    assert dist.u.tobytes() == other.u.tobytes()
+    assert (dist.iterations, dist.status) == (other.iterations, other.status)
+
+    # the loop on the n×n damped matrix differs only in the order of its adds:
+    # each loop rounds by about n*eps a step, amplified by at most 1/(1 - alpha)
+    K = from_dense(damped_dense(damped))
+    vecmat, primitive = functools.partial(_vecmat, K), functools.partial(is_primitive, K)
+    y, t, status, _ = _iterate(vecmat, K.n, primitive, Side.COLUMN, cfg)
+    u = y / y.sum()
+    assert (t, status) == (dist.iterations, dist.status)
+    assert np.abs(dist.u - u).max() <= 2 * P.n * EPS / (1 - alpha) * u.max()
+
+    if dist.status is Status.CONVERGED:
+        ref = stationary_linear_solve(damped_dense(damped))
+        assert np.abs(dist.u - ref).max() <= (cfg.tolerance + P.n * EPS) / (1 - alpha)

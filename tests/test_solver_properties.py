@@ -1,5 +1,6 @@
 """Randomised properties of the balancing solver over hostile inputs."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import reference_iterate
 from perronkit import PerronError, Side, SolverConfig, Status, ZeroSumError, algorithm_a, algorithm_b, from_dense
+from perronkit.matcore import _vecmat
+from perronkit.primitivity import is_primitive
 from perronkit.solver import _iterate
 
 
@@ -71,11 +74,14 @@ def test_loop_matches_reference_loop(A, side):
     cfg = SolverConfig(max_iterations=500)
     K = A.transpose() if side is Side.ROW else A
     expected = reference_iterate(K, cfg)
+    loop = functools.partial(
+        _iterate, functools.partial(_vecmat, K), K.n, functools.partial(is_primitive, K), side, cfg
+    )
     if expected is None:
         with pytest.raises(ZeroSumError):
-            _iterate(K, side, cfg)
+            loop()
         return
-    y, t, status, history = _iterate(K, side, cfg)
+    y, t, status, history = loop()
     y_ref, t_ref, status_ref, rmin_ref, rmax_ref = expected
     assert (t, status) == (t_ref, status_ref)
     assert y.tobytes() == y_ref.tobytes()
