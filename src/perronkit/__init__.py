@@ -4,9 +4,10 @@ The solver balances row (or column) sums by diagonal similarity.  It runs
 the equivalent power recurrence y <- A y and reads the balanced sums off as
 the quotients (A y) / y; for primitive matrices they squeeze onto the
 dominant eigenvalue and y onto the dominant eigenvector.  The balanced
-matrix is built once, from the final y.  Companion modules supply sum-based
-eigenvalue enclosures, a power-iteration oracle, exact primitivity tests
-by graph search, and stationary distributions of row-stochastic matrices.
+matrix is built from the final y when it is first read.  Companion modules
+supply sum-based eigenvalue enclosures, a power-iteration oracle, exact
+primitivity tests by graph search, and stationary distributions of
+row-stochastic matrices.
 """
 
 __version__ = "0.1.0"
@@ -57,5 +58,4 @@ from .solver import (
     detect_stagnation,
     estimate_iterations,
     range_error,
-    recover_X,
 )

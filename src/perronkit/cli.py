@@ -75,17 +75,21 @@ def _emit(command: str, input_path, config: dict, result: dict, started: float) 
     print(json.dumps(record))  # no indent: the C encoder writes it, on one line
 
 
-def _solver_result_payload(res: PerronResult) -> dict:
-    return {
+def _solver_result_payload(res: PerronResult, balanced: bool) -> dict:
+    # scaling, y normalized as eigenvector is, fixes the balanced matrix in n numbers
+    payload = {
         "root_lo": res.root_lo,
         "root_hi": res.root_hi,
         "root": res.root,
         "eigenvector": None if res.eigenvector is None else res.eigenvector.tolist(),
-        "balanced": _matrix_payload(res.balanced),
+        "scaling": (res._y / res._y.sum()).tolist(),
         "iterations": res.iterations,
         "side_used": res.side_used.value,
         "status": res.status.value,
     }
+    if balanced:
+        payload["balanced"] = _matrix_payload(res.balanced)
+    return payload
 
 
 def _write_trace(path, history) -> None:
@@ -95,11 +99,11 @@ def _write_trace(path, history) -> None:
             fh.write(f"{t},{float(lo)!r},{float(hi)!r}\n")
 
 
-def _write_discs(path, result: PerronResult) -> None:
-    centers = result.balanced.diagonal()  # similarity keeps the diagonal fixed
+def _write_discs(path, A: NonnegMatrix, history) -> None:
+    centers = A.diagonal()  # the balancing similarity keeps the diagonal fixed
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("iter,index,center,radius\n")
-        for t, row in enumerate(result.history.sums):
+        for t, row in enumerate(history.sums):
             for i, s in enumerate(row):
                 fh.write(f"{t},{i},{float(centers[i])!r},{float(s - centers[i])!r}\n")
 
@@ -117,13 +121,13 @@ def _cmd_perron(args) -> int:
     if args.trace:
         _write_trace(args.trace, res.history)
     if args.discs:
-        _write_discs(args.discs, res)
+        _write_discs(args.discs, A, res.history)
     config = {
         "tol": cfg.tolerance, "max_iter": cfg.max_iterations,
         "side": args.side, "algo": args.algo,
     }
     if args.json:
-        _emit("perron", args.matrix, config, _solver_result_payload(res), started)
+        _emit("perron", args.matrix, config, _solver_result_payload(res, args.balanced), started)
     else:
         print(f"root {res.root!r} in [{res.root_lo!r}, {res.root_hi!r}]")
         print(f"iterations {res.iterations}  side {res.side_used.value}  status {res.status.value}")
@@ -238,6 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="a: root only; b: root plus eigenvector")
     sp.add_argument("--trace", metavar="FILE", help="write per-iteration min/max sums as CSV")
     sp.add_argument("--discs", metavar="FILE", help="write per-iteration disc traces as CSV")
+    sp.add_argument("--balanced", action="store_true",
+                    help="add the n x n balanced matrix to the --json result")
     sp.set_defaults(func=_cmd_perron)
 
     sp = sub.add_parser("power", help="dominant eigenvalue by power iteration")

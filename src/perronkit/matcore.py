@@ -43,9 +43,6 @@ __all__ = [
 # bit-exact.
 _UNIT_SNAP = 2.0**-50
 
-# Rows per block of the dense vᵀA: block and running sum stay in cache.
-_VECMAT_ROWS = 64
-
 
 class Side(str, Enum):
     ROW = "row"
@@ -232,23 +229,14 @@ def _matvec(A: NonnegMatrix, v: np.ndarray) -> np.ndarray:
 def _vecmat(A: NonnegMatrix, v: np.ndarray) -> np.ndarray:
     """vᵀA, each column's terms added in ascending row order for both storages.
 
-    Only an axis-0 reduction of a C-contiguous array adds in the same order
-    as the CSR bincount; axis=1, reductions over a transposed view and BLAS
-    ``@`` all round differently, which would break dense/CSR bit identity.
-    The dense product is reduced a block of rows at a time in one small
-    buffer whose row 0 carries the running sum, so each column still adds
-    in ascending row order without an n×n temporary.
+    Only this einsum on the C-contiguous array, called without ``optimize``,
+    adds in the same order as the CSR bincount: it accumulates row after row
+    into the output and fuses no multiply-add.  Reductions over axis 1 or a
+    transposed view and BLAS ``@`` all round differently, which would break
+    dense/CSR bit identity.
     """
     if A.storage == "dense":
-        D, n = A._dense, A.n
-        buf = np.empty((min(_VECMAT_ROWS, n - 1) + 1, n))
-        acc = D[0] * v[0]
-        for s in range(1, n, _VECMAT_ROWS):
-            e = min(s + _VECMAT_ROWS, n)
-            buf[0] = acc
-            np.multiply(D[s:e], v[s:e, None], out=buf[1 : e - s + 1])
-            np.add.reduce(buf[: e - s + 1], axis=0, out=acc)
-        return acc
+        return np.einsum("ij,i->j", A._dense, v)
     return np.bincount(A._indices, weights=A._data * v[A._row_indices()], minlength=A.n)
 
 

@@ -7,15 +7,15 @@ its row sums are the Collatz-Wielandt quotients (A y)_i / y_i.  So the
 solver never forms the scaled matrices: it runs the power recurrence
 y <- A y (normalized to max 1) and reads the sums off as r = (A y) / y.
 For a primitive matrix min r rises, max r falls, and both converge to the
-dominant eigenvalue.  The balanced matrix D^{-1} A D is built once, from
-the final y, and keeps the input's diagonal and zero pattern exactly.
-Column sums are balanced the same way on the transpose.
+dominant eigenvalue.  The balanced matrix D^{-1} A D is built from the
+final y on first access, and keeps the input's diagonal and zero pattern
+exactly.  Column sums are balanced the same way on the transpose.
 
 One loop runs over K = Aᵀ (rows) or K = A (columns) and returns only y
 and its trace.  :func:`algorithm_b` picks the side, runs it and builds the
-result: the balanced matrix, and y, the dominant eigenvector (of the
-transpose for columns).  :func:`algorithm_a` drops y; the stationary
-distribution of :mod:`~perronkit.markov` runs the loop alone.
+result around y, the dominant eigenvector (of the transpose for columns).
+:func:`algorithm_a` returns no eigenvector; the stationary distribution of
+:mod:`~perronkit.markov` runs the loop alone.
 
 On matrices whose dominant eigenvalue is not strictly dominant in modulus
 (imprimitive matrices), the sums oscillate instead of converging.  When the
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -47,7 +47,6 @@ from .matcore import (
     GerschgorinDisc,
     NonnegMatrix,
     Side,
-    _checked_scale,
     _vecmat,
     gerschgorin,
     rank_one_hadamard,
@@ -66,7 +65,6 @@ __all__ = [
     "range_error",
     "detect_stagnation",
     "estimate_iterations",
-    "recover_X",
     "convergence_discs",
 ]
 
@@ -120,30 +118,42 @@ class ConvergenceHistory:
 class PerronResult:
     """Outcome of one balancing run.
 
-    ``balanced`` is returned in the orientation of the input matrix (same
-    diagonal and zero pattern); for column-side runs its column sums are the
-    equalized ones, and :func:`convergence_discs` evaluates discs in the
-    balanced orientation.  ``eigenvector`` (algorithm B only) is the
-    dominant eigenvector of the input when row sums were balanced and of
-    its transpose when column sums were balanced, normalized to unit sum.
+    ``balanced`` is built on first access from the input and the final y,
+    both kept by the result, and cached: a_ij y_j / y_i when row sums were
+    balanced, a_ij y_i / y_j when column sums were.  It keeps the input's
+    orientation, diagonal and zero pattern, so for column-side runs its
+    column sums are the equalized ones; :func:`convergence_discs` evaluates
+    discs in the balanced orientation.  ``eigenvector`` (algorithm B only)
+    is y normalized to unit sum: the dominant eigenvector of the input for
+    rows and of its transpose for columns.
     """
 
     root_lo: float
     root_hi: float
     root: float
     eigenvector: np.ndarray | None
-    balanced: NonnegMatrix
     iterations: int
     side_used: Side
     status: Status
     history: ConvergenceHistory
+    _A: NonnegMatrix = field(repr=False, compare=False)
+    _y: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def balanced(self) -> NonnegMatrix:
+        y = self._y
+        if self.side_used is Side.ROW:
+            return rank_one_hadamard(self._A, np.reciprocal(y), y)
+        return rank_one_hadamard(self._A, y, np.reciprocal(y))
 
 
 def choose_side(A: NonnegMatrix) -> Side:
     """Side whose initial sum range is smaller; ties go to rows."""
-    row_range = range_error(sums(A, Side.ROW))
-    col_range = range_error(sums(A, Side.COLUMN))
-    return Side.ROW if row_range <= col_range else Side.COLUMN
+    return _smaller_range(sums(A, Side.ROW), sums(A, Side.COLUMN))
+
+
+def _smaller_range(row_sums, col_sums) -> Side:
+    return Side.ROW if range_error(row_sums) <= range_error(col_sums) else Side.COLUMN
 
 
 def range_error(s) -> float:
@@ -195,14 +205,6 @@ def estimate_iterations(alpha: float, c: float) -> int:
         raise DomainError(f"c must be in (0, 1), got {c}")
     # slack absorbs rounding of the log quotient for exact-power inputs
     return math.ceil(math.log(alpha) / math.log(c) - 1e-9)
-
-
-def recover_X(y) -> NonnegMatrix:
-    """Rank-one scaling matrix with entries y_j / y_i and unit diagonal."""
-    y = np.asarray(y, dtype=np.float64)
-    y = _checked_scale(y, len(y))
-    ones = NonnegMatrix(len(y), dense=np.ones((len(y), len(y))))
-    return rank_one_hadamard(ones, np.reciprocal(y), y)
 
 
 def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
@@ -289,34 +291,37 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, record_su
 def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, record_sums: bool = False) -> PerronResult:
     """Balance the sums and also return the accumulated scaling vector y.
 
-    Picks the side, runs the loop and builds the balanced matrix once from
-    the final y.  On convergence y spans the dominant eigenvector:
-    M y = root * y within 10x tolerance, where M is the matrix in the
-    balanced orientation.
+    Picks the side and runs the loop; the balanced matrix is built from the
+    final y only when the result's ``balanced`` is read.  On convergence y
+    spans the dominant eigenvector: M y = root * y within 10x tolerance,
+    where M is the matrix in the balanced orientation.
     """
     cfg = cfg or SolverConfig()
-    side = cfg.side if cfg.side is not None else choose_side(A)
+    # dense row sums copy Aᵀ: form it once, for them and a row-side K; its
+    # column sums are A's row sums bit for bit
+    transpose = functools.cache(A.transpose)
+    side = cfg.side
+    if side is None:
+        rows = sums(transpose(), Side.COLUMN) if A.storage == "dense" else sums(A, Side.ROW)
+        side = _smaller_range(rows, sums(A, Side.COLUMN))
     # _vecmat(K, y) is yᵀK: A y for rows, Aᵀ y for columns.  K and Kᵀ are
     # primitive together, so the exact test runs on K.
-    K = A.transpose() if side is Side.ROW else A
+    K = transpose() if side is Side.ROW else A
     y, t, status, history = _iterate(
         functools.partial(_vecmat, K), K.n, functools.partial(is_primitive, K), side, cfg, record_sums
     )
-    if side is Side.ROW:
-        balanced = rank_one_hadamard(A, np.reciprocal(y), y)
-    else:
-        balanced = rank_one_hadamard(A, y, np.reciprocal(y))
     lo, hi = float(history.rmin[-1]), float(history.rmax[-1])
     return PerronResult(
         root_lo=lo,
         root_hi=hi,
         root=0.5 * lo + 0.5 * hi,  # lo + hi may overflow
         eigenvector=y / y.sum(),
-        balanced=balanced,
         iterations=t,
         side_used=side,
         status=status,
         history=history,
+        _A=A,
+        _y=y,
     )
 
 

@@ -1,11 +1,24 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import perronkit.solver
 from conftest import PERIODIC3_ROWS, SAMPLE3_ROWS
 from perronkit import from_dense, write_matrix_market
 from perronkit.cli import main
+
+# perron output on sample3 with the default flags (column side), pinned to
+# the bytes printed when every run built the balanced matrix
+SAMPLE3_SCALING = [0.17025208568698647, 0.3860267088795343, 0.4437212054334793]
+SAMPLE3_BALANCED = {
+    "auto": '{"n": 3, "storage": "dense", "rows": [[2.0, 0.4410370623865726, 0.0], '
+    '[1.1336915707137236, 3.0, 1.7399515919119428], [2.6062600269653906, 2.2989145322167306, 4.0]]}',
+    "row": '{"n": 3, "storage": "dense", "rows": [[2.0, 3.7399515968836607, 0.0], '
+    '[0.133691569809788, 3.0, 2.6062600230689905], [0.20518531324800054, 1.5347662798778676, 4.0]]}',
+}
+SAMPLE3_DISCS_SHA256 = "bfc4100729def7df2fa02cc005a0ae6823e2a6ba00d1dcb7bf97db3c4f3ec84d"
 
 
 @pytest.fixture
@@ -30,7 +43,9 @@ def run_json(capsys, argv):
 
 class TestPerronCommand:
     def test_json_record(self, capsys, sample3_file):
-        code, record = run_json(capsys, ["perron", "--algo", "b", "--side", "auto", "--json", sample3_file])
+        code, record = run_json(
+            capsys, ["perron", "--algo", "b", "--side", "auto", "--balanced", "--json", sample3_file]
+        )
         assert code == 0
         assert record["command"] == "perron"
         assert record["version"] == "0.1.0"
@@ -41,6 +56,36 @@ class TestPerronCommand:
         assert len(result["eigenvector"]) == 3
         assert result["balanced"]["n"] == 3
         assert "timing_seconds" in record
+
+    @pytest.mark.parametrize("algo", ["a", "b"])
+    def test_json_result_carries_scaling_not_balanced(self, capsys, sample3_file, algo):
+        _, record = run_json(capsys, ["perron", "--algo", algo, "--json", sample3_file])
+        result = record["result"]
+        assert "balanced" not in result
+        assert result["scaling"] == SAMPLE3_SCALING
+        assert result["eigenvector"] == (SAMPLE3_SCALING if algo == "b" else None)
+
+    def test_scaling_fixes_the_balanced_payload(self, capsys, sample3_file):
+        _, record = run_json(capsys, ["perron", "--balanced", "--json", sample3_file])
+        result = record["result"]
+        y = np.array(result["scaling"])
+        A = np.array(SAMPLE3_ROWS)  # column side: b_ij = a_ij y_i / y_j
+        assert result["side_used"] == "col"
+        assert np.allclose(result["balanced"]["rows"], A * np.outer(y, 1.0 / y), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("side", ["auto", "row"])
+    def test_balanced_flag_payload_is_pinned(self, capsys, sample3_file, side):
+        _, record = run_json(capsys, ["perron", "--side", side, "--balanced", "--json", sample3_file])
+        assert json.dumps(record["result"]["balanced"]) == SAMPLE3_BALANCED[side]
+
+    def test_json_without_balanced_builds_no_balanced_matrix(self, capsys, tmp_path, sample3_file, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("perron --json built the balanced matrix")
+
+        monkeypatch.setattr(perronkit.solver, "rank_one_hadamard", refuse)
+        discs = str(tmp_path / "discs.csv")
+        for algo in ("a", "b"):
+            assert main(["perron", "--algo", algo, "--discs", discs, "--json", sample3_file]) == 0
 
     def test_plain_output_and_exit_code(self, capsys, sample3_file):
         assert main(["perron", sample3_file]) == 0
@@ -104,6 +149,11 @@ class TestPerronCommand:
         rmax = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(a <= b + 1e-12 for a, b in zip(rmin, rmin[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(rmax, rmax[1:]))
+
+    def test_discs_trace_is_pinned(self, capsys, tmp_path, sample3_file):
+        discs = tmp_path / "discs.csv"
+        assert main(["perron", "--discs", str(discs), sample3_file]) == 0
+        assert hashlib.sha256(discs.read_bytes()).hexdigest() == SAMPLE3_DISCS_SHA256
 
     def test_discs_trace_aligns_at_convergence(self, capsys, tmp_path, sample3_file):
         discs = tmp_path / "discs.csv"

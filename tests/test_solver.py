@@ -25,7 +25,6 @@ from perronkit import (
     power_method,
     random_primitive,
     range_error,
-    recover_X,
     sums,
     tridiagonal,
 )
@@ -246,22 +245,28 @@ class TestEstimateIterations:
         assert predicted <= 2 * res.iterations and res.iterations <= 2 * predicted
 
 
-class TestRecoverX:
-    def test_all_ones(self):
-        X = recover_X(np.ones(3))
-        assert np.array_equal(X.to_dense(), np.ones((3, 3)))
+class TestScalingMatrix:
+    """balanced = A ∘ X with the rank-one X_ij = y_j / y_i (rows) or y_i / y_j (columns)."""
+
+    def test_all_ones_scaling_returns_the_input(self):
+        A = from_dense([[1.0, 2.0], [2.0, 1.0]])  # already balanced: y stays 1
+        res = algorithm_a(A)
+        assert res.iterations == 0
+        assert res.balanced.to_dense().tobytes() == A.to_dense().tobytes()
 
     def test_2x2_scaling_vector(self):
-        X = recover_X(np.array([1.0, 1.0 / math.sqrt(3.0)]))
+        X = diag_similarity(from_dense(np.ones((2, 2))), np.array([1.0, 1.0 / math.sqrt(3.0)]))
         s3 = math.sqrt(3.0)
         assert np.allclose(X.to_dense(), [[1.0, 1.0 / s3], [s3, 1.0]], rtol=1e-15)
         assert np.array_equal(np.diagonal(X.to_dense()), np.ones(2))
 
-    def test_elementwise_reciprocal_symmetry(self):
-        rng = np.random.default_rng(6)
-        y = rng.uniform(0.1, 10.0, 5)
-        X = recover_X(y).to_dense()
-        assert np.allclose(X * X.T, np.ones((5, 5)), rtol=1e-12)
+    @pytest.mark.parametrize("side", [Side.ROW, Side.COLUMN], ids=["row", "col"])
+    def test_elementwise_reciprocal_symmetry(self, side):
+        # X ∘ Xᵀ = 1, so B ∘ Bᵀ = A ∘ Aᵀ
+        A = random_primitive(5, density=1.0, rng=6)
+        B = algorithm_a(A, SolverConfig(side=side)).balanced.to_dense()
+        arr = A.to_dense()
+        assert np.allclose(B * B.T, arr * arr.T, rtol=1e-12)
 
 
 class TestInvariants:

@@ -11,7 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_iterate
-from perronkit import PerronError, Side, SolverConfig, Status, ZeroSumError, algorithm_a, algorithm_b, from_dense
+from perronkit import (
+    PerronError,
+    Side,
+    SolverConfig,
+    Status,
+    ZeroSumError,
+    algorithm_a,
+    algorithm_b,
+    from_coordinates,
+    from_dense,
+    rank_one_hadamard,
+)
 from perronkit.matcore import _vecmat
 from perronkit.primitivity import is_primitive
 from perronkit.solver import _iterate
@@ -87,3 +98,36 @@ def test_loop_matches_reference_loop(A, side):
     assert y.tobytes() == y_ref.tobytes()
     assert history.rmin.tobytes() == rmin_ref.tobytes()
     assert history.rmax.tobytes() == rmax_ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    A=hostile_matrices(),
+    solve=st.sampled_from([algorithm_a, algorithm_b]),
+    side=st.sampled_from([Side.ROW, Side.COLUMN]),
+)
+@example(A=TINY_Y, solve=algorithm_a, side=Side.ROW)
+def test_lazy_balanced_is_the_rank_one_product_of_the_final_y(A, solve, side):
+    # y from the loop alone, so the check does not read the result's own y
+    cfg = SolverConfig(side=side, max_iterations=500)
+    K = A.transpose() if side is Side.ROW else A
+    try:
+        y = _iterate(functools.partial(_vecmat, K), K.n, functools.partial(is_primitive, K), side, cfg)[0]
+    except ZeroSumError:
+        return
+    x = np.reciprocal(y)
+    expected = rank_one_hadamard(A, x, y) if side is Side.ROW else rank_one_hadamard(A, y, x)
+
+    res = solve(A, cfg)
+    balanced = res.balanced
+    assert balanced is res.balanced  # built once, then cached
+    assert balanced.storage == "dense"
+    assert balanced.to_dense().tobytes() == expected.to_dense().tobytes()
+    arr, bal = A.to_dense(), balanced.to_dense()
+    assert np.diagonal(bal).tobytes() == np.diagonal(arr).tobytes()
+    assert np.array_equal(bal == 0, arr == 0)
+
+    i, j = np.nonzero(arr)
+    csr = solve(from_coordinates(A.n, i, j, arr[i, j]), cfg).balanced
+    assert csr.storage == "csr"
+    assert csr.to_dense().tobytes() == bal.tobytes()
