@@ -254,7 +254,8 @@ def _checked_scale(v, n) -> np.ndarray:
 def rank_one_hadamard(A: NonnegMatrix, x, y) -> NonnegMatrix:
     """Entrywise product of A with the rank-one matrix x yᵀ: b_ij = a_ij x_i y_j.
 
-    x and y must be strictly positive, so the zero pattern of A is preserved.
+    x and y must be strictly positive, so no zero of A becomes nonzero; a
+    nonzero a_ij becomes zero only where a_ij x_i y_j underflows.
     Where x_i y_i = 1 the diagonal is preserved exactly.  No partial product
     overflows unless b_ij itself does.
     """

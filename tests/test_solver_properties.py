@@ -2,6 +2,7 @@
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,9 @@ TINY_Y = from_dense([[0.0, 100.0, 0.0, 0.0], [0.0, 100.0, 0.0, 0.0], [0.0, 0.0, 
 # the largest double; at step 3 (A y)_0 / y_0 rounds past it to inf while y
 # and A y stay normal, so only the finiteness half of the step guard stops it
 QUOTIENT_OVERFLOW = from_dense([[0.0, 1e290, 0.0], [np.finfo(np.float64).max, 0.0, 0.0], [0.0, 1e304, 1e307]])
+# on the row side y_0 / y_3 falls to about 1e-303, so b_30 = 1e-21 y_0 / y_3 is
+# about 1e-324, below half the least subnormal, and rounds to zero
+BALANCED_UNDERFLOW = from_dense([[0.0, 0.0, 10**1.5, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [1e-21, 0.0, 0.0, 1e21]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -107,6 +111,7 @@ def test_loop_matches_reference_loop(A, side):
     side=st.sampled_from([Side.ROW, Side.COLUMN]),
 )
 @example(A=TINY_Y, solve=algorithm_a, side=Side.ROW)
+@example(A=BALANCED_UNDERFLOW, solve=algorithm_a, side=Side.ROW)
 def test_lazy_balanced_is_the_rank_one_product_of_the_final_y(A, solve, side):
     # y from the loop alone, so the check does not read the result's own y
     cfg = SolverConfig(side=side, max_iterations=500)
@@ -125,7 +130,12 @@ def test_lazy_balanced_is_the_rank_one_product_of_the_final_y(A, solve, side):
     assert balanced.to_dense().tobytes() == expected.to_dense().tobytes()
     arr, bal = A.to_dense(), balanced.to_dense()
     assert np.diagonal(bal).tobytes() == np.diagonal(arr).tobytes()
-    assert np.array_equal(bal == 0, arr == 0)
+    # no zero of A becomes nonzero; a nonzero a_ij becomes zero only where the
+    # exact a_ij x_i y_j of its float factors lies below the least subnormal
+    assert not np.any(bal[arr == 0])
+    left, right = (x, y) if side is Side.ROW else (y, x)
+    for i, j in zip(*np.nonzero((bal == 0) & (arr != 0))):
+        assert Fraction(arr[i, j]) * Fraction(left[i]) * Fraction(right[j]) < Fraction(2) ** -1074
 
     i, j = np.nonzero(arr)
     csr = solve(from_coordinates(A.n, i, j, arr[i, j]), cfg).balanced
