@@ -38,7 +38,6 @@ from .matcore import (
     diag_similarity,
     from_coordinates,
     from_dense,
-    gerschgorin,
     random_primitive,
     rank_one_hadamard,
     sums,
@@ -53,9 +52,5 @@ from .solver import (
     Status,
     algorithm_a,
     algorithm_b,
-    choose_side,
     convergence_discs,
-    detect_stagnation,
-    estimate_iterations,
-    range_error,
 )

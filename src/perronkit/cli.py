@@ -99,13 +99,20 @@ def _write_trace(path, history) -> None:
             fh.write(f"{t},{float(lo)!r},{float(hi)!r}\n")
 
 
-def _write_discs(path, A: NonnegMatrix, history) -> None:
-    centers = A.diagonal()  # the balancing similarity keeps the diagonal fixed
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("iter,index,center,radius\n")
-        for t, row in enumerate(history.sums):
-            for i, s in enumerate(row):
-                fh.write(f"{t},{i},{float(centers[i])!r},{float(s - centers[i])!r}\n")
+def _disc_writer(fh, A: NonnegMatrix):
+    """on_step hook writing each step's discs to fh, one row per index.
+
+    Centers are A's diagonal, which the balancing similarity keeps fixed;
+    the radius is the balanced sum minus the center.
+    """
+    centers = A.diagonal()
+    fh.write("iter,index,center,radius\n")
+
+    def on_step(t, r):
+        discs = zip(centers.tolist(), (r - centers).tolist())
+        fh.write("".join(f"{t},{i},{c!r},{d!r}\n" for i, (c, d) in enumerate(discs)))
+
+    return on_step
 
 
 def _cmd_perron(args) -> int:
@@ -117,11 +124,13 @@ def _cmd_perron(args) -> int:
         side=None if args.side == "auto" else Side(args.side),
     )
     solve = algorithm_a if args.algo == "a" else algorithm_b
-    res = solve(A, cfg, record_sums=args.discs is not None)
+    if args.discs:
+        with open(args.discs, "w", encoding="ascii", newline="\n") as fh:
+            res = solve(A, cfg, on_step=_disc_writer(fh, A))
+    else:
+        res = solve(A, cfg)
     if args.trace:
         _write_trace(args.trace, res.history)
-    if args.discs:
-        _write_discs(args.discs, A, res.history)
     config = {
         "tol": cfg.tolerance, "max_iter": cfg.max_iterations,
         "side": args.side, "algo": args.algo,

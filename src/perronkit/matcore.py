@@ -1,4 +1,4 @@
-"""Nonnegative square matrices: validated storage, sums, scalings, discs, generators.
+"""Nonnegative square matrices: validated storage, sums, scalings, generators.
 
 Matrices are immutable once constructed and safe to share between threads.
 Dense storage is row-major; sparse storage is CSR with strictly increasing
@@ -32,7 +32,6 @@ __all__ = [
     "sums",
     "rank_one_hadamard",
     "diag_similarity",
-    "gerschgorin",
     "tridiagonal",
     "tridiagonal_eigs",
     "random_primitive",
@@ -292,37 +291,18 @@ def diag_similarity(A: NonnegMatrix, d) -> NonnegMatrix:
     return rank_one_hadamard(A, np.reciprocal(d), d)
 
 
-def gerschgorin(A: NonnegMatrix) -> list[GerschgorinDisc]:
-    """One disc per row: center a_ii, radius the row sum minus a_ii."""
-    r = sums(A, Side.ROW)
-    diag = A.diagonal()
-    return [GerschgorinDisc(float(c), float(s - c)) for c, s in zip(diag, r)]
-
-
 def tridiagonal(n: int, c: float, a: float, b: float) -> NonnegMatrix:
-    """CSR matrix of order n with constant subdiagonal c, diagonal a, superdiagonal b."""
+    """CSR matrix of order n with constant subdiagonal c, diagonal a, superdiagonal b.
+
+    A zero band stores no entries; a negative or non-finite band value is
+    rejected at its first entry, (1, 0), (0, 0) or (0, 1).
+    """
     if n < 2:
         raise NotSquareError(f"tridiagonal matrix needs order >= 2, got {n}")
-    for (i, j), v in (((1, 0), c), ((0, 0), a), ((0, 1), b)):
-        if not np.isfinite(v):
-            raise NonFiniteEntryError(i, j, float(v))
-        if v < 0:
-            raise NegativeEntryError(i, j, float(v))
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    if c != 0:
-        rows += range(1, n)
-        cols += range(n - 1)
-        vals += [c] * (n - 1)
-    if a != 0:
-        rows += range(n)
-        cols += range(n)
-        vals += [a] * n
-    if b != 0:
-        rows += range(n - 1)
-        cols += range(1, n)
-        vals += [b] * (n - 1)
+    i = np.arange(n)
+    rows = np.concatenate((i[1:], i, i[:-1]))
+    cols = np.concatenate((i[:-1], i, i[1:]))
+    vals = np.repeat([c, a, b], [n - 1, n, n - 1])
     return from_coordinates(n, rows, cols, vals)
 
 

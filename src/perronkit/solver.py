@@ -12,7 +12,9 @@ final y on first access, and keeps the input's diagonal and zero pattern
 exactly.  Column sums are balanced the same way on the transpose.
 
 One loop runs over K = Aᵀ (rows) or K = A (columns) and returns only y
-and its trace.  :func:`algorithm_b` picks the side, runs it and builds the
+and the min and max sums of each step; a caller that wants the sum vectors
+passes ``on_step``, which sees each one as it is computed and keeps what
+it needs.  :func:`algorithm_b` picks the side, runs it and builds the
 result around y, the dominant eigenvector (of the transpose for columns).
 :func:`algorithm_a` returns no eigenvector; the stationary distribution of
 :mod:`~perronkit.markov` runs the loop alone.
@@ -43,15 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ZeroSumError
-from .matcore import (
-    GerschgorinDisc,
-    NonnegMatrix,
-    Side,
-    _vecmat,
-    gerschgorin,
-    rank_one_hadamard,
-    sums,
-)
+from .matcore import GerschgorinDisc, NonnegMatrix, Side, _vecmat, rank_one_hadamard, sums
 from .primitivity import is_primitive
 
 __all__ = [
@@ -61,10 +55,6 @@ __all__ = [
     "PerronResult",
     "algorithm_a",
     "algorithm_b",
-    "choose_side",
-    "range_error",
-    "detect_stagnation",
-    "estimate_iterations",
     "convergence_discs",
 ]
 
@@ -89,8 +79,10 @@ class SolverConfig:
     side: Side | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        tol = self.tolerance
+        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (real and math.isfinite(tol) and tol > 0):
+            raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
         cap = self.max_iterations
         if not (isinstance(cap, numbers.Integral) and not isinstance(cap, bool) and cap >= 1):
             raise DomainError(f"max_iterations must be an integer >= 1, got {cap!r}")
@@ -100,15 +92,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ConvergenceHistory:
-    """Minimum and maximum sums per iteration, entry 0 being the input's.
-
-    ``sums`` holds the full per-iteration sum vectors, shape
-    (iterations + 1, n), when the solve was asked to record them.
-    """
+    """Minimum and maximum sums per iteration, entry 0 being the input's."""
 
     rmin: np.ndarray
     rmax: np.ndarray
-    sums: np.ndarray | None = None
 
     def __len__(self):
         return len(self.rmin)
@@ -147,19 +134,11 @@ class PerronResult:
         return rank_one_hadamard(self._A, y, np.reciprocal(y))
 
 
-def choose_side(A: NonnegMatrix) -> Side:
-    """Side whose initial sum range is smaller; ties go to rows."""
-    return _smaller_range(sums(A, Side.ROW), sums(A, Side.COLUMN))
-
-
 def _smaller_range(row_sums, col_sums) -> Side:
-    return Side.ROW if range_error(row_sums) <= range_error(col_sums) else Side.COLUMN
-
-
-def range_error(s) -> float:
-    """Spread max - min of a sum vector; zero when the sums are equalized."""
-    s = np.asarray(s, dtype=np.float64)
-    return float(s.max() - s.min())
+    """Side whose initial sum spread max - min is smaller; ties go to rows."""
+    if row_sums.max() - row_sums.min() <= col_sums.max() - col_sums.min():
+        return Side.ROW
+    return Side.COLUMN
 
 
 # steps the spread gets to shrink before the exact primitivity test is run
@@ -188,32 +167,18 @@ def _stall_rule(primitive, cfg: SolverConfig):
     return lambda rmin, rmax: _stagnant(rmin, rmax, cfg) and not primitive()
 
 
-def detect_stagnation(h: ConvergenceHistory, cfg: SolverConfig) -> bool:
-    """True when the sum range made essentially no progress over 20 steps.
-
-    Histories shorter than the window report False, as does any history
-    whose current range is already within tolerance.
-    """
-    return _stagnant(h.rmin, h.rmax, cfg)
-
-
-def estimate_iterations(alpha: float, c: float) -> int:
-    """Iterations needed to shrink the error by factor alpha at mean contraction c."""
-    if not (0 < alpha < 1):
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    if not (0 < c < 1):
-        raise DomainError(f"c must be in (0, 1), got {c}")
-    # slack absorbs rounding of the log quotient for exact-power inputs
-    return math.ceil(math.log(alpha) / math.log(c) - 1e-9)
-
-
 def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
     """Discs of the balanced matrix in the orientation that was balanced.
 
-    At convergence every disc's rightmost point sits at the computed root.
+    Disc i has center a_ii, which the balancing similarity keeps, and
+    radius the balanced sum i minus a_ii.  At convergence every disc's
+    rightmost point sits at the computed root.
     """
-    B = result.balanced if result.side_used is Side.ROW else result.balanced.transpose()
-    return gerschgorin(B)
+    centers = result._A.diagonal()
+    return [
+        GerschgorinDisc(float(c), float(s - c))
+        for c, s in zip(centers, sums(result.balanced, result.side_used))
+    ]
 
 
 # the ufunc reductions, without ndarray.min's Python wrapper
@@ -221,13 +186,16 @@ _min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 @np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED
-def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, record_sums: bool = False):
+def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=None):
     """The one loop: y <- Kᵀ y from y = 1, with the sums r = (Kᵀ y) / y.
 
     ``vecmat(y)`` computes Kᵀ y for an operator K of order n; it need not
     be stored as a matrix.  ``primitive()`` answers whether K is primitive
     and is called at most once, when the spread stalls.  Returns (y,
     iterations, status, history).  ``side`` only labels a ZeroSumError.
+    ``on_step(t, r)``, when given, is called with the input's sums (t = 0)
+    and then with the sums of each accepted step, so once per history
+    entry; r belongs to the loop and must not be modified.
 
     A step is one kernel call, two divisions (y = w / max w and
     r = (Kᵀ y) / y) and four reductions: min and max of r, min and max of
@@ -246,7 +214,8 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, record_su
     rmin = [float(_min(r))]
     rmax = [float(_max(r))]
     wmin, wmax = rmin[0], rmax[0]  # r = w on the first step
-    trace = [r] if record_sums else None
+    if on_step is not None:
+        on_step(0, r)
     tiny = np.finfo(np.float64).tiny
     stalled = _stall_rule(primitive, cfg)
 
@@ -277,24 +246,23 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, record_su
         t += 1
         rmin.append(float(lo))
         rmax.append(float(hi))
-        if record_sums:
-            trace.append(r_next)
+        if on_step is not None:
+            on_step(t, r_next)
 
-    history = ConvergenceHistory(
-        rmin=np.array(rmin),
-        rmax=np.array(rmax),
-        sums=np.array(trace) if record_sums else None,
-    )
-    return y, t, status, history
+    return y, t, status, ConvergenceHistory(rmin=np.array(rmin), rmax=np.array(rmax))
 
 
-def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, record_sums: bool = False) -> PerronResult:
+def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=None) -> PerronResult:
     """Balance the sums and also return the accumulated scaling vector y.
 
     Picks the side and runs the loop; the balanced matrix is built from the
     final y only when the result's ``balanced`` is read.  On convergence y
     spans the dominant eigenvector: M y = root * y within 10x tolerance,
     where M is the matrix in the balanced orientation.
+
+    ``on_step(t, r)``, when given, receives the balanced sums r after t
+    steps, for t = 0 up to the returned iteration count.  r belongs to the
+    solver: read it or copy it, but do not modify it.
     """
     cfg = cfg or SolverConfig()
     # dense row sums copy Aᵀ: form it once, for them and a row-side K; its
@@ -308,7 +276,7 @@ def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, record_sums
     # primitive together, so the exact test runs on K.
     K = transpose() if side is Side.ROW else A
     y, t, status, history = _iterate(
-        functools.partial(_vecmat, K), K.n, functools.partial(is_primitive, K), side, cfg, record_sums
+        functools.partial(_vecmat, K), K.n, functools.partial(is_primitive, K), side, cfg, on_step
     )
     lo, hi = float(history.rmin[-1]), float(history.rmax[-1])
     return PerronResult(
@@ -325,11 +293,12 @@ def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, record_sums
     )
 
 
-def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, record_sums: bool = False) -> PerronResult:
+def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=None) -> PerronResult:
     """Balance the sums; returns the root enclosure only.
 
     Each step is equivalent to multiplying entry (i, j) of the working
     matrix by r_j / r_i, where r is the current sum vector on the chosen
     side; see the module docstring for how the solver computes it.
+    ``on_step`` is as for :func:`algorithm_b`.
     """
-    return replace(algorithm_b(A, cfg, record_sums=record_sums), eigenvector=None)
+    return replace(algorithm_b(A, cfg, on_step=on_step), eigenvector=None)

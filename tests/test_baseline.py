@@ -70,10 +70,11 @@ class TestPowerMethod:
             {"tol": float("nan")},
             {"tol": 0.0},
             {"tol": -1.0},
+            {"tol": True},
             {"max_iter": 0},
             {"max_iter": 2.5},
         ],
-        ids=["tol-inf", "tol-nan", "tol-0", "tol-neg", "max_iter-0", "max_iter-2.5"],
+        ids=["tol-inf", "tol-nan", "tol-0", "tol-neg", "tol-bool", "max_iter-0", "max_iter-2.5"],
     )
     def test_rejects_bad_arguments(self, sample3, kwargs):
         with pytest.raises(DomainError):

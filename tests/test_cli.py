@@ -1,12 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import perronkit.solver
 from conftest import PERIODIC3_ROWS, SAMPLE3_ROWS
-from perronkit import from_dense, write_matrix_market
+from perronkit import from_dense, tridiagonal, write_matrix_market
 from perronkit.cli import main
 
 # perron output on sample3 with the default flags (column side), pinned to
@@ -168,6 +169,22 @@ class TestPerronCommand:
         for line in final:
             _, _, center, radius = line.split(",")
             assert float(center) + float(radius) == pytest.approx(root, abs=1e-7)
+
+    def test_discs_stream_in_memory_of_order_n(self, capsys, tmp_path):
+        # 3001 steps of 50 sums would take 1.2 MB if the run kept them
+        t50 = tmp_path / "t50.mtx"
+        write_matrix_market(tridiagonal(50, 1.0, 3.0, 2.0), t50)
+        discs = tmp_path / "discs.csv"
+        tracemalloc.start()
+        try:
+            code = main(["perron", "--discs", str(discs), "--max-iter", "3000", str(t50)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 1_000_000
+        with open(discs) as fh:
+            assert sum(1 for _ in fh) == 3001 * 50 + 1
 
     def test_max_iter_echoed_in_json_config(self, capsys, sample3_file):
         code, record = run_json(capsys, ["perron", "--max-iter", "2", "--json", sample3_file])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import damped_dense, stationary_linear_solve
@@ -41,8 +41,20 @@ def sparse_chains(draw):
     return make_stochastic(from_coordinates(n, rows, cols, vals))
 
 
+# the damped matrix's run stops one step after the implicit one here (26 and 27)
+ONE_STEP_APART = make_stochastic(from_coordinates(
+    4,
+    [0, 0, 1, 1, 1, 1, 2, 3, 3, 3],
+    [2, 3, 0, 1, 2, 3, 1, 0, 1, 3],
+    [0.4483817791739648, 0.846936406136009, 0.6281134492220483, 0.42569602032938453,
+     0.10275355105556154, 0.5977537946019176, 0.6578181043108186, 0.057658111684042515,
+     0.44352594331098383, 0.1678717679688129],
+))
+
+
 @settings(max_examples=150, deadline=None)
 @given(P=sparse_chains(), alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(P=ONE_STEP_APART, alpha=0.6566934563136971)
 def test_implicit_damping_matches_the_dense_damped_chain(P, alpha):
     cfg = SolverConfig(tolerance=1e-12, max_iterations=3000)
     damped = damp(P, alpha)
@@ -55,14 +67,19 @@ def test_implicit_damping_matches_the_dense_damped_chain(P, alpha):
     assert (dist.iterations, dist.status) == (other.iterations, other.status)
 
     # the loop on the n×n damped matrix differs only in the order of its adds:
-    # each loop rounds by about n*eps a step, amplified by at most 1/(1 - alpha)
+    # each loop rounds by about n*eps a step, amplified by at most 1/(1 - alpha).
+    # That rounding can move the stop by one step.
     K = from_dense(damped_dense(damped))
     vecmat, primitive = functools.partial(_vecmat, K), functools.partial(is_primitive, K)
     y, t, status, _ = _iterate(vecmat, K.n, primitive, Side.COLUMN, cfg)
     u = y / y.sum()
-    assert (t, status) == (dist.iterations, dist.status)
-    assert np.abs(dist.u - u).max() <= 2 * P.n * EPS / (1 - alpha) * u.max()
+    assert status is dist.status and abs(t - dist.iterations) <= 1
+    if t == dist.iterations:
+        assert np.abs(dist.u - u).max() <= 2 * P.n * EPS / (1 - alpha) * u.max()
 
     if dist.status is Status.CONVERGED:
         ref = stationary_linear_solve(damped_dense(damped))
-        assert np.abs(dist.u - ref).max() <= (cfg.tolerance + P.n * EPS) / (1 - alpha)
+        bound = (cfg.tolerance + P.n * EPS) / (1 - alpha)
+        assert np.abs(dist.u - ref).max() <= bound
+        if t != dist.iterations:
+            assert np.abs(u - ref).max() <= bound

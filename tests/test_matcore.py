@@ -14,7 +14,6 @@ from perronkit import (
     diag_similarity,
     from_coordinates,
     from_dense,
-    gerschgorin,
     random_primitive,
     rank_one_hadamard,
     sums,
@@ -191,30 +190,6 @@ class TestDiagSimilarity:
         assert np.array_equal(B.to_dense() == 0, arr == 0)
 
 
-class TestGerschgorin:
-    def test_2x2_sample_discs(self, root4_2x2):
-        discs = gerschgorin(root4_2x2)
-        s3 = math.sqrt(3.0)
-        assert [d.center for d in discs] == [3.0, 1.0]
-        for d in discs:
-            assert d.radius == pytest.approx(s3, rel=1e-15)
-
-    def test_balanced_2x2_discs_share_reach(self):
-        discs = gerschgorin(from_dense([[3.0, 1.0], [3.0, 1.0]]))
-        assert [d.center for d in discs] == [3.0, 1.0]
-        assert [d.radius for d in discs] == [1.0, 3.0]
-        assert all(d.reach == 4.0 for d in discs)
-
-    def test_diagonal_matrix_has_zero_radii(self):
-        discs = gerschgorin(from_dense(np.diag([2.0, 5.0])))
-        assert all(d.radius == 0.0 for d in discs)
-
-    def test_reach_equals_row_sum(self, sample3):
-        r = sums(sample3, Side.ROW)
-        for disc, s in zip(gerschgorin(sample3), r):
-            assert disc.reach == pytest.approx(s, rel=1e-14)
-
-
 class TestTridiagonal:
     def test_small_instance_unrolled(self):
         T = tridiagonal(3, 1.0, 3.0, 2.0)
@@ -229,8 +204,8 @@ class TestTridiagonal:
 
     def test_zero_offdiagonals_collapse_to_diagonal(self):
         assert np.array_equal(tridiagonal_eigs(6, 0.0, 4.0, 0.0), np.full(6, 4.0))
-        T = tridiagonal(4, 0.0, 4.0, 0.0)
-        assert T.nnz == 4
+        T = tridiagonal(4, -0.0, 4.0, 0.0)
+        assert T.nnz == 4 and np.array_equal(T._indices, np.arange(4))
 
     def test_closed_form_matches_dense_eigensolver(self):
         T = tridiagonal(8, 1.0, 3.0, 2.0)
@@ -242,9 +217,23 @@ class TestTridiagonal:
         eigs = tridiagonal_eigs(20, 2.0, 1.0, 0.5)
         assert np.all(np.diff(eigs) <= 0)
 
-    def test_rejects_negative_band(self):
-        with pytest.raises(NegativeEntryError):
-            tridiagonal(5, -1.0, 3.0, 2.0)
+    @pytest.mark.parametrize(
+        "bands, error, at",
+        [
+            ((-1.0, 3.0, 2.0), NegativeEntryError, (1, 0)),
+            ((1.0, -3.0, 2.0), NegativeEntryError, (0, 0)),
+            ((1.0, 3.0, -2.0), NegativeEntryError, (0, 1)),
+            ((math.nan, 3.0, 2.0), NonFiniteEntryError, (1, 0)),
+            ((1.0, math.inf, 2.0), NonFiniteEntryError, (0, 0)),
+            ((1.0, 3.0, math.nan), NonFiniteEntryError, (0, 1)),
+            # a non-finite value is reported before a negative one, as from_dense does
+            ((-1.0, math.nan, 2.0), NonFiniteEntryError, (0, 0)),
+        ],
+    )
+    def test_rejects_bad_band_at_its_first_entry(self, bands, error, at):
+        with pytest.raises(error) as err:
+            tridiagonal(5, *bands)
+        assert (err.value.i, err.value.j) == at
 
 
 class TestTranspose:

@@ -7,7 +7,6 @@ import pytest
 from conftest import SAMPLE3_ROWS
 from oracles import charpoly_coefficients
 from perronkit import (
-    ConvergenceHistory,
     Side,
     SolverConfig,
     Status,
@@ -15,49 +14,36 @@ from perronkit import (
     algorithm_a,
     algorithm_b,
     bounds_report,
-    choose_side,
     convergence_discs,
-    detect_stagnation,
     diag_similarity,
-    estimate_iterations,
     from_coordinates,
     from_dense,
     power_method,
     random_primitive,
-    range_error,
-    sums,
     tridiagonal,
 )
 from perronkit.errors import DomainError
-from perronkit.solver import _STAGNATION_WINDOW
+from perronkit.solver import _STAGNATION_WINDOW, _stagnant
 
 
-def history(rmin, rmax):
-    return ConvergenceHistory(rmin=np.asarray(rmin, float), rmax=np.asarray(rmax, float))
+def collect(out):
+    """on_step hook appending (t, copy of the sums) to out."""
+    return lambda t, r: out.append((t, r.copy()))
 
 
-class TestChooseSide:
+class TestAutomaticSide:
+    """side=None balances the side whose initial sum spread is smaller; ties go to rows."""
+
     def test_sample3_prefers_columns(self, sample3):
-        # initial ranges: rows 4, columns 2.5
-        assert choose_side(sample3) is Side.COLUMN
+        # initial spreads: rows 4, columns 2.5
+        assert algorithm_a(sample3).side_used is Side.COLUMN
 
     def test_symmetric_tie_goes_to_rows(self):
-        assert choose_side(from_dense([[1.0, 2.0], [2.0, 1.0]])) is Side.ROW
+        assert algorithm_a(from_dense([[1.0, 2.0], [2.0, 1.0]])).side_used is Side.ROW
 
     def test_periodic3_prefers_columns(self, periodic3):
-        # ranges: rows 5, columns 0
-        assert choose_side(periodic3) is Side.COLUMN
-
-
-class TestRangeError:
-    def test_zero_spread(self):
-        assert range_error(np.array([3.0, 3.0, 3.0])) == 0.0
-
-    def test_sample3_rows(self, sample3):
-        assert range_error(sums(sample3, Side.ROW)) == 4.0
-
-    def test_plain_sequence(self):
-        assert range_error([1.0, 6.0, 2.0]) == 5.0
+        # spreads: rows 5, columns 0
+        assert algorithm_a(periodic3).side_used is Side.COLUMN
 
 
 class TestAlgorithmA:
@@ -76,13 +62,15 @@ class TestAlgorithmA:
         assert res.status is Status.CONVERGED
 
     def test_periodic3_row_side_oscillates(self, periodic3):
-        res = algorithm_a(periodic3, SolverConfig(side=Side.ROW), record_sums=True)
+        steps = []
+        res = algorithm_a(periodic3, SolverConfig(side=Side.ROW), on_step=collect(steps))
         assert res.status is Status.STAGNATED
         assert res.iterations <= 200
+        assert [t for t, _ in steps] == list(range(res.iterations + 1))
         # hand iteration: sums flip between (6, 1.5, 6) and (1.5, 6, 1.5)
-        assert np.array_equal(res.history.sums[1], [6.0, 1.5, 6.0])
-        assert np.array_equal(res.history.sums[2], [1.5, 6.0, 1.5])
-        assert np.array_equal(res.history.sums[3], [6.0, 1.5, 6.0])
+        assert np.array_equal(steps[1][1], [6.0, 1.5, 6.0])
+        assert np.array_equal(steps[2][1], [1.5, 6.0, 1.5])
+        assert np.array_equal(steps[3][1], [6.0, 1.5, 6.0])
         assert res.root_hi - res.root_lo == 4.5
 
     def test_zero_row_sum_rejected(self):
@@ -167,9 +155,14 @@ class TestAlgorithmB:
         # the scaling vector underflows on these reducible inputs; the run
         # must stop early and keep its last finite step
         cfg = SolverConfig(side=side)
-        res = algorithm_b(from_dense(rows), cfg)
+        steps = []
+        res = algorithm_b(from_dense(rows), cfg, on_step=collect(steps))
         assert res.status is Status.STAGNATED
         assert res.iterations <= _STAGNATION_WINDOW + 5
+        # the rejected last step reaches neither the history nor on_step
+        assert [t for t, _ in steps] == list(range(res.iterations + 1))
+        assert [r.min() for _, r in steps] == list(res.history.rmin)
+        assert [r.max() for _, r in steps] == list(res.history.rmax)
         assert np.all(np.isfinite([res.root_lo, res.root_hi, res.root]))
         assert np.all(np.isfinite(res.eigenvector))
         assert np.all(np.isfinite(res.balanced.to_dense()))
@@ -195,12 +188,12 @@ class TestStoppingRules:
         assert res.iterations <= _STAGNATION_WINDOW + 5
 
 
-class TestDetectStagnation:
+class TestStagnant:
     def test_periodic3_trace_is_stagnant(self, periodic3):
         cfg = SolverConfig(side=Side.ROW)
         res = algorithm_a(periodic3, cfg)
         assert res.iterations <= 25
-        assert detect_stagnation(res.history, cfg)
+        assert _stagnant(res.history.rmin, res.history.rmax, cfg)
 
     def test_sample3_trace_never_stagnates(self, sample3):
         # a tolerance at the rounding floor runs sample3 past the window
@@ -210,39 +203,40 @@ class TestDetectStagnation:
         h = res.history
         assert len(h) > _STAGNATION_WINDOW + 1
         for t in range(len(h)):
-            assert not detect_stagnation(
-                ConvergenceHistory(rmin=h.rmin[: t + 1], rmax=h.rmax[: t + 1]), cfg
-            )
+            assert not _stagnant(h.rmin[: t + 1], h.rmax[: t + 1], cfg)
 
     def test_converged_history_is_not_stagnant(self):
-        h = history([3.0] * (_STAGNATION_WINDOW + 5), [3.0] * (_STAGNATION_WINDOW + 5))
-        assert not detect_stagnation(h, SolverConfig())
+        flat = [3.0] * (_STAGNATION_WINDOW + 5)
+        assert not _stagnant(flat, flat, SolverConfig())
 
     def test_short_history_reports_false(self):
-        cfg = SolverConfig()
-        assert not detect_stagnation(history([1.0], [2.0]), cfg)
+        assert not _stagnant([1.0], [2.0], SolverConfig())
 
 
-class TestEstimateIterations:
-    def test_halving(self):
-        assert estimate_iterations(0.5, 0.5) == 1
+class TestConvergenceDiscs:
+    """Disc i has center a_ii and radius the balanced sum i minus a_ii."""
 
-    def test_powers_of_ten(self):
-        assert estimate_iterations(1e-8, 0.1) == 8
+    def test_balanced_2x2_discs_share_reach(self, root4_2x2):
+        discs = convergence_discs(algorithm_a(root4_2x2))
+        assert [d.center for d in discs] == [3.0, 1.0]
+        assert [d.radius for d in discs] == pytest.approx([1.0, 3.0], abs=1e-12)
+        assert [d.reach for d in discs] == pytest.approx([4.0, 4.0], abs=1e-12)
 
-    def test_domain_rejections(self):
-        for alpha, c in ((1.0, 0.5), (0.5, 1.0), (0.0, 0.5), (0.5, 0.0), (-0.1, 0.5)):
-            with pytest.raises(DomainError):
-                estimate_iterations(alpha, c)
+    def test_diagonal_matrix_has_zero_radii(self):
+        res = algorithm_a(from_dense(np.diag([2.0, 5.0])))
+        assert [(d.center, d.radius) for d in convergence_discs(res)] == [(2.0, 0.0), (5.0, 0.0)]
 
-    def test_prediction_from_measured_contraction(self, sample3):
-        res = algorithm_a(sample3)
-        h = res.history
-        spreads = h.rmax - h.rmin
-        ratios = spreads[1:] / spreads[:-1]
-        c = float(np.exp(np.log(ratios[ratios > 0]).mean()))
-        predicted = estimate_iterations(1e-8 / spreads[0], c)
-        assert predicted <= 2 * res.iterations and res.iterations <= 2 * predicted
+    @pytest.mark.parametrize("side", [Side.ROW, Side.COLUMN], ids=["row", "col"])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_reach_is_the_balanced_sum(self, side, storage):
+        T = tridiagonal(6, 1.0, 3.0, 2.0)
+        A = from_dense(T.to_dense()) if storage == "dense" else T
+        res = algorithm_b(A, SolverConfig(side=side))
+        B = res.balanced.to_dense()
+        discs = convergence_discs(res)
+        assert [d.center for d in discs] == np.diagonal(B).tolist()
+        balanced_sums = B.sum(axis=1 if side is Side.ROW else 0)
+        assert np.allclose([d.reach for d in discs], balanced_sums, rtol=1e-14, atol=0)
 
 
 class TestScalingMatrix:
@@ -335,12 +329,15 @@ class TestInvariants:
         T = tridiagonal(8, 1.0, 3.0, 2.0)
         D = from_dense(T.to_dense())
         cfg = SolverConfig(side=side)
-        res_sparse = solve(T, cfg, record_sums=True)
-        res_dense = solve(D, cfg, record_sums=True)
+        steps_sparse, steps_dense = [], []
+        res_sparse = solve(T, cfg, on_step=collect(steps_sparse))
+        res_dense = solve(D, cfg, on_step=collect(steps_dense))
         assert res_sparse.iterations == res_dense.iterations
         assert np.array_equal(res_sparse.history.rmin, res_dense.history.rmin)
         assert np.array_equal(res_sparse.history.rmax, res_dense.history.rmax)
-        assert np.array_equal(res_sparse.history.sums, res_dense.history.sums)
+        assert len(steps_sparse) == len(steps_dense) == res_sparse.iterations + 1
+        for (t_sparse, r_sparse), (t_dense, r_dense) in zip(steps_sparse, steps_dense):
+            assert t_sparse == t_dense and r_sparse.tobytes() == r_dense.tobytes()
         assert np.array_equal(res_sparse.balanced.to_dense(), res_dense.balanced.to_dense())
         if solve is algorithm_b:
             assert np.array_equal(res_sparse.eigenvector, res_dense.eigenvector)
@@ -379,6 +376,8 @@ class TestConfigValidation:
             {"max_iterations": float("nan")},
             {"max_iterations": 2.5},
             {"max_iterations": True},
+            {"tolerance": True},
+            {"tolerance": "1e-8"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
