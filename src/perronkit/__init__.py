@@ -35,7 +35,6 @@ from .matcore import (
     GerschgorinDisc,
     NonnegMatrix,
     Side,
-    diag_similarity,
     from_coordinates,
     from_dense,
     random_primitive,

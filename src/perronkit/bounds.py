@@ -2,8 +2,8 @@
 
 The plain sum bounds (min and max of the row or column totals) bracket the
 dominant eigenvalue of any nonnegative matrix.  One similarity step with the
-diagonal of those totals sharpens the bracket; repeating that step is exactly
-what the solver iterates.
+diagonal of those totals sharpens the bracket; that step is the solver's
+first, so the sharpened bounds are read off a one-step solver run.
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import NotApplicableError, ZeroSumError
-from .matcore import NonnegMatrix, Side, diag_similarity, sums
+from .errors import NotApplicableError
+from .matcore import NonnegMatrix, Side, sums
+from .solver import SolverConfig, algorithm_a
 
 __all__ = [
     "BoundsReport",
@@ -44,16 +43,14 @@ def frobenius_bounds(A: NonnegMatrix, side: Side) -> tuple[float, float]:
 def minc_bounds(A: NonnegMatrix, side: Side) -> tuple[float, float]:
     """Sharpened interval after one similarity step with the chosen sums.
 
-    Never looser than :func:`frobenius_bounds` on the same side.  The column
-    interval equals the row interval of the transpose, which is the
-    orientation that actually sharpens column sums.
+    The min and max of the solver's sums after its first step on that side;
+    never looser than :func:`frobenius_bounds` on the same side, up to
+    rounding.  Where the solver takes no step (the sums already agree, or
+    the step would leave the floating-point range) the interval is the
+    plain one.  Raises ZeroSumError for a zero sum on the chosen side.
     """
-    s = sums(A, side)
-    zero = np.flatnonzero(s == 0)
-    if zero.size:
-        raise ZeroSumError(int(zero[0]), side=side.value)
-    B = A if side is Side.ROW else A.transpose()
-    return frobenius_bounds(diag_similarity(B, s), Side.ROW)
+    res = algorithm_a(A, SolverConfig(tolerance=math.ulp(0.0), max_iterations=1, side=side))
+    return res.root_lo, res.root_hi
 
 
 def bounds_report(A: NonnegMatrix) -> BoundsReport:

@@ -39,8 +39,6 @@ _STATUS_EXIT = {Status.CONVERGED: 0, Status.STAGNATED: 2, Status.MAX_ITERATIONS:
 
 def _add_matrix_arg(sp):
     sp.add_argument("matrix", help="path of a Matrix Market or CSV matrix file")
-    sp.add_argument("--format", choices=["auto", "mm", "csv"], default="auto",
-                    help="input format (default: sniff the Matrix Market banner)")
 
 
 def _add_run_flags(sp):
@@ -117,7 +115,7 @@ def _disc_writer(fh, A: NonnegMatrix):
 
 def _cmd_perron(args) -> int:
     started = time.perf_counter()
-    A = parse_matrix(args.matrix, args.format)
+    A = parse_matrix(args.matrix)
     cfg = SolverConfig(
         tolerance=args.tol,
         max_iterations=args.max_iter,
@@ -147,7 +145,7 @@ def _cmd_perron(args) -> int:
 
 def _cmd_power(args) -> int:
     started = time.perf_counter()
-    A = parse_matrix(args.matrix, args.format)
+    A = parse_matrix(args.matrix)
     res = power_method(A, tol=args.tol, max_iter=args.max_iter)
     config = {"tol": args.tol, "max_iter": args.max_iter}
     result = {
@@ -166,7 +164,7 @@ def _cmd_power(args) -> int:
 
 def _cmd_bounds(args) -> int:
     started = time.perf_counter()
-    A = parse_matrix(args.matrix, args.format)
+    A = parse_matrix(args.matrix)
     rep = bounds_report(A)
     result = {
         "frobenius_row": list(rep.frobenius_row),
@@ -183,7 +181,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_primitivity(args) -> int:
     started = time.perf_counter()
-    A = parse_matrix(args.matrix, args.format)
+    A = parse_matrix(args.matrix)
     result = {
         "irreducible": is_irreducible(A),
         "primitive": is_primitive(A),
@@ -198,7 +196,7 @@ def _cmd_primitivity(args) -> int:
 
 def _cmd_stationary(args) -> int:
     started = time.perf_counter()
-    A = parse_matrix(args.matrix, args.format)
+    A = parse_matrix(args.matrix)
     P = make_stochastic(A) if args.normalize else StochasticMatrix(A)
     if not args.no_damp:
         P = damp(P, args.alpha)

@@ -34,18 +34,16 @@ _LINE = {
 }
 
 
-def parse_matrix(path, fmt: str = "auto") -> NonnegMatrix:
-    """Load a matrix file; fmt is "auto", "mm" (Matrix Market), or "csv".
+def parse_matrix(path) -> NonnegMatrix:
+    """Load a Matrix Market file, or else a CSV file.
 
-    Auto detection sniffs the %%MatrixMarket banner on the first line.
+    A file is read as Matrix Market when the first word of its first line
+    is the %%MatrixMarket banner, the rule the reader itself applies.
     """
-    if fmt not in ("auto", "mm", "csv"):
-        raise ValueError(f"unknown format {fmt!r}")
-    if fmt == "auto":
-        with open(path, "r", encoding="ascii", errors="replace") as fh:
-            first = fh.readline()
-        fmt = "mm" if first.lower().startswith(_MM_BANNER) else "csv"
-    return read_matrix_market(path) if fmt == "mm" else read_csv(path)
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        first = fh.readline()
+    banner = first.lower().split()[:1] == [_MM_BANNER]
+    return read_matrix_market(path) if banner else read_csv(path)
 
 
 def read_matrix_market(path) -> NonnegMatrix:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotStochasticError, RootNotOneError, ZeroSumError
-from .matcore import NonnegMatrix, Side, _vecmat, sums
+from .matcore import NonnegMatrix, Side, _csr, _vecmat, sums
 from .primitivity import is_primitive
 from .solver import SolverConfig, Status, _iterate
 
@@ -78,15 +78,9 @@ def make_stochastic(A: NonnegMatrix) -> StochasticMatrix:
     if zero.size:
         raise ZeroSumError(int(zero[0]), side="row")
     if A.storage == "dense":
-        scaled = NonnegMatrix(A.n, dense=A.to_dense() / r[:, None])
-    else:
-        scaled = NonnegMatrix(
-            A.n,
-            indptr=A._indptr.copy(),
-            indices=A._indices.copy(),
-            data=A._data / r[A._row_indices()],
-        )
-    return StochasticMatrix(scaled)
+        return StochasticMatrix(NonnegMatrix(A.n, dense=A.to_dense() / r[:, None]))
+    rows = A._row_indices()
+    return StochasticMatrix(_csr(A.n, rows, A._indices, A._data / r[rows]))
 
 
 def damp(P: StochasticMatrix, alpha: float) -> StochasticMatrix:

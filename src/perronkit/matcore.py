@@ -31,7 +31,6 @@ __all__ = [
     "from_coordinates",
     "sums",
     "rank_one_hadamard",
-    "diag_similarity",
     "tridiagonal",
     "tridiagonal_eigs",
     "random_primitive",
@@ -99,14 +98,7 @@ class NonnegMatrix:
             return NonnegMatrix(self.n, dense=np.ascontiguousarray(self._dense.T))
         rows = self._row_indices()
         order = np.lexsort((rows, self._indices))
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self._indices, minlength=self.n), out=indptr[1:])
-        return NonnegMatrix(
-            self.n,
-            indptr=indptr,
-            indices=rows[order].copy(),
-            data=self._data[order].copy(),
-        )
+        return _csr(self.n, self._indices[order], rows[order], self._data[order])
 
     def _row_indices(self) -> np.ndarray:
         """CSR row index of every stored entry, cached."""
@@ -132,6 +124,14 @@ class GerschgorinDisc:
     def reach(self) -> float:
         """Rightmost point of the disc on the real axis."""
         return self.center + self.radius
+
+
+def _csr(n, rows, cols, values) -> NonnegMatrix:
+    """CSR matrix from entries in row-major order; zero entries are dropped."""
+    keep = values != 0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    return NonnegMatrix(n, indptr=indptr, indices=cols[keep], data=values[keep])
 
 
 def _validated_array(rows) -> np.ndarray:
@@ -202,11 +202,7 @@ def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
     if dup.size:
         k = dup[np.argmin(order[dup + 1])]  # lexsort is stable: the first repeat in input order
         raise DuplicateEntryError(int(rows[k]), int(cols[k]), int(order[k]), int(order[k + 1]))
-    keep = values != 0
-    rows, cols, values = rows[keep], cols[keep], values[keep] + 0.0
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return _finite_sums(NonnegMatrix(n, indptr=indptr, indices=cols, data=values))
+    return _finite_sums(_csr(n, rows, cols, values))
 
 
 def sums(A: NonnegMatrix, side: Side) -> np.ndarray:
@@ -250,13 +246,19 @@ def _checked_scale(v, n) -> np.ndarray:
     return v
 
 
+def _overflow(i, j) -> DomainError:
+    return DomainError(f"entry ({int(i)}, {int(j)}) overflows; scale the matrix down")
+
+
+@np.errstate(over="ignore")  # an overflow is reported by entry below
 def rank_one_hadamard(A: NonnegMatrix, x, y) -> NonnegMatrix:
     """Entrywise product of A with the rank-one matrix x yᵀ: b_ij = a_ij x_i y_j.
 
     x and y must be strictly positive, so no zero of A becomes nonzero; a
-    nonzero a_ij becomes zero only where a_ij x_i y_j underflows.
-    Where x_i y_i = 1 the diagonal is preserved exactly.  No partial product
-    overflows unless b_ij itself does.
+    nonzero a_ij becomes zero only where a_ij x_i y_j underflows, and is
+    then not stored.  Where x_i y_i = 1 the diagonal is preserved exactly.
+    No partial product overflows unless b_ij itself does; a b_ij that does
+    raises DomainError naming the first such (i, j) in row-major order.
     """
     n = A.n
     x = _checked_scale(x, n)
@@ -266,29 +268,25 @@ def rank_one_hadamard(A: NonnegMatrix, x, y) -> NonnegMatrix:
     # in last, so neither x_i y_j nor a_ij x_i can overflow on the way
     mx, ex = np.frexp(x)
     my, ey = np.frexp(y)
-    with np.errstate(over="ignore"):
-        unit = np.abs(x * y - 1.0) <= _UNIT_SNAP
+    unit = np.abs(x * y - 1.0) <= _UNIT_SNAP
     if A.storage == "dense":
         B = np.multiply.outer(mx, my)
         B *= A._dense
         np.ldexp(B, np.add.outer(ex, ey), out=B)
         idx = np.flatnonzero(unit)
         B[idx, idx] = A._dense[idx, idx]
+        over = np.argwhere(np.isinf(B))
+        if over.size:
+            raise _overflow(*over[0])
         return NonnegMatrix(n, dense=B)
     rows, cols = A._row_indices(), A._indices
     data = np.ldexp(A._data * (mx[rows] * my[cols]), ex[rows] + ey[cols])
     keep = (rows == cols) & unit[rows]
     data[keep] = A._data[keep]
-    return NonnegMatrix(n, indptr=A._indptr.copy(), indices=cols.copy(), data=data)
-
-
-def diag_similarity(A: NonnegMatrix, d) -> NonnegMatrix:
-    """Similarity transform with the positive diagonal d: b_ij = a_ij d_j / d_i.
-
-    Preserves the spectrum, the diagonal, and the zero pattern of A.
-    """
-    d = _checked_scale(d, A.n)
-    return rank_one_hadamard(A, np.reciprocal(d), d)
+    over = np.flatnonzero(np.isinf(data))
+    if over.size:
+        raise _overflow(rows[over[0]], cols[over[0]])
+    return _csr(n, rows, cols, data)
 
 
 def tridiagonal(n: int, c: float, a: float, b: float) -> NonnegMatrix:

@@ -109,8 +109,7 @@ class PerronResult:
     both kept by the result, and cached: a_ij y_j / y_i when row sums were
     balanced, a_ij y_i / y_j when column sums were.  It keeps the input's
     orientation, diagonal and zero pattern, so for column-side runs its
-    column sums are the equalized ones; :func:`convergence_discs` evaluates
-    discs in the balanced orientation.  ``eigenvector`` (algorithm B only)
+    column sums are the equalized ones.  ``eigenvector`` (algorithm B only)
     is y normalized to unit sum: the dominant eigenvector of the input for
     rows and of its transpose for columns.
     """
@@ -171,14 +170,15 @@ def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
     """Discs of the balanced matrix in the orientation that was balanced.
 
     Disc i has center a_ii, which the balancing similarity keeps, and
-    radius the balanced sum i minus a_ii.  At convergence every disc's
-    rightmost point sits at the computed root.
+    radius the balanced sum i minus a_ii.  The sums are the run's last
+    quotients (K y) / y, the same bits ``on_step`` saw last; no balanced
+    matrix is built.  At convergence every disc's rightmost point sits at
+    the computed root.
     """
-    centers = result._A.diagonal()
-    return [
-        GerschgorinDisc(float(c), float(s - c))
-        for c, s in zip(centers, sums(result.balanced, result.side_used))
-    ]
+    A, y = result._A, result._y
+    K = A.transpose() if result.side_used is Side.ROW else A
+    centers = A.diagonal()
+    return [GerschgorinDisc(float(c), float(s - c)) for c, s in zip(centers, _vecmat(K, y) / y)]
 
 
 # the ufunc reductions, without ndarray.min's Python wrapper

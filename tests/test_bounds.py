@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import perronkit.matcore
+import perronkit.solver
 from oracles import charpoly_coefficients, dominant_eigenvalue
 from perronkit import (
     NotApplicableError,
@@ -80,6 +82,22 @@ class TestMincBounds:
                 assert flo <= mlo + 1e-12 and mhi <= fhi + 1e-12
                 assert mlo <= mhi
 
+    @pytest.mark.parametrize("side", [Side.ROW, Side.COLUMN], ids=["row", "col"])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_is_the_solvers_first_step(self, side, storage):
+        rng = np.random.default_rng(23)
+        stepped = 0
+        for _ in range(40):
+            A = random_primitive(int(rng.integers(2, 9)), rng=rng)
+            if storage == "csr":
+                nz = np.nonzero(A.to_dense())
+                A = from_coordinates(A.n, *nz, A.to_dense()[nz])
+            history = algorithm_a(A, SolverConfig(side=side)).history
+            if len(history) > 1:
+                stepped += 1
+                assert minc_bounds(A, side) == (history.rmin[1], history.rmax[1])
+        assert stepped >= 30
+
 
 class TestPerron2x2:
     def test_root_is_exactly_4(self, root4_2x2):
@@ -118,6 +136,16 @@ class TestPerron2x2:
             perron_2x2(from_dense([[1.0, 0.0], [2.0, 1.0]]))
         with pytest.raises(NotApplicableError):
             perron_2x2(from_dense(np.eye(3)))
+
+
+def test_report_builds_no_scaled_matrix(sample3, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bounds_report built a scaled matrix")
+
+    expected = bounds_report(sample3)
+    monkeypatch.setattr(perronkit.matcore, "rank_one_hadamard", refuse)
+    monkeypatch.setattr(perronkit.solver, "rank_one_hadamard", refuse)
+    assert bounds_report(sample3) == expected
 
 
 def test_power_root_inside_every_reported_interval():

@@ -210,6 +210,16 @@ class TestBoundsCommand:
         lo, hi = payload["minc_col"]
         assert 3.5 <= lo <= 5.739952 <= hi <= 6.0
 
+    def test_subnormal_sums_keep_the_plain_intervals(self, capsys, tmp_path):
+        # one step would take y below the normal range, so the solver takes none
+        path = tmp_path / "tiny.csv"
+        path.write_text("1.0,3e-310\n3e-310,1e-310\n")
+        code, record = run_json(capsys, ["bounds", "--json", str(path)])
+        assert code == 0
+        result = record["result"]
+        assert result["minc_row"] == result["frobenius_row"]
+        assert result["minc_col"] == result["frobenius_col"]
+
 
 class TestPrimitivityCommand:
     def test_periodic3(self, capsys, periodic3_file):

@@ -82,6 +82,15 @@ def test_auto_detection(tmp_path, sample3):
     assert np.array_equal(parse_matrix(csv).to_dense(), np.array(SAMPLE3_ROWS))
 
 
+def test_banner_after_leading_spaces_is_detected(tmp_path, capsys):
+    # the reader accepts the banner as the first word of the line; so does detection
+    path = tmp_path / "spaced.mtx"
+    path.write_text("  %%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.5\n2 1 2\n")
+    A = parse_matrix(path)
+    assert A.storage == "csr" and np.array_equal(A.to_dense(), [[0.0, 1.5], [2.0, 0.0]])
+    assert main(["primitivity", str(path)]) == 0
+
+
 def test_negative_value_rejected_with_position(tmp_path):
     path = tmp_path / "neg.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 -3.0\n")

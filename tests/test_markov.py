@@ -16,6 +16,7 @@ from perronkit import (
     damp,
     from_coordinates,
     from_dense,
+    is_irreducible,
     is_primitive,
     make_stochastic,
     stationary,
@@ -58,6 +59,17 @@ class TestMakeStochastic:
         P = make_stochastic(tridiagonal(6, 1.0, 2.0, 1.0))
         assert P.matrix.storage == "csr"
         assert np.allclose(P.matrix.to_dense().sum(axis=1), 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_entry_that_underflows_is_not_stored(self, storage):
+        # 5e-324 / 2 rounds to zero: the edge 0 -> 1 is gone in both storages
+        if storage == "dense":
+            A = from_dense([[2.0, 5e-324], [1.0, 1.0]])
+        else:
+            A = from_coordinates(2, [0, 0, 1, 1], [0, 1, 0, 1], [2.0, 5e-324, 1.0, 1.0])
+        P = make_stochastic(A)
+        assert P.matrix.storage == storage
+        assert P.matrix.nnz == 3 and not is_irreducible(P.matrix)
 
     def test_strict_constructor_rejects_near_stochastic(self):
         with pytest.raises(NotStochasticError):

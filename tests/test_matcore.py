@@ -11,7 +11,6 @@ from perronkit import (
     NonPositiveScaleError,
     NotSquareError,
     Side,
-    diag_similarity,
     from_coordinates,
     from_dense,
     random_primitive,
@@ -146,25 +145,39 @@ class TestRankOneHadamard:
         B = rank_one_hadamard(sample3, [0.5, 2.0, 3.0], [7.0, 0.25, 1.0])
         assert np.array_equal(B.to_dense() == 0, sample3.to_dense() == 0)
 
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_entry_that_underflows_is_not_stored(self, storage):
+        arr = np.array([[2.0, 5e-324], [1.0, 1.0]])
+        nz = np.nonzero(arr)
+        A = from_dense(arr) if storage == "dense" else from_coordinates(2, *nz, arr[nz])
+        B = rank_one_hadamard(A, [0.5, 1.0], [1.0, 1.0])  # 5e-324 * 0.5 rounds to zero
+        assert (B.storage, B.nnz) == (storage, 3)
+        assert np.array_equal(B.to_dense(), [[1.0, 0.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_entry_that_overflows_raises(self, storage):
+        # (0, 1) and (1, 0) both overflow; (0, 1) comes first in row-major order
+        arr = np.array([[1.0, 1e300], [1e300, 1.0]])
+        nz = np.nonzero(arr)
+        A = from_dense(arr) if storage == "dense" else from_coordinates(2, *nz, arr[nz])
+        with pytest.raises(DomainError, match=r"entry \(0, 1\) overflows"):
+            rank_one_hadamard(A, [1e10, 1e10], [1e10, 1e10])
+        with pytest.raises(DomainError, match=r"entry \(0, 0\) overflows"):
+            rank_one_hadamard(from_dense([[1e300, 1.0], [1.0, 1.0]]), [1e10, 1.0], [1e10, 1.0])
+
 
 class TestDiagSimilarity:
+    """The reciprocal pair (1/d, d): b_ij = a_ij d_j / d_i, a similarity."""
+
     def test_all_ones_is_identity(self, sample3):
-        assert np.array_equal(diag_similarity(sample3, np.ones(3)).to_dense(), sample3.to_dense())
+        ones = np.ones(3)
+        assert np.array_equal(rank_one_hadamard(sample3, ones, ones).to_dense(), sample3.to_dense())
 
     def test_hand_computed_scaling(self, periodic3):
-        B = diag_similarity(periodic3, np.array([1.0, 2.0, 1.0]))
+        d = np.array([1.0, 2.0, 1.0])
+        B = rank_one_hadamard(periodic3, np.reciprocal(d), d)
         expected = [[0.0, 2.0, 0.0], [1.5, 0.0, 1.5], [0.0, 4.0, 0.0]]
         assert np.array_equal(B.to_dense(), np.array(expected))
-
-    def test_matches_rank_one_hadamard_exactly(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(1, 6))
-            A = from_dense(rng.uniform(0.0, 3.0, (n, n)))
-            d = rng.uniform(0.1, 10.0, n)
-            lhs = rank_one_hadamard(A, np.reciprocal(d), d)
-            rhs = diag_similarity(A, d)
-            assert np.array_equal(lhs.to_dense(), rhs.to_dense())
 
     def test_preserves_spectrum_small_orders(self):
         rng = np.random.default_rng(5)
@@ -172,7 +185,7 @@ class TestDiagSimilarity:
             arr = rng.uniform(0.0, 2.0, (n, n))
             A = from_dense(arr)
             d = rng.uniform(0.2, 5.0, n)
-            B = diag_similarity(A, d)
+            B = rank_one_hadamard(A, np.reciprocal(d), d)
             assert np.allclose(
                 charpoly_coefficients(B.to_dense()),
                 charpoly_coefficients(arr),
@@ -185,7 +198,7 @@ class TestDiagSimilarity:
         arr = np.where(rng.random((5, 5)) < 0.7, rng.uniform(0.1, 4.0, (5, 5)), 0.0)
         A = from_dense(arr)
         d = rng.uniform(0.01, 100.0, 5)
-        B = diag_similarity(A, d)
+        B = rank_one_hadamard(A, np.reciprocal(d), d)
         assert np.array_equal(np.diagonal(B.to_dense()), np.diagonal(arr))
         assert np.array_equal(B.to_dense() == 0, arr == 0)
 

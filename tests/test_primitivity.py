@@ -7,11 +7,11 @@ from perronkit import (
     Side,
     Status,
     algorithm_a,
-    diag_similarity,
     from_dense,
     is_irreducible,
     is_primitive,
     random_primitive,
+    rank_one_hadamard,
     tridiagonal,
     wielandt_bound,
 )
@@ -72,8 +72,9 @@ class TestPrimitive:
             n = int(rng.integers(2, 7))
             A = from_dense(np.where(rng.random((n, n)) < 0.5, rng.uniform(0.1, 2, (n, n)), 0.0))
             d = rng.uniform(0.1, 10.0, n)
-            assert is_primitive(A) == is_primitive(diag_similarity(A, d))
-            assert is_irreducible(A) == is_irreducible(diag_similarity(A, d))
+            B = rank_one_hadamard(A, np.reciprocal(d), d)
+            assert is_primitive(A) == is_primitive(B)
+            assert is_irreducible(A) == is_irreducible(B)
 
 
 class TestWielandtBound:

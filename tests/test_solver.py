@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import perronkit.matcore
+import perronkit.solver
 from conftest import SAMPLE3_ROWS
 from oracles import charpoly_coefficients
 from perronkit import (
@@ -15,11 +17,11 @@ from perronkit import (
     algorithm_b,
     bounds_report,
     convergence_discs,
-    diag_similarity,
     from_coordinates,
     from_dense,
     power_method,
     random_primitive,
+    rank_one_hadamard,
     tridiagonal,
 )
 from perronkit.errors import DomainError
@@ -136,7 +138,8 @@ class TestAlgorithmB:
         assert 3000 <= res.iterations <= 8000
 
     def test_huge_scale_spread_converges(self):
-        M = diag_similarity(from_dense([[2.0, 1.0], [1.0, 2.0]]), np.array([1.0, 1e155]))
+        d = np.array([1.0, 1e155])
+        M = rank_one_hadamard(from_dense([[2.0, 1.0], [1.0, 2.0]]), np.reciprocal(d), d)
         res = algorithm_b(M)
         assert res.status is Status.CONVERGED
         assert res.root == pytest.approx(3.0, abs=1e-8)
@@ -238,6 +241,31 @@ class TestConvergenceDiscs:
         balanced_sums = B.sum(axis=1 if side is Side.ROW else 0)
         assert np.allclose([d.reach for d in discs], balanced_sums, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("side", [None, Side.ROW, Side.COLUMN], ids=["auto", "row", "col"])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_radii_are_the_last_step_sums_minus_the_diagonal(self, periodic3, side, storage):
+        rng = np.random.default_rng(61)
+        # random primitive runs converge; periodic3 stagnates on rows; a cap of 3 stops early
+        uncapped = SolverConfig.max_iterations
+        cases = [(random_primitive(int(rng.integers(2, 9)), rng=rng), uncapped) for _ in range(30)]
+        cases += [(periodic3, uncapped), (periodic3, 3)]
+        for A, cap in cases:
+            if storage == "csr":
+                nz = np.nonzero(A.to_dense())
+                A = from_coordinates(A.n, *nz, A.to_dense()[nz])
+            steps = []
+            res = algorithm_b(A, SolverConfig(side=side, max_iterations=cap), on_step=collect(steps))
+            assert [d.radius for d in convergence_discs(res)] == (steps[-1][1] - A.diagonal()).tolist()
+
+    def test_builds_no_balanced_matrix(self, sample3, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("convergence_discs built a balanced matrix")
+
+        res = algorithm_a(sample3)
+        monkeypatch.setattr(perronkit.matcore, "rank_one_hadamard", refuse)
+        monkeypatch.setattr(perronkit.solver, "rank_one_hadamard", refuse)
+        assert len(convergence_discs(res)) == 3
+
 
 class TestScalingMatrix:
     """balanced = A ∘ X with the rank-one X_ij = y_j / y_i (rows) or y_i / y_j (columns)."""
@@ -249,7 +277,8 @@ class TestScalingMatrix:
         assert res.balanced.to_dense().tobytes() == A.to_dense().tobytes()
 
     def test_2x2_scaling_vector(self):
-        X = diag_similarity(from_dense(np.ones((2, 2))), np.array([1.0, 1.0 / math.sqrt(3.0)]))
+        d = np.array([1.0, 1.0 / math.sqrt(3.0)])
+        X = rank_one_hadamard(from_dense(np.ones((2, 2))), np.reciprocal(d), d)
         s3 = math.sqrt(3.0)
         assert np.allclose(X.to_dense(), [[1.0, 1.0 / s3], [s3, 1.0]], rtol=1e-15)
         assert np.array_equal(np.diagonal(X.to_dense()), np.ones(2))
@@ -354,8 +383,8 @@ class TestInvariants:
         ids=["zero-entry", "positive-entry"],
     )
     def test_csr_and_dense_bounds_agree_on_extreme_scales(self, rows):
-        # the scale r_1 / r_0 of the sharpened row bound overflows; zero entries
-        # must stay zero and the others finite
+        # the sharpened row bound's step would take y out of the normal range;
+        # both storages must fall back alike and stay finite
         arr = np.array(rows)
         nz = np.nonzero(arr)
         dense = bounds_report(from_dense(arr))
