@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotStochasticError, RootNotOneError, ZeroSumError
-from .matcore import NonnegMatrix, Side, _csr, _vecmat, sums
+from .matcore import NonnegMatrix, Side, _csr, _kernel, _least_entry, _work, sums
 from .primitivity import is_primitive
 from .solver import SolverConfig, Status, _iterate
 
@@ -96,16 +96,26 @@ def damp(P: StochasticMatrix, alpha: float) -> StochasticMatrix:
 
 
 def _operator(P: StochasticMatrix):
-    """u -> u^T (alpha P + (1 - alpha)/n 11^T), in O(nnz + n)."""
+    """u -> u^T (alpha P + (1 - alpha)/n 11^T), in O(nnz + n).
+
+    Returns it with the loop's block inputs: the multiply-adds of one call
+    and a thunk for the least positive factor it applies to an entry of u,
+    alpha times P's least entry or (1 - alpha)/n on the sum of u.
+    """
     A, alpha, beta = P.matrix, P.alpha, (1.0 - P.alpha) / P.n
+    kernel = _kernel(A)
 
     def vecmat(u):
-        w = _vecmat(A, u)
+        w = kernel(u)
         w *= alpha
         w += beta * u.sum()
         return w
 
-    return vecmat
+    def least():
+        term = alpha * _least_entry(A)
+        return min(term, beta) if beta > 0 else term
+
+    return vecmat, _work(A) + P.n, least
 
 
 def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> StationaryDistribution:
@@ -121,10 +131,10 @@ def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> Stationa
     by more than 100x tolerance, which signals a mis-scaled input.
     """
     cfg = cfg or SolverConfig()
-    vecmat = _operator(P)
+    vecmat, work, least = _operator(P)
     # a damped chain is positive, hence primitive
     primitive = functools.partial(is_primitive, P.matrix) if P.alpha == 1 else (lambda: True)
-    y, iterations, status, history = _iterate(vecmat, P.n, primitive, Side.COLUMN, cfg)
+    y, iterations, status, history = _iterate(vecmat, P.n, primitive, Side.COLUMN, cfg, work=work, least=least)
     root = 0.5 * float(history.rmin[-1]) + 0.5 * float(history.rmax[-1])
     if status is Status.CONVERGED and abs(root - 1.0) > 100.0 * cfg.tolerance:
         raise RootNotOneError(root)

@@ -9,6 +9,7 @@ matrix produce bit-identical sums.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -221,6 +222,14 @@ def _matvec(A: NonnegMatrix, v: np.ndarray) -> np.ndarray:
     return np.bincount(A._row_indices(), weights=A._data * v[A._indices], minlength=A.n)
 
 
+def _kernel(A: NonnegMatrix):
+    """``v -> vᵀA`` with A's arrays bound once; each call returns ``_vecmat(A, v)``."""
+    if A.storage == "dense":
+        return functools.partial(np.einsum, "ij,i->j", A._dense)
+    indices, data, rows, n = A._indices, A._data, A._row_indices(), A.n
+    return lambda v: np.bincount(indices, weights=data * v[rows], minlength=n)
+
+
 def _vecmat(A: NonnegMatrix, v: np.ndarray) -> np.ndarray:
     """vᵀA, each column's terms added in ascending row order for both storages.
 
@@ -230,9 +239,18 @@ def _vecmat(A: NonnegMatrix, v: np.ndarray) -> np.ndarray:
     transposed view and BLAS ``@`` all round differently, which would break
     dense/CSR bit identity.
     """
-    if A.storage == "dense":
-        return np.einsum("ij,i->j", A._dense, v)
-    return np.bincount(A._indices, weights=A._data * v[A._row_indices()], minlength=A.n)
+    return _kernel(A)(v)
+
+
+def _work(A: NonnegMatrix) -> int:
+    """Multiply-adds in one ``_vecmat`` call: n² dense, nnz for CSR."""
+    return A.n * A.n if A.storage == "dense" else len(A._data)
+
+
+def _least_entry(A: NonnegMatrix) -> float:
+    """A's least positive entry; A must have one."""
+    data = A._dense if A.storage == "dense" else A._data
+    return float(data[data > 0].min())
 
 
 def _checked_scale(v, n) -> np.ndarray:
@@ -258,7 +276,8 @@ def rank_one_hadamard(A: NonnegMatrix, x, y) -> NonnegMatrix:
     nonzero a_ij becomes zero only where a_ij x_i y_j underflows, and is
     then not stored.  Where x_i y_i = 1 the diagonal is preserved exactly.
     No partial product overflows unless b_ij itself does; a b_ij that does
-    raises DomainError naming the first such (i, j) in row-major order.
+    raises DomainError naming the first such (i, j) in row-major order, and
+    a row or column sum of B that overflows raises as in :func:`from_dense`.
     """
     n = A.n
     x = _checked_scale(x, n)
@@ -278,7 +297,7 @@ def rank_one_hadamard(A: NonnegMatrix, x, y) -> NonnegMatrix:
         over = np.argwhere(np.isinf(B))
         if over.size:
             raise _overflow(*over[0])
-        return NonnegMatrix(n, dense=B)
+        return _finite_sums(NonnegMatrix(n, dense=B))
     rows, cols = A._row_indices(), A._indices
     data = np.ldexp(A._data * (mx[rows] * my[cols]), ex[rows] + ey[cols])
     keep = (rows == cols) & unit[rows]
@@ -286,7 +305,7 @@ def rank_one_hadamard(A: NonnegMatrix, x, y) -> NonnegMatrix:
     over = np.flatnonzero(np.isinf(data))
     if over.size:
         raise _overflow(rows[over[0]], cols[over[0]])
-    return _csr(n, rows, cols, data)
+    return _finite_sums(_csr(n, rows, cols, data))
 
 
 def tridiagonal(n: int, c: float, a: float, b: float) -> NonnegMatrix:

@@ -5,7 +5,8 @@ D_r^{-1} B D_r, where D_r is the diagonal of B's current row sums.  After t
 steps the working matrix is D^{-1} A D with D = diag(y) and y = A^t 1, and
 its row sums are the Collatz-Wielandt quotients (A y)_i / y_i.  So the
 solver never forms the scaled matrices: it runs the power recurrence
-y <- A y (normalized to max 1) and reads the sums off as r = (A y) / y.
+y <- A y, rescaled by a power of two so that max y lies in [1/2, 1), and
+reads the sums off as r = (A y) / y.
 For a primitive matrix min r rises, max r falls, and both converge to the
 dominant eigenvalue.  The balanced matrix D^{-1} A D is built from the
 final y on first access, and keeps the input's diagonal and zero pattern
@@ -18,6 +19,14 @@ it needs.  :func:`algorithm_b` picks the side, runs it and builds the
 result around y, the dominant eigenvector (of the transpose for columns).
 :func:`algorithm_a` returns no eigenvector; the stationary distribution of
 :mod:`~perronkit.markov` runs the loop alone.
+
+The loop runs its steps in blocks.  A power-of-two rescaling is exact and
+commutes with every rounding while all values stay normal, so a block of
+up to 64 steps applies the kernel to unscaled vectors, one row of an array
+each, and reads all their sums with one division and two reductions.  A
+range rule lets a block run more than one step only where no value can
+leave the normal range, so the sums and y are bit for bit those of a loop
+that rescales at every step.
 
 On matrices whose dominant eigenvalue is not strictly dominant in modulus
 (imprimitive matrices), the sums oscillate instead of converging.  When the
@@ -45,7 +54,17 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ZeroSumError
-from .matcore import GerschgorinDisc, NonnegMatrix, Side, _vecmat, rank_one_hadamard, sums
+from .matcore import (
+    GerschgorinDisc,
+    NonnegMatrix,
+    Side,
+    _kernel,
+    _least_entry,
+    _vecmat,
+    _work,
+    rank_one_hadamard,
+    sums,
+)
 from .primitivity import is_primitive
 
 __all__ = [
@@ -184,9 +203,47 @@ def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
 # the ufunc reductions, without ndarray.min's Python wrapper
 _min, _max = np.minimum.reduce, np.maximum.reduce
 
+# a block runs at most this many steps, on at most this many multiply-adds
+_BLOCK_STEPS = 64
+_BLOCK_WORK = 2**16
+# log2 of the least normal double and of 2^1024, each moved 64 bits inward
+_LOG2_FLOOR = -1022 + 64
+_LOG2_CEIL = 1024 - 64
+
+
+def _normal_steps(n: int, lo: float, hi: float, wmin: float, e: int, least: float) -> float:
+    """How many steps a block from y = w 2^-e can run with every value normal.
+
+    [lo, hi] holds the last step's sums.  Each step multiplies every entry
+    of y by a factor in [lo, hi], up to rounding: the Collatz-Wielandt
+    bounds only tighten.  Starting from min y = wmin 2^-e and max y < 1,
+    the block's unscaled rows j = 0..k lie in [min y lo^j, hi^j], and the
+    same steps rescaled to max y in [1/2, 1) keep y above
+    min y (lo / hi)^j / 2 and Kᵀ y above lo times that.  Every kernel term
+    is a factor of at least ``least`` times an entry of y, and every sum
+    lies between its least term and n max y.  64 bits of margin cover the
+    rounding.  The quotients need no check: they are the same bits at any
+    power-of-two scale.  Each bound is bits of room over bits a step uses.
+    """
+    if least <= 0:  # the least factor itself underflowed
+        return 0.0
+    a, b = math.log2(lo), math.log2(hi)
+    room = math.log2(wmin) - e + min(math.log2(least), 0.0) - _LOG2_FLOOR
+    steps = math.inf
+    for have, per_step in (
+        (room, -min(a, 0.0)),  # unscaled rows, shrinking by lo
+        (room + min(a, 0.0) - 1, b - a),  # rescaled rows, spreading by hi / lo
+        (_LOG2_CEIL - math.log2(n), max(b, 0.0)),  # unscaled rows, growing by hi
+    ):
+        if have < 0:
+            return 0.0
+        if per_step > 0:
+            steps = min(steps, have / per_step)
+    return steps
+
 
 @np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED
-def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=None):
+def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=None, *, work=0, least=None):
     """The one loop: y <- Kᵀ y from y = 1, with the sums r = (Kᵀ y) / y.
 
     ``vecmat(y)`` computes Kᵀ y for an operator K of order n; it need not
@@ -197,32 +254,55 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
     and then with the sums of each accepted step, so once per history
     entry; r belongs to the loop and must not be modified.
 
-    A step is one kernel call, two divisions (y = w / max w and
-    r = (Kᵀ y) / y) and four reductions: min and max of r, min and max of
-    w = Kᵀ y, the max only once the step is accepted.  The guard needs no
-    pass of its own and is exact.  Rounding is monotone, so min y equals
-    fl(min w / max w), computed from the extremes carried from the last
-    step.  NaN propagates through the min and max reductions and r >= 0,
-    so any NaN or inf among the quotients shows in max r.
+    Each step rescales y by an exact power of two, w 2^-e with e the
+    exponent of max w, so max y lies in [1/2, 1).  While every value stays
+    normal that scaling commutes with every rounding, so the loop runs
+    steps in blocks of k without rescaling.  One (2k + 1, n) array B holds
+    y in row 0, its images Kᵀ y, Kᵀ Kᵀ y, ... in rows 1..k, and in rows
+    k + 1..2k the k quotient rows B[j + 1] / B[j], formed by one division;
+    two axis-1 reductions then read every min and max.  The loop accepts
+    the rows in order under the unchanged stopping rule, one step each,
+    and drops those past the stop.  The sums, history and final y are bit
+    for bit those of a loop that rescales at every step.
+
+    ``work`` is the multiply-adds of one ``vecmat`` call and ``least()``
+    the least positive factor it multiplies an entry of y by; without
+    ``least`` every block is one step.  Blocks grow with t, k = min(64,
+    t + 1, steps left, 2**16 // work), so a short run computes at most
+    about twice the steps it keeps.  :func:`_normal_steps` then cuts k to
+    the steps for which it proves that no value, scaled or not, leaves the
+    normal range, and to 1 when it proves none.  ``least`` is called once,
+    the first time k > 1.
+
+    The step guard stops the run as STAGNATED, keeping the last accurate
+    step, when y or Kᵀ y has an entry below the normal range or a quotient
+    is not finite.  Rescaling is exact, so min y is min B[j] 2^-s, with s
+    the exponent of max B[j], straight from the reductions; NaN propagates
+    through them and r >= 0, so any NaN or inf among the quotients shows
+    in max r.  An inf sum makes the spread inf, which never converges.
     """
     y = np.ones(n)
-    r = w = vecmat(y)
-    zero = np.flatnonzero(r == 0)
+    w = vecmat(y)
+    zero = np.flatnonzero(w == 0)
     if zero.size:
         raise ZeroSumError(int(zero[0]), side=side.value)
 
-    rmin = [float(_min(r))]
-    rmax = [float(_max(r))]
+    rmin = [float(_min(w))]
+    rmax = [float(_max(w))]
     wmin, wmax = rmin[0], rmax[0]  # r = w on the first step
     if on_step is not None:
-        on_step(0, r)
+        on_step(0, w)
     tiny = np.finfo(np.float64).tiny
     stalled = _stall_rule(primitive, cfg)
+    budget = max(1, _BLOCK_WORK // work) if least is not None else 1
+    least_term = None  # least(), once a block of k > 1 is first considered
+    y_exp = 0  # the last accepted y is y 2^-y_exp, rescaled on return
 
-    t = 0
+    t = j = k = 0  # step t is row j of the current block of k
     while True:
         spread = rmax[-1] - rmin[-1]
-        if spread <= cfg.tolerance or spread <= math.ulp(rmax[-1]):
+        # an inf sum makes the spread inf, and math.ulp(inf) is inf too
+        if math.isfinite(spread) and (spread <= cfg.tolerance or spread <= math.ulp(rmax[-1])):
             status = Status.CONVERGED
             break
         if stalled(rmin, rmax):
@@ -232,23 +312,40 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
             status = Status.MAX_ITERATIONS
             break
 
-        y_next = w / wmax
-        w_next = vecmat(y_next)
-        r_next = w_next / y_next
-        lo, hi = _min(r_next), _max(r_next)
-        wmin_next = _min(w_next)
+        if j == k:  # the block is used up: run the next one from w
+            e = math.frexp(wmax)[1]
+            k = min(_BLOCK_STEPS, t + 1, cfg.max_iterations - t, budget)
+            if k > 1:
+                least_term = least() if least_term is None else least_term
+                steps = _normal_steps(n, rmin[-1], rmax[-1], wmin, e, least_term)
+                k = max(1, int(min(k, steps)))
+            # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients
+            B = np.empty((2 * k + 1, n))
+            np.ldexp(w, -e, out=B[0])
+            for i in range(k):
+                B[i + 1] = vecmat(B[i])
+            np.divide(B[1 : k + 1], B[:k], out=B[k + 1 :])
+            lows, highs = _min(B, 1).tolist(), _max(B, 1).tolist()
+            j = 0
+
+        lo, hi = lows[k + 1 + j], highs[k + 1 + j]
         # below the normal range y and w lose precision, and the quotients
         # lose monotonicity or turn inf or nan; keep the last accurate step
-        if min(wmin / wmax, wmin_next) < tiny or not math.isfinite(hi):
+        s = math.frexp(highs[j])[1]
+        if min(math.ldexp(lows[j], -s), math.ldexp(lows[j + 1], -s)) < tiny or not math.isfinite(hi):
             status = Status.STAGNATED
             break
-        y, w, wmin, wmax = y_next, w_next, wmin_next, _max(w_next)
+        y, y_exp = B[j], s
+        w, wmin, wmax = B[j + 1], lows[j + 1], highs[j + 1]
         t += 1
-        rmin.append(float(lo))
-        rmax.append(float(hi))
+        rmin.append(lo)
+        rmax.append(hi)
         if on_step is not None:
-            on_step(t, r_next)
+            on_step(t, B[k + 1 + j])
+        j += 1
 
+    if y_exp:  # a block's first row is rescaled already
+        y = np.ldexp(y, -y_exp)
     return y, t, status, ConvergenceHistory(rmin=np.array(rmin), rmax=np.array(rmax))
 
 
@@ -276,7 +373,8 @@ def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
     # primitive together, so the exact test runs on K.
     K = transpose() if side is Side.ROW else A
     y, t, status, history = _iterate(
-        functools.partial(_vecmat, K), K.n, functools.partial(is_primitive, K), side, cfg, on_step
+        _kernel(K), K.n, functools.partial(is_primitive, K), side, cfg, on_step,
+        work=_work(K), least=functools.partial(_least_entry, K),
     )
     lo, hi = float(history.rmin[-1]), float(history.rmax[-1])
     return PerronResult(

@@ -6,8 +6,10 @@ recursion, primitivity from stepwise boolean powers, irreducibility from a
 boolean transitive closure, stationary vectors from a linear solve, and
 eigenvalues from numpy's dense QR solver.  A damped chain is written out as
 the n×n matrix it stands for.  The reference balancing loop shares only the
-kernel and the stall rule with the solver and spells out its step with one
-reduction per guard.  The dense vᵀA is one n×n product reduced over axis 0,
+kernel and the stall rule with the solver.  It runs one step at a time,
+rescaling y by a power of two at every step, where the solver runs blocks
+of steps between rescalings, and spells out each step with one reduction
+per guard.  The dense vᵀA is one n×n product reduced over axis 0,
 and Matrix Market files are written one value at a time.
 """
 
@@ -93,16 +95,23 @@ def damped_dense(P) -> np.ndarray:
 
 
 def reference_iterate(K, cfg):
-    """The balancing loop y <- Kᵀ y, written out with a pass per guard.
+    """The balancing loop y <- Kᵀ y on a matrix K; see :func:`reference_loop`."""
+    return reference_loop(functools.partial(_vecmat, K), K.n, functools.partial(is_primitive, K), cfg)
 
-    Returns (y, iterations, status, rmin, rmax), or None when some sum of
-    K is zero and the solver raises.  Every step reduces y and w = Kᵀ y
-    afresh and tests every quotient for finiteness.
+
+def reference_loop(vecmat, n, primitive, cfg):
+    """The balancing loop y <- Kᵀ y one step at a time, with a pass per guard.
+
+    ``vecmat(y)`` computes Kᵀ y and ``primitive()`` answers whether K is
+    primitive.  Returns (y, iterations, status, rmin, rmax), or None when
+    some sum of K is zero and the solver raises.  Every step rescales w by
+    2^-e, e the exponent of max w, reduces y and w = Kᵀ y afresh and tests
+    every quotient for finiteness.
     """
     tiny = np.finfo(np.float64).tiny
-    stalled = _stall_rule(functools.partial(is_primitive, K), cfg)
-    y = np.ones(K.n)
-    r = w = _vecmat(K, y)
+    stalled = _stall_rule(primitive, cfg)
+    y = np.ones(n)
+    r = w = vecmat(y)
     if (r == 0).any():
         return None
     rmin, rmax = [float(r.min())], [float(r.max())]
@@ -110,7 +119,7 @@ def reference_iterate(K, cfg):
     with np.errstate(all="ignore"):
         while True:
             spread = rmax[-1] - rmin[-1]
-            if spread <= cfg.tolerance or spread <= math.ulp(rmax[-1]):
+            if math.isfinite(spread) and (spread <= cfg.tolerance or spread <= math.ulp(rmax[-1])):
                 status = Status.CONVERGED
                 break
             if stalled(rmin, rmax):
@@ -119,8 +128,8 @@ def reference_iterate(K, cfg):
             if t >= cfg.max_iterations:
                 status = Status.MAX_ITERATIONS
                 break
-            y_next = w / w.max()
-            w = _vecmat(K, y_next)
+            y_next = np.ldexp(w, -np.frexp(w.max())[1])
+            w = vecmat(y_next)
             r = w / y_next
             if min(y_next.min(), w.min()) < tiny or not np.isfinite(r).all():
                 status = Status.STAGNATED

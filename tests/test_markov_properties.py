@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import damped_dense, stationary_linear_solve
+from oracles import damped_dense, reference_loop, stationary_linear_solve
 from perronkit import (
     Side,
     SolverConfig,
@@ -21,6 +21,7 @@ from perronkit import (
     make_stochastic,
     stationary,
 )
+from perronkit.markov import _operator
 from perronkit.matcore import _vecmat
 from perronkit.primitivity import is_primitive
 from perronkit.solver import _iterate
@@ -83,3 +84,27 @@ def test_implicit_damping_matches_the_dense_damped_chain(P, alpha):
         assert np.abs(dist.u - ref).max() <= bound
         if t != dist.iterations:
             assert np.abs(u - ref).max() <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    P=sparse_chains(),
+    alpha=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(-300.0, -1e-9).map(lambda e: 10.0**e),
+    ),
+    cap=st.integers(1, 4000),
+)
+@example(P=ONE_STEP_APART, alpha=1e-300, cap=4000)
+@example(P=ONE_STEP_APART, alpha=0.999, cap=4000)
+def test_blocked_damped_loop_matches_the_reference_loop(P, alpha, cap):
+    # a tolerance below the rounding floor runs slowly mixing chains long
+    cfg = SolverConfig(tolerance=1e-300, max_iterations=cap)
+    for matrix in (P.matrix, from_dense(P.matrix.to_dense())):
+        vecmat, work, least = _operator(damp(StochasticMatrix(matrix), alpha))
+        y_ref, t_ref, status_ref, rmin_ref, rmax_ref = reference_loop(vecmat, P.n, lambda: True, cfg)
+        y, t, status, history = _iterate(vecmat, P.n, lambda: True, Side.COLUMN, cfg, work=work, least=least)
+        assert (t, status) == (t_ref, status_ref)
+        assert y.tobytes() == y_ref.tobytes()
+        assert history.rmin.tobytes() == rmin_ref.tobytes()
+        assert history.rmax.tobytes() == rmax_ref.tobytes()

@@ -165,6 +165,15 @@ class TestRankOneHadamard:
         with pytest.raises(DomainError, match=r"entry \(0, 0\) overflows"):
             rank_one_hadamard(from_dense([[1e300, 1.0], [1.0, 1.0]]), [1e10, 1.0], [1e10, 1.0])
 
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_sum_that_overflows_raises(self, storage):
+        # every entry of B is finite, but row 0 sums to 9.5e307 + 9.5e307
+        arr = np.array([[5e307, 5e307], [1.0, 1.0]])
+        nz = np.nonzero(arr)
+        A = from_dense(arr) if storage == "dense" else from_coordinates(2, *nz, arr[nz])
+        with pytest.raises(DomainError, match="row 0 sum overflows"):
+            rank_one_hadamard(A, [1.9, 1.0], [1.0, 1.0])
+
 
 class TestDiagSimilarity:
     """The reciprocal pair (1/d, d): b_ij = a_ij d_j / d_i, a similarity."""

@@ -25,6 +25,7 @@ from perronkit import (
     tridiagonal,
 )
 from perronkit.errors import DomainError
+from perronkit.matcore import NonnegMatrix, _csr
 from perronkit.solver import _STAGNATION_WINDOW, _stagnant
 
 
@@ -189,6 +190,29 @@ class TestStoppingRules:
         res = algorithm_a(periodic3, cfg)
         assert res.status is Status.STAGNATED
         assert res.iterations <= _STAGNATION_WINDOW + 5
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_infinite_sums_never_converge(self, storage):
+        # built past validation: row 0 of the input sums to inf, so the spread is inf
+        arr = np.array([[9.5e307, 9.5e307], [1.0, 1.0]])
+        nz = np.nonzero(arr)
+        A = NonnegMatrix(2, dense=arr) if storage == "dense" else _csr(2, *nz, arr[nz])
+        res = algorithm_a(A, SolverConfig(side=Side.ROW))
+        assert res.status is Status.STAGNATED and res.iterations == 0
+        assert res.root_hi == math.inf
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_capped_run_takes_every_step_to_the_cap(self, storage):
+        T = tridiagonal(50, 1.0, 3.0, 2.0)  # about 5 900 steps to converge
+        if storage == "dense":
+            T = from_dense(T.to_dense())
+        steps = []
+        res = algorithm_b(T, SolverConfig(max_iterations=100), on_step=collect(steps))
+        assert res.status is Status.MAX_ITERATIONS and res.iterations == 100
+        assert len(res.history) == 101
+        assert [t for t, _ in steps] == list(range(101))
+        assert [r.min() for _, r in steps] == res.history.rmin.tolist()
+        assert [r.max() for _, r in steps] == res.history.rmax.tolist()
 
 
 class TestStagnant:

@@ -24,7 +24,7 @@ from perronkit import (
     from_dense,
     rank_one_hadamard,
 )
-from perronkit.matcore import _vecmat
+from perronkit.matcore import _kernel, _least_entry, _vecmat, _work
 from perronkit.primitivity import is_primitive
 from perronkit.solver import _iterate
 
@@ -84,8 +84,8 @@ def test_results_are_finite_and_enclosure_is_monotone(A, solve, side):
 @example(A=TINY_Y, side=Side.ROW)
 @example(A=QUOTIENT_OVERFLOW, side=Side.ROW)
 def test_loop_matches_reference_loop(A, side):
-    # the solver's step carries the extremes of w from step to step and
-    # reads every guard off four reductions; the reference recomputes each
+    # the solver carries the extremes of w from step to step and reads every
+    # guard off its block's two reductions; the reference recomputes each
     cfg = SolverConfig(max_iterations=500)
     K = A.transpose() if side is Side.ROW else A
     expected = reference_iterate(K, cfg)
@@ -102,6 +102,71 @@ def test_loop_matches_reference_loop(A, side):
     assert y.tobytes() == y_ref.tobytes()
     assert history.rmin.tobytes() == rmin_ref.tobytes()
     assert history.rmax.tobytes() == rmax_ref.tobytes()
+
+
+def blocked_iterate(K, cfg):
+    """The loop on K's columns with the block inputs algorithm_b passes."""
+    return _iterate(
+        _kernel(K), K.n, functools.partial(is_primitive, K), Side.COLUMN, cfg,
+        work=_work(K), least=functools.partial(_least_entry, K),
+    )
+
+
+def assert_same_run(got, expected):
+    y, t, status, history = got
+    y_ref, t_ref, status_ref, rmin_ref, rmax_ref = expected
+    assert (t, status) == (t_ref, status_ref)
+    assert y.tobytes() == y_ref.tobytes()
+    assert history.rmin.tobytes() == rmin_ref.tobytes()
+    assert history.rmax.tobytes() == rmax_ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=hostile_matrices(), side=st.sampled_from([Side.ROW, Side.COLUMN]))
+@example(A=SUBNORMAL_AY, side=Side.COLUMN)
+@example(A=TINY_Y, side=Side.ROW)
+@example(A=QUOTIENT_OVERFLOW, side=Side.ROW)
+def test_blocked_solve_matches_reference_loop(A, side):
+    # algorithm_b runs blocks of up to 64 steps wherever the range rule allows
+    cfg = SolverConfig(max_iterations=500, side=side)
+    K = A.transpose() if side is Side.ROW else A
+    expected = reference_iterate(K, cfg)
+    if expected is None:
+        with pytest.raises(ZeroSumError):
+            algorithm_b(A, cfg)
+        return
+    res = algorithm_b(A, cfg)
+    assert_same_run((res._y, res.iterations, res.status, res.history), expected)
+
+
+@st.composite
+def tridiagonal_bands(draw):
+    """Order 5..120, each band 10^s times factors in [1, 4), s in [-3, 3] or [-300, 300].
+
+    Bands near 1 run blocks of 64 steps; bands far from 1, or far apart,
+    make the range rule fall back to single steps, and may take y out of
+    the normal range.  The diagonal may be zero (period 2).
+    """
+    n = draw(st.integers(5, 120))
+    entries = []
+    for offset in (-1, 0, 1):
+        if offset == 0 and draw(st.booleans()):
+            continue
+        scale = 10.0 ** draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-300.0, 300.0)))
+        factors = draw(st.lists(st.floats(1.0, 4.0, exclude_max=True), min_size=n - abs(offset), max_size=n - abs(offset)))
+        i = np.arange(max(0, -offset), n - max(0, offset))
+        entries.append((i, i + offset, scale * np.array(factors)))
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*entries))
+    return from_coordinates(n, rows, cols, vals)
+
+
+@settings(max_examples=30, deadline=None)
+@given(A=tridiagonal_bands(), cap=st.integers(1, 4000))
+def test_blocked_loop_matches_reference_on_long_runs(A, cap):
+    cfg = SolverConfig(max_iterations=cap)
+    expected = reference_iterate(A, cfg)
+    assert_same_run(blocked_iterate(A, cfg), expected)
+    assert_same_run(blocked_iterate(from_dense(A.to_dense()), cfg), expected)
 
 
 @settings(max_examples=200, deadline=None)
