@@ -223,27 +223,23 @@ def _matvec(A: NonnegMatrix, v: np.ndarray) -> np.ndarray:
 
 
 def _kernel(A: NonnegMatrix):
-    """``v -> vᵀA`` with A's arrays bound once; each call returns ``_vecmat(A, v)``."""
-    if A.storage == "dense":
-        return functools.partial(np.einsum, "ij,i->j", A._dense)
-    indices, data, rows, n = A._indices, A._data, A._row_indices(), A.n
-    return lambda v: np.bincount(indices, weights=data * v[rows], minlength=n)
+    """``v -> vᵀA`` with A's arrays bound once.
 
-
-def _vecmat(A: NonnegMatrix, v: np.ndarray) -> np.ndarray:
-    """vᵀA, each column's terms added in ascending row order for both storages.
-
+    Each column's terms are added in ascending row order for both storages.
     Only this einsum on the C-contiguous array, called without ``optimize``,
     adds in the same order as the CSR bincount: it accumulates row after row
     into the output and fuses no multiply-add.  Reductions over axis 1 or a
     transposed view and BLAS ``@`` all round differently, which would break
     dense/CSR bit identity.
     """
-    return _kernel(A)(v)
+    if A.storage == "dense":
+        return functools.partial(np.einsum, "ij,i->j", A._dense)
+    indices, data, rows, n = A._indices, A._data, A._row_indices(), A.n
+    return lambda v: np.bincount(indices, weights=data * v[rows], minlength=n)
 
 
 def _work(A: NonnegMatrix) -> int:
-    """Multiply-adds in one ``_vecmat`` call: n² dense, nnz for CSR."""
+    """Multiply-adds in one ``_kernel(A)`` call: n² dense, nnz for CSR."""
     return A.n * A.n if A.storage == "dense" else len(A._data)
 
 

@@ -60,7 +60,6 @@ from .matcore import (
     Side,
     _kernel,
     _least_entry,
-    _vecmat,
     _work,
     rank_one_hadamard,
     sums,
@@ -181,8 +180,18 @@ def _stall_rule(primitive, cfg: SolverConfig):
     thunk ``primitive()`` says the operator is not primitive.  The thunk
     runs at most once.
     """
-    primitive = functools.cache(primitive)
-    return lambda rmin, rmax: _stagnant(rmin, rmax, cfg) and not primitive()
+    # primitive()'s answer, once asked; a functools.cache would take about
+    # 6 µs to build, a tenth of a one-step solve
+    verdict = []
+
+    def stop(rmin, rmax):
+        if not _stagnant(rmin, rmax, cfg):
+            return False
+        if not verdict:
+            verdict.append(primitive())
+        return not verdict[0]
+
+    return stop
 
 
 def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
@@ -197,7 +206,7 @@ def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
     A, y = result._A, result._y
     K = A.transpose() if result.side_used is Side.ROW else A
     centers = A.diagonal()
-    return [GerschgorinDisc(float(c), float(s - c)) for c, s in zip(centers, _vecmat(K, y) / y)]
+    return [GerschgorinDisc(float(c), float(s - c)) for c, s in zip(centers, _kernel(K)(y) / y)]
 
 
 # the ufunc reductions, without ndarray.min's Python wrapper
@@ -243,7 +252,7 @@ def _normal_steps(n: int, lo: float, hi: float, wmin: float, e: int, least: floa
 
 
 @np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED
-def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=None, *, work=0, least=None):
+def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=None, *, work: int, least):
     """The one loop: y <- Kᵀ y from y = 1, with the sums r = (Kᵀ y) / y.
 
     ``vecmat(y)`` computes Kᵀ y for an operator K of order n; it need not
@@ -260,26 +269,29 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
     steps in blocks of k without rescaling.  One (2k + 1, n) array B holds
     y in row 0, its images Kᵀ y, Kᵀ Kᵀ y, ... in rows 1..k, and in rows
     k + 1..2k the k quotient rows B[j + 1] / B[j], formed by one division;
-    two axis-1 reductions then read every min and max.  The loop accepts
-    the rows in order under the unchanged stopping rule, one step each,
-    and drops those past the stop.  The sums, history and final y are bit
-    for bit those of a loop that rescales at every step.
+    two axis-1 reductions over rows 1..2k then read every min and max.
+    Row 0's extremes need no pass: rounding is monotone, so they are those
+    of w times 2^-e.  The loop accepts the rows in order under the
+    unchanged stopping rule, one step each, and drops those past the stop.
+    The sums, history and final y are bit for bit those of a loop that
+    rescales at every step.
 
     ``work`` is the multiply-adds of one ``vecmat`` call and ``least()``
-    the least positive factor it multiplies an entry of y by; without
-    ``least`` every block is one step.  Blocks grow with t, k = min(64,
-    t + 1, steps left, 2**16 // work), so a short run computes at most
-    about twice the steps it keeps.  :func:`_normal_steps` then cuts k to
-    the steps for which it proves that no value, scaled or not, leaves the
-    normal range, and to 1 when it proves none.  ``least`` is called once,
-    the first time k > 1.
+    the least positive factor it multiplies an entry of y by.  Blocks grow
+    with t, k = min(64, t + 1, steps left, 2**16 // work), so a short run
+    computes at most about twice the steps it keeps.  :func:`_normal_steps`
+    then cuts k to the steps for which it proves that no value, scaled or
+    not, leaves the normal range.  Where it proves none, the next 1, 2, 4,
+    ... up to 64 steps run one at a time before it is asked again.
+    ``least`` is called once, the first time k > 1.
 
     The step guard stops the run as STAGNATED, keeping the last accurate
     step, when y or Kᵀ y has an entry below the normal range or a quotient
     is not finite.  Rescaling is exact, so min y is min B[j] 2^-s, with s
-    the exponent of max B[j], straight from the reductions; NaN propagates
-    through them and r >= 0, so any NaN or inf among the quotients shows
-    in max r.  An inf sum makes the spread inf, which never converges.
+    the exponent of max B[j], both carried from the last step; NaN
+    propagates through the reductions and r >= 0, so any NaN or inf among
+    the quotients shows in max r.  An inf sum makes the spread inf, which
+    never converges.
     """
     y = np.ones(n)
     w = vecmat(y)
@@ -294,49 +306,66 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
         on_step(0, w)
     tiny = np.finfo(np.float64).tiny
     stalled = _stall_rule(primitive, cfg)
-    budget = max(1, _BLOCK_WORK // work) if least is not None else 1
+    budget = max(1, _BLOCK_WORK // work)
     least_term = None  # least(), once a block of k > 1 is first considered
+    wait, backoff = 0, 1  # single steps before the range rule is asked again
     y_exp = 0  # the last accepted y is y 2^-y_exp, rescaled on return
 
+    tolerance, cap = cfg.tolerance, cfg.max_iterations
     t = j = k = 0  # step t is row j of the current block of k
     while True:
         spread = rmax[-1] - rmin[-1]
         # an inf sum makes the spread inf, and math.ulp(inf) is inf too
-        if math.isfinite(spread) and (spread <= cfg.tolerance or spread <= math.ulp(rmax[-1])):
+        if math.isfinite(spread) and (spread <= tolerance or spread <= math.ulp(rmax[-1])):
             status = Status.CONVERGED
             break
         if stalled(rmin, rmax):
             status = Status.STAGNATED
             break
-        if t >= cfg.max_iterations:
+        if t >= cap:
             status = Status.MAX_ITERATIONS
             break
 
         if j == k:  # the block is used up: run the next one from w
             e = math.frexp(wmax)[1]
-            k = min(_BLOCK_STEPS, t + 1, cfg.max_iterations - t, budget)
-            if k > 1:
+            k = min(_BLOCK_STEPS, t + 1, cap - t, budget)
+            if k > 1 and wait:
+                k, wait = 1, wait - 1
+            elif k > 1:
                 least_term = least() if least_term is None else least_term
-                steps = _normal_steps(n, rmin[-1], rmax[-1], wmin, e, least_term)
-                k = max(1, int(min(k, steps)))
-            # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients
-            B = np.empty((2 * k + 1, n))
-            np.ldexp(w, -e, out=B[0])
-            for i in range(k):
-                B[i + 1] = vecmat(B[i])
-            np.divide(B[1 : k + 1], B[:k], out=B[k + 1 :])
-            lows, highs = _min(B, 1).tolist(), _max(B, 1).tolist()
+                k = max(1, int(min(k, _normal_steps(n, rmin[-1], rmax[-1], wmin, e, least_term))))
+                wait, backoff = (backoff, min(2 * backoff, _BLOCK_STEPS)) if k == 1 else (0, 1)
+            # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients.
+            # mins[i] and maxs[i] belong to row i + 1.
+            if k == 1:  # the same rows, without the copies and slices of an array
+                y1 = np.ldexp(w, -e)
+                w1 = vecmat(y1)
+                r1 = w1 / y1
+                B = (y1, w1, r1)
+                # the sums go into the history as Python floats, as .tolist() gives them
+                mins, maxs = [_min(w1), float(_min(r1))], [_max(w1), float(_max(r1))]
+            else:
+                B = np.empty((2 * k + 1, n))
+                np.ldexp(w, -e, out=B[0])
+                for i in range(k):
+                    B[i + 1] = vecmat(B[i])
+                np.divide(B[1 : k + 1], B[:k], out=B[k + 1 :])
+                mins, maxs = _min(B[1:], 1).tolist(), _max(B[1:], 1).tolist()
+            # row 0 is y itself, and min y is min w 2^-e: rounding is monotone
+            s, ymin = 0, math.ldexp(wmin, -e)
             j = 0
 
-        lo, hi = lows[k + 1 + j], highs[k + 1 + j]
+        lo, hi = mins[k + j], maxs[k + j]
+        if j:  # row j is y 2^s, and its extremes are wmin and wmax
+            s = math.frexp(wmax)[1]
+            ymin = math.ldexp(wmin, -s)
         # below the normal range y and w lose precision, and the quotients
         # lose monotonicity or turn inf or nan; keep the last accurate step
-        s = math.frexp(highs[j])[1]
-        if min(math.ldexp(lows[j], -s), math.ldexp(lows[j + 1], -s)) < tiny or not math.isfinite(hi):
+        if min(ymin, math.ldexp(mins[j], -s)) < tiny or not math.isfinite(hi):
             status = Status.STAGNATED
             break
         y, y_exp = B[j], s
-        w, wmin, wmax = B[j + 1], lows[j + 1], highs[j + 1]
+        w, wmin, wmax = B[j + 1], mins[j], maxs[j]
         t += 1
         rmin.append(lo)
         rmax.append(hi)
@@ -369,7 +398,7 @@ def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
     if side is None:
         rows = sums(transpose(), Side.COLUMN) if A.storage == "dense" else sums(A, Side.ROW)
         side = _smaller_range(rows, sums(A, Side.COLUMN))
-    # _vecmat(K, y) is yᵀK: A y for rows, Aᵀ y for columns.  K and Kᵀ are
+    # _kernel(K)(y) is yᵀK: A y for rows, Aᵀ y for columns.  K and Kᵀ are
     # primitive together, so the exact test runs on K.
     K = transpose() if side is Side.ROW else A
     y, t, status, history = _iterate(

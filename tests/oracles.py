@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from perronkit.matcore import _vecmat
+from perronkit.matcore import _kernel
 from perronkit.primitivity import is_primitive
 from perronkit.solver import Status, _stall_rule
 
@@ -96,7 +96,7 @@ def damped_dense(P) -> np.ndarray:
 
 def reference_iterate(K, cfg):
     """The balancing loop y <- Kᵀ y on a matrix K; see :func:`reference_loop`."""
-    return reference_loop(functools.partial(_vecmat, K), K.n, functools.partial(is_primitive, K), cfg)
+    return reference_loop(_kernel(K), K.n, functools.partial(is_primitive, K), cfg)
 
 
 def reference_loop(vecmat, n, primitive, cfg):

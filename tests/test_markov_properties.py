@@ -22,7 +22,7 @@ from perronkit import (
     stationary,
 )
 from perronkit.markov import _operator
-from perronkit.matcore import _vecmat
+from perronkit.matcore import _kernel, _least_entry, _work
 from perronkit.primitivity import is_primitive
 from perronkit.solver import _iterate
 
@@ -71,8 +71,10 @@ def test_implicit_damping_matches_the_dense_damped_chain(P, alpha):
     # each loop rounds by about n*eps a step, amplified by at most 1/(1 - alpha).
     # That rounding can move the stop by one step.
     K = from_dense(damped_dense(damped))
-    vecmat, primitive = functools.partial(_vecmat, K), functools.partial(is_primitive, K)
-    y, t, status, _ = _iterate(vecmat, K.n, primitive, Side.COLUMN, cfg)
+    y, t, status, _ = _iterate(
+        _kernel(K), K.n, functools.partial(is_primitive, K), Side.COLUMN, cfg,
+        work=_work(K), least=functools.partial(_least_entry, K),
+    )
     u = y / y.sum()
     assert status is dist.status and abs(t - dist.iterations) <= 1
     if t == dist.iterations:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import vecmat_unblocked
 from perronkit import from_coordinates, from_dense
-from perronkit.matcore import _vecmat
+from perronkit.matcore import _kernel
 
 
 @settings(max_examples=100, deadline=None)
@@ -23,10 +23,10 @@ def test_dense_vecmat_is_the_unblocked_reduction_bit_for_bit(n, density, seed):
     rng = np.random.default_rng(seed)
     D = np.where(rng.random((n, n)) < density, np.exp(rng.uniform(-30.0, 30.0, (n, n))), 0.0)
     v = np.exp(rng.uniform(-30.0, 30.0, n))
-    got = _vecmat(from_dense(D), v)
+    got = _kernel(from_dense(D))(v)
     assert got.tobytes() == vecmat_unblocked(D, v).tobytes()
     i, j = np.nonzero(D)
-    assert got.tobytes() == _vecmat(from_coordinates(n, i, j, D[i, j]), v).tobytes()
+    assert got.tobytes() == _kernel(from_coordinates(n, i, j, D[i, j]))(v).tobytes()
 
 
 def test_dense_vecmat_fuses_no_multiply_add():
@@ -35,8 +35,8 @@ def test_dense_vecmat_fuses_no_multiply_add():
     eps = 2.0**-30
     D = np.array([[1.0, 0.0], [1.0 + eps, 0.0]])
     v = np.array([-1.0, 1.0 - eps])
-    got = _vecmat(from_dense(D), v)
+    got = _kernel(from_dense(D))(v)
     assert got.tobytes() == np.zeros(2).tobytes()
     assert got.tobytes() == vecmat_unblocked(D, v).tobytes()
     i, j = np.nonzero(D)
-    assert got.tobytes() == _vecmat(from_coordinates(2, i, j, D[i, j]), v).tobytes()
+    assert got.tobytes() == _kernel(from_coordinates(2, i, j, D[i, j]))(v).tobytes()

@@ -24,7 +24,7 @@ from perronkit import (
     from_dense,
     rank_one_hadamard,
 )
-from perronkit.matcore import _kernel, _least_entry, _vecmat, _work
+from perronkit.matcore import _kernel, _least_entry, _work
 from perronkit.primitivity import is_primitive
 from perronkit.solver import _iterate
 
@@ -84,30 +84,23 @@ def test_results_are_finite_and_enclosure_is_monotone(A, solve, side):
 @example(A=TINY_Y, side=Side.ROW)
 @example(A=QUOTIENT_OVERFLOW, side=Side.ROW)
 def test_loop_matches_reference_loop(A, side):
-    # the solver carries the extremes of w from step to step and reads every
-    # guard off its block's two reductions; the reference recomputes each
+    # the solver runs blocks of up to 64 steps wherever the range rule allows,
+    # carries the extremes of w from step to step and reads every guard off
+    # its block's two reductions; the reference recomputes each every step
     cfg = SolverConfig(max_iterations=500)
     K = A.transpose() if side is Side.ROW else A
     expected = reference_iterate(K, cfg)
-    loop = functools.partial(
-        _iterate, functools.partial(_vecmat, K), K.n, functools.partial(is_primitive, K), side, cfg
-    )
     if expected is None:
         with pytest.raises(ZeroSumError):
-            loop()
+            blocked_iterate(K, cfg, side)
         return
-    y, t, status, history = loop()
-    y_ref, t_ref, status_ref, rmin_ref, rmax_ref = expected
-    assert (t, status) == (t_ref, status_ref)
-    assert y.tobytes() == y_ref.tobytes()
-    assert history.rmin.tobytes() == rmin_ref.tobytes()
-    assert history.rmax.tobytes() == rmax_ref.tobytes()
+    assert_same_run(blocked_iterate(K, cfg, side), expected)
 
 
-def blocked_iterate(K, cfg):
+def blocked_iterate(K, cfg, side=Side.COLUMN):
     """The loop on K's columns with the block inputs algorithm_b passes."""
     return _iterate(
-        _kernel(K), K.n, functools.partial(is_primitive, K), Side.COLUMN, cfg,
+        _kernel(K), K.n, functools.partial(is_primitive, K), side, cfg,
         work=_work(K), least=functools.partial(_least_entry, K),
     )
 
@@ -119,24 +112,6 @@ def assert_same_run(got, expected):
     assert y.tobytes() == y_ref.tobytes()
     assert history.rmin.tobytes() == rmin_ref.tobytes()
     assert history.rmax.tobytes() == rmax_ref.tobytes()
-
-
-@settings(max_examples=200, deadline=None)
-@given(A=hostile_matrices(), side=st.sampled_from([Side.ROW, Side.COLUMN]))
-@example(A=SUBNORMAL_AY, side=Side.COLUMN)
-@example(A=TINY_Y, side=Side.ROW)
-@example(A=QUOTIENT_OVERFLOW, side=Side.ROW)
-def test_blocked_solve_matches_reference_loop(A, side):
-    # algorithm_b runs blocks of up to 64 steps wherever the range rule allows
-    cfg = SolverConfig(max_iterations=500, side=side)
-    K = A.transpose() if side is Side.ROW else A
-    expected = reference_iterate(K, cfg)
-    if expected is None:
-        with pytest.raises(ZeroSumError):
-            algorithm_b(A, cfg)
-        return
-    res = algorithm_b(A, cfg)
-    assert_same_run((res._y, res.iterations, res.status, res.history), expected)
 
 
 @st.composite
@@ -182,7 +157,7 @@ def test_lazy_balanced_is_the_rank_one_product_of_the_final_y(A, solve, side):
     cfg = SolverConfig(side=side, max_iterations=500)
     K = A.transpose() if side is Side.ROW else A
     try:
-        y = _iterate(functools.partial(_vecmat, K), K.n, functools.partial(is_primitive, K), side, cfg)[0]
+        y = blocked_iterate(K, cfg, side)[0]
     except ZeroSumError:
         return
     x = np.reciprocal(y)
