@@ -10,6 +10,7 @@ matrix produce bit-identical sums.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -135,6 +136,13 @@ def _csr(n, rows, cols, values) -> NonnegMatrix:
     return NonnegMatrix(n, indptr=indptr, indices=cols[keep], data=values[keep])
 
 
+def _order(n, least: int = 1) -> int:
+    """n as an int, if it is an integer order >= least; numpy integers count, bools do not."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < least:
+        raise NotSquareError(f"order must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
 def _validated_array(rows) -> np.ndarray:
     try:
         arr = np.asarray(rows, dtype=np.float64, order="C")  # axis-0 reductions rely on row-major
@@ -179,8 +187,7 @@ def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
     Duplicate coordinates (an explicit zero among them) and row or column
     sums that overflow are rejected; explicit zeros are then dropped.
     """
-    if n < 1:
-        raise NotSquareError(f"order must be >= 1, got {n}")
+    n = _order(n)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
@@ -310,8 +317,7 @@ def tridiagonal(n: int, c: float, a: float, b: float) -> NonnegMatrix:
     A zero band stores no entries; a negative or non-finite band value is
     rejected at its first entry, (1, 0), (0, 0) or (0, 1).
     """
-    if n < 2:
-        raise NotSquareError(f"tridiagonal matrix needs order >= 2, got {n}")
+    n = _order(n, 2)
     i = np.arange(n)
     rows = np.concatenate((i[1:], i, i[:-1]))
     cols = np.concatenate((i[:-1], i, i[1:]))
@@ -333,8 +339,7 @@ def random_primitive(n, density=0.5, rng=None, low=0.2, high=2.0) -> NonnegMatri
     A spanning cycle is always present, so the pattern is strongly connected;
     with the positive diagonal the matrix is primitive by construction.
     """
-    if n < 1:
-        raise NotSquareError(f"order must be >= 1, got {n}")
+    n = _order(n)
     rng = np.random.default_rng(rng)
     mask = rng.random((n, n)) < density
     arr = np.where(mask, rng.uniform(low, high, (n, n)), 0.0)

@@ -269,29 +269,28 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
     steps in blocks of k without rescaling.  One (2k + 1, n) array B holds
     y in row 0, its images Kᵀ y, Kᵀ Kᵀ y, ... in rows 1..k, and in rows
     k + 1..2k the k quotient rows B[j + 1] / B[j], formed by one division;
-    two axis-1 reductions over rows 1..2k then read every min and max.
-    Row 0's extremes need no pass: rounding is monotone, so they are those
-    of w times 2^-e.  The loop accepts the rows in order under the
-    unchanged stopping rule, one step each, and drops those past the stop.
-    The sums, history and final y are bit for bit those of a loop that
-    rescales at every step.
+    two axis-1 reductions over all 2k + 1 rows then read every min and max.
+    A block of one step runs the same way.  The loop accepts the rows in
+    order under the unchanged stopping rule, one step each, and drops those
+    past the stop.  The sums, history and final y are bit for bit those of
+    a loop that rescales at every step.
 
     ``work`` is the multiply-adds of one ``vecmat`` call and ``least()``
     the least positive factor it multiplies an entry of y by.  Blocks grow
     with t, k = min(64, t + 1, steps left, 2**16 // work), so a short run
     computes at most about twice the steps it keeps.  :func:`_normal_steps`
     then cuts k to the steps for which it proves that no value, scaled or
-    not, leaves the normal range.  Where it proves none, the next 1, 2, 4,
-    ... up to 64 steps run one at a time before it is asked again.
+    not, leaves the normal range, and is asked again at the next block.
     ``least`` is called once, the first time k > 1.
 
     The step guard stops the run as STAGNATED, keeping the last accurate
     step, when y or Kᵀ y has an entry below the normal range or a quotient
-    is not finite.  Rescaling is exact, so min y is min B[j] 2^-s, with s
-    the exponent of max B[j], both carried from the last step; NaN
-    propagates through the reductions and r >= 0, so any NaN or inf among
-    the quotients shows in max r.  An inf sum makes the spread inf, which
-    never converges.
+    is not finite.  Every row j is handled alike: rescaling is exact, so
+    min y and min Kᵀ y are min B[j] 2^-s and min B[j + 1] 2^-s, with s the
+    exponent of max B[j], which is 0 for row 0 as it is rescaled already.
+    NaN propagates through the reductions and r >= 0, so any NaN or inf
+    among the quotients shows in max r.  An inf sum makes the spread inf,
+    which never converges.
     """
     y = np.ones(n)
     w = vecmat(y)
@@ -308,7 +307,6 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
     stalled = _stall_rule(primitive, cfg)
     budget = max(1, _BLOCK_WORK // work)
     least_term = None  # least(), once a block of k > 1 is first considered
-    wait, backoff = 0, 1  # single steps before the range rule is asked again
     y_exp = 0  # the last accepted y is y 2^-y_exp, rescaled on return
 
     tolerance, cap = cfg.tolerance, cfg.max_iterations
@@ -329,43 +327,28 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
         if j == k:  # the block is used up: run the next one from w
             e = math.frexp(wmax)[1]
             k = min(_BLOCK_STEPS, t + 1, cap - t, budget)
-            if k > 1 and wait:
-                k, wait = 1, wait - 1
-            elif k > 1:
+            if k > 1:
                 least_term = least() if least_term is None else least_term
                 k = max(1, int(min(k, _normal_steps(n, rmin[-1], rmax[-1], wmin, e, least_term))))
-                wait, backoff = (backoff, min(2 * backoff, _BLOCK_STEPS)) if k == 1 else (0, 1)
-            # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients.
-            # mins[i] and maxs[i] belong to row i + 1.
-            if k == 1:  # the same rows, without the copies and slices of an array
-                y1 = np.ldexp(w, -e)
-                w1 = vecmat(y1)
-                r1 = w1 / y1
-                B = (y1, w1, r1)
-                # the sums go into the history as Python floats, as .tolist() gives them
-                mins, maxs = [_min(w1), float(_min(r1))], [_max(w1), float(_max(r1))]
-            else:
-                B = np.empty((2 * k + 1, n))
-                np.ldexp(w, -e, out=B[0])
-                for i in range(k):
-                    B[i + 1] = vecmat(B[i])
-                np.divide(B[1 : k + 1], B[:k], out=B[k + 1 :])
-                mins, maxs = _min(B[1:], 1).tolist(), _max(B[1:], 1).tolist()
-            # row 0 is y itself, and min y is min w 2^-e: rounding is monotone
-            s, ymin = 0, math.ldexp(wmin, -e)
+            # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients
+            B = np.empty((2 * k + 1, n))
+            np.ldexp(w, -e, out=B[0])
+            for i in range(k):
+                B[i + 1] = vecmat(B[i])
+            np.divide(B[1 : k + 1], B[:k], out=B[k + 1 :])
+            mins, maxs = _min(B, 1).tolist(), _max(B, 1).tolist()
             j = 0
 
-        lo, hi = mins[k + j], maxs[k + j]
-        if j:  # row j is y 2^s, and its extremes are wmin and wmax
-            s = math.frexp(wmax)[1]
-            ymin = math.ldexp(wmin, -s)
+        lo, hi = mins[k + 1 + j], maxs[k + 1 + j]
+        # row j is y 2^s, with s = 0 for row 0, which is rescaled already
+        s = math.frexp(maxs[j])[1]
         # below the normal range y and w lose precision, and the quotients
         # lose monotonicity or turn inf or nan; keep the last accurate step
-        if min(ymin, math.ldexp(mins[j], -s)) < tiny or not math.isfinite(hi):
+        if math.ldexp(min(mins[j], mins[j + 1]), -s) < tiny or not math.isfinite(hi):
             status = Status.STAGNATED
             break
         y, y_exp = B[j], s
-        w, wmin, wmax = B[j + 1], mins[j], maxs[j]
+        w, wmin, wmax = B[j + 1], mins[j + 1], maxs[j + 1]
         t += 1
         rmin.append(lo)
         rmax.append(hi)
@@ -391,16 +374,15 @@ def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
     solver: read it or copy it, but do not modify it.
     """
     cfg = cfg or SolverConfig()
-    # dense row sums copy Aᵀ: form it once, for them and a row-side K; its
-    # column sums are A's row sums bit for bit
-    transpose = functools.cache(A.transpose)
     side = cfg.side
+    # Aᵀ serves the automatic rule and a row-side K; its column sums are A's
+    # row sums bit for bit, each row's entries added in ascending column order
+    At = None if side is Side.COLUMN else A.transpose()
     if side is None:
-        rows = sums(transpose(), Side.COLUMN) if A.storage == "dense" else sums(A, Side.ROW)
-        side = _smaller_range(rows, sums(A, Side.COLUMN))
+        side = _smaller_range(sums(At, Side.COLUMN), sums(A, Side.COLUMN))
     # _kernel(K)(y) is yᵀK: A y for rows, Aᵀ y for columns.  K and Kᵀ are
     # primitive together, so the exact test runs on K.
-    K = transpose() if side is Side.ROW else A
+    K = At if side is Side.ROW else A
     y, t, status, history = _iterate(
         _kernel(K), K.n, functools.partial(is_primitive, K), side, cfg, on_step,
         work=_work(K), least=functools.partial(_least_entry, K),

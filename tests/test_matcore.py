@@ -43,6 +43,17 @@ class TestConstruction:
         with pytest.raises(NotSquareError):
             from_dense([[1, 2], [3]])
 
+    @pytest.mark.parametrize(
+        "make, order",
+        [(lambda n: from_coordinates(n, [0], [0], [1.0]), 2.5), (lambda n: from_coordinates(n, [0], [0], [1.0]), True),
+         (lambda n: random_primitive(n, rng=0), 2.5), (lambda n: tridiagonal(n, 1, 3, 2), 3.5)],
+        ids=["coordinates-float", "coordinates-bool", "random-float", "tridiagonal-float"],
+    )
+    def test_non_integer_order_is_not_square_and_named(self, make, order):
+        with pytest.raises(NotSquareError, match=f"got {order!r}$"):
+            make(order)
+        assert make(np.int64(3)).n == 3  # numpy integers are orders
+
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteEntryError):
             from_dense([[1, float("nan")], [0, 1]])

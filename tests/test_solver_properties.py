@@ -23,6 +23,7 @@ from perronkit import (
     from_coordinates,
     from_dense,
     rank_one_hadamard,
+    tridiagonal,
 )
 from perronkit.matcore import _kernel, _least_entry, _work
 from perronkit.primitivity import is_primitive
@@ -50,6 +51,19 @@ QUOTIENT_OVERFLOW = from_dense([[0.0, 1e290, 0.0], [np.finfo(np.float64).max, 0.
 # on the row side y_0 / y_3 falls to about 1e-303, so b_30 = 1e-21 y_0 / y_3 is
 # about 1e-324, below half the least subnormal, and rounds to zero
 BALANCED_UNDERFLOW = from_dense([[0.0, 0.0, 10**1.5, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [1e-21, 0.0, 0.0, 1e21]])
+
+
+def _with_corner(A, value):
+    """CSR copy of A with a_00 set to value."""
+    arr = A.to_dense()
+    arr[0, 0] = value
+    rows, cols = np.nonzero(arr)
+    return from_coordinates(A.n, rows, cols, arr[rows, cols])
+
+
+# on its columns the range rule refuses every block it is asked about, so a
+# run takes one step per block (a 300-step run asks it 298 times)
+ALL_REFUSED = _with_corner(tridiagonal(200, 1, 3, 2), 1e-300)
 
 
 @settings(max_examples=200, deadline=None)
@@ -137,6 +151,8 @@ def tridiagonal_bands(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(A=tridiagonal_bands(), cap=st.integers(1, 4000))
+@example(A=ALL_REFUSED, cap=300)
+@example(A=ALL_REFUSED, cap=1)
 def test_blocked_loop_matches_reference_on_long_runs(A, cap):
     cfg = SolverConfig(max_iterations=cap)
     expected = reference_iterate(A, cfg)
