@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success or
-converged, 1 input/usage error, 2 stagnated (not primitive by the exact
-test, or y left the floating-point range), 3 iteration cap reached.
+converged, 1 input/usage error or out of memory, 2 stagnated (not
+primitive by the exact test, or y left the floating-point range), 3
+iteration cap reached.
 ``--json`` wraps any command's result in a run record carrying the
 command, input path, configuration echo, timing, and package version, as
 compact single-line JSON; the result member is byte-deterministic for
@@ -15,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,16 +39,17 @@ from .solver import (
 _STATUS_EXIT = {Status.CONVERGED: 0, Status.STAGNATED: 2, Status.MAX_ITERATIONS: 3}
 
 
-def _add_matrix_arg(sp):
-    sp.add_argument("matrix", help="path of a Matrix Market or CSV matrix file")
-
-
 def _add_run_flags(sp):
     sp.add_argument("--tol", type=float, default=SolverConfig.tolerance,
                     help="stopping tolerance (default %(default)s)")
     sp.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations,
                     help="iteration cap (default %(default)s)")
+
+
+def _add_matrix_arg(sp, body):
+    sp.add_argument("matrix", help="path of a Matrix Market or CSV matrix file")
     sp.add_argument("--json", action="store_true", help="emit a JSON run record on stdout")
+    sp.set_defaults(func=_run, body=body)
 
 
 def _matrix_payload(M: NonnegMatrix) -> dict:
@@ -59,18 +62,6 @@ def _matrix_payload(M: NonnegMatrix) -> dict:
         "indices": M._indices.tolist(),
         "values": M._data.tolist(),
     }
-
-
-def _emit(command: str, input_path, config: dict, result: dict, started: float) -> None:
-    record = {
-        "command": command,
-        "input": input_path,
-        "config": config,
-        "result": result,
-        "timing_seconds": time.perf_counter() - started,
-        "version": __version__,
-    }
-    print(json.dumps(record))  # no indent: the C encoder writes it, on one line
 
 
 def _solver_result_payload(res: PerronResult, balanced: bool) -> dict:
@@ -113,9 +104,29 @@ def _disc_writer(fh, A: NonnegMatrix):
     return on_step
 
 
-def _cmd_perron(args) -> int:
+def _run(args) -> int:
+    """Read the matrix and run the command body on it: body(A, args) ->
+    (config, result, exit code, text).  Print the run record with --json,
+    else text, or the result as indented JSON when text is None."""
     started = time.perf_counter()
     A = parse_matrix(args.matrix)
+    config, result, code, text = args.body(A, args)
+    if args.json:
+        record = {
+            "command": args.command,
+            "input": args.matrix,
+            "config": config,
+            "result": result,
+            "timing_seconds": time.perf_counter() - started,
+            "version": __version__,
+        }
+        print(json.dumps(record))  # no indent: the C encoder writes it, on one line
+    else:
+        print(json.dumps(result, indent=2) if text is None else text)
+    return code
+
+
+def _perron(A: NonnegMatrix, args):
     cfg = SolverConfig(
         tolerance=args.tol,
         max_iterations=args.max_iter,
@@ -133,19 +144,16 @@ def _cmd_perron(args) -> int:
         "tol": cfg.tolerance, "max_iter": cfg.max_iterations,
         "side": args.side, "algo": args.algo,
     }
-    if args.json:
-        _emit("perron", args.matrix, config, _solver_result_payload(res, args.balanced), started)
-    else:
-        print(f"root {res.root!r} in [{res.root_lo!r}, {res.root_hi!r}]")
-        print(f"iterations {res.iterations}  side {res.side_used.value}  status {res.status.value}")
-        if res.eigenvector is not None:
-            print("eigenvector " + " ".join(repr(float(v)) for v in res.eigenvector))
-    return _STATUS_EXIT[res.status]
+    # only the run record shows the balanced matrix, so text mode never builds it
+    result = _solver_result_payload(res, args.balanced and args.json)
+    text = (f"root {res.root!r} in [{res.root_lo!r}, {res.root_hi!r}]\n"
+            f"iterations {res.iterations}  side {res.side_used.value}  status {res.status.value}")
+    if res.eigenvector is not None:
+        text += "\neigenvector " + " ".join(repr(float(v)) for v in res.eigenvector)
+    return config, result, _STATUS_EXIT[res.status], text
 
 
-def _cmd_power(args) -> int:
-    started = time.perf_counter()
-    A = parse_matrix(args.matrix)
+def _power(A: NonnegMatrix, args):
     res = power_method(A, tol=args.tol, max_iter=args.max_iter)
     config = {"tol": args.tol, "max_iter": args.max_iter}
     result = {
@@ -154,49 +162,24 @@ def _cmd_power(args) -> int:
         "iterations": res.iterations,
         "status": res.status.value,
     }
-    if args.json:
-        _emit("power", args.matrix, config, result, started)
-    else:
-        print(f"eigenvalue {res.eigenvalue!r}")
-        print(f"iterations {res.iterations}  status {res.status.value}")
-    return _STATUS_EXIT[res.status]
+    text = f"eigenvalue {res.eigenvalue!r}\niterations {res.iterations}  status {res.status.value}"
+    return config, result, _STATUS_EXIT[res.status], text
 
 
-def _cmd_bounds(args) -> int:
-    started = time.perf_counter()
-    A = parse_matrix(args.matrix)
-    rep = bounds_report(A)
-    result = {
-        "frobenius_row": list(rep.frobenius_row),
-        "frobenius_col": list(rep.frobenius_col),
-        "minc_row": list(rep.minc_row),
-        "minc_col": list(rep.minc_col),
-    }
-    if args.json:
-        _emit("bounds", args.matrix, {}, result, started)
-    else:
-        print(json.dumps(result, indent=2))
-    return 0
+def _bounds(A: NonnegMatrix, args):
+    return {}, asdict(bounds_report(A)), 0, None  # JSON writes each (lo, hi) as a list
 
 
-def _cmd_primitivity(args) -> int:
-    started = time.perf_counter()
-    A = parse_matrix(args.matrix)
+def _primitivity(A: NonnegMatrix, args):
     result = {
         "irreducible": is_irreducible(A),
         "primitive": is_primitive(A),
         "wielandt_bound": wielandt_bound(A.n),
     }
-    if args.json:
-        _emit("primitivity", args.matrix, {}, result, started)
-    else:
-        print(json.dumps(result, indent=2))
-    return 0
+    return {}, result, 0, None
 
 
-def _cmd_stationary(args) -> int:
-    started = time.perf_counter()
-    A = parse_matrix(args.matrix)
+def _stationary(A: NonnegMatrix, args):
     P = make_stochastic(A) if args.normalize else StochasticMatrix(A)
     if not args.no_damp:
         P = damp(P, args.alpha)
@@ -214,11 +197,7 @@ def _cmd_stationary(args) -> int:
         "iterations": dist.iterations,
         "status": dist.status.value,
     }
-    if args.json:
-        _emit("stationary", args.matrix, config, result, started)
-    else:
-        print(json.dumps(result, indent=2))
-    return _STATUS_EXIT[dist.status]
+    return config, result, _STATUS_EXIT[dist.status], None
 
 
 def _cmd_gen(args) -> int:
@@ -242,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("perron", help="dominant eigenvalue by iterative sum balancing")
-    _add_matrix_arg(sp)
     _add_run_flags(sp)
+    _add_matrix_arg(sp, _perron)
     sp.add_argument("--side", choices=["auto", "row", "col"], default="auto")
     sp.add_argument("--algo", choices=["a", "b"], default="a",
                     help="a: root only; b: root plus eigenvector")
@@ -251,32 +230,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--discs", metavar="FILE", help="write per-iteration disc traces as CSV")
     sp.add_argument("--balanced", action="store_true",
                     help="add the n x n balanced matrix to the --json result")
-    sp.set_defaults(func=_cmd_perron)
 
     sp = sub.add_parser("power", help="dominant eigenvalue by power iteration")
-    _add_matrix_arg(sp)
     _add_run_flags(sp)
-    sp.set_defaults(func=_cmd_power)
+    _add_matrix_arg(sp, _power)
 
     sp = sub.add_parser("bounds", help="sum-based eigenvalue enclosures as JSON")
-    _add_matrix_arg(sp)
-    sp.add_argument("--json", action="store_true", help="wrap the intervals in a run record")
-    sp.set_defaults(func=_cmd_bounds)
+    _add_matrix_arg(sp, _bounds)
 
     sp = sub.add_parser("primitivity", help="exact irreducibility and primitivity tests")
-    _add_matrix_arg(sp)
-    sp.add_argument("--json", action="store_true", help="wrap the report in a run record")
-    sp.set_defaults(func=_cmd_primitivity)
+    _add_matrix_arg(sp, _primitivity)
 
     sp = sub.add_parser("stationary", help="stationary distribution of a row-stochastic matrix")
-    _add_matrix_arg(sp)
     _add_run_flags(sp)
+    _add_matrix_arg(sp, _stationary)
     sp.add_argument("--alpha", type=float, default=0.85,
                     help="uniform damping factor in (0, 1) (default 0.85)")
     sp.add_argument("--no-damp", action="store_true", help="solve the chain as given")
     sp.add_argument("--normalize", action="store_true",
                     help="renormalize rows of near-stochastic input")
-    sp.set_defaults(func=_cmd_stationary)
 
     sp = sub.add_parser("gen", help="generate test matrices as Matrix Market files")
     gsub = sp.add_subparsers(dest="kind", required=True)
@@ -301,11 +273,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PerronError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PerronError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it refused; a bare one has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

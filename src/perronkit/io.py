@@ -75,9 +75,11 @@ def read_matrix_market(path) -> NonnegMatrix:
             nrow, ncol, *nnz = (int(s) for s in size)
         except ValueError:
             raise MatrixParseError(size_lineno, "size line entries are not integers") from None
-        if layout == "array" and (nrow < 1 or ncol < 1):
+        if nrow < 1 or ncol < 1:
             raise MatrixParseError(size_lineno, f"matrix size must be positive, got {nrow}x{ncol}")
         count = nnz[0] if nnz else nrow * ncol
+        if count < 0:
+            raise MatrixParseError(size_lineno, f"entry count must be >= 0, got {count}")
         # a warning also means a rescan: an empty body, or older numpy truncating an index 1.5 to 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import perronkit.cli
 import perronkit.solver
 from conftest import PERIODIC3_ROWS, SAMPLE3_ROWS
 from perronkit import from_dense, tridiagonal, write_matrix_market
@@ -20,6 +21,14 @@ SAMPLE3_BALANCED = {
     '[0.133691569809788, 3.0, 2.6062600230689905], [0.20518531324800054, 1.5347662798778676, 4.0]]}',
 }
 SAMPLE3_DISCS_SHA256 = "770e753468d1c015c0c00143971ab8dcb98165527c11a53c239102de90592eba"
+# text output of perron --algo b and of power on sample3, pinned byte for byte
+SAMPLE3_TEXT = {
+    "perron": "root 5.739951594795528 in [5.739951591911943, 5.739951597679114]\n"
+    "iterations 17  side col  status converged\n"
+    "eigenvector 0.17025208568698644 0.3860267088795342 0.4437212054334792\n",
+    "power": "eigenvalue 5.739951593125868\niterations 19  status converged\n",
+}
+MATRIX_COMMANDS = [["perron"], ["power"], ["bounds"], ["primitivity"], ["stationary", "--normalize"]]
 
 
 @pytest.fixture
@@ -79,14 +88,15 @@ class TestPerronCommand:
         _, record = run_json(capsys, ["perron", "--side", side, "--balanced", "--json", sample3_file])
         assert json.dumps(record["result"]["balanced"]) == SAMPLE3_BALANCED[side]
 
-    def test_json_without_balanced_builds_no_balanced_matrix(self, capsys, tmp_path, sample3_file, monkeypatch):
+    @pytest.mark.parametrize("flags", [["--json"], ["--balanced"]], ids=["json", "balanced-text"])
+    def test_json_without_balanced_builds_no_balanced_matrix(self, capsys, tmp_path, sample3_file, monkeypatch, flags):
         def refuse(*args):
             raise AssertionError("perron --json built the balanced matrix")
 
         monkeypatch.setattr(perronkit.solver, "rank_one_hadamard", refuse)
         discs = str(tmp_path / "discs.csv")
         for algo in ("a", "b"):
-            assert main(["perron", "--algo", algo, "--discs", discs, "--json", sample3_file]) == 0
+            assert main(["perron", "--algo", algo, "--discs", discs, *flags, sample3_file]) == 0
 
     def test_plain_output_and_exit_code(self, capsys, sample3_file):
         assert main(["perron", sample3_file]) == 0
@@ -263,6 +273,44 @@ class TestStationaryCommand:
         path = tmp_path / "raw.csv"
         path.write_text("9,1\n5,5\n")
         assert main(["stationary", "--no-damp", str(path)]) == 1
+
+
+class TestRunner:
+    """What every matrix command shares: the run record, the text output and the error exit."""
+
+    @pytest.mark.parametrize("command", MATRIX_COMMANDS, ids=lambda c: c[0])
+    def test_json_prints_one_run_record(self, capsys, sample3_file, command):
+        assert main([*command, "--json", sample3_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert list(record) == ["command", "input", "config", "result", "timing_seconds", "version"]
+        assert record["command"] == command[0] and record["input"] == sample3_file
+
+    @pytest.mark.parametrize("command", MATRIX_COMMANDS[2:], ids=lambda c: c[0])
+    def test_text_is_the_indented_result(self, capsys, sample3_file, command):
+        _, record = run_json(capsys, [*command, "--json", sample3_file])
+        assert main([*command, sample3_file]) == 0
+        assert capsys.readouterr().out == json.dumps(record["result"], indent=2) + "\n"
+
+    @pytest.mark.parametrize("command", [["perron", "--algo", "b"], ["power"]], ids=["perron", "power"])
+    def test_text_output_is_pinned(self, capsys, sample3_file, command):
+        assert main([*command, sample3_file]) == 0
+        assert capsys.readouterr().out == SAMPLE3_TEXT[command[0]]
+
+    @pytest.mark.parametrize(
+        "message", ["", "Unable to allocate 22.4 GiB for an array with shape (3000000001,)"], ids=["bare", "numpy"]
+    )
+    @pytest.mark.parametrize("command", MATRIX_COMMANDS, ids=lambda c: c[0])
+    def test_out_of_memory_is_input_error(self, capsys, monkeypatch, sample3_file, command, message):
+        def exhausted(path):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(perronkit.cli, "parse_matrix", exhausted)
+        assert main([*command, "--json", sample3_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message or 'out of memory'}\n"
 
 
 class TestGenCommand:

@@ -197,6 +197,9 @@ COORD = "%%MatrixMarket matrix coordinate real general\n"
         (COORD + "2 2 1\n1 1 1.0\n2 2 1.0\n", 4, "size line promises 1 entries, found 2"),
         (COORD + "2 2 2\n1 1 1.0\n% c\n\n", 5, "size line promises 2 entries, found 1"),
         (COORD + "2 3 1\n1 1 1.0\n", 2, "matrix is 2x3, not square"),
+        (COORD + "2 2 -1\n", 2, "entry count must be >= 0, got -1"),
+        (COORD + "0 0 0\n", 2, "matrix size must be positive, got 0x0"),
+        (COORD + "-2 -2 0\n", 2, "matrix size must be positive, got -2x-2"),
         (COORD + "% c\n\n", 3, "missing size line"),
         (ARRAY + "2\n1\n", 2, "array size line must be 'rows cols', got '2'"),
         (COORD + "2 2\n", 2, "coordinate size line must be 'rows cols nnz', got '2 2'"),
