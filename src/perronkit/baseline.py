@@ -2,8 +2,9 @@
 
 It runs the solver's recurrence y <- A y through separate code (a BLAS
 matvec on dense storage, sup-norm normalization, its own convergence
-test), so agreement between the two is evidence for both.  Only the stall
-rule is shared: on input that is not primitive both stop as STAGNATED.
+test), so agreement between the two is evidence for both.  Only the CSR
+product, the solver's row kernel, and the stall rule are shared: on input
+that is not primitive both stop as STAGNATED.
 Both slow down together as the second eigenvalue approaches the first,
 which the tridiagonal family exposes through its closed-form spectrum.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BreakdownError
-from .matcore import NonnegMatrix, _matvec
+from .matcore import NonnegMatrix, Side, _kernel
 from .primitivity import is_primitive
 from .solver import SolverConfig, Status, _stall_rule
 
@@ -50,12 +51,14 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
     cfg = SolverConfig(tolerance=tol, max_iterations=max_iter)
     stalled = _stall_rule(functools.partial(is_primitive, A), cfg)
     qmin, qmax = [], []
+    # v -> A v: BLAS on dense storage, the solver's row kernel on CSR
+    matvec = functools.partial(np.matmul, A._dense) if A.storage == "dense" else _kernel(A, Side.ROW)
     v = np.ones(A.n)
-    lam = float(np.abs(_matvec(A, v)).max())
+    lam = float(np.abs(matvec(v)).max())
     if lam == 0:
         raise BreakdownError("matrix maps the all-ones vector to zero")
     for t in range(1, max_iter + 1):
-        w = _matvec(A, v)
+        w = matvec(v)
         nw = float(np.abs(w).max())
         if nw == 0:
             raise BreakdownError(f"iterate vanished at iteration {t}")

@@ -72,12 +72,14 @@ def read_matrix_market(path) -> NonnegMatrix:
             shape = "'rows cols'" if layout == "array" else "'rows cols nnz'"
             raise MatrixParseError(size_lineno, f"{layout} size line must be {shape}, got {line.strip()!r}")
         try:
-            nrow, ncol, *nnz = (int(s) for s in size)
+            n, ncol, *nnz = (int(s) for s in size)
         except ValueError:
             raise MatrixParseError(size_lineno, "size line entries are not integers") from None
-        if nrow < 1 or ncol < 1:
-            raise MatrixParseError(size_lineno, f"matrix size must be positive, got {nrow}x{ncol}")
-        count = nnz[0] if nnz else nrow * ncol
+        if n < 1 or ncol < 1:
+            raise MatrixParseError(size_lineno, f"matrix size must be positive, got {n}x{ncol}")
+        if n != ncol:
+            raise MatrixParseError(size_lineno, f"matrix is {n}x{ncol}, not square")
+        count = nnz[0] if nnz else n * n
         if count < 0:
             raise MatrixParseError(size_lineno, f"entry count must be >= 0, got {count}")
         # a warning also means a rescan: an empty body, or older numpy truncating an index 1.5 to 1
@@ -89,22 +91,22 @@ def read_matrix_market(path) -> NonnegMatrix:
                 body = None
 
     if body is None or len(body) != count or (layout == "coordinate" and not (
-        (body["i"] >= 1) & (body["i"] <= nrow) & (body["j"] >= 1) & (body["j"] <= ncol)
+        (body["i"] >= 1) & (body["i"] <= n) & (body["j"] >= 1) & (body["j"] <= n)
     ).all()):
-        body = _rescan(path, size_lineno, layout, nrow, ncol, count)[0]
+        body = _rescan(path, size_lineno, layout, n, count)[0]
     if layout == "array":
-        return from_dense(body["v"].reshape(ncol, nrow).T)  # array layout is column-major
-    if nrow != ncol:
-        raise MatrixParseError(size_lineno, f"matrix is {nrow}x{ncol}, not square")
+        return from_dense(body["v"].reshape(n, n).T)  # array layout is column-major
     try:
-        return from_coordinates(nrow, body["i"] - 1, body["j"] - 1, body["v"])
+        return from_coordinates(n, body["i"] - 1, body["j"] - 1, body["v"])
+    except MemoryError:
+        raise MatrixParseError(size_lineno, f"a {n}x{n} matrix does not fit in memory") from None
     except DuplicateEntryError as exc:
-        lines = _rescan(path, size_lineno, layout, nrow, ncol, count)[1]
+        lines = _rescan(path, size_lineno, layout, n, count)[1]
         msg = f"duplicate entry ({exc.i + 1}, {exc.j + 1}), first seen on line {lines[exc.first]}"
         raise MatrixParseError(lines[exc.second], msg) from None
 
 
-def _rescan(path, size_lineno, layout, nrow, ncol, count):
+def _rescan(path, size_lineno, layout, n, count):
     """Read the body after the size line again, line by line.
 
     Raise on the first faulty line; else return the records and their line
@@ -127,8 +129,8 @@ def _rescan(path, size_lineno, layout, nrow, ncol, count):
             record = tuple(parse(part) for parse, part in zip(parsers, parts))
         except ValueError:
             raise MatrixParseError(lineno, malformed.format(text)) from None
-        if layout == "coordinate" and not (1 <= record[0] <= nrow and 1 <= record[1] <= ncol):
-            raise MatrixParseError(lineno, f"index ({record[0]}, {record[1]}) outside {nrow}x{ncol}")
+        if layout == "coordinate" and not (1 <= record[0] <= n and 1 <= record[1] <= n):
+            raise MatrixParseError(lineno, f"index ({record[0]}, {record[1]}) outside {n}x{n}")
         records.append(record)
     if len(records) != count:
         raise MatrixParseError(len(lines), f"size line promises {count} entries, found {len(records)}")

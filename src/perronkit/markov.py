@@ -128,7 +128,7 @@ def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> Stationa
     direction).  The returned vector is normalized to unit sum; the
     residual is the inf-norm of u^T times the damped chain minus u^T.
     Raises RootNotOneError when a converged run's eigenvalue strays from 1
-    by more than 100x tolerance, which signals a mis-scaled input.
+    by more than 100x tolerance plus the 1e-12 row-sum slack: a mis-scaled input.
     """
     cfg = cfg or SolverConfig()
     vecmat, work, least = _operator(P)
@@ -136,7 +136,7 @@ def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> Stationa
     primitive = functools.partial(is_primitive, P.matrix) if P.alpha == 1 else (lambda: True)
     y, iterations, status, history = _iterate(vecmat, P.n, primitive, Side.COLUMN, cfg, work=work, least=least)
     root = 0.5 * float(history.rmin[-1]) + 0.5 * float(history.rmax[-1])
-    if status is Status.CONVERGED and abs(root - 1.0) > 100.0 * cfg.tolerance:
+    if status is Status.CONVERGED and abs(root - 1.0) > 100.0 * cfg.tolerance + _ROWSUM_TOL:
         raise RootNotOneError(root)
     u = y / y.sum()
     residual = float(np.abs(vecmat(u) - u).max())

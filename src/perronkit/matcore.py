@@ -2,9 +2,9 @@
 
 Matrices are immutable once constructed and safe to share between threads.
 Dense storage is row-major; sparse storage is CSR with strictly increasing
-column indices per row and no explicitly stored zeros.  All reductions add
-entries in index-ascending order so that dense and CSR storage of the same
-matrix produce bit-identical sums.
+column indices per row and no explicitly stored zeros.  Every sum and
+product goes through one kernel, which adds in index-ascending order, so
+dense and CSR storage of the same matrix give bit-identical results.
 """
 
 from __future__ import annotations
@@ -214,35 +214,29 @@ def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
 
 
 def sums(A: NonnegMatrix, side: Side) -> np.ndarray:
-    """Row or column totals, O(nnz), entries added in index-ascending order."""
-    if A.storage == "dense":
-        D = A._dense if side is Side.COLUMN else np.ascontiguousarray(A._dense.T)
-        return np.add.reduce(D, axis=0)
-    # np.bincount accumulates in input order: index-ascending sequential adds.
-    bins = A._row_indices() if side is Side.ROW else A._indices
-    return np.bincount(bins, weights=A._data, minlength=A.n)
+    """Row or column totals, O(nnz): the side's kernel applied to ones."""
+    return _kernel(A, side)(np.ones(A.n))
 
 
-def _matvec(A: NonnegMatrix, v: np.ndarray) -> np.ndarray:
-    if A.storage == "dense":
-        return A._dense @ v
-    return np.bincount(A._row_indices(), weights=A._data * v[A._indices], minlength=A.n)
+def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN):
+    """``v -> vᵀA`` (column side) or ``v -> A v`` (row side), A's arrays bound once.
 
-
-def _kernel(A: NonnegMatrix):
-    """``v -> vᵀA`` with A's arrays bound once.
-
-    Each column's terms are added in ascending row order for both storages.
-    Only this einsum on the C-contiguous array, called without ``optimize``,
-    adds in the same order as the CSR bincount: it accumulates row after row
-    into the output and fuses no multiply-add.  Reductions over axis 1 or a
-    transposed view and BLAS ``@`` all round differently, which would break
-    dense/CSR bit identity.
+    Both storages add each output's terms in ascending index order, so
+    dense and CSR results are bit-identical, and the row side of A is the
+    column side of Aᵀ bit for bit.  CSR runs np.bincount, which adds in
+    input order; the row side swaps its bins and gather index.  Dense runs
+    an einsum on A, or on a C-contiguous copy of Aᵀ made here: only this
+    einsum, without ``optimize``, adds row after row into the output and
+    fuses no multiply-add.  Axis-1 or transposed-view reductions and BLAS
+    ``@`` round differently.
     """
     if A.storage == "dense":
-        return functools.partial(np.einsum, "ij,i->j", A._dense)
-    indices, data, rows, n = A._indices, A._data, A._row_indices(), A.n
-    return lambda v: np.bincount(indices, weights=data * v[rows], minlength=n)
+        D = A._dense if side is Side.COLUMN else np.ascontiguousarray(A._dense.T)
+        return functools.partial(np.einsum, "ij,i->j", D)
+    n, data, bins, gather = A.n, A._data, A._indices, A._row_indices()
+    if side is Side.ROW:
+        bins, gather = gather, bins
+    return lambda v: np.bincount(bins, weights=data * v[gather], minlength=n)
 
 
 def _work(A: NonnegMatrix) -> int:
@@ -333,17 +327,18 @@ def tridiagonal_eigs(n: int, c: float, a: float, b: float) -> np.ndarray:
     return a + 2.0 * np.sqrt(b * c) * np.cos(k * np.pi / (n + 1))
 
 
-def random_primitive(n, density=0.5, rng=None, low=0.2, high=2.0) -> NonnegMatrix:
+def random_primitive(n, density=0.5, rng=None) -> NonnegMatrix:
     """Random dense primitive matrix: random sparsity plus a positive diagonal.
 
-    A spanning cycle is always present, so the pattern is strongly connected;
-    with the positive diagonal the matrix is primitive by construction.
+    Entries are drawn uniformly from [0.2, 2.0).  A spanning cycle is always
+    present, so the pattern is strongly connected; with the positive
+    diagonal the matrix is primitive by construction.
     """
     n = _order(n)
     rng = np.random.default_rng(rng)
     mask = rng.random((n, n)) < density
-    arr = np.where(mask, rng.uniform(low, high, (n, n)), 0.0)
+    arr = np.where(mask, rng.uniform(0.2, 2.0, (n, n)), 0.0)
     idx = np.arange(n)
-    arr[idx, idx] = rng.uniform(low, high, n)
-    arr[idx, (idx + 1) % n] = rng.uniform(low, high, n)
+    arr[idx, idx] = rng.uniform(0.2, 2.0, n)
+    arr[idx, (idx + 1) % n] = rng.uniform(0.2, 2.0, n)
     return NonnegMatrix(n, dense=arr)

@@ -10,13 +10,14 @@ reads the sums off as r = (A y) / y.
 For a primitive matrix min r rises, max r falls, and both converge to the
 dominant eigenvalue.  The balanced matrix D^{-1} A D is built from the
 final y on first access, and keeps the input's diagonal and zero pattern
-exactly.  Column sums are balanced the same way on the transpose.
+exactly.  Column sums are balanced the same way with y <- Aᵀ y.
 
-One loop runs over K = Aᵀ (rows) or K = A (columns) and returns only y
-and the min and max sums of each step; a caller that wants the sum vectors
-passes ``on_step``, which sees each one as it is computed and keeps what
-it needs.  :func:`algorithm_b` picks the side, runs it and builds the
-result around y, the dominant eigenvector (of the transpose for columns).
+One loop runs over the chosen side's kernel, v -> A v for rows or
+v -> Aᵀ v for columns, and returns only y and the min and max sums of
+each step; a caller that wants the sum vectors passes ``on_step``, which
+sees each one as it is computed and keeps what it needs.
+:func:`algorithm_b` picks the side, runs it and builds the result around
+y, the dominant eigenvector (of the transpose for columns).
 :func:`algorithm_a` returns no eigenvector; the stationary distribution of
 :mod:`~perronkit.markov` runs the loop alone.
 
@@ -199,14 +200,13 @@ def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
 
     Disc i has center a_ii, which the balancing similarity keeps, and
     radius the balanced sum i minus a_ii.  The sums are the run's last
-    quotients (K y) / y, the same bits ``on_step`` saw last; no balanced
-    matrix is built.  At convergence every disc's rightmost point sits at
-    the computed root.
+    quotients (A y) / y for rows or (Aᵀ y) / y for columns, the same bits
+    ``on_step`` saw last; no balanced matrix is built.  At convergence
+    every disc's rightmost point sits at the computed root.
     """
     A, y = result._A, result._y
-    K = A.transpose() if result.side_used is Side.ROW else A
-    centers = A.diagonal()
-    return [GerschgorinDisc(float(c), float(s - c)) for c, s in zip(centers, _kernel(K)(y) / y)]
+    quotients = _kernel(A, result.side_used)(y) / y
+    return [GerschgorinDisc(float(c), float(s - c)) for c, s in zip(A.diagonal(), quotients)]
 
 
 # the ufunc reductions, without ndarray.min's Python wrapper
@@ -374,18 +374,11 @@ def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
     solver: read it or copy it, but do not modify it.
     """
     cfg = cfg or SolverConfig()
-    side = cfg.side
-    # Aᵀ serves the automatic rule and a row-side K; its column sums are A's
-    # row sums bit for bit, each row's entries added in ascending column order
-    At = None if side is Side.COLUMN else A.transpose()
-    if side is None:
-        side = _smaller_range(sums(At, Side.COLUMN), sums(A, Side.COLUMN))
-    # _kernel(K)(y) is yᵀK: A y for rows, Aᵀ y for columns.  K and Kᵀ are
-    # primitive together, so the exact test runs on K.
-    K = At if side is Side.ROW else A
+    side = cfg.side or _smaller_range(sums(A, Side.ROW), sums(A, Side.COLUMN))
+    # A and Aᵀ are primitive together, so either side's exact test runs on A
     y, t, status, history = _iterate(
-        _kernel(K), K.n, functools.partial(is_primitive, K), side, cfg, on_step,
-        work=_work(K), least=functools.partial(_least_entry, K),
+        _kernel(A, side), A.n, functools.partial(is_primitive, A), side, cfg, on_step,
+        work=_work(A), least=functools.partial(_least_entry, A),
     )
     lo, hi = float(history.rmin[-1]), float(history.rmax[-1])
     return PerronResult(

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import perronkit.io
 from conftest import SAMPLE3_ROWS
 from oracles import det_cofactor
 from perronkit import (
@@ -197,6 +198,7 @@ COORD = "%%MatrixMarket matrix coordinate real general\n"
         (COORD + "2 2 1\n1 1 1.0\n2 2 1.0\n", 4, "size line promises 1 entries, found 2"),
         (COORD + "2 2 2\n1 1 1.0\n% c\n\n", 5, "size line promises 2 entries, found 1"),
         (COORD + "2 3 1\n1 1 1.0\n", 2, "matrix is 2x3, not square"),
+        (ARRAY + "2 3\n1\n2\n3\n4\n5\n6\n", 2, "matrix is 2x3, not square"),
         (COORD + "2 2 -1\n", 2, "entry count must be >= 0, got -1"),
         (COORD + "0 0 0\n", 2, "matrix size must be positive, got 0x0"),
         (COORD + "-2 -2 0\n", 2, "matrix size must be positive, got -2x-2"),
@@ -213,6 +215,24 @@ def test_malformed_matrix_market_names_line_and_fault(tmp_path, content, lineno,
     with pytest.raises(MatrixParseError) as err:
         read_matrix_market(path)
     assert (err.value.lineno, str(err.value)) == (lineno, f"line {lineno}: {message}")
+
+
+def test_out_of_memory_names_the_matrix_order(tmp_path, monkeypatch, capsys):
+    # stands in for a size line such as 3000000000 3000000000 1, whose CSR
+    # row pointers alone would need 24 GB
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 22.4 GiB for an array with shape (3000000001,)")
+
+    path = tmp_path / "big.mtx"
+    path.write_text(COORD + "% c\n3 3 1\n1 1 1.0\n")
+    monkeypatch.setattr(perronkit.io, "from_coordinates", exhausted)
+    with pytest.raises(MatrixParseError) as err:
+        read_matrix_market(path)
+    assert (err.value.lineno, str(err.value)) == (3, "line 3: a 3x3 matrix does not fit in memory")
+    assert main(["perron", "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: a 3x3 matrix does not fit in memory\n"
 
 
 def _truncating_loadtxt(loadtxt):

@@ -185,6 +185,15 @@ class TestStationary:
         monkeypatch.setattr(NonnegMatrix, "to_dense", refuse)
         assert stationary(damp(chain, 0.85)).status is Status.CONVERGED
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.85], ids=["undamped", "damped"])
+    def test_rows_within_validation_slack_are_not_mis_scaled(self, alpha):
+        # row 0 sums to 1 + 5e-13, inside the 1e-12 the constructor allows,
+        # so the root may miss 1 by more than 100x a tolerance of 1e-15
+        P = StochasticMatrix(from_dense([[0.5, 0.5 + 5e-13], [0.3, 0.7]]), alpha)
+        dist = stationary(P, SolverConfig(tolerance=1e-15))
+        assert dist.status is Status.CONVERGED
+        assert np.allclose(dist.u, stationary_linear_solve(damped_dense(P)), rtol=0, atol=1e-12)
+
     def test_mis_scaled_input_raises_root_not_one(self):
         # bypass validation to simulate a corrupted "stochastic" matrix
         fake = object.__new__(StochasticMatrix)

@@ -1,4 +1,4 @@
-"""Randomised agreement of the dense vᵀA kernel with the plain axis-0 reduction."""
+"""Randomised agreement of the dense kernel, either side, with the plain axis-0 reduction."""
 
 import numpy as np
 import pytest
@@ -8,25 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import vecmat_unblocked
-from perronkit import from_coordinates, from_dense
+from perronkit import Side, from_coordinates, from_dense
 from perronkit.matcore import _kernel
 
 
+@pytest.mark.parametrize("side", list(Side), ids=lambda side: side.value)
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(1, 194),
     density=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_dense_vecmat_is_the_unblocked_reduction_bit_for_bit(n, density, seed):
-    """Entries and vector components span e^±30, so every add rounds."""
+def test_dense_vecmat_is_the_unblocked_reduction_bit_for_bit(side, n, density, seed):
+    """Entries and vector components span e^±30, so every add rounds.  The
+    row side is v -> A v, the column side of Aᵀ."""
     rng = np.random.default_rng(seed)
     D = np.where(rng.random((n, n)) < density, np.exp(rng.uniform(-30.0, 30.0, (n, n))), 0.0)
     v = np.exp(rng.uniform(-30.0, 30.0, n))
-    got = _kernel(from_dense(D))(v)
-    assert got.tobytes() == vecmat_unblocked(D, v).tobytes()
     i, j = np.nonzero(D)
-    assert got.tobytes() == _kernel(from_coordinates(n, i, j, D[i, j]))(v).tobytes()
+    dense, csr = from_dense(D), from_coordinates(n, i, j, D[i, j])
+    got = _kernel(dense, side)(v)
+    assert got.tobytes() == vecmat_unblocked(D if side is Side.COLUMN else np.ascontiguousarray(D.T), v).tobytes()
+    assert got.tobytes() == _kernel(csr, side)(v).tobytes()
+    if side is Side.ROW:
+        for A in (dense, csr):
+            assert _kernel(A, Side.ROW)(v).tobytes() == _kernel(A.transpose())(v).tobytes()
 
 
 def test_dense_vecmat_fuses_no_multiply_add():

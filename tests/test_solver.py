@@ -22,6 +22,7 @@ from perronkit import (
     power_method,
     random_primitive,
     rank_one_hadamard,
+    sums,
     tridiagonal,
 )
 from perronkit.errors import DomainError
@@ -394,6 +395,25 @@ class TestInvariants:
         assert np.array_equal(res_sparse.balanced.to_dense(), res_dense.balanced.to_dense())
         if solve is algorithm_b:
             assert np.array_equal(res_sparse.eigenvector, res_dense.eigenvector)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_no_solve_builds_a_transposed_matrix(self, monkeypatch, storage):
+        # the row side is the kernel's, so no entry point needs Aᵀ stored
+        def refuse(self):
+            raise AssertionError("a transposed matrix was built")
+
+        T = tridiagonal(8, 1.0, 3.0, 2.0)
+        A = from_dense(T.to_dense()) if storage == "dense" else T
+        monkeypatch.setattr(NonnegMatrix, "transpose", refuse)
+        for side in (None, Side.ROW, Side.COLUMN):
+            cfg = SolverConfig(side=side)
+            assert algorithm_a(A, cfg).status is Status.CONVERGED
+            res = algorithm_b(A, cfg)
+            assert res.status is Status.CONVERGED
+            assert len(convergence_discs(res)) == 8
+        assert np.all(np.isfinite(dataclasses.astuple(bounds_report(A))))
+        assert np.array_equal(sums(A, Side.ROW), T.to_dense().sum(axis=1))
+        assert np.array_equal(sums(A, Side.COLUMN), T.to_dense().sum(axis=0))
 
     def test_eigenvector_residual_within_ten_tolerances(self, sample3):
         cfg = SolverConfig(side=Side.ROW)
