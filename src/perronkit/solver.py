@@ -26,8 +26,11 @@ commutes with every rounding while all values stay normal, so a block of
 up to 64 steps applies the kernel to unscaled vectors, one row of an array
 each, and reads all their sums with one division and two reductions.  A
 range rule lets a block run more than one step only where no value can
-leave the normal range, so the sums and y are bit for bit those of a loop
-that rescales at every step.
+leave the normal range.  The step guard, the stopping rule and the stall
+rule are then array operations over the block's steps: the block keeps
+the steps before the first stop any of them finds, all at once.  So the
+sums and y are bit for bit those of a loop that rescales at every step
+and tests each step in turn.
 
 On matrices whose dominant eigenvalue is not strictly dominant in modulus
 (imprimitive matrices), the sums oscillate instead of converging.  When the
@@ -165,21 +168,29 @@ _STAGNATION_WINDOW = 20
 _STAGNATION_FACTOR = 0.999
 
 
+def _stalled(now, then, tolerance):
+    """The stall rule per entry: the spread ``now`` is above the tolerance and
+    keeps more than _STAGNATION_FACTOR of ``then``, the positive spread
+    _STAGNATION_WINDOW entries earlier.
+    """
+    return (now > tolerance) & (then > 0) & (now / then > _STAGNATION_FACTOR)
+
+
 def _stagnant(rmin, rmax, cfg: SolverConfig) -> bool:
+    """The stall rule at the last entry of a history of min and max sums."""
     w = _STAGNATION_WINDOW
     if len(rmin) < w + 1:
         return False
-    now = rmax[-1] - rmin[-1]
-    then = rmax[-1 - w] - rmin[-1 - w]
-    if now <= cfg.tolerance or then <= 0:
-        return False
-    return now / then > _STAGNATION_FACTOR
+    now, then = rmax[-1] - rmin[-1], rmax[-1 - w] - rmin[-1 - w]
+    # the rule masks a zero ``then`` out, but a float division by it raises
+    return bool(then > 0 and _stalled(now, then, cfg.tolerance))
 
 
 def _stall_rule(primitive, cfg: SolverConfig):
-    """``stop(rmin, rmax)`` for the power loops: the spread stalled and the
-    thunk ``primitive()`` says the operator is not primitive.  The thunk
-    runs at most once.
+    """``stop(rmin, rmax)`` for a loop that tests one step at a time, as
+    :func:`~perronkit.baseline.power_method` does: the spread stalled and
+    the thunk ``primitive()`` says the operator is not primitive.  The
+    thunk runs at most once.
     """
     # primitive()'s answer, once asked; a functools.cache would take about
     # 6 µs to build, a tenth of a one-step solve
@@ -251,6 +262,26 @@ def _normal_steps(n: int, lo: float, hi: float, wmin: float, e: int, least: floa
     return steps
 
 
+def _ulp(x):
+    """math.ulp of each nonnegative entry of x.  np.spacing alone is inf at
+    the largest double; every double from 2^1023 up has the ulp of 2^1023.
+    """
+    return np.spacing(np.minimum(x, 2.0**1023))
+
+
+def _converged(spread, hi, tolerance):
+    """The stopping rule per entry: the spread of sums with maximum ``hi`` is
+    within the tolerance or one ulp of ``hi``; an inf or nan spread never is.
+    """
+    return spread <= np.maximum(_ulp(hi), tolerance)
+
+
+def _first(flags) -> int:
+    """Index of the first true entry of flags, or len(flags) if there is none."""
+    i = int(flags.argmax())
+    return i if flags[i] else len(flags)
+
+
 @np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED
 def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=None, *, work: int, least):
     """The one loop: y <- Kᵀ y from y = 1, with the sums r = (Kᵀ y) / y.
@@ -270,10 +301,13 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
     y in row 0, its images Kᵀ y, Kᵀ Kᵀ y, ... in rows 1..k, and in rows
     k + 1..2k the k quotient rows B[j + 1] / B[j], formed by one division;
     two axis-1 reductions over all 2k + 1 rows then read every min and max.
-    A block of one step runs the same way.  The loop accepts the rows in
-    order under the unchanged stopping rule, one step each, and drops those
-    past the stop.  The sums, history and final y are bit for bit those of
-    a loop that rescales at every step.
+    A block of one step runs the same way.  The loop then decides the
+    whole block with array operations over its k rows: the step guard, the
+    stopping rule and the stall rule each give the first row where they
+    stop, and the block keeps the rows up to the earliest stop, with the
+    history, y and ``on_step`` taken from them at once.  The sums, history
+    and final y are bit for bit those of a loop that rescales at every
+    step and tests each step in turn.
 
     ``work`` is the multiply-adds of one ``vecmat`` call and ``least()``
     the least positive factor it multiplies an entry of y by.  Blocks grow
@@ -285,12 +319,17 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
 
     The step guard stops the run as STAGNATED, keeping the last accurate
     step, when y or Kᵀ y has an entry below the normal range or a quotient
-    is not finite.  Every row j is handled alike: rescaling is exact, so
+    is not finite.  Every row j is tested alike: rescaling is exact, so
     min y and min Kᵀ y are min B[j] 2^-s and min B[j + 1] 2^-s, with s the
     exponent of max B[j], which is 0 for row 0 as it is rescaled already.
     NaN propagates through the reductions and r >= 0, so any NaN or inf
-    among the quotients shows in max r.  An inf sum makes the spread inf,
-    which never converges.
+    among the quotients shows in max r and makes the spread non-finite.
+    Row j's spread stalls against the one 20 entries before it, so the
+    last 20 history spreads are joined to the block's; this test is skipped
+    when no row before the first stop has an entry 20 back, and once
+    ``primitive()`` has answered yes.  A row that both converges and
+    stalls converges, and a row that converges or stalls is kept even when
+    the next row fails the guard.
     """
     y = np.ones(n)
     w = vecmat(y)
@@ -303,59 +342,62 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
     wmin, wmax = rmin[0], rmax[0]  # r = w on the first step
     if on_step is not None:
         on_step(0, w)
-    tiny = np.finfo(np.float64).tiny
-    stalled = _stall_rule(primitive, cfg)
+    tiny = float(np.finfo(np.float64).tiny)
     budget = max(1, _BLOCK_WORK // work)
     least_term = None  # least(), once a block of k > 1 is first considered
+    verdict = None  # primitive(), once a stall is the first stop of a block
     y_exp = 0  # the last accepted y is y 2^-y_exp, rescaled on return
 
-    tolerance, cap = cfg.tolerance, cfg.max_iterations
-    t = j = k = 0  # step t is row j of the current block of k
-    while True:
-        spread = rmax[-1] - rmin[-1]
-        # an inf sum makes the spread inf, and math.ulp(inf) is inf too
-        if math.isfinite(spread) and (spread <= tolerance or spread <= math.ulp(rmax[-1])):
-            status = Status.CONVERGED
-            break
-        if stalled(rmin, rmax):
-            status = Status.STAGNATED
-            break
-        if t >= cap:
-            status = Status.MAX_ITERATIONS
-            break
+    tolerance, cap, window = cfg.tolerance, cfg.max_iterations, _STAGNATION_WINDOW
+    t = 0
+    status = Status.CONVERGED if _converged(rmax[0] - rmin[0], rmax[0], tolerance) else None
+    while status is None and t < cap:
+        e = math.frexp(wmax)[1]
+        k = min(_BLOCK_STEPS, t + 1, cap - t, budget)
+        if k > 1:
+            least_term = least() if least_term is None else least_term
+            k = max(1, int(min(k, _normal_steps(n, rmin[-1], rmax[-1], wmin, e, least_term))))
+        # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients
+        B = np.empty((2 * k + 1, n))
+        np.ldexp(w, -e, out=B[0])
+        for i in range(k):
+            B[i + 1] = vecmat(B[i])
+        np.divide(B[1 : k + 1], B[:k], out=B[k + 1 :])
+        mins, maxs = _min(B, 1), _max(B, 1)
+        lo, hi = mins[k + 1 :], maxs[k + 1 :]
+        spread = hi - lo
 
-        if j == k:  # the block is used up: run the next one from w
-            e = math.frexp(wmax)[1]
-            k = min(_BLOCK_STEPS, t + 1, cap - t, budget)
-            if k > 1:
-                least_term = least() if least_term is None else least_term
-                k = max(1, int(min(k, _normal_steps(n, rmin[-1], rmax[-1], wmin, e, least_term))))
-            # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients
-            B = np.empty((2 * k + 1, n))
-            np.ldexp(w, -e, out=B[0])
-            for i in range(k):
-                B[i + 1] = vecmat(B[i])
-            np.divide(B[1 : k + 1], B[:k], out=B[k + 1 :])
-            mins, maxs = _min(B, 1).tolist(), _max(B, 1).tolist()
-            j = 0
-
-        lo, hi = mins[k + 1 + j], maxs[k + 1 + j]
-        # row j is y 2^s, with s = 0 for row 0, which is rescaled already
-        s = math.frexp(maxs[j])[1]
         # below the normal range y and w lose precision, and the quotients
         # lose monotonicity or turn inf or nan; keep the last accurate step
-        if math.ldexp(min(mins[j], mins[j + 1]), -s) < tiny or not math.isfinite(hi):
-            status = Status.STAGNATED
-            break
-        y, y_exp = B[j], s
-        w, wmin, wmax = B[j + 1], mins[j + 1], maxs[j + 1]
-        t += 1
-        rmin.append(lo)
-        rmax.append(hi)
-        if on_step is not None:
-            on_step(t, B[k + 1 + j])
-        j += 1
+        s = np.frexp(maxs[:k])[1]
+        fails = ~((np.ldexp(np.minimum(mins[:k], mins[1 : k + 1]), -s) >= tiny) & np.isfinite(spread))
+        # the first row that fails the guard, which drops it, or converges
+        stop = _first(fails | _converged(spread, hi, tolerance))
+        m, status = k, None
+        if stop < k:
+            m, status = (stop, Status.STAGNATED) if fails[stop] else (stop + 1, Status.CONVERGED)
+        if verdict is None and t + stop >= window:  # a row before the stop has an entry window back
+            # the last history spreads, then the block's; the rule's entry p
+            # is row p + window - (the number of history spreads)
+            spreads = np.concatenate((np.subtract(rmax[-window:], rmin[-window:]), spread))
+            q = _first(_stalled(spreads[window:], spreads[:-window], tolerance)) + k + window - len(spreads)
+            if q < stop:
+                verdict = primitive()
+                if not verdict:
+                    m, status = q + 1, Status.STAGNATED
 
+        if m:
+            rmin.extend(lo[:m].tolist())
+            rmax.extend(hi[:m].tolist())
+            y, y_exp = B[m - 1], int(s[m - 1])
+            w, wmin, wmax = B[m], float(mins[m]), float(maxs[m])
+            if on_step is not None:
+                for j in range(m):
+                    on_step(t + 1 + j, B[k + 1 + j])
+            t += m
+
+    if status is None:
+        status = Status.MAX_ITERATIONS
     if y_exp:  # a block's first row is rescaled already
         y = np.ldexp(y, -y_exp)
     return y, t, status, ConvergenceHistory(rmin=np.array(rmin), rmax=np.array(rmax))

@@ -94,19 +94,25 @@ def damped_dense(P) -> np.ndarray:
     return P.alpha * P.matrix.to_dense() + (1.0 - P.alpha) / P.n
 
 
-def reference_iterate(K, cfg):
-    """The balancing loop y <- Kᵀ y on a matrix K; see :func:`reference_loop`."""
-    return reference_loop(_kernel(K), K.n, functools.partial(is_primitive, K), cfg)
+def reference_iterate(K, cfg, primitive=None):
+    """The balancing loop y <- Kᵀ y on a matrix K; see :func:`reference_loop`.
+
+    ``primitive`` defaults to the exact test on K.
+    """
+    primitive = primitive or functools.partial(is_primitive, K)
+    return reference_loop(_kernel(K), K.n, primitive, cfg)
 
 
 def reference_loop(vecmat, n, primitive, cfg):
     """The balancing loop y <- Kᵀ y one step at a time, with a pass per guard.
 
     ``vecmat(y)`` computes Kᵀ y and ``primitive()`` answers whether K is
-    primitive.  Returns (y, iterations, status, rmin, rmax), or None when
-    some sum of K is zero and the solver raises.  Every step rescales w by
-    2^-e, e the exponent of max w, reduces y and w = Kᵀ y afresh and tests
-    every quotient for finiteness.
+    primitive.  Returns (y, iterations, status, rmin, rmax, steps), or None
+    when some sum of K is zero and the solver raises; ``steps`` lists
+    (t, r.tobytes()) for the input's sums and each accepted step's, the
+    calls the solver makes to ``on_step``.  Every step rescales w by 2^-e,
+    e the exponent of max w, reduces y and w = Kᵀ y afresh, tests every
+    quotient for finiteness and then tests the stop rules.
     """
     tiny = np.finfo(np.float64).tiny
     stalled = _stall_rule(primitive, cfg)
@@ -115,6 +121,7 @@ def reference_loop(vecmat, n, primitive, cfg):
     if (r == 0).any():
         return None
     rmin, rmax = [float(r.min())], [float(r.max())]
+    steps = [(0, r.tobytes())]
     t = 0
     with np.errstate(all="ignore"):
         while True:
@@ -138,7 +145,8 @@ def reference_loop(vecmat, n, primitive, cfg):
             t += 1
             rmin.append(float(r.min()))
             rmax.append(float(r.max()))
-    return y, t, status, np.array(rmin), np.array(rmax)
+            steps.append((t, r.tobytes()))
+    return y, t, status, np.array(rmin), np.array(rmax), steps
 
 
 def vecmat_unblocked(D, v) -> np.ndarray:

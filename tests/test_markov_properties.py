@@ -104,9 +104,14 @@ def test_blocked_damped_loop_matches_the_reference_loop(P, alpha, cap):
     cfg = SolverConfig(tolerance=1e-300, max_iterations=cap)
     for matrix in (P.matrix, from_dense(P.matrix.to_dense())):
         vecmat, work, least = _operator(damp(StochasticMatrix(matrix), alpha))
-        y_ref, t_ref, status_ref, rmin_ref, rmax_ref = reference_loop(vecmat, P.n, lambda: True, cfg)
-        y, t, status, history = _iterate(vecmat, P.n, lambda: True, Side.COLUMN, cfg, work=work, least=least)
+        y_ref, t_ref, status_ref, rmin_ref, rmax_ref, steps_ref = reference_loop(vecmat, P.n, lambda: True, cfg)
+        steps = []
+        y, t, status, history = _iterate(
+            vecmat, P.n, lambda: True, Side.COLUMN, cfg, lambda t, r: steps.append((t, r.tobytes())),
+            work=work, least=least,
+        )
         assert (t, status) == (t_ref, status_ref)
+        assert steps == steps_ref
         assert y.tobytes() == y_ref.tobytes()
         assert history.rmin.tobytes() == rmin_ref.tobytes()
         assert history.rmax.tobytes() == rmax_ref.tobytes()

@@ -27,7 +27,7 @@ from perronkit import (
 )
 from perronkit.errors import DomainError
 from perronkit.matcore import NonnegMatrix, _csr
-from perronkit.solver import _STAGNATION_WINDOW, _stagnant
+from perronkit.solver import _STAGNATION_WINDOW, _stagnant, _ulp
 
 
 def collect(out):
@@ -214,6 +214,11 @@ class TestStoppingRules:
         assert [t for t, _ in steps] == list(range(101))
         assert [r.min() for _, r in steps] == res.history.rmin.tolist()
         assert [r.max() for _, r in steps] == res.history.rmax.tolist()
+
+    def test_block_rounding_floor_is_math_ulp(self):
+        # np.spacing alone is inf at the largest double, where math.ulp is 2^971
+        values = [np.finfo(np.float64).max, 2.0**1023, 1.0, 2.0**-1022, 5e-324]
+        assert _ulp(np.array(values)).tolist() == [math.ulp(v) for v in values]
 
 
 class TestStagnant:

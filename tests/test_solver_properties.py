@@ -11,7 +11,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_iterate
+from conftest import PERIODIC3_ROWS
+from oracles import reference_iterate, reference_loop
 from perronkit import (
     PerronError,
     Side,
@@ -51,6 +52,10 @@ QUOTIENT_OVERFLOW = from_dense([[0.0, 1e290, 0.0], [np.finfo(np.float64).max, 0.
 # on the row side y_0 / y_3 falls to about 1e-303, so b_30 = 1e-21 y_0 / y_3 is
 # about 1e-324, below half the least subnormal, and rounds to zero
 BALANCED_UNDERFLOW = from_dense([[0.0, 0.0, 10**1.5, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [1e-21, 0.0, 0.0, 1e21]])
+
+# on the column side the quotients of step 1, (1e-9, 0), agree within the
+# tolerance while (Aᵀ y)_1 underflows to zero: the step guard, tested first, wins
+GUARD_BEFORE_CONVERGENCE = from_dense([[1e-9, 0.0], [1.0, 1e-290]])
 
 
 def _with_corner(A, value):
@@ -97,35 +102,82 @@ def test_results_are_finite_and_enclosure_is_monotone(A, solve, side):
 @example(A=SUBNORMAL_AY, side=Side.COLUMN)
 @example(A=TINY_Y, side=Side.ROW)
 @example(A=QUOTIENT_OVERFLOW, side=Side.ROW)
+@example(A=from_dense(PERIODIC3_ROWS), side=Side.ROW)  # stalls at t = 21, inside the block 16..31
+@example(A=GUARD_BEFORE_CONVERGENCE, side=Side.COLUMN)
 def test_loop_matches_reference_loop(A, side):
     # the solver runs blocks of up to 64 steps wherever the range rule allows,
-    # carries the extremes of w from step to step and reads every guard off
-    # its block's two reductions; the reference recomputes each every step
+    # carries the extremes of w from step to step and decides each block's
+    # guard, stop and stall with array operations over its rows; the
+    # reference recomputes each every step and tests the steps in turn
     cfg = SolverConfig(max_iterations=500)
     K = A.transpose() if side is Side.ROW else A
-    expected = reference_iterate(K, cfg)
+    asked = CountedThunk(functools.partial(is_primitive, K))
+    expected = reference_iterate(K, cfg, asked)
     if expected is None:
         with pytest.raises(ZeroSumError):
             blocked_iterate(K, cfg, side)
         return
-    assert_same_run(blocked_iterate(K, cfg, side), expected)
+    assert_same_run(blocked_iterate(K, cfg, side), expected, asked.calls)
+
+
+def test_stall_past_the_stop_in_one_block_is_not_asked():
+    # an order-2 operator that doubles y_0 / y_1 exactly at every step, so
+    # that ratio, 2^t, names the step at any power-of-two scale of y; its
+    # sums at step t are (2 q_t, q_t), spread q_t.  The spread falls 5 % a
+    # step, drops within the tolerance at t = 40 and returns at t = 41 to
+    # its value at t = 21: a stall, one row past the stop in the block 32..63
+    q = [0.95**t for t in range(40)] + [0.1, 0.95**21] + [1.0] * 30
+
+    def vecmat(v):
+        q_t = q[math.frexp(v[0] / v[1])[1] - 1]
+        return np.array([v[0] * (2 * q_t), v[1] * q_t])
+
+    cfg = SolverConfig(tolerance=0.12)
+    asked = CountedThunk(lambda: False)
+    y_ref, t_ref, status_ref, *_ = reference_loop(vecmat, 2, asked, cfg)
+    assert (t_ref, status_ref, asked.calls) == (40, Status.CONVERGED, 0)
+    y, t, status, _ = _iterate(vecmat, 2, asked, Side.COLUMN, cfg, work=2, least=lambda: min(q))
+    assert (t, status, asked.calls) == (40, Status.CONVERGED, 0)
+    assert y.tobytes() == y_ref.tobytes()
+
+
+class CountedThunk:
+    """A thunk that counts its calls."""
+
+    def __init__(self, thunk):
+        self.thunk, self.calls = thunk, 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.thunk()
 
 
 def blocked_iterate(K, cfg, side=Side.COLUMN):
-    """The loop on K's columns with the block inputs algorithm_b passes."""
-    return _iterate(
-        _kernel(K), K.n, functools.partial(is_primitive, K), side, cfg,
+    """The loop on K's columns with the block inputs algorithm_b passes.
+
+    Returns the loop's (y, iterations, status, history), the (t, r.tobytes())
+    of its ``on_step`` calls and the number of ``primitive()`` calls.
+    """
+    steps = []
+    asked = CountedThunk(functools.partial(is_primitive, K))
+    run = _iterate(
+        _kernel(K), K.n, asked, side, cfg, lambda t, r: steps.append((t, r.tobytes())),
         work=_work(K), least=functools.partial(_least_entry, K),
     )
+    return (*run, steps, asked.calls)
 
 
-def assert_same_run(got, expected):
-    y, t, status, history = got
-    y_ref, t_ref, status_ref, rmin_ref, rmax_ref = expected
+def assert_same_run(got, expected, primitive_calls):
+    """The same run, ``on_step`` calls included, and primitive() asked as
+    often as by the reference loop, which asks only when it stalls."""
+    y, t, status, history, steps, asked = got
+    y_ref, t_ref, status_ref, rmin_ref, rmax_ref, steps_ref = expected
     assert (t, status) == (t_ref, status_ref)
     assert y.tobytes() == y_ref.tobytes()
     assert history.rmin.tobytes() == rmin_ref.tobytes()
     assert history.rmax.tobytes() == rmax_ref.tobytes()
+    assert steps == steps_ref
+    assert asked == primitive_calls <= 1
 
 
 @st.composite
@@ -155,9 +207,10 @@ def tridiagonal_bands(draw):
 @example(A=ALL_REFUSED, cap=1)
 def test_blocked_loop_matches_reference_on_long_runs(A, cap):
     cfg = SolverConfig(max_iterations=cap)
-    expected = reference_iterate(A, cfg)
-    assert_same_run(blocked_iterate(A, cfg), expected)
-    assert_same_run(blocked_iterate(from_dense(A.to_dense()), cfg), expected)
+    asked = CountedThunk(functools.partial(is_primitive, A))
+    expected = reference_iterate(A, cfg, asked)
+    assert_same_run(blocked_iterate(A, cfg), expected, asked.calls)
+    assert_same_run(blocked_iterate(from_dense(A.to_dense()), cfg), expected, asked.calls)
 
 
 @settings(max_examples=200, deadline=None)
