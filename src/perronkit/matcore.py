@@ -332,10 +332,16 @@ def random_primitive(n, density=0.5, rng=None) -> NonnegMatrix:
 
     Entries are drawn uniformly from [0.2, 2.0).  A spanning cycle is always
     present, so the pattern is strongly connected; with the positive
-    diagonal the matrix is primitive by construction.
+    diagonal the matrix is primitive by construction.  ``rng`` is a seed
+    or generator for np.random.default_rng; ``density`` lies in [0, 1].
     """
     n = _order(n)
-    rng = np.random.default_rng(rng)
+    if not 0 <= density <= 1:  # nan fails too
+        raise DomainError(f"density must be in [0, 1], got {density!r}")
+    try:
+        rng = np.random.default_rng(rng)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"seed must be a non-negative integer, got {rng!r}") from exc
     mask = rng.random((n, n)) < density
     arr = np.where(mask, rng.uniform(0.2, 2.0, (n, n)), 0.0)
     idx = np.arange(n)

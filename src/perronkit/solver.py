@@ -16,21 +16,22 @@ One loop runs over the chosen side's kernel, v -> A v for rows or
 v -> Aᵀ v for columns, and returns only y and the min and max sums of
 each step; a caller that wants the sum vectors passes ``on_step``, which
 sees each one as it is computed and keeps what it needs.
-:func:`algorithm_b` picks the side, runs it and builds the result around
-y, the dominant eigenvector (of the transpose for columns).
-:func:`algorithm_a` returns no eigenvector; the stationary distribution of
+:func:`algorithm_a` picks the side, runs it and builds the result around
+y; :func:`algorithm_b` adds y normalized, the dominant eigenvector (of the
+transpose for columns).  The stationary distribution of
 :mod:`~perronkit.markov` runs the loop alone.
 
 The loop runs its steps in blocks.  A power-of-two rescaling is exact and
 commutes with every rounding while all values stay normal, so a block of
 up to 64 steps applies the kernel to unscaled vectors, one row of an array
-each, and reads all their sums with one division and two reductions.  A
-range rule lets a block run more than one step only where no value can
-leave the normal range.  The step guard, the stopping rule and the stall
-rule are then array operations over the block's steps: the block keeps
-the steps before the first stop any of them finds, all at once.  So the
-sums and y are bit for bit those of a loop that rescales at every step
-and tests each step in turn.
+each, and reads all their sums with one division and two reductions.  The
+block's minima and maxima then show where a value may have left the normal
+range, unscaled or rescaled: the block is cut there, and keeps only the
+steps before the cut.  The step guard, the stopping rule and the stall
+rule are array operations over those steps: the block keeps the steps
+before the first stop any of them finds, all at once.  So the sums and y
+are bit for bit those of a loop that rescales at every step and tests
+each step in turn.
 
 On matrices whose dominant eigenvalue is not strictly dominant in modulus
 (imprimitive matrices), the sums oscillate instead of converging.  When the
@@ -226,40 +227,8 @@ _min, _max = np.minimum.reduce, np.maximum.reduce
 # a block runs at most this many steps, on at most this many multiply-adds
 _BLOCK_STEPS = 64
 _BLOCK_WORK = 2**16
-# log2 of the least normal double and of 2^1024, each moved 64 bits inward
-_LOG2_FLOOR = -1022 + 64
-_LOG2_CEIL = 1024 - 64
-
-
-def _normal_steps(n: int, lo: float, hi: float, wmin: float, e: int, least: float) -> float:
-    """How many steps a block from y = w 2^-e can run with every value normal.
-
-    [lo, hi] holds the last step's sums.  Each step multiplies every entry
-    of y by a factor in [lo, hi], up to rounding: the Collatz-Wielandt
-    bounds only tighten.  Starting from min y = wmin 2^-e and max y < 1,
-    the block's unscaled rows j = 0..k lie in [min y lo^j, hi^j], and the
-    same steps rescaled to max y in [1/2, 1) keep y above
-    min y (lo / hi)^j / 2 and Kᵀ y above lo times that.  Every kernel term
-    is a factor of at least ``least`` times an entry of y, and every sum
-    lies between its least term and n max y.  64 bits of margin cover the
-    rounding.  The quotients need no check: they are the same bits at any
-    power-of-two scale.  Each bound is bits of room over bits a step uses.
-    """
-    if least <= 0:  # the least factor itself underflowed
-        return 0.0
-    a, b = math.log2(lo), math.log2(hi)
-    room = math.log2(wmin) - e + min(math.log2(least), 0.0) - _LOG2_FLOOR
-    steps = math.inf
-    for have, per_step in (
-        (room, -min(a, 0.0)),  # unscaled rows, shrinking by lo
-        (room + min(a, 0.0) - 1, b - a),  # rescaled rows, spreading by hi / lo
-        (_LOG2_CEIL - math.log2(n), max(b, 0.0)),  # unscaled rows, growing by hi
-    ):
-        if have < 0:
-            return 0.0
-        if per_step > 0:
-            steps = min(steps, have / per_step)
-    return steps
+# least() min y at or above this keeps kernel terms normal, with room for rounding
+_TERM_FLOOR = 2.0**-1018
 
 
 def _ulp(x):
@@ -301,21 +270,25 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
     y in row 0, its images Kᵀ y, Kᵀ Kᵀ y, ... in rows 1..k, and in rows
     k + 1..2k the k quotient rows B[j + 1] / B[j], formed by one division;
     two axis-1 reductions over all 2k + 1 rows then read every min and max.
-    A block of one step runs the same way.  The loop then decides the
-    whole block with array operations over its k rows: the step guard, the
-    stopping rule and the stall rule each give the first row where they
-    stop, and the block keeps the rows up to the earliest stop, with the
-    history, y and ``on_step`` taken from them at once.  The sums, history
-    and final y are bit for bit those of a loop that rescales at every
-    step and tests each step in turn.
+
+    Row j stands for the rescaled loop's y times 2^s_j, s_j the exponent of
+    max B[j], up to the cut: the first step j >= 1 where least() times
+    min B[j], unscaled or rescaled by 2^-s_j, is below 2^-1018, so a kernel
+    term may be subnormal, or where max B[j + 1] is not finite.  Each sum
+    is at least its least term, and a rescaled sum, from y <= 1, at most
+    the input's; step 0 starts from the rescaled y and is the loop's own.
+    The rows from the cut on are dropped unseen.  The step guard, the
+    stopping rule and the stall rule then each give the first step before
+    the cut where they stop, and the block keeps the steps up to the
+    earliest stop, with the history, y and ``on_step`` taken from them at
+    once.  The sums, history and final y are bit for bit those of a loop
+    that rescales at every step and tests each step in turn.
 
     ``work`` is the multiply-adds of one ``vecmat`` call and ``least()``
-    the least positive factor it multiplies an entry of y by.  Blocks grow
-    with t, k = min(64, t + 1, steps left, 2**16 // work), so a short run
-    computes at most about twice the steps it keeps.  :func:`_normal_steps`
-    then cuts k to the steps for which it proves that no value, scaled or
-    not, leaves the normal range, and is asked again at the next block.
-    ``least`` is called once, the first time k > 1.
+    the least positive factor it multiplies an entry of y by; it is called
+    once, by the first block of k > 1.  A block runs k = min(64, m + 1,
+    steps left, 2**16 // work) steps, m being the steps the last block kept
+    (none before the first), so a cut wastes at most one row.
 
     The step guard stops the run as STAGNATED, keeping the last accurate
     step, when y or Kᵀ y has an entry below the normal range or a quotient
@@ -339,48 +312,51 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
 
     rmin = [float(_min(w))]
     rmax = [float(_max(w))]
-    wmin, wmax = rmin[0], rmax[0]  # r = w on the first step
+    wmax = rmax[0]  # r = w on the first step
     if on_step is not None:
         on_step(0, w)
     tiny = float(np.finfo(np.float64).tiny)
     budget = max(1, _BLOCK_WORK // work)
-    least_term = None  # least(), once a block of k > 1 is first considered
+    least_term = None  # least(), once a block of k > 1 first runs
     verdict = None  # primitive(), once a stall is the first stop of a block
     y_exp = 0  # the last accepted y is y 2^-y_exp, rescaled on return
 
     tolerance, cap, window = cfg.tolerance, cfg.max_iterations, _STAGNATION_WINDOW
-    t = 0
+    t = m = 0
     status = Status.CONVERGED if _converged(rmax[0] - rmin[0], rmax[0], tolerance) else None
     while status is None and t < cap:
-        e = math.frexp(wmax)[1]
-        k = min(_BLOCK_STEPS, t + 1, cap - t, budget)
-        if k > 1:
-            least_term = least() if least_term is None else least_term
-            k = max(1, int(min(k, _normal_steps(n, rmin[-1], rmax[-1], wmin, e, least_term))))
+        k = min(_BLOCK_STEPS, m + 1, cap - t, budget)
         # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients
         B = np.empty((2 * k + 1, n))
-        np.ldexp(w, -e, out=B[0])
+        np.ldexp(w, -math.frexp(wmax)[1], out=B[0])
         for i in range(k):
             B[i + 1] = vecmat(B[i])
         np.divide(B[1 : k + 1], B[:k], out=B[k + 1 :])
         mins, maxs = _min(B, 1), _max(B, 1)
-        lo, hi = mins[k + 1 :], maxs[k + 1 :]
+        s = np.frexp(maxs[:k])[1]
+
+        # the cut: a kernel term may leave the normal range, or a sum overflowed
+        c = k
+        if k > 1:
+            least_term = least() if least_term is None else least_term
+            low = least_term * np.ldexp(mins[1:k], -np.maximum(s[1:k], 0)) < _TERM_FLOOR
+            c = 1 + _first(low | ~np.isfinite(maxs[2 : k + 1]))
+        lo, hi = mins[k + 1 : k + 1 + c], maxs[k + 1 : k + 1 + c]
         spread = hi - lo
 
         # below the normal range y and w lose precision, and the quotients
         # lose monotonicity or turn inf or nan; keep the last accurate step
-        s = np.frexp(maxs[:k])[1]
-        fails = ~((np.ldexp(np.minimum(mins[:k], mins[1 : k + 1]), -s) >= tiny) & np.isfinite(spread))
+        fails = ~((np.ldexp(np.minimum(mins[:c], mins[1 : c + 1]), -s[:c]) >= tiny) & np.isfinite(spread))
         # the first row that fails the guard, which drops it, or converges
         stop = _first(fails | _converged(spread, hi, tolerance))
-        m, status = k, None
-        if stop < k:
+        m, status = c, None
+        if stop < c:
             m, status = (stop, Status.STAGNATED) if fails[stop] else (stop + 1, Status.CONVERGED)
         if verdict is None and t + stop >= window:  # a row before the stop has an entry window back
             # the last history spreads, then the block's; the rule's entry p
             # is row p + window - (the number of history spreads)
             spreads = np.concatenate((np.subtract(rmax[-window:], rmin[-window:]), spread))
-            q = _first(_stalled(spreads[window:], spreads[:-window], tolerance)) + k + window - len(spreads)
+            q = _first(_stalled(spreads[window:], spreads[:-window], tolerance)) + c + window - len(spreads)
             if q < stop:
                 verdict = primitive()
                 if not verdict:
@@ -390,7 +366,7 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
             rmin.extend(lo[:m].tolist())
             rmax.extend(hi[:m].tolist())
             y, y_exp = B[m - 1], int(s[m - 1])
-            w, wmin, wmax = B[m], float(mins[m]), float(maxs[m])
+            w, wmax = B[m], float(maxs[m])
             if on_step is not None:
                 for j in range(m):
                     on_step(t + 1 + j, B[k + 1 + j])
@@ -406,14 +382,26 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
 def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=None) -> PerronResult:
     """Balance the sums and also return the accumulated scaling vector y.
 
-    Picks the side and runs the loop; the balanced matrix is built from the
-    final y only when the result's ``balanced`` is read.  On convergence y
+    Runs :func:`algorithm_a`; the balanced matrix is built from the final y
+    only when the result's ``balanced`` is read.  On convergence y
     spans the dominant eigenvector: M y = root * y within 10x tolerance,
     where M is the matrix in the balanced orientation.
 
     ``on_step(t, r)``, when given, receives the balanced sums r after t
     steps, for t = 0 up to the returned iteration count.  r belongs to the
     solver: read it or copy it, but do not modify it.
+    """
+    res = algorithm_a(A, cfg, on_step=on_step)
+    return replace(res, eigenvector=res._y / res._y.sum())
+
+
+def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=None) -> PerronResult:
+    """Balance the sums; returns the root enclosure only.
+
+    Picks the side and runs the loop.  Each step is equivalent to
+    multiplying entry (i, j) of the working matrix by r_j / r_i, where r is
+    the current sum vector on the chosen side; see the module docstring for
+    how the solver computes it.  ``on_step`` is as for :func:`algorithm_b`.
     """
     cfg = cfg or SolverConfig()
     side = cfg.side or _smaller_range(sums(A, Side.ROW), sums(A, Side.COLUMN))
@@ -427,7 +415,7 @@ def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
         root_lo=lo,
         root_hi=hi,
         root=0.5 * lo + 0.5 * hi,  # lo + hi may overflow
-        eigenvector=y / y.sum(),
+        eigenvector=None,
         iterations=t,
         side_used=side,
         status=status,
@@ -435,14 +423,3 @@ def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
         _A=A,
         _y=y,
     )
-
-
-def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=None) -> PerronResult:
-    """Balance the sums; returns the root enclosure only.
-
-    Each step is equivalent to multiplying entry (i, j) of the working
-    matrix by r_j / r_i, where r is the current sum vector on the chosen
-    side; see the module docstring for how the solver computes it.
-    ``on_step`` is as for :func:`algorithm_b`.
-    """
-    return replace(algorithm_b(A, cfg, on_step=on_step), eigenvector=None)

@@ -328,6 +328,15 @@ class TestGenCommand:
         assert out.startswith("%%MatrixMarket matrix coordinate real general")
         assert "3 3 7" in out
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--density", "2"], ["--density", "nan"]])
+    def test_random_bad_argument_is_one_error_line(self, capsys, tmp_path, flags):
+        out = tmp_path / "r.mtx"
+        assert main(["gen", "random", "--n", "3", *flags, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert not out.exists()
+
     def test_random_is_primitive(self, capsys, tmp_path):
         out = tmp_path / "r.mtx"
         assert main(["gen", "random", "--n", "6", "--seed", "4", "-o", str(out)]) == 0

@@ -283,3 +283,9 @@ def test_random_primitive_has_positive_diagonal():
     for seed in range(5):
         A = random_primitive(6, density=0.4, rng=seed)
         assert np.all(np.diagonal(A.to_dense()) > 0)
+
+
+@pytest.mark.parametrize("kwargs", [{"rng": -1}, {"rng": 1.5}, {"density": -1.0}, {"density": 2.0}, {"density": math.nan}])
+def test_random_primitive_rejects_bad_seed_and_density(kwargs):
+    with pytest.raises(DomainError):
+        random_primitive(3, **kwargs)

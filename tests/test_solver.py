@@ -26,8 +26,9 @@ from perronkit import (
     tridiagonal,
 )
 from perronkit.errors import DomainError
-from perronkit.matcore import NonnegMatrix, _csr
-from perronkit.solver import _STAGNATION_WINDOW, _stagnant, _ulp
+from perronkit.matcore import NonnegMatrix, _csr, _kernel, _least_entry, _work
+from perronkit.primitivity import is_primitive
+from perronkit.solver import _STAGNATION_WINDOW, _iterate, _stagnant, _ulp
 
 
 def collect(out):
@@ -214,6 +215,21 @@ class TestStoppingRules:
         assert [t for t, _ in steps] == list(range(101))
         assert [r.min() for _, r in steps] == res.history.rmin.tolist()
         assert [r.max() for _, r in steps] == res.history.rmax.tolist()
+
+    def test_each_block_runs_one_step_past_the_last_blocks_keep(self, sample3):
+        # blocks of 1, 2, 3, 4, 5 and 6 steps: the sixth stops after two, so
+        # the run computes 21 steps to keep 17, plus the input's sums
+        kernel, calls = _kernel(sample3), []
+
+        def vecmat(v):
+            calls.append(None)
+            return kernel(v)
+
+        _, t, status, _ = _iterate(
+            vecmat, 3, lambda: is_primitive(sample3), Side.COLUMN, SolverConfig(),
+            work=_work(sample3), least=lambda: _least_entry(sample3),
+        )
+        assert (t, status, len(calls)) == (17, Status.CONVERGED, 22)
 
     def test_block_rounding_floor_is_math_ulp(self):
         # np.spacing alone is inf at the largest double, where math.ulp is 2^971

@@ -66,9 +66,19 @@ def _with_corner(A, value):
     return from_coordinates(A.n, rows, cols, arr[rows, cols])
 
 
-# on its columns the range rule refuses every block it is asked about, so a
-# run takes one step per block (a 300-step run asks it 298 times)
+# on its columns the least entry, 1e-300, puts kernel terms near the bottom
+# of the normal range, so the cut drops a row in many blocks (a 300-step
+# run computes 351 steps)
 ALL_REFUSED = _with_corner(tridiagonal(200, 1, 3, 2), 1e-300)
+# tridiag(50, 1, 3, 2) scaled: on its columns an unscaled row overflows at
+# step 3 (1e100) or 1 (1e250) of a block, so the cut fires at every block
+# from the fourth (1e100) or the second (1e250) on
+HUGE_TRIDIAG = [tridiagonal(50, f, 3 * f, 2 * f) for f in (1e100, 1e250)]
+# on its columns y_2 / y_0 shrinks by 2^-70 a step while max y grows by
+# 2^50; at t = 14, in the block 11..15, the term a_21 y_2 is below the
+# normal range rescaled but normal unscaled, where the rescaled loop rounds
+# (Aᵀ y)_1 to another double: only the cut's rescaled side drops that row
+RESCALED_SUBNORMAL_TERM = from_dense([[2.0**50, 0.0, 0.0], [0.0, 2.0**-25, 0.0], [0.0, 2.0**-40 * (1 + 2.0**-52), 2.0**-20]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,11 +112,11 @@ def test_results_are_finite_and_enclosure_is_monotone(A, solve, side):
 @example(A=SUBNORMAL_AY, side=Side.COLUMN)
 @example(A=TINY_Y, side=Side.ROW)
 @example(A=QUOTIENT_OVERFLOW, side=Side.ROW)
-@example(A=from_dense(PERIODIC3_ROWS), side=Side.ROW)  # stalls at t = 21, inside the block 16..31
+@example(A=from_dense(PERIODIC3_ROWS), side=Side.ROW)  # stalls at t = 21, the last step of the block 16..21
 @example(A=GUARD_BEFORE_CONVERGENCE, side=Side.COLUMN)
 def test_loop_matches_reference_loop(A, side):
-    # the solver runs blocks of up to 64 steps wherever the range rule allows,
-    # carries the extremes of w from step to step and decides each block's
+    # the solver runs blocks of up to 64 steps, keeps those before the cut,
+    # carries the maximum of w from step to step and decides each block's
     # guard, stop and stall with array operations over its rows; the
     # reference recomputes each every step and tests the steps in turn
     cfg = SolverConfig(max_iterations=500)
@@ -125,7 +135,7 @@ def test_stall_past_the_stop_in_one_block_is_not_asked():
     # that ratio, 2^t, names the step at any power-of-two scale of y; its
     # sums at step t are (2 q_t, q_t), spread q_t.  The spread falls 5 % a
     # step, drops within the tolerance at t = 40 and returns at t = 41 to
-    # its value at t = 21: a stall, one row past the stop in the block 32..63
+    # its value at t = 21: a stall, one row past the stop in the block 37..45
     q = [0.95**t for t in range(40)] + [0.1, 0.95**21] + [1.0] * 30
 
     def vecmat(v):
@@ -185,7 +195,7 @@ def tridiagonal_bands(draw):
     """Order 5..120, each band 10^s times factors in [1, 4), s in [-3, 3] or [-300, 300].
 
     Bands near 1 run blocks of 64 steps; bands far from 1, or far apart,
-    make the range rule fall back to single steps, and may take y out of
+    make the cut shorten blocks down to single steps, and may take y out of
     the normal range.  The diagonal may be zero (period 2).
     """
     n = draw(st.integers(5, 120))
@@ -205,6 +215,9 @@ def tridiagonal_bands(draw):
 @given(A=tridiagonal_bands(), cap=st.integers(1, 4000))
 @example(A=ALL_REFUSED, cap=300)
 @example(A=ALL_REFUSED, cap=1)
+@example(A=HUGE_TRIDIAG[0], cap=300)
+@example(A=HUGE_TRIDIAG[1], cap=300)
+@example(A=RESCALED_SUBNORMAL_TERM, cap=100)
 def test_blocked_loop_matches_reference_on_long_runs(A, cap):
     cfg = SolverConfig(max_iterations=cap)
     asked = CountedThunk(functools.partial(is_primitive, A))
