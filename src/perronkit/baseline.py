@@ -3,8 +3,8 @@
 It runs the solver's recurrence y <- A y through separate code (a BLAS
 matvec on dense storage, sup-norm normalization, its own convergence
 test), so agreement between the two is evidence for both.  Only the CSR
-product, the solver's row kernel, and the stall rule are shared: on input
-that is not primitive both stop as STAGNATED.
+product, the solver's row kernel, and ``_stalled``, the stall rule's one
+definition, are shared: on input that is not primitive both stop STAGNATED.
 Both slow down together as the second eigenvalue approaches the first,
 which the tridiagonal family exposes through its closed-form spectrum.
 """
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BreakdownError
 from .matcore import NonnegMatrix, Side, _kernel
 from .primitivity import is_primitive
-from .solver import SolverConfig, Status, _stall_rule
+from .solver import _STAGNATION_WINDOW, SolverConfig, Status, _stalled
 
 __all__ = ["PowerResult", "power_method"]
 
@@ -48,9 +48,9 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
     tol and max_iter are checked as SolverConfig's tolerance and
     max_iterations are; bad values raise DomainError.
     """
-    cfg = SolverConfig(tolerance=tol, max_iterations=max_iter)
-    stalled = _stall_rule(functools.partial(is_primitive, A), cfg)
-    qmin, qmax = [], []
+    SolverConfig(tolerance=tol, max_iterations=max_iter)  # raises on a bad tol or max_iter
+    spreads = []
+    verdict = None  # is_primitive(A), once the spread stalls
     # v -> A v: BLAS on dense storage, the solver's row kernel on CSR
     matvec = functools.partial(np.matmul, A._dense) if A.storage == "dense" else _kernel(A, Side.ROW)
     v = np.ones(A.n)
@@ -63,9 +63,8 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
         if nw == 0:
             raise BreakdownError(f"iterate vanished at iteration {t}")
         quotients = w[v > 0] / v[v > 0]
-        qmin.append(float(quotients.min()))
-        qmax.append(float(quotients.max()))
-        spread = qmax[-1] - qmin[-1]
+        spread = float(quotients.max()) - float(quotients.min())
+        spreads.append(spread)
         v_new = w / nw
         if (
             spread <= tol
@@ -74,6 +73,9 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
         ):
             return PowerResult(nw, v_new, t, Status.CONVERGED)
         v, lam = v_new, nw
-        if stalled(qmin, qmax):
-            return PowerResult(lam, v, t, Status.STAGNATED)
+        then = spreads[-1 - _STAGNATION_WINDOW] if t > _STAGNATION_WINDOW else 0.0
+        if then > 0 and _stalled(spread, then, tol):
+            verdict = is_primitive(A) if verdict is None else verdict
+            if not verdict:
+                return PowerResult(lam, v, t, Status.STAGNATED)
     return PowerResult(lam, v, max_iter, Status.MAX_ITERATIONS)

@@ -58,7 +58,7 @@ def _matrix_payload(M: NonnegMatrix) -> dict:
     return {
         "n": M.n,
         "storage": "csr",
-        "indptr": M._indptr.tolist(),
+        "indptr": np.searchsorted(M._rows, np.arange(M.n + 1)).tolist(),
         "indices": M._indices.tolist(),
         "values": M._data.tolist(),
     }

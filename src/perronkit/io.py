@@ -176,7 +176,7 @@ def _write_mm(A: NonnegMatrix, fh) -> None:
         line, fields = "%.17g\n", [A._dense.T.flat]  # array layout is column-major
     else:
         fh.write(f"%%MatrixMarket matrix coordinate real general\n{A.n} {A.n} {A.nnz}\n")
-        line, fields = "%d %d %.17g\n", [A._row_indices() + 1, A._indices + 1, A._data]
+        line, fields = "%d %d %.17g\n", [A._rows + 1, A._indices + 1, A._data]
     for s in range(0, len(fields[0]), A.n):
         chunk = list(zip(*(f[s:s + A.n].tolist() for f in fields)))
         fh.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))

@@ -79,8 +79,7 @@ def make_stochastic(A: NonnegMatrix) -> StochasticMatrix:
         raise ZeroSumError(int(zero[0]), side="row")
     if A.storage == "dense":
         return StochasticMatrix(NonnegMatrix(A.n, dense=A.to_dense() / r[:, None]))
-    rows = A._row_indices()
-    return StochasticMatrix(_csr(A.n, rows, A._indices, A._data / r[rows]))
+    return StochasticMatrix(_csr(A.n, A._rows, A._indices, A._data / r[A._rows]))
 
 
 def damp(P: StochasticMatrix, alpha: float) -> StochasticMatrix:

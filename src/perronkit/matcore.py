@@ -1,8 +1,9 @@
 """Nonnegative square matrices: validated storage, sums, scalings, generators.
 
 Matrices are immutable once constructed and safe to share between threads.
-Dense storage is row-major; sparse storage is CSR with strictly increasing
-column indices per row and no explicitly stored zeros.  Every sum and
+Dense storage is row-major; sparse storage is CSR kept as row-sorted
+triplets: the row index, column index and value of each stored entry, in
+row-major order, with no explicitly stored zeros.  Every sum and
 product goes through one kernel, which adds in index-ascending order, so
 dense and CSR storage of the same matrix give bit-identical results.
 """
@@ -52,20 +53,21 @@ class Side(str, Enum):
 class NonnegMatrix:
     """Immutable square matrix with finite entries >= 0.
 
+    CSR storage is three read-only arrays, ``_rows``, ``_indices`` and
+    ``_data``: the row, column and value of each stored entry.
     Construct through :func:`from_dense`, :func:`from_coordinates`, the
     generators below, or the readers in :mod:`perronkit.io`.
     """
 
-    __slots__ = ("n", "_dense", "_indptr", "_indices", "_data", "_rowidx")
+    __slots__ = ("n", "_dense", "_rows", "_indices", "_data")
 
-    def __init__(self, n, dense=None, indptr=None, indices=None, data=None):
+    def __init__(self, n, dense=None, rows=None, indices=None, data=None):
         self.n = int(n)
         self._dense = dense
-        self._indptr = indptr
+        self._rows = rows
         self._indices = indices
         self._data = data
-        self._rowidx = None
-        for arr in (dense, indptr, indices, data):
+        for arr in (dense, rows, indices, data):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -84,32 +86,22 @@ class NonnegMatrix:
         if self._dense is not None:
             return self._dense.copy()
         out = np.zeros((self.n, self.n))
-        out[self._row_indices(), self._indices] = self._data
+        out[self._rows, self._indices] = self._data
         return out
 
     def diagonal(self) -> np.ndarray:
         if self._dense is not None:
             return np.ascontiguousarray(np.diagonal(self._dense))
         d = np.zeros(self.n)
-        on_diag = self._row_indices() == self._indices
+        on_diag = self._rows == self._indices
         d[self._indices[on_diag]] = self._data[on_diag]
         return d
 
     def transpose(self) -> "NonnegMatrix":
         if self._dense is not None:
             return NonnegMatrix(self.n, dense=np.ascontiguousarray(self._dense.T))
-        rows = self._row_indices()
-        order = np.lexsort((rows, self._indices))
-        return _csr(self.n, self._indices[order], rows[order], self._data[order])
-
-    def _row_indices(self) -> np.ndarray:
-        """CSR row index of every stored entry, cached."""
-        if self._rowidx is None:
-            counts = np.diff(self._indptr)
-            rowidx = np.repeat(np.arange(self.n, dtype=np.int64), counts)
-            rowidx.setflags(write=False)
-            self._rowidx = rowidx
-        return self._rowidx
+        order = np.lexsort((self._rows, self._indices))
+        return _csr(self.n, self._indices[order], self._rows[order], self._data[order])
 
     def __repr__(self):
         return f"NonnegMatrix(n={self.n}, storage={self.storage!r}, nnz={self.nnz})"
@@ -131,15 +123,15 @@ class GerschgorinDisc:
 def _csr(n, rows, cols, values) -> NonnegMatrix:
     """CSR matrix from entries in row-major order; zero entries are dropped."""
     keep = values != 0
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-    return NonnegMatrix(n, indptr=indptr, indices=cols[keep], data=values[keep])
+    return NonnegMatrix(n, rows=rows[keep], indices=cols[keep], data=values[keep])
 
 
-def _order(n, least: int = 1) -> int:
+def _order(n, least: int = 1, power: int = 1) -> int:
     """n as an int, if it is an integer order >= least; numpy integers count, bools do not."""
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < least:
         raise NotSquareError(f"order must be an integer >= {least}, got {n!r}")
+    if 8 * int(n) ** power > np.iinfo(np.intp).max:  # numpy cannot address n**power doubles
+        raise MemoryError(f"a {n}x{n} matrix does not fit in memory")
     return int(n)
 
 
@@ -233,7 +225,7 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN):
     if A.storage == "dense":
         D = A._dense if side is Side.COLUMN else np.ascontiguousarray(A._dense.T)
         return functools.partial(np.einsum, "ij,i->j", D)
-    n, data, bins, gather = A.n, A._data, A._indices, A._row_indices()
+    n, data, bins, gather = A.n, A._data, A._indices, A._rows
     if side is Side.ROW:
         bins, gather = gather, bins
     return lambda v: np.bincount(bins, weights=data * v[gather], minlength=n)
@@ -295,7 +287,7 @@ def rank_one_hadamard(A: NonnegMatrix, x, y) -> NonnegMatrix:
         if over.size:
             raise _overflow(*over[0])
         return _finite_sums(NonnegMatrix(n, dense=B))
-    rows, cols = A._row_indices(), A._indices
+    rows, cols = A._rows, A._indices
     data = np.ldexp(A._data * (mx[rows] * my[cols]), ex[rows] + ey[cols])
     keep = (rows == cols) & unit[rows]
     data[keep] = A._data[keep]
@@ -335,7 +327,7 @@ def random_primitive(n, density=0.5, rng=None) -> NonnegMatrix:
     diagonal the matrix is primitive by construction.  ``rng`` is a seed
     or generator for np.random.default_rng; ``density`` lies in [0, 1].
     """
-    n = _order(n)
+    n = _order(n, power=2)
     if not 0 <= density <= 1:  # nan fails too
         raise DomainError(f"density must be in [0, 1], got {density!r}")
     try:

@@ -49,7 +49,7 @@ def _period(A: NonnegMatrix) -> int | None:
     if A.storage == "dense":
         src, dst = np.nonzero(A._dense)
     else:
-        src, dst = A._row_indices(), A._indices
+        src, dst = A._rows, A._indices
     level = _levels(src, dst, A.n)
     if -1 in level or -1 in _levels(dst, src, A.n):
         return None

@@ -172,39 +172,10 @@ _STAGNATION_FACTOR = 0.999
 def _stalled(now, then, tolerance):
     """The stall rule per entry: the spread ``now`` is above the tolerance and
     keeps more than _STAGNATION_FACTOR of ``then``, the positive spread
-    _STAGNATION_WINDOW entries earlier.
+    _STAGNATION_WINDOW entries earlier.  The rule's one definition, for
+    :func:`_iterate` and :func:`~perronkit.baseline.power_method` alike.
     """
     return (now > tolerance) & (then > 0) & (now / then > _STAGNATION_FACTOR)
-
-
-def _stagnant(rmin, rmax, cfg: SolverConfig) -> bool:
-    """The stall rule at the last entry of a history of min and max sums."""
-    w = _STAGNATION_WINDOW
-    if len(rmin) < w + 1:
-        return False
-    now, then = rmax[-1] - rmin[-1], rmax[-1 - w] - rmin[-1 - w]
-    # the rule masks a zero ``then`` out, but a float division by it raises
-    return bool(then > 0 and _stalled(now, then, cfg.tolerance))
-
-
-def _stall_rule(primitive, cfg: SolverConfig):
-    """``stop(rmin, rmax)`` for a loop that tests one step at a time, as
-    :func:`~perronkit.baseline.power_method` does: the spread stalled and
-    the thunk ``primitive()`` says the operator is not primitive.  The
-    thunk runs at most once.
-    """
-    # primitive()'s answer, once asked; a functools.cache would take about
-    # 6 µs to build, a tenth of a one-step solve
-    verdict = []
-
-    def stop(rmin, rmax):
-        if not _stagnant(rmin, rmax, cfg):
-            return False
-        if not verdict:
-            verdict.append(primitive())
-        return not verdict[0]
-
-    return stop
 
 
 def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:

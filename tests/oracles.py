@@ -6,7 +6,8 @@ recursion, primitivity from stepwise boolean powers, irreducibility from a
 boolean transitive closure, stationary vectors from a linear solve, and
 eigenvalues from numpy's dense QR solver.  A damped chain is written out as
 the n×n matrix it stands for.  The reference balancing loop shares only the
-kernel and the stall rule with the solver.  It runs one step at a time,
+kernel with the solver, and spells the stall rule out with its own window
+and factor.  It runs one step at a time,
 rescaling y by a power of two at every step, where the solver runs blocks
 of steps between rescalings, and spells out each step with one reduction
 per guard.  The dense vᵀA is one n×n product reduced over axis 0,
@@ -20,7 +21,10 @@ import numpy as np
 
 from perronkit.matcore import _kernel
 from perronkit.primitivity import is_primitive
-from perronkit.solver import Status, _stall_rule
+from perronkit.solver import Status
+
+# the stall rule's window and factor, written out rather than imported
+STALL_WINDOW, STALL_FACTOR = 20, 0.999
 
 
 def det_cofactor(arr) -> float:
@@ -112,10 +116,13 @@ def reference_loop(vecmat, n, primitive, cfg):
     (t, r.tobytes()) for the input's sums and each accepted step's, the
     calls the solver makes to ``on_step``.  Every step rescales w by 2^-e,
     e the exponent of max w, reduces y and w = Kᵀ y afresh, tests every
-    quotient for finiteness and then tests the stop rules.
+    quotient for finiteness and then tests the stop rules.  The spread
+    stalls when it is above the tolerance and keeps more than STALL_FACTOR
+    of a positive spread STALL_WINDOW entries back; ``primitive()`` is then
+    asked once, and a no stops the run.
     """
     tiny = np.finfo(np.float64).tiny
-    stalled = _stall_rule(primitive, cfg)
+    verdict = None
     y = np.ones(n)
     r = w = vecmat(y)
     if (r == 0).any():
@@ -129,9 +136,13 @@ def reference_loop(vecmat, n, primitive, cfg):
             if math.isfinite(spread) and (spread <= cfg.tolerance or spread <= math.ulp(rmax[-1])):
                 status = Status.CONVERGED
                 break
-            if stalled(rmin, rmax):
-                status = Status.STAGNATED
-                break
+            if len(rmin) > STALL_WINDOW:
+                then = rmax[-1 - STALL_WINDOW] - rmin[-1 - STALL_WINDOW]
+                if then > 0 and spread > cfg.tolerance and spread / then > STALL_FACTOR:
+                    verdict = primitive() if verdict is None else verdict
+                    if not verdict:
+                        status = Status.STAGNATED
+                        break
             if t >= cfg.max_iterations:
                 status = Status.MAX_ITERATIONS
                 break
@@ -166,5 +177,5 @@ def write_matrix_market_per_value(A, fh) -> None:
     else:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{A.n} {A.n} {A.nnz}\n")
-        for i, j, v in zip(A._row_indices(), A._indices, A._data):
+        for i, j, v in zip(A._rows, A._indices, A._data):
             fh.write(f"{i + 1} {j + 1} {v:.17g}\n")

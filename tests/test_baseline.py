@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import perronkit.baseline
+from conftest import PERIODIC3_ROWS
 from perronkit import (
     BreakdownError,
     DomainError,
@@ -13,7 +15,7 @@ from perronkit import (
     tridiagonal,
     tridiagonal_eigs,
 )
-from perronkit.solver import _STAGNATION_WINDOW
+from perronkit.primitivity import is_primitive
 
 
 class TestPowerMethod:
@@ -48,10 +50,27 @@ class TestPowerMethod:
         with pytest.raises(BreakdownError):
             power_method(from_dense([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_period_two_matrix_stagnates(self, periodic3):
-        res = power_method(periodic3)
-        assert res.status is Status.STAGNATED
-        assert res.iterations <= _STAGNATION_WINDOW + 5
+    @pytest.mark.parametrize(
+        "build, max_iter, status, iterations, calls",
+        [
+            (lambda: from_dense(PERIODIC3_ROWS), 100_000, Status.STAGNATED, 22, 1),
+            (lambda: tridiagonal(50, 1.0, 0.0, 2.0), 100_000, Status.STAGNATED, 608, 1),
+            # primitive and slow: the spread stalls, the exact test says yes once
+            (lambda: tridiagonal(400, 1.0, 3.0, 2.0), 3000, Status.MAX_ITERATIONS, 3000, 1),
+            (lambda: tridiagonal(200, 1.0, 3.0, 2.0), 3000, Status.MAX_ITERATIONS, 3000, 0),
+        ],
+        ids=["periodic3", "period2-tridiag50", "tridiag400", "tridiag200"],
+    )
+    def test_stall_rule_steps_and_exact_test_calls(self, monkeypatch, build, max_iter, status, iterations, calls):
+        asked = []
+
+        def counted(A):
+            asked.append(A)
+            return is_primitive(A)
+
+        monkeypatch.setattr(perronkit.baseline, "is_primitive", counted)
+        res = power_method(build(), max_iter=max_iter)
+        assert (res.status, res.iterations, len(asked)) == (status, iterations, calls)
 
     def test_max_iteration_cap(self, sample3):
         res = power_method(sample3, tol=1e-14, max_iter=3)

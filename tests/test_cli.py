@@ -28,6 +28,18 @@ SAMPLE3_TEXT = {
     "eigenvector 0.17025208568698644 0.3860267088795342 0.4437212054334792\n",
     "power": "eigenvalue 5.739951593125868\niterations 19  status converged\n",
 }
+# perron --side col --balanced on 3x3 CSR files with an empty row; both are
+# reducible and stagnate, and indptr repeats at the empty row
+EMPTY_ROW_FILES = {
+    "middle": ("3 3 4\n1 1 1.0\n1 2 2.0\n3 2 1.5\n3 3 0.5\n", 21,
+               '{"n": 3, "storage": "csr", "indptr": [0, 2, 2, 4], "indices": [0, 1, 1, 2], '
+               '"values": [1.0, 0.9999992847447743, 3.5762761285714184e-07, 0.5]}'),
+    "last": ("3 3 4\n1 1 1.0\n1 2 2.0\n2 2 1.5\n2 3 0.5\n", 38,
+             '{"n": 3, "storage": "csr", "indptr": [0, 2, 4, 4], "indices": [0, 1, 1, 2], '
+             '"values": [1.0, 8.139396740430338e-08, 1.5, 1.500000122090961]}'),
+}
+# coordinate size lines whose order numpy refuses to allocate outright
+HUGE_ORDERS = ["4611686018427387904", "99999999999999999999"]
 MATRIX_COMMANDS = [["perron"], ["power"], ["bounds"], ["primitivity"], ["stationary", "--normalize"]]
 
 
@@ -87,6 +99,16 @@ class TestPerronCommand:
     def test_balanced_flag_payload_is_pinned(self, capsys, sample3_file, side):
         _, record = run_json(capsys, ["perron", "--side", side, "--balanced", "--json", sample3_file])
         assert json.dumps(record["result"]["balanced"]) == SAMPLE3_BALANCED[side]
+
+    @pytest.mark.parametrize("row", EMPTY_ROW_FILES)
+    def test_csr_balanced_payload_with_an_empty_row_is_pinned(self, capsys, tmp_path, row):
+        body, steps, balanced = EMPTY_ROW_FILES[row]
+        path = tmp_path / "e.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+        code, record = run_json(capsys, ["perron", "--side", "col", "--balanced", "--json", str(path)])
+        result = record["result"]
+        assert (code, result["status"], result["iterations"]) == (2, "stagnated", steps)
+        assert json.dumps(result["balanced"]) == balanced
 
     @pytest.mark.parametrize("flags", [["--json"], ["--balanced"]], ids=["json", "balanced-text"])
     def test_json_without_balanced_builds_no_balanced_matrix(self, capsys, tmp_path, sample3_file, monkeypatch, flags):
@@ -313,6 +335,20 @@ class TestRunner:
         assert captured.err == f"error: {message or 'out of memory'}\n"
 
 
+    @pytest.mark.parametrize("n", HUGE_ORDERS)
+    @pytest.mark.parametrize("command", MATRIX_COMMANDS, ids=lambda c: c[0])
+    def test_order_numpy_cannot_address_is_input_error(self, capsys, tmp_path, command, n):
+        path = tmp_path / "huge.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n{n} {n} 1\n1 1 1.0\n")
+        trace = tmp_path / "trace.csv"
+        extra = ["--trace", str(trace)] if command == ["perron"] else []
+        assert main([*command, *extra, "--json", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 2: a {n}x{n} matrix does not fit in memory\n"
+        assert not trace.exists()
+
+
 class TestGenCommand:
     def test_tridiag_roundtrip_through_perron(self, capsys, tmp_path):
         out = tmp_path / "t50.mtx"
@@ -335,6 +371,20 @@ class TestGenCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["random", "--n", "3000000000"], ["tridiag", "--n", "100000000000000000000", "--c", "1", "--a", "1", "--b", "1"]],
+        ids=["random", "tridiag"],
+    )
+    def test_order_numpy_cannot_address_is_one_error_line(self, capsys, tmp_path, argv):
+        out = tmp_path / "huge.mtx"
+        assert main(["gen", *argv, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert "does not fit in memory" in captured.err
         assert not out.exists()
 
     def test_random_is_primitive(self, capsys, tmp_path):

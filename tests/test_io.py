@@ -235,6 +235,15 @@ def test_out_of_memory_names_the_matrix_order(tmp_path, monkeypatch, capsys):
     assert captured.err == "error: line 3: a 3x3 matrix does not fit in memory\n"
 
 
+@pytest.mark.parametrize("n", [4611686018427387904, 99999999999999999999])
+def test_order_numpy_cannot_address_is_refused_at_the_size_line(tmp_path, n):
+    path = tmp_path / "huge.mtx"
+    path.write_text(COORD + f"% c\n{n} {n} 1\n1 1 1.0\n")
+    with pytest.raises(MatrixParseError) as err:
+        read_matrix_market(path)
+    assert (err.value.lineno, str(err.value)) == (3, f"line 3: a {n}x{n} matrix does not fit in memory")
+
+
 def _truncating_loadtxt(loadtxt):
     """np.loadtxt as numpy runs it from 1.23 until that deprecation expired: an
     integer field such as 1.5 is read as a float and truncated, with only a

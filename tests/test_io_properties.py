@@ -51,5 +51,5 @@ def test_write_then_read_is_bit_identical(tmp_path_factory, A):
     assert back.storage == A.storage
     assert back.to_dense().tobytes() == A.to_dense().tobytes()
     if A.storage == "csr":
-        for got, want in ((back._indptr, A._indptr), (back._indices, A._indices), (back._data, A._data)):
+        for got, want in ((back._rows, A._rows), (back._indices, A._indices), (back._data, A._data)):
             assert got.tobytes() == want.tobytes()

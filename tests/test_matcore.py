@@ -20,6 +20,8 @@ from perronkit import (
     tridiagonal_eigs,
 )
 from perronkit.errors import DomainError, DuplicateEntryError
+from perronkit.markov import make_stochastic
+from perronkit.matcore import NonnegMatrix
 
 
 class TestConstruction:
@@ -102,6 +104,29 @@ class TestConstruction:
         A = from_dense(SAMPLE3_ROWS)
         with pytest.raises(ValueError):
             A._dense[0, 0] = 9.0
+
+    def test_csr_arrays_are_read_only_and_nothing_is_cached(self):
+        T = tridiagonal(4, 1.0, 3.0, 2.0)
+        built = [T, T.transpose(), rank_one_hadamard(T, [1, 2, 3, 4], [4, 3, 2, 1]), make_stochastic(T).matrix]
+        for A in built:
+            assert A.storage == "csr"
+            for arr in (A._rows, A._indices, A._data):
+                assert not arr.flags.writeable
+        assert set(NonnegMatrix.__slots__) == {"n", "_dense", "_rows", "_indices", "_data"}
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [
+            (lambda: from_coordinates(2**62, [0], [0], [1.0]), 2**62),
+            (lambda: tridiagonal(10**20, 1.0, 1.0, 1.0), 10**20),
+            (lambda: random_primitive(3_000_000_000), 3_000_000_000),  # n² values
+        ],
+        ids=["coordinates", "tridiagonal", "random"],
+    )
+    def test_order_numpy_cannot_address_is_refused(self, build, n):
+        # refused before anything is allocated
+        with pytest.raises(MemoryError, match=f"^a {n}x{n} matrix does not fit in memory$"):
+            build()
 
 
 class TestSums:
