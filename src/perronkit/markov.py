@@ -15,15 +15,13 @@ costs O(nnz + n) and no n x n matrix is ever built.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, NotStochasticError, RootNotOneError, ZeroSumError
-from .matcore import NonnegMatrix, Side, _csr, _kernel, _least_entry, _work, sums
-from .primitivity import is_primitive
-from .solver import SolverConfig, Status, _iterate
+from .matcore import NonnegMatrix, Side, _csr, sums
+from .solver import SolverConfig, Status, _iterate, _Operator, _operator as _matrix_operator
 
 __all__ = [
     "StochasticMatrix",
@@ -94,27 +92,27 @@ def damp(P: StochasticMatrix, alpha: float) -> StochasticMatrix:
     return StochasticMatrix(P.matrix, P.alpha * alpha)
 
 
-def _operator(P: StochasticMatrix):
+def _operator(P: StochasticMatrix) -> _Operator:
     """u -> u^T (alpha P + (1 - alpha)/n 11^T), in O(nnz + n).
 
-    Returns it with the loop's block inputs: the multiply-adds of one call
-    and a thunk for the least positive factor it applies to an entry of u,
-    alpha times P's least entry or (1 - alpha)/n on the sum of u.
+    Its least factor is alpha times P's least entry, or (1 - alpha)/n on
+    the sum of u.  A damped chain is positive, hence primitive.
     """
-    A, alpha, beta = P.matrix, P.alpha, (1.0 - P.alpha) / P.n
-    kernel = _kernel(A)
+    op, alpha, beta = _matrix_operator(P.matrix), P.alpha, (1.0 - P.alpha) / P.n
+    kernel = op.apply
 
-    def vecmat(u):
+    def apply(u):
         w = kernel(u)
         w *= alpha
         w += beta * u.sum()
         return w
 
     def least():
-        term = alpha * _least_entry(A)
+        term = alpha * op.least()
         return min(term, beta) if beta > 0 else term
 
-    return vecmat, _work(A) + P.n, least
+    primitive = op.primitive if P.alpha == 1 else (lambda: True)
+    return replace(op, apply=apply, work=op.work + P.n, least=least, primitive=primitive)
 
 
 def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> StationaryDistribution:
@@ -130,13 +128,11 @@ def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> Stationa
     by more than 100x tolerance plus the 1e-12 row-sum slack: a mis-scaled input.
     """
     cfg = cfg or SolverConfig()
-    vecmat, work, least = _operator(P)
-    # a damped chain is positive, hence primitive
-    primitive = functools.partial(is_primitive, P.matrix) if P.alpha == 1 else (lambda: True)
-    y, iterations, status, history = _iterate(vecmat, P.n, primitive, Side.COLUMN, cfg, work=work, least=least)
+    op = _operator(P)
+    y, iterations, status, history = _iterate(op, cfg)
     root = 0.5 * float(history.rmin[-1]) + 0.5 * float(history.rmax[-1])
     if status is Status.CONVERGED and abs(root - 1.0) > 100.0 * cfg.tolerance + _ROWSUM_TOL:
         raise RootNotOneError(root)
     u = y / y.sum()
-    residual = float(np.abs(vecmat(u) - u).max())
+    residual = float(np.abs(op.apply(u) - u).max())
     return StationaryDistribution(u=u, residual=residual, iterations=iterations, status=status)

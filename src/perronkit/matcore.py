@@ -97,12 +97,6 @@ class NonnegMatrix:
         d[self._indices[on_diag]] = self._data[on_diag]
         return d
 
-    def transpose(self) -> "NonnegMatrix":
-        if self._dense is not None:
-            return NonnegMatrix(self.n, dense=np.ascontiguousarray(self._dense.T))
-        order = np.lexsort((self._rows, self._indices))
-        return _csr(self.n, self._indices[order], self._rows[order], self._data[order])
-
     def __repr__(self):
         return f"NonnegMatrix(n={self.n}, storage={self.storage!r}, nnz={self.nnz})"
 
@@ -229,17 +223,6 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN):
     if side is Side.ROW:
         bins, gather = gather, bins
     return lambda v: np.bincount(bins, weights=data * v[gather], minlength=n)
-
-
-def _work(A: NonnegMatrix) -> int:
-    """Multiply-adds in one ``_kernel(A)`` call: n² dense, nnz for CSR."""
-    return A.n * A.n if A.storage == "dense" else len(A._data)
-
-
-def _least_entry(A: NonnegMatrix) -> float:
-    """A's least positive entry; A must have one."""
-    data = A._dense if A.storage == "dense" else A._data
-    return float(data[data > 0].min())
 
 
 def _checked_scale(v, n) -> np.ndarray:

@@ -53,22 +53,14 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, ZeroSumError
-from .matcore import (
-    GerschgorinDisc,
-    NonnegMatrix,
-    Side,
-    _kernel,
-    _least_entry,
-    _work,
-    rank_one_hadamard,
-    sums,
-)
+from .matcore import GerschgorinDisc, NonnegMatrix, Side, _kernel, rank_one_hadamard, sums
 from .primitivity import is_primitive
 
 __all__ = [
@@ -222,14 +214,44 @@ def _first(flags) -> int:
     return i if flags[i] else len(flags)
 
 
-@np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED
-def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=None, *, work: int, least):
-    """The one loop: y <- Kᵀ y from y = 1, with the sums r = (Kᵀ y) / y.
+@dataclass(frozen=True)
+class _Operator:
+    """An operator K of order n, as :func:`_iterate` reads it.
 
-    ``vecmat(y)`` computes Kᵀ y for an operator K of order n; it need not
-    be stored as a matrix.  ``primitive()`` answers whether K is primitive
-    and is called at most once, when the spread stalls.  Returns (y,
-    iterations, status, history).  ``side`` only labels a ZeroSumError.
+    ``apply(y)`` computes Kᵀ y; K need not be stored as a matrix.
+    ``work`` is the multiply-adds of one ``apply`` call, and ``least()``
+    the least positive factor it multiplies an entry of y by; the loop
+    calls it once, at its first block of more than one step.
+    ``primitive()`` answers whether K is primitive; the loop calls it at
+    most once, when the spread stalls.  ``side`` only labels a
+    ZeroSumError.
+    """
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    n: int
+    work: int
+    least: Callable[[], float]
+    primitive: Callable[[], bool]
+    side: Side
+
+
+def _operator(A: NonnegMatrix, side: Side = Side.COLUMN) -> _Operator:
+    """A's kernel on ``side``: v -> vᵀA for columns, v -> A v for rows.
+
+    A and Aᵀ are primitive together, so either side's exact test runs on A.
+    """
+    data = A._dense if A.storage == "dense" else A._data
+    return _Operator(
+        _kernel(A, side), A.n, data.size, lambda: float(data[data > 0].min()),
+        functools.partial(is_primitive, A), side,
+    )
+
+
+@np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED
+def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
+    """The one loop on ``op``: y <- Kᵀ y from y = 1, with the sums r = (Kᵀ y) / y.
+
+    Returns (y, iterations, status, history).
     ``on_step(t, r)``, when given, is called with the input's sums (t = 0)
     and then with the sums of each accepted step, so once per history
     entry; r belongs to the loop and must not be modified.
@@ -255,11 +277,9 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
     once.  The sums, history and final y are bit for bit those of a loop
     that rescales at every step and tests each step in turn.
 
-    ``work`` is the multiply-adds of one ``vecmat`` call and ``least()``
-    the least positive factor it multiplies an entry of y by; it is called
-    once, by the first block of k > 1.  A block runs k = min(64, m + 1,
-    steps left, 2**16 // work) steps, m being the steps the last block kept
-    (none before the first), so a cut wastes at most one row.
+    A block runs k = min(64, m + 1, steps left, 2**16 // work) steps, m
+    being the steps the last block kept (none before the first), so a cut
+    wastes at most one row.
 
     The step guard stops the run as STAGNATED, keeping the last accurate
     step, when y or Kᵀ y has an entry below the normal range or a quotient
@@ -275,11 +295,12 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
     stalls converges, and a row that converges or stalls is kept even when
     the next row fails the guard.
     """
-    y = np.ones(n)
+    vecmat = op.apply
+    y = np.ones(op.n)
     w = vecmat(y)
     zero = np.flatnonzero(w == 0)
     if zero.size:
-        raise ZeroSumError(int(zero[0]), side=side.value)
+        raise ZeroSumError(int(zero[0]), side=op.side.value)
 
     rmin = [float(_min(w))]
     rmax = [float(_max(w))]
@@ -287,7 +308,7 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
     if on_step is not None:
         on_step(0, w)
     tiny = float(np.finfo(np.float64).tiny)
-    budget = max(1, _BLOCK_WORK // work)
+    budget = max(1, _BLOCK_WORK // op.work)
     least_term = None  # least(), once a block of k > 1 first runs
     verdict = None  # primitive(), once a stall is the first stop of a block
     y_exp = 0  # the last accepted y is y 2^-y_exp, rescaled on return
@@ -298,7 +319,7 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
     while status is None and t < cap:
         k = min(_BLOCK_STEPS, m + 1, cap - t, budget)
         # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients
-        B = np.empty((2 * k + 1, n))
+        B = np.empty((2 * k + 1, op.n))
         np.ldexp(w, -math.frexp(wmax)[1], out=B[0])
         for i in range(k):
             B[i + 1] = vecmat(B[i])
@@ -309,7 +330,7 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
         # the cut: a kernel term may leave the normal range, or a sum overflowed
         c = k
         if k > 1:
-            least_term = least() if least_term is None else least_term
+            least_term = op.least() if least_term is None else least_term
             low = least_term * np.ldexp(mins[1:k], -np.maximum(s[1:k], 0)) < _TERM_FLOOR
             c = 1 + _first(low | ~np.isfinite(maxs[2 : k + 1]))
         lo, hi = mins[k + 1 : k + 1 + c], maxs[k + 1 : k + 1 + c]
@@ -329,7 +350,7 @@ def _iterate(vecmat, n: int, primitive, side: Side, cfg: SolverConfig, on_step=N
             spreads = np.concatenate((np.subtract(rmax[-window:], rmin[-window:]), spread))
             q = _first(_stalled(spreads[window:], spreads[:-window], tolerance)) + c + window - len(spreads)
             if q < stop:
-                verdict = primitive()
+                verdict = op.primitive()
                 if not verdict:
                     m, status = q + 1, Status.STAGNATED
 
@@ -376,11 +397,7 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
     """
     cfg = cfg or SolverConfig()
     side = cfg.side or _smaller_range(sums(A, Side.ROW), sums(A, Side.COLUMN))
-    # A and Aᵀ are primitive together, so either side's exact test runs on A
-    y, t, status, history = _iterate(
-        _kernel(A, side), A.n, functools.partial(is_primitive, A), side, cfg, on_step,
-        work=_work(A), least=functools.partial(_least_entry, A),
-    )
+    y, t, status, history = _iterate(_operator(A, side), cfg, on_step)
     lo, hi = float(history.rmin[-1]), float(history.rmax[-1])
     return PerronResult(
         root_lo=lo,

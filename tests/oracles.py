@@ -5,7 +5,8 @@ come from cofactor expansion, characteristic polynomials from the trace
 recursion, primitivity from stepwise boolean powers, irreducibility from a
 boolean transitive closure, stationary vectors from a linear solve, and
 eigenvalues from numpy's dense QR solver.  A damped chain is written out as
-the n×n matrix it stands for.  The reference balancing loop shares only the
+the n×n matrix it stands for, and a transpose is rebuilt from the dense
+entries.  The reference balancing loop shares only the
 kernel with the solver, and spells the stall rule out with its own window
 and factor.  It runs one step at a time,
 rescaling y by a power of two at every step, where the solver runs blocks
@@ -19,6 +20,7 @@ import math
 
 import numpy as np
 
+from perronkit import from_coordinates, from_dense
 from perronkit.matcore import _kernel
 from perronkit.primitivity import is_primitive
 from perronkit.solver import Status
@@ -96,6 +98,15 @@ def stationary_linear_solve(p) -> np.ndarray:
 def damped_dense(P) -> np.ndarray:
     """The n×n matrix a StochasticMatrix stands for: alpha*P + (1 - alpha)/n everywhere."""
     return P.alpha * P.matrix.to_dense() + (1.0 - P.alpha) / P.n
+
+
+def transposed(A):
+    """Aᵀ in A's storage, rebuilt from A's dense entries."""
+    arr = A.to_dense().T
+    if A.storage == "dense":
+        return from_dense(arr)
+    rows, cols = np.nonzero(arr)
+    return from_coordinates(A.n, rows, cols, arr[rows, cols])
 
 
 def reference_iterate(K, cfg, primitive=None):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from conftest import PERIODIC3_ROWS, ROOT4_2X2_ROWS, SAMPLE3_ROWS
-from oracles import stationary_linear_solve
+from oracles import stationary_linear_solve, transposed
 from perronkit import (
     Side,
     SolverConfig,
@@ -189,7 +189,7 @@ def test_criterion_7_stationary_distribution(capsys):
     u_err = np.abs(dist.u - exact).max()
 
     # root sanity on the same transposed solve the application performs
-    root = algorithm_b(P.matrix.transpose(), SolverConfig(side=Side.ROW)).root
+    root = algorithm_b(transposed(P.matrix), SolverConfig(side=Side.ROW)).root
     root_err = abs(root - 1.0)
 
     doubly = StochasticMatrix(

@@ -185,6 +185,27 @@ class TestStationary:
         monkeypatch.setattr(NonnegMatrix, "to_dense", refuse)
         assert stationary(damp(chain, 0.85)).status is Status.CONVERGED
 
+    @pytest.mark.parametrize(
+        "alpha, status, iterations, asked",
+        [(1.0, Status.STAGNATED, 579, 1), (0.85, Status.CONVERGED, 108, 0)],
+        ids=["undamped", "damped"],
+    )
+    def test_exact_test_runs_only_on_an_undamped_chain(self, monkeypatch, alpha, status, iterations, asked):
+        # the path of odd order 51 has period 2, and the all-ones start has a
+        # period-2 component: undamped, the spread stalls and the exact test
+        # on P's matrix says no; damped, the chain is positive and never asked
+        P = make_stochastic(tridiagonal(51, 1, 0, 2))
+        calls = []
+
+        def counted(A):
+            calls.append(A)
+            return is_primitive(A)
+
+        monkeypatch.setattr(perronkit.solver, "is_primitive", counted)
+        dist = stationary(StochasticMatrix(P.matrix, alpha))
+        assert (dist.status, dist.iterations, len(calls)) == (status, iterations, asked)
+        assert all(A is P.matrix for A in calls)
+
     @pytest.mark.parametrize("alpha", [1.0, 0.85], ids=["undamped", "damped"])
     def test_rows_within_validation_slack_are_not_mis_scaled(self, alpha):
         # row 0 sums to 1 + 5e-13, inside the 1e-12 the constructor allows,

@@ -1,7 +1,5 @@
 """Randomised properties of implicit damping over random sparse chains."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from hypothesis import strategies as st
 
 from oracles import damped_dense, reference_loop, stationary_linear_solve
 from perronkit import (
-    Side,
     SolverConfig,
     Status,
     StochasticMatrix,
@@ -21,10 +18,7 @@ from perronkit import (
     make_stochastic,
     stationary,
 )
-from perronkit.markov import _operator
-from perronkit.matcore import _kernel, _least_entry, _work
-from perronkit.primitivity import is_primitive
-from perronkit.solver import _iterate
+from perronkit import markov, solver
 
 EPS = np.finfo(np.float64).eps
 
@@ -71,10 +65,7 @@ def test_implicit_damping_matches_the_dense_damped_chain(P, alpha):
     # each loop rounds by about n*eps a step, amplified by at most 1/(1 - alpha).
     # That rounding can move the stop by one step.
     K = from_dense(damped_dense(damped))
-    y, t, status, _ = _iterate(
-        _kernel(K), K.n, functools.partial(is_primitive, K), Side.COLUMN, cfg,
-        work=_work(K), least=functools.partial(_least_entry, K),
-    )
+    y, t, status, _ = solver._iterate(solver._operator(K), cfg)
     u = y / y.sum()
     assert status is dist.status and abs(t - dist.iterations) <= 1
     if t == dist.iterations:
@@ -103,13 +94,10 @@ def test_blocked_damped_loop_matches_the_reference_loop(P, alpha, cap):
     # a tolerance below the rounding floor runs slowly mixing chains long
     cfg = SolverConfig(tolerance=1e-300, max_iterations=cap)
     for matrix in (P.matrix, from_dense(P.matrix.to_dense())):
-        vecmat, work, least = _operator(damp(StochasticMatrix(matrix), alpha))
-        y_ref, t_ref, status_ref, rmin_ref, rmax_ref, steps_ref = reference_loop(vecmat, P.n, lambda: True, cfg)
+        op = markov._operator(damp(StochasticMatrix(matrix), alpha))
+        y_ref, t_ref, status_ref, rmin_ref, rmax_ref, steps_ref = reference_loop(op.apply, P.n, lambda: True, cfg)
         steps = []
-        y, t, status, history = _iterate(
-            vecmat, P.n, lambda: True, Side.COLUMN, cfg, lambda t, r: steps.append((t, r.tobytes())),
-            work=work, least=least,
-        )
+        y, t, status, history = solver._iterate(op, cfg, lambda t, r: steps.append((t, r.tobytes())))
         assert (t, status) == (t_ref, status_ref)
         assert steps == steps_ref
         assert y.tobytes() == y_ref.tobytes()

@@ -107,7 +107,7 @@ class TestConstruction:
 
     def test_csr_arrays_are_read_only_and_nothing_is_cached(self):
         T = tridiagonal(4, 1.0, 3.0, 2.0)
-        built = [T, T.transpose(), rank_one_hadamard(T, [1, 2, 3, 4], [4, 3, 2, 1]), make_stochastic(T).matrix]
+        built = [T, rank_one_hadamard(T, [1, 2, 3, 4], [4, 3, 2, 1]), make_stochastic(T).matrix]
         for A in built:
             assert A.storage == "csr"
             for arr in (A._rows, A._indices, A._data):
@@ -292,16 +292,6 @@ class TestTridiagonal:
         with pytest.raises(error) as err:
             tridiagonal(5, *bands)
         assert (err.value.i, err.value.j) == at
-
-
-class TestTranspose:
-    def test_csr_transpose_roundtrip(self):
-        T = tridiagonal(7, 1.0, 0.0, 2.0)
-        assert np.array_equal(T.transpose().to_dense(), T.to_dense().T)
-        assert np.array_equal(T.transpose().transpose().to_dense(), T.to_dense())
-
-    def test_dense_transpose(self, sample3):
-        assert np.array_equal(sample3.transpose().to_dense(), np.array(SAMPLE3_ROWS).T)
 
 
 def test_random_primitive_has_positive_diagonal():

@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import vecmat_unblocked
+from oracles import transposed, vecmat_unblocked
 from perronkit import Side, from_coordinates, from_dense
 from perronkit.matcore import _kernel
 
@@ -32,7 +32,7 @@ def test_dense_vecmat_is_the_unblocked_reduction_bit_for_bit(side, n, density, s
     assert got.tobytes() == _kernel(csr, side)(v).tobytes()
     if side is Side.ROW:
         for A in (dense, csr):
-            assert _kernel(A, Side.ROW)(v).tobytes() == _kernel(A.transpose())(v).tobytes()
+            assert _kernel(A, Side.ROW)(v).tobytes() == _kernel(transposed(A))(v).tobytes()
 
 
 def test_dense_vecmat_fuses_no_multiply_add():

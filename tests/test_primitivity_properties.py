@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import irreducible_by_closure, primitive_by_stepwise_powers
+from oracles import irreducible_by_closure, primitive_by_stepwise_powers, transposed
 from perronkit import from_coordinates, from_dense, is_irreducible, is_primitive, wielandt_bound
 
 
@@ -31,4 +31,4 @@ def test_structure_tests_match_oracles(arr, storage):
         A = from_coordinates(n, rows, cols, arr[rows, cols])
     assert is_primitive(A) == primitive_by_stepwise_powers(arr, wielandt_bound(n))
     assert is_irreducible(A) == irreducible_by_closure(arr)
-    assert is_primitive(A) == is_primitive(A.transpose())
+    assert is_primitive(A) == is_primitive(transposed(A))

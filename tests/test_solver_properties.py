@@ -2,6 +2,7 @@
 
 import functools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PERIODIC3_ROWS
-from oracles import reference_iterate, reference_loop
+from oracles import reference_iterate, reference_loop, transposed
 from perronkit import (
     PerronError,
     Side,
@@ -26,9 +27,8 @@ from perronkit import (
     rank_one_hadamard,
     tridiagonal,
 )
-from perronkit.matcore import _kernel, _least_entry, _work
 from perronkit.primitivity import is_primitive
-from perronkit.solver import _iterate
+from perronkit.solver import _iterate, _operator, _Operator
 
 
 @st.composite
@@ -118,16 +118,17 @@ def test_loop_matches_reference_loop(A, side):
     # the solver runs blocks of up to 64 steps, keeps those before the cut,
     # carries the maximum of w from step to step and decides each block's
     # guard, stop and stall with array operations over its rows; the
-    # reference recomputes each every step and tests the steps in turn
+    # reference recomputes each every step and tests the steps in turn; the
+    # solver runs A's row kernel, the reference the column kernel of Aᵀ
     cfg = SolverConfig(max_iterations=500)
-    K = A.transpose() if side is Side.ROW else A
+    K = transposed(A) if side is Side.ROW else A
     asked = CountedThunk(functools.partial(is_primitive, K))
     expected = reference_iterate(K, cfg, asked)
     if expected is None:
         with pytest.raises(ZeroSumError):
-            blocked_iterate(K, cfg, side)
+            blocked_iterate(A, cfg, side)
         return
-    assert_same_run(blocked_iterate(K, cfg, side), expected, asked.calls)
+    assert_same_run(blocked_iterate(A, cfg, side), expected, asked.calls)
 
 
 def test_stall_past_the_stop_in_one_block_is_not_asked():
@@ -146,7 +147,7 @@ def test_stall_past_the_stop_in_one_block_is_not_asked():
     asked = CountedThunk(lambda: False)
     y_ref, t_ref, status_ref, *_ = reference_loop(vecmat, 2, asked, cfg)
     assert (t_ref, status_ref, asked.calls) == (40, Status.CONVERGED, 0)
-    y, t, status, _ = _iterate(vecmat, 2, asked, Side.COLUMN, cfg, work=2, least=lambda: min(q))
+    y, t, status, _ = _iterate(_Operator(vecmat, 2, 2, lambda: min(q), asked, Side.COLUMN), cfg)
     assert (t, status, asked.calls) == (40, Status.CONVERGED, 0)
     assert y.tobytes() == y_ref.tobytes()
 
@@ -162,18 +163,16 @@ class CountedThunk:
         return self.thunk()
 
 
-def blocked_iterate(K, cfg, side=Side.COLUMN):
-    """The loop on K's columns with the block inputs algorithm_b passes.
+def blocked_iterate(A, cfg, side=Side.COLUMN):
+    """The loop on A's ``side`` with the operator algorithm_b passes.
 
     Returns the loop's (y, iterations, status, history), the (t, r.tobytes())
     of its ``on_step`` calls and the number of ``primitive()`` calls.
     """
     steps = []
-    asked = CountedThunk(functools.partial(is_primitive, K))
-    run = _iterate(
-        _kernel(K), K.n, asked, side, cfg, lambda t, r: steps.append((t, r.tobytes())),
-        work=_work(K), least=functools.partial(_least_entry, K),
-    )
+    op = _operator(A, side)
+    asked = CountedThunk(op.primitive)
+    run = _iterate(replace(op, primitive=asked), cfg, lambda t, r: steps.append((t, r.tobytes())))
     return (*run, steps, asked.calls)
 
 
@@ -237,9 +236,8 @@ def test_blocked_loop_matches_reference_on_long_runs(A, cap):
 def test_lazy_balanced_is_the_rank_one_product_of_the_final_y(A, solve, side):
     # y from the loop alone, so the check does not read the result's own y
     cfg = SolverConfig(side=side, max_iterations=500)
-    K = A.transpose() if side is Side.ROW else A
     try:
-        y = blocked_iterate(K, cfg, side)[0]
+        y = blocked_iterate(A, cfg, side)[0]
     except ZeroSumError:
         return
     x = np.reciprocal(y)
