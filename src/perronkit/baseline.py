@@ -52,7 +52,7 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
     spreads = []
     verdict = None  # is_primitive(A), once the spread stalls
     # v -> A v: BLAS on dense storage, the solver's row kernel on CSR
-    matvec = functools.partial(np.matmul, A._dense) if A.storage == "dense" else _kernel(A, Side.ROW)
+    matvec = functools.partial(np.matmul, A.to_dense()) if A.storage == "dense" else _kernel(A, Side.ROW)
     v = np.ones(A.n)
     lam = float(np.abs(matvec(v)).max())
     if lam == 0:

@@ -1,4 +1,4 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package: messages count indices from 1, attributes from 0."""
 
 
 class PerronError(Exception):
@@ -14,7 +14,7 @@ class NegativeEntryError(PerronError):
 
     def __init__(self, i: int, j: int, value: float):
         self.i, self.j, self.value = i, j, value
-        super().__init__(f"entry ({i}, {j}) is negative: {value!r}")
+        super().__init__(f"entry ({i + 1}, {j + 1}) is negative: {value!r}")
 
 
 class NonFiniteEntryError(PerronError):
@@ -22,7 +22,7 @@ class NonFiniteEntryError(PerronError):
 
     def __init__(self, i: int, j: int, value: float):
         self.i, self.j, self.value = i, j, value
-        super().__init__(f"entry ({i}, {j}) is not finite: {value!r}")
+        super().__init__(f"entry ({i + 1}, {j + 1}) is not finite: {value!r}")
 
 
 class NonPositiveScaleError(PerronError):
@@ -30,7 +30,7 @@ class NonPositiveScaleError(PerronError):
 
     def __init__(self, i: int, value: float):
         self.i, self.value = i, value
-        super().__init__(f"scale component {i} must be positive and finite, got {value!r}")
+        super().__init__(f"scale component {i + 1} must be positive and finite, got {value!r}")
 
 
 class ZeroSumError(PerronError):
@@ -38,7 +38,7 @@ class ZeroSumError(PerronError):
 
     def __init__(self, index: int, side: str = "row"):
         self.index, self.side = index, side
-        super().__init__(f"{side} {index} sums to zero; matrix cannot be primitive")
+        super().__init__(f"{side} {index + 1} sums to zero; matrix cannot be primitive")
 
 
 class MatrixParseError(PerronError):
@@ -62,7 +62,7 @@ class DuplicateEntryError(DomainError):
 
     def __init__(self, i: int, j: int, first: int, second: int):
         self.i, self.j, self.first, self.second = i, j, first, second
-        super().__init__(f"duplicate coordinate ({i}, {j})")
+        super().__init__(f"duplicate coordinate ({i + 1}, {j + 1})")
 
 
 class BreakdownError(PerronError):
@@ -78,7 +78,7 @@ class NotStochasticError(PerronError):
 
     def __init__(self, i: int, rowsum: float):
         self.i, self.rowsum = i, rowsum
-        super().__init__(f"row {i} sums to {rowsum!r}, not 1; renormalize first")
+        super().__init__(f"row {i + 1} sums to {rowsum!r}, not 1; renormalize first")
 
 
 class RootNotOneError(PerronError):

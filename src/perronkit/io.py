@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DuplicateEntryError, MatrixParseError
-from .matcore import NonnegMatrix, from_coordinates, from_dense
+from .matcore import NonnegMatrix, _entries, from_coordinates, from_dense
 
 __all__ = [
     "parse_matrix",
@@ -170,13 +170,14 @@ def write_matrix_market(A: NonnegMatrix, path_or_file) -> None:
 
 
 def _write_mm(A: NonnegMatrix, fh) -> None:
-    # %-format n lines at a time: the bytes of a per-value f"{v:.17g}" loop, in O(n) memory
+    # %-format n lines at a time: the bytes of a per-value f"{v:.17g}" loop, O(n) strings at once
     if A.storage == "dense":
         fh.write(f"%%MatrixMarket matrix array real general\n{A.n} {A.n}\n")
-        line, fields = "%.17g\n", [A._dense.T.flat]  # array layout is column-major
+        line, fields = "%.17g\n", [A.to_dense().T.flat]  # array layout is column-major
     else:
+        rows, cols, values = _entries(A)
         fh.write(f"%%MatrixMarket matrix coordinate real general\n{A.n} {A.n} {A.nnz}\n")
-        line, fields = "%d %d %.17g\n", [A._rows + 1, A._indices + 1, A._data]
+        line, fields = "%d %d %.17g\n", [rows + 1, cols + 1, values]
     for s in range(0, len(fields[0]), A.n):
         chunk = list(zip(*(f[s:s + A.n].tolist() for f in fields)))
         fh.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NotStochasticError, RootNotOneError, ZeroSumError
-from .matcore import NonnegMatrix, Side, _csr, sums
+from .matcore import NonnegMatrix, Side, _entries, _like, sums
 from .solver import SolverConfig, Status, _iterate, _Operator, _operator as _matrix_operator
 
 __all__ = [
@@ -75,9 +75,8 @@ def make_stochastic(A: NonnegMatrix) -> StochasticMatrix:
     zero = np.flatnonzero(r == 0)
     if zero.size:
         raise ZeroSumError(int(zero[0]), side="row")
-    if A.storage == "dense":
-        return StochasticMatrix(NonnegMatrix(A.n, dense=A.to_dense() / r[:, None]))
-    return StochasticMatrix(_csr(A.n, A._rows, A._indices, A._data / r[A._rows]))
+    rows, cols, values = _entries(A)
+    return StochasticMatrix(_like(A, rows, cols, values / r[rows]))
 
 
 def damp(P: StochasticMatrix, alpha: float) -> StochasticMatrix:

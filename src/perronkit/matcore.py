@@ -5,7 +5,8 @@ Dense storage is row-major; sparse storage is CSR kept as row-sorted
 triplets: the row index, column index and value of each stored entry, in
 row-major order, with no explicitly stored zeros.  Every sum and
 product goes through one kernel, which adds in index-ascending order, so
-dense and CSR storage of the same matrix give bit-identical results.
+dense and CSR storage of the same matrix give bit-identical results.  No
+other module reads the storage: they use that kernel and ``_entries``.
 """
 
 from __future__ import annotations
@@ -120,6 +121,23 @@ def _csr(n, rows, cols, values) -> NonnegMatrix:
     return NonnegMatrix(n, rows=rows[keep], indices=cols[keep], data=values[keep])
 
 
+def _entries(A: NonnegMatrix):
+    """(rows, cols, values) of A's nonzero entries in row-major order; CSR's own arrays."""
+    if A.storage == "dense":
+        rows, cols = np.nonzero(A._dense)
+        return rows, cols, A._dense[rows, cols]
+    return A._rows, A._indices, A._data
+
+
+def _like(A: NonnegMatrix, rows, cols, values) -> NonnegMatrix:
+    """Matrix in A's storage from entries in row-major order; zeros are not stored."""
+    if A.storage == "dense":
+        dense = np.zeros((A.n, A.n))
+        dense[rows, cols] = values
+        return NonnegMatrix(A.n, dense=dense)
+    return _csr(A.n, rows, cols, values)
+
+
 def _order(n, least: int = 1, power: int = 1) -> int:
     """n as an int, if it is an integer order >= least; numpy integers count, bools do not."""
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < least:
@@ -153,7 +171,7 @@ def _finite_sums(A: NonnegMatrix) -> NonnegMatrix:
         with np.errstate(over="ignore"):
             over = np.flatnonzero(np.isinf(sums(A, side)))
         if over.size:
-            raise DomainError(f"{name} {int(over[0])} sum overflows; scale the matrix down")
+            raise DomainError(f"{name} {int(over[0]) + 1} sum overflows; scale the matrix down")
     return A
 
 
@@ -236,10 +254,6 @@ def _checked_scale(v, n) -> np.ndarray:
     return v
 
 
-def _overflow(i, j) -> DomainError:
-    return DomainError(f"entry ({int(i)}, {int(j)}) overflows; scale the matrix down")
-
-
 @np.errstate(over="ignore")  # an overflow is reported by entry below
 def rank_one_hadamard(A: NonnegMatrix, x, y) -> NonnegMatrix:
     """Entrywise product of A with the rank-one matrix x yᵀ: b_ij = a_ij x_i y_j.
@@ -251,33 +265,20 @@ def rank_one_hadamard(A: NonnegMatrix, x, y) -> NonnegMatrix:
     raises DomainError naming the first such (i, j) in row-major order, and
     a row or column sum of B that overflows raises as in :func:`from_dense`.
     """
-    n = A.n
-    x = _checked_scale(x, n)
-    y = _checked_scale(y, n)
+    x, y = _checked_scale(x, A.n), _checked_scale(y, A.n)
     # with x_i = m_i 2^e_i and y_j = m_j 2^e_j, b_ij = (a_ij m_i m_j) 2^(e_i + e_j):
     # the mantissa product rounds as a_ij (x_i y_j) does and the exponents go
     # in last, so neither x_i y_j nor a_ij x_i can overflow on the way
-    mx, ex = np.frexp(x)
-    my, ey = np.frexp(y)
+    (mx, ex), (my, ey) = np.frexp(x), np.frexp(y)
     unit = np.abs(x * y - 1.0) <= _UNIT_SNAP
-    if A.storage == "dense":
-        B = np.multiply.outer(mx, my)
-        B *= A._dense
-        np.ldexp(B, np.add.outer(ex, ey), out=B)
-        idx = np.flatnonzero(unit)
-        B[idx, idx] = A._dense[idx, idx]
-        over = np.argwhere(np.isinf(B))
-        if over.size:
-            raise _overflow(*over[0])
-        return _finite_sums(NonnegMatrix(n, dense=B))
-    rows, cols = A._rows, A._indices
-    data = np.ldexp(A._data * (mx[rows] * my[cols]), ex[rows] + ey[cols])
+    rows, cols, values = _entries(A)
+    data = np.ldexp(values * (mx[rows] * my[cols]), ex[rows] + ey[cols])
     keep = (rows == cols) & unit[rows]
-    data[keep] = A._data[keep]
+    data[keep] = values[keep]
     over = np.flatnonzero(np.isinf(data))
     if over.size:
-        raise _overflow(rows[over[0]], cols[over[0]])
-    return _finite_sums(_csr(n, rows, cols, data))
+        raise DomainError(f"entry ({rows[over[0]] + 1}, {cols[over[0]] + 1}) overflows; scale the matrix down")
+    return _finite_sums(_like(A, rows, cols, data))
 
 
 def tridiagonal(n: int, c: float, a: float, b: float) -> NonnegMatrix:
@@ -318,7 +319,8 @@ def random_primitive(n, density=0.5, rng=None) -> NonnegMatrix:
     except (TypeError, ValueError) as exc:
         raise DomainError(f"seed must be a non-negative integer, got {rng!r}") from exc
     mask = rng.random((n, n)) < density
-    arr = np.where(mask, rng.uniform(0.2, 2.0, (n, n)), 0.0)
+    arr = rng.uniform(0.2, 2.0, (n, n))
+    arr[~mask] = 0.0  # in place: np.where would hold a second n x n float array
     idx = np.arange(n)
     arr[idx, idx] = rng.uniform(0.2, 2.0, n)
     arr[idx, (idx + 1) % n] = rng.uniform(0.2, 2.0, n)

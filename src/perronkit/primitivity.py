@@ -6,15 +6,15 @@ primitive when it is irreducible with period 1, the period being the gcd of
 its cycle lengths.  With level[v] the breadth-first distance from node 0,
 the period of a strongly connected graph is the gcd of
 level[u] + 1 - level[v] over its edges u -> v (Denardo, Math. Oper. Res.
-1977; Jarvis & Shier, 1999).  Both tests read the edges straight from
-storage and run in O(n + nnz); they never form matrix powers.
+1977; Jarvis & Shier, 1999).  Both tests read the edges from ``_entries``
+and run in O(n + nnz); they never form matrix powers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matcore import NonnegMatrix
+from .matcore import NonnegMatrix, _entries
 
 __all__ = [
     "wielandt_bound",
@@ -46,10 +46,7 @@ def _levels(src: np.ndarray, dst: np.ndarray, n: int) -> list[int]:
 
 def _period(A: NonnegMatrix) -> int | None:
     """Period of A's graph, None when A is reducible; 0 when the graph has no cycle."""
-    if A.storage == "dense":
-        src, dst = np.nonzero(A._dense)
-    else:
-        src, dst = A._rows, A._indices
+    src, dst, _ = _entries(A)
     level = _levels(src, dst, A.n)
     if -1 in level or -1 in _levels(dst, src, A.n):
         return None

@@ -60,7 +60,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ZeroSumError
-from .matcore import GerschgorinDisc, NonnegMatrix, Side, _kernel, rank_one_hadamard, sums
+from .matcore import GerschgorinDisc, NonnegMatrix, Side, _entries, _kernel, rank_one_hadamard, sums
 from .primitivity import is_primitive
 
 __all__ = [
@@ -240,9 +240,9 @@ def _operator(A: NonnegMatrix, side: Side = Side.COLUMN) -> _Operator:
 
     A and Aᵀ are primitive together, so either side's exact test runs on A.
     """
-    data = A._dense if A.storage == "dense" else A._data
+    work = A.n * A.n if A.storage == "dense" else A.nnz  # the kernel's multiply-adds
     return _Operator(
-        _kernel(A, side), A.n, data.size, lambda: float(data[data > 0].min()),
+        _kernel(A, side), A.n, work, lambda: float(_entries(A)[2].min()),
         functools.partial(is_primitive, A), side,
     )
 

@@ -147,7 +147,7 @@ class TestPerronCommand:
         path.write_text("1e308,1e308\n1,1\n")
         assert main([*command, str(path)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "row 0 sum overflows" in captured.err
+        assert captured.out == "" and "row 1 sum overflows" in captured.err
 
     @pytest.mark.parametrize(
         "argv, value",
@@ -333,6 +333,22 @@ class TestRunner:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message or 'out of memory'}\n"
+
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            ("perron", "2 2 1\n1 1 -1\n", "entry (1, 1) is negative: -1.0"),
+            ("bounds", "4 4 3\n1 2 1\n2 3 1\n3 4 1\n", "row 4 sums to zero; matrix cannot be primitive"),
+        ],
+        ids=["negative-entry", "zero-row"],
+    )
+    def test_error_messages_count_from_one(self, capsys, tmp_path, command, body, message):
+        # the file's own numbering: its entry "1 1 -1" and its fourth, empty row
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
     @pytest.mark.parametrize("n", HUGE_ORDERS)

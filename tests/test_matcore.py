@@ -1,8 +1,11 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import perronkit.matcore
 from conftest import SAMPLE3_ROWS
 from oracles import all_eigenvalues, charpoly_coefficients, det_cofactor
 from perronkit import (
@@ -64,8 +67,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "rows, message",
-        [([[1e308, 1e308], [1.0, 1.0]], "row 0"), ([[1.0, 1.0], [1e308, 1e308]], "row 1"),
-         ([[1e308, 1.0], [1e308, 1.0]], "column 0")],
+        [([[1e308, 1e308], [1.0, 1.0]], "row 1 sum"), ([[1.0, 1.0], [1e308, 1e308]], "row 2 sum"),
+         ([[1e308, 1.0], [1e308, 1.0]], "column 1 sum")],
         ids=["row0", "row1", "col0"],
     )
     def test_rejects_overflowing_sums(self, rows, message):
@@ -113,6 +116,17 @@ class TestConstruction:
             for arr in (A._rows, A._indices, A._data):
                 assert not arr.flags.writeable
         assert set(NonnegMatrix.__slots__) == {"n", "_dense", "_rows", "_indices", "_data"}
+
+    def test_only_matcore_reads_the_storage_arrays(self):
+        # every other module reads a matrix through _kernel, _entries or the public methods
+        package = pathlib.Path(perronkit.matcore.__file__).parent
+        reads = [
+            f"{path.name}:{k}: {line.strip()}"
+            for path in sorted(package.glob("*.py")) if path.name != "matcore.py"
+            for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(r"\._(dense|rows|indices|data)\b", line)
+        ]
+        assert reads == []
 
     @pytest.mark.parametrize(
         "build, n",
@@ -192,13 +206,13 @@ class TestRankOneHadamard:
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_entry_that_overflows_raises(self, storage):
-        # (0, 1) and (1, 0) both overflow; (0, 1) comes first in row-major order
+        # a_01 and a_10 both overflow; a_01, named 1-based as (1, 2), comes first in row-major order
         arr = np.array([[1.0, 1e300], [1e300, 1.0]])
         nz = np.nonzero(arr)
         A = from_dense(arr) if storage == "dense" else from_coordinates(2, *nz, arr[nz])
-        with pytest.raises(DomainError, match=r"entry \(0, 1\) overflows"):
+        with pytest.raises(DomainError, match=r"entry \(1, 2\) overflows"):
             rank_one_hadamard(A, [1e10, 1e10], [1e10, 1e10])
-        with pytest.raises(DomainError, match=r"entry \(0, 0\) overflows"):
+        with pytest.raises(DomainError, match=r"entry \(1, 1\) overflows"):
             rank_one_hadamard(from_dense([[1e300, 1.0], [1.0, 1.0]]), [1e10, 1.0], [1e10, 1.0])
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
@@ -207,7 +221,7 @@ class TestRankOneHadamard:
         arr = np.array([[5e307, 5e307], [1.0, 1.0]])
         nz = np.nonzero(arr)
         A = from_dense(arr) if storage == "dense" else from_coordinates(2, *nz, arr[nz])
-        with pytest.raises(DomainError, match="row 0 sum overflows"):
+        with pytest.raises(DomainError, match="row 1 sum overflows"):
             rank_one_hadamard(A, [1.9, 1.0], [1.0, 1.0])
 
 

@@ -1,4 +1,6 @@
-"""Randomised agreement of the dense kernel, either side, with the plain axis-0 reduction."""
+"""Randomised agreement of the two storages: the dense kernel, either side,
+with the plain axis-0 reduction and with CSR, and the jobs that run on the
+entry view."""
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import transposed, vecmat_unblocked
-from perronkit import Side, from_coordinates, from_dense
-from perronkit.matcore import _kernel
+from perronkit import PerronError, Side, from_coordinates, from_dense, rank_one_hadamard
+from perronkit.markov import make_stochastic
+from perronkit.matcore import _entries, _kernel, _like
+from perronkit.primitivity import _period
 
 
 @pytest.mark.parametrize("side", list(Side), ids=lambda side: side.value)
@@ -46,3 +50,45 @@ def test_dense_vecmat_fuses_no_multiply_add():
     assert got.tobytes() == vecmat_unblocked(D, v).tobytes()
     i, j = np.nonzero(D)
     assert got.tobytes() == _kernel(from_coordinates(2, i, j, D[i, j]))(v).tobytes()
+
+
+def _outcome(job, A):
+    """nnz and bytes of job(A), which must keep A's storage, or the type and message it raised."""
+    try:
+        M = job(A)
+    except PerronError as exc:
+        return type(exc), str(exc)
+    assert M.storage == A.storage
+    return M.nnz, M.to_dense().tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    pair=st.sampled_from(["free", "reciprocal", "overflowing"]),
+)
+def test_entry_view_jobs_agree_across_storages(n, density, seed, pair):
+    """Hostile entries 10^U(-300, 300) with zeros, stored dense and as CSR:
+    every job on _entries and _like gives the same bits, or raises the same
+    error, whatever the storage."""
+    rng = np.random.default_rng(seed)
+    D = np.where(rng.random((n, n)) < density, 10.0 ** rng.uniform(-300, 300, (n, n)), 0.0)
+    i, j = np.nonzero(D)
+    dense, csr = from_dense(D), from_coordinates(n, i, j, D[i, j])
+    if pair == "reciprocal":
+        x = 10.0 ** rng.uniform(-150, 150, n)
+        y = 1.0 / x
+    else:
+        low = 100 if pair == "overflowing" else -150
+        x, y = 10.0 ** rng.uniform(low, 150, n), 10.0 ** rng.uniform(low, 150, n)
+
+    for got, want in zip(_entries(dense), _entries(csr)):
+        assert got.tobytes() == want.tobytes()
+    for job in (lambda A: _like(A, *_entries(A)), lambda A: rank_one_hadamard(A, x, y),
+                lambda A: make_stochastic(A).matrix):
+        assert _outcome(job, dense) == _outcome(job, csr)
+    for A in (dense, csr):
+        assert _outcome(lambda A: _like(A, *_entries(A)), A) == (A.nnz, A.to_dense().tobytes())
+    assert _period(dense) == _period(csr)
