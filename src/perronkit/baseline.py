@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BreakdownError
-from .matcore import NonnegMatrix, Side, _kernel
+from .matcore import NonnegMatrix, Side, _dense_view, _kernel
 from .primitivity import is_primitive
 from .solver import _STAGNATION_WINDOW, SolverConfig, Status, _stalled
 
@@ -52,7 +52,7 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
     spreads = []
     verdict = None  # is_primitive(A), once the spread stalls
     # v -> A v: BLAS on dense storage, the solver's row kernel on CSR
-    matvec = functools.partial(np.matmul, A.to_dense()) if A.storage == "dense" else _kernel(A, Side.ROW)
+    matvec = functools.partial(np.matmul, _dense_view(A)) if A.storage == "dense" else _kernel(A, Side.ROW)
     v = np.ones(A.n)
     lam = float(np.abs(matvec(v)).max())
     if lam == 0:

@@ -26,7 +26,7 @@ from .bounds import bounds_report
 from .errors import PerronError
 from .io import parse_matrix, write_matrix_market
 from .markov import StochasticMatrix, damp, make_stochastic, stationary
-from .matcore import NonnegMatrix, Side, _entries, random_primitive, tridiagonal
+from .matcore import NonnegMatrix, Side, _dense_view, _entries, random_primitive, tridiagonal
 from .primitivity import is_irreducible, is_primitive, wielandt_bound
 from .solver import (
     PerronResult,
@@ -54,7 +54,7 @@ def _add_matrix_arg(sp, body):
 
 def _matrix_payload(M: NonnegMatrix) -> dict:
     if M.storage == "dense":
-        return {"n": M.n, "storage": "dense", "rows": M.to_dense().tolist()}
+        return {"n": M.n, "storage": "dense", "rows": _dense_view(M).tolist()}
     rows, cols, values = _entries(M)
     return {
         "n": M.n,

@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DuplicateEntryError, MatrixParseError
-from .matcore import NonnegMatrix, _entries, from_coordinates, from_dense
+from .matcore import NonnegMatrix, _dense_view, _entries, from_coordinates, from_dense
 
 __all__ = [
     "parse_matrix",
@@ -173,7 +173,7 @@ def _write_mm(A: NonnegMatrix, fh) -> None:
     # %-format n lines at a time: the bytes of a per-value f"{v:.17g}" loop, O(n) strings at once
     if A.storage == "dense":
         fh.write(f"%%MatrixMarket matrix array real general\n{A.n} {A.n}\n")
-        line, fields = "%.17g\n", [A.to_dense().T.flat]  # array layout is column-major
+        line, fields = "%.17g\n", [_dense_view(A).T.flat]  # array layout is column-major
     else:
         rows, cols, values = _entries(A)
         fh.write(f"%%MatrixMarket matrix coordinate real general\n{A.n} {A.n} {A.nnz}\n")

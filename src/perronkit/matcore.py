@@ -6,7 +6,8 @@ triplets: the row index, column index and value of each stored entry, in
 row-major order, with no explicitly stored zeros.  Every sum and
 product goes through one kernel, which adds in index-ascending order, so
 dense and CSR storage of the same matrix give bit-identical results.  No
-other module reads the storage: they use that kernel and ``_entries``.
+other module reads the storage: they use that kernel, ``_entries`` and,
+for dense storage, the read-only ``_dense_view``.
 """
 
 from __future__ import annotations
@@ -129,6 +130,11 @@ def _entries(A: NonnegMatrix):
     return A._rows, A._indices, A._data
 
 
+def _dense_view(A: NonnegMatrix) -> np.ndarray:
+    """A's dense storage as an (n, n) view, uncopied and read-only; dense A only."""
+    return A._dense.view()
+
+
 def _like(A: NonnegMatrix, rows, cols, values) -> NonnegMatrix:
     """Matrix in A's storage from entries in row-major order; zeros are not stored."""
     if A.storage == "dense":
@@ -148,21 +154,22 @@ def _order(n, least: int = 1, power: int = 1) -> int:
 
 
 def _validated_array(rows) -> np.ndarray:
+    """The one owned row-major float copy of rows, checked, with -0.0 made +0.0."""
     try:
-        arr = np.asarray(rows, dtype=np.float64, order="C")  # axis-0 reductions rely on row-major
+        arr = np.array(rows, dtype=np.float64, order="C")  # axis-0 reductions rely on row-major
     except (ValueError, TypeError) as exc:
         raise NotSquareError(f"input is not a rectangular numeric table: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise NotSquareError(f"expected a square matrix, got shape {arr.shape}")
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        i, j = map(int, bad[0])
-        raise NonFiniteEntryError(i, j, float(arr[i, j]))
-    neg = np.argwhere(arr < 0)
-    if neg.size:
-        i, j = map(int, neg[0])
+    if not (arr.min() >= 0 and arr.max() < np.inf):  # nan fails both; no n x n mask on valid input
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            i, j = map(int, bad[0])
+            raise NonFiniteEntryError(i, j, float(arr[i, j]))
+        i, j = map(int, np.argwhere(arr < 0)[0])
         raise NegativeEntryError(i, j, float(arr[i, j]))
-    return arr + 0.0  # normalizes -0.0 so stored zeros compare equal
+    arr += 0.0  # in place on the copy: normalizes -0.0 so stored zeros compare equal
+    return arr
 
 
 def _finite_sums(A: NonnegMatrix) -> NonnegMatrix:
@@ -219,7 +226,31 @@ def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
 
 def sums(A: NonnegMatrix, side: Side) -> np.ndarray:
     """Row or column totals, O(nnz): the side's kernel applied to ones."""
-    return _kernel(A, side)(np.ones(A.n))
+    return _apply(A, side, np.ones(A.n))
+
+
+# rows of a dense A that _apply transposes at a time
+_ROW_BLOCK = 64
+
+
+def _apply(A: NonnegMatrix, side: Side, v) -> np.ndarray:
+    """``_kernel(A, side)(v)`` bit for bit, for a single product.
+
+    The dense row side copies no Aᵀ: it runs the kernel's einsum on a
+    C-contiguous copy of each (n, b) column block of Aᵀ, b = min(64, n),
+    into the matching b outputs, which add the same terms in the same
+    order.  Every block is b wide, the last one overlapping the one before
+    it: on a block one column wide einsum reduces in another order.
+    """
+    if A.storage == "csr" or side is Side.COLUMN:
+        return _kernel(A, side)(v)
+    n = A.n
+    b = min(_ROW_BLOCK, n)
+    out = np.empty(n)
+    for s in range(0, n, b):
+        s = min(s, n - b)
+        np.einsum("ij,i->j", np.ascontiguousarray(A._dense[s : s + b].T), v, out=out[s : s + b])
+    return out
 
 
 def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN):

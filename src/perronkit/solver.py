@@ -60,7 +60,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ZeroSumError
-from .matcore import GerschgorinDisc, NonnegMatrix, Side, _entries, _kernel, rank_one_hadamard, sums
+from .matcore import GerschgorinDisc, NonnegMatrix, Side, _apply, _entries, _kernel, rank_one_hadamard, sums
 from .primitivity import is_primitive
 
 __all__ = [
@@ -180,7 +180,7 @@ def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
     every disc's rightmost point sits at the computed root.
     """
     A, y = result._A, result._y
-    quotients = _kernel(A, result.side_used)(y) / y
+    quotients = _apply(A, result.side_used, y) / y
     return [GerschgorinDisc(float(c), float(s - c)) for c, s in zip(A.diagonal(), quotients)]
 
 
@@ -277,9 +277,11 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     once.  The sums, history and final y are bit for bit those of a loop
     that rescales at every step and tests each step in turn.
 
-    A block runs k = min(64, m + 1, steps left, 2**16 // work) steps, m
-    being the steps the last block kept (none before the first), so a cut
-    wastes at most one row.
+    A block runs k = min(64, m + g, steps left, 2**16 // work) steps, m
+    being the steps the last block kept (none before the first), and g one
+    when the last block was not cut, else zero.  So a cut wastes at most
+    one row, and a run cut at every block's first step alternates blocks
+    of one and two steps instead of computing two rows for each it keeps.
 
     The step guard stops the run as STAGNATED, keeping the last accurate
     step, when y or Kᵀ y has an entry below the normal range or a quotient
@@ -315,9 +317,10 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
 
     tolerance, cap, window = cfg.tolerance, cfg.max_iterations, _STAGNATION_WINDOW
     t = m = 0
+    grow = 1  # zero after a block that was cut
     status = Status.CONVERGED if _converged(rmax[0] - rmin[0], rmax[0], tolerance) else None
     while status is None and t < cap:
-        k = min(_BLOCK_STEPS, m + 1, cap - t, budget)
+        k = min(_BLOCK_STEPS, m + grow, cap - t, budget)
         # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients
         B = np.empty((2 * k + 1, op.n))
         np.ldexp(w, -math.frexp(wmax)[1], out=B[0])
@@ -333,6 +336,7 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
             least_term = op.least() if least_term is None else least_term
             low = least_term * np.ldexp(mins[1:k], -np.maximum(s[1:k], 0)) < _TERM_FLOOR
             c = 1 + _first(low | ~np.isfinite(maxs[2 : k + 1]))
+        grow = int(c == k)
         lo, hi = mins[k + 1 : k + 1 + c], maxs[k + 1 : k + 1 + c]
         spread = hi - lo
 

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from perronkit import (
     Side,
     from_dense,
     parse_matrix,
+    random_primitive,
     read_csv,
     read_matrix_market,
     sums,
@@ -29,6 +32,38 @@ def test_array_roundtrip(tmp_path, sample3):
     assert back.storage == "dense"
     assert np.array_equal(back.to_dense(), sample3.to_dense())
     assert np.array_equal(sums(back, Side.ROW), [3.0, 5.5, 7.0])
+
+
+def _peak(job) -> int:
+    """Bytes job() holds at its tracemalloc peak, its result included."""
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_file_reads_in_about_two_n_by_n_arrays(tmp_path):
+    # the parsed body and A itself; row sums and validation add no n x n array
+    n = 400
+    path = tmp_path / "r.mtx"
+    write_matrix_market(random_primitive(n, rng=3), path)
+    assert _peak(lambda: read_matrix_market(path)) < 2.2 * 8 * n * n
+
+
+def test_dense_write_copies_no_n_by_n_array(tmp_path):
+    n = 400
+    A = random_primitive(n, rng=3)
+    assert _peak(lambda: write_matrix_market(A, tmp_path / "r.mtx")) < 8 * n * n / 4
+
+
+def test_generated_file_bytes_are_pinned(tmp_path, capsys):
+    # the generator's draws and the writer's %.17g column-major layout, byte for byte
+    path = tmp_path / "g50.mtx"
+    assert main(["gen", "random", "--n", "50", "--seed", "0", "-o", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "c57e2d1e22da74ea78faf062cdab9aa844c2c4e176bad1d8bb4192dab20962ef"
 
 
 def test_coordinate_roundtrip_keeps_csr(tmp_path):

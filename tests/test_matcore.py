@@ -1,6 +1,7 @@
 import math
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             A._dense[0, 0] = 9.0
 
+    def test_from_dense_leaves_the_callers_array_alone(self):
+        # the one copy it makes is normalized in place, never the caller's array
+        arr = np.array([[-0.0, 1.0], [2.0, -0.0]])
+        before = arr.tobytes()
+        A = from_dense(arr)
+        assert arr.flags.writeable and arr.flags.c_contiguous
+        assert arr.tobytes() == before
+        assert A.to_dense().tobytes() == np.array([[0.0, 1.0], [2.0, 0.0]]).tobytes()
+
     def test_csr_arrays_are_read_only_and_nothing_is_cached(self):
         T = tridiagonal(4, 1.0, 3.0, 2.0)
         built = [T, rank_one_hadamard(T, [1, 2, 3, 4], [4, 3, 2, 1]), make_stochastic(T).matrix]
@@ -164,6 +174,18 @@ class TestSums:
             for dense in (from_dense(arr), from_dense(np.asfortranarray(arr))):
                 for side in Side:
                     assert np.array_equal(sums(dense, side), sums(csr, side))
+
+    def test_dense_row_sums_copy_no_transpose(self):
+        # a block of rows is transposed at a time; a full copy of Aᵀ is 8n² bytes
+        n = 400
+        A = random_primitive(n, rng=3)
+        tracemalloc.start()
+        try:
+            sums(A, Side.ROW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4
 
 
 class TestRankOneHadamard:

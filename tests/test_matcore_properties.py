@@ -1,5 +1,6 @@
 """Randomised agreement of the two storages: the dense kernel, either side,
-with the plain axis-0 reduction and with CSR, and the jobs that run on the
+with the plain axis-0 reduction and with CSR, the dense row sums, taken a
+block of rows at a time, with the row kernel, and the jobs that run on the
 entry view."""
 
 import numpy as np
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import transposed, vecmat_unblocked
-from perronkit import PerronError, Side, from_coordinates, from_dense, rank_one_hadamard
+from perronkit import PerronError, Side, from_coordinates, from_dense, rank_one_hadamard, sums
+from perronkit.errors import DomainError
 from perronkit.markov import make_stochastic
-from perronkit.matcore import _entries, _kernel, _like
+from perronkit.matcore import _ROW_BLOCK, NonnegMatrix, _csr, _entries, _kernel, _like
 from perronkit.primitivity import _period
 
 
@@ -50,6 +52,36 @@ def test_dense_vecmat_fuses_no_multiply_add():
     assert got.tobytes() == vecmat_unblocked(D, v).tobytes()
     i, j = np.nonzero(D)
     assert got.tobytes() == _kernel(from_coordinates(2, i, j, D[i, j]))(v).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.sampled_from([1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+    | st.integers(1, 3 * _ROW_BLOCK),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    overflow=st.booleans(),
+)
+def test_dense_row_sums_are_the_row_kernel_bit_for_bit(n, density, seed, overflow):
+    """Entries span e^±30, so every add rounds.  With ``overflow`` one row
+    holds 2^969 twice and then the largest double: added in ascending order
+    it sums to just past the largest double, while fmax + 2^969 alone rounds
+    back to fmax, so only that order names the row."""
+    rng = np.random.default_rng(seed)
+    D = np.where(rng.random((n, n)) < density, np.exp(rng.uniform(-30.0, 30.0, (n, n))), 0.0)
+    big = int(rng.integers(n)) if overflow and n >= 3 else None
+    if big is not None:
+        D[big, :2], D[big, -1] = 2.0**969, np.finfo(np.float64).max
+    i, j = np.nonzero(D)
+    dense, csr = NonnegMatrix(n, dense=D.copy()), _csr(n, i, j, D[i, j])  # unvalidated: a sum may be inf
+    with np.errstate(over="ignore"):
+        got = sums(dense, Side.ROW)
+        assert got.tobytes() == _kernel(dense, Side.ROW)(np.ones(n)).tobytes()
+        assert got.tobytes() == sums(csr, Side.ROW).tobytes()
+    assert np.flatnonzero(np.isinf(got)).tolist() == ([] if big is None else [big])
+    if big is not None:
+        with pytest.raises(DomainError, match=f"^row {big + 1} sum overflows"):
+            from_dense(D)
 
 
 def _outcome(job, A):

@@ -7,7 +7,7 @@ import pytest
 import perronkit.matcore
 import perronkit.solver
 from conftest import SAMPLE3_ROWS
-from oracles import charpoly_coefficients, transposed
+from oracles import charpoly_coefficients, reference_iterate, transposed
 from perronkit import (
     Side,
     SolverConfig,
@@ -26,8 +26,14 @@ from perronkit import (
     tridiagonal,
 )
 from perronkit.errors import DomainError
-from perronkit.matcore import NonnegMatrix, _csr
+from perronkit.matcore import NonnegMatrix, _csr, _entries
 from perronkit.solver import _STAGNATION_WINDOW, _iterate, _operator, _stalled, _ulp
+
+
+def _with_corner(T, a00):
+    """The CSR matrix T with entry (0, 0), its first stored entry, set to a00."""
+    rows, cols, values = _entries(T)
+    return from_coordinates(T.n, rows, cols, np.r_[a00, values[1:]])
 
 
 def collect(out):
@@ -226,6 +232,35 @@ class TestStoppingRules:
 
         _, t, status, _ = _iterate(dataclasses.replace(op, apply=vecmat), SolverConfig())
         assert (t, status, len(calls)) == (17, Status.CONVERGED, 22)
+
+    @pytest.mark.parametrize(
+        "build, calls, steps",
+        [
+            (lambda: tridiagonal(50, 1e250, 3e250, 2e250), 17_521, 11_680),
+            (lambda: _with_corner(tridiagonal(200, 1.0, 3.0, 2.0), 1e-300), 114_068, 76_120),
+            (lambda: tridiagonal(200, 1.0, 3.0, 2.0), 76_641, 76_599),
+        ],
+        ids=["huge-tridiagonal", "tiny-corner", "tridiagonal"],
+    )
+    def test_a_block_grows_only_after_one_that_was_not_cut(self, build, calls, steps):
+        # the first two cut every block at its first step: blocks of one and
+        # two steps alternate, where growing after a cut ran two for each one
+        # kept (23 360 and 151 993 calls); the third is never cut
+        A = build()
+        op, made = _operator(A), []
+
+        def vecmat(v):
+            made.append(None)
+            return op.apply(v)
+
+        y, t, status, history = _iterate(dataclasses.replace(op, apply=vecmat), SolverConfig())
+        assert (len(made), t, status) == (calls, steps, Status.CONVERGED)
+        if steps < 20_000:  # blocks change no bit: the one-step reference loop agrees
+            ref_y, ref_t, ref_status, ref_rmin, ref_rmax, _ = reference_iterate(A, SolverConfig())
+            assert (ref_t, ref_status) == (t, status)
+            assert ref_y.tobytes() == y.tobytes()
+            assert ref_rmin.tobytes() == history.rmin.tobytes()
+            assert ref_rmax.tobytes() == history.rmax.tobytes()
 
     def test_block_rounding_floor_is_math_ulp(self):
         # np.spacing alone is inf at the largest double, where math.ulp is 2^971
