@@ -154,7 +154,7 @@ def read_csv(path) -> NonnegMatrix:
                 width = len(row)
             elif len(row) != width:
                 raise MatrixParseError(lineno, f"row has {len(row)} values, expected {width}")
-            table.append(row)
+            table.append(np.array(row))  # one float64 row, not n Python floats
     if not table:
         raise MatrixParseError(1, "empty file")
     return from_dense(table)

@@ -226,31 +226,11 @@ def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
 
 def sums(A: NonnegMatrix, side: Side) -> np.ndarray:
     """Row or column totals, O(nnz): the side's kernel applied to ones."""
-    return _apply(A, side, np.ones(A.n))
+    return _kernel(A, side)(np.ones(A.n))
 
 
-# rows of a dense A that _apply transposes at a time
+# rows of a dense A that the row-side kernel transposes at a time
 _ROW_BLOCK = 64
-
-
-def _apply(A: NonnegMatrix, side: Side, v) -> np.ndarray:
-    """``_kernel(A, side)(v)`` bit for bit, for a single product.
-
-    The dense row side copies no Aᵀ: it runs the kernel's einsum on a
-    C-contiguous copy of each (n, b) column block of Aᵀ, b = min(64, n),
-    into the matching b outputs, which add the same terms in the same
-    order.  Every block is b wide, the last one overlapping the one before
-    it: on a block one column wide einsum reduces in another order.
-    """
-    if A.storage == "csr" or side is Side.COLUMN:
-        return _kernel(A, side)(v)
-    n = A.n
-    b = min(_ROW_BLOCK, n)
-    out = np.empty(n)
-    for s in range(0, n, b):
-        s = min(s, n - b)
-        np.einsum("ij,i->j", np.ascontiguousarray(A._dense[s : s + b].T), v, out=out[s : s + b])
-    return out
 
 
 def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN):
@@ -260,18 +240,33 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN):
     dense and CSR results are bit-identical, and the row side of A is the
     column side of Aᵀ bit for bit.  CSR runs np.bincount, which adds in
     input order; the row side swaps its bins and gather index.  Dense runs
-    an einsum on A, or on a C-contiguous copy of Aᵀ made here: only this
-    einsum, without ``optimize``, adds row after row into the output and
-    fuses no multiply-add.  Axis-1 or transposed-view reductions and BLAS
-    ``@`` round differently.
+    an einsum on A: only this einsum, without ``optimize``, adds row after
+    row into the output and fuses no multiply-add.  Axis-1 or
+    transposed-view reductions and BLAS ``@`` round differently.  The
+    dense row side copies no Aᵀ: each call runs the einsum on a
+    C-contiguous copy of each (n, b) column block of Aᵀ, b = min(64, n),
+    into the matching b outputs, which add the same terms in the same
+    order.  Every block is b wide, the last one overlapping the one before
+    it: on a block one column wide einsum reduces in another order.
     """
-    if A.storage == "dense":
-        D = A._dense if side is Side.COLUMN else np.ascontiguousarray(A._dense.T)
-        return functools.partial(np.einsum, "ij,i->j", D)
-    n, data, bins, gather = A.n, A._data, A._indices, A._rows
-    if side is Side.ROW:
-        bins, gather = gather, bins
-    return lambda v: np.bincount(bins, weights=data * v[gather], minlength=n)
+    if A.storage == "csr":
+        n, data, bins, gather = A.n, A._data, A._indices, A._rows
+        if side is Side.ROW:
+            bins, gather = gather, bins
+        return lambda v: np.bincount(bins, weights=data * v[gather], minlength=n)
+    if side is Side.COLUMN:
+        return functools.partial(np.einsum, "ij,i->j", A._dense)
+    D, n = A._dense, A.n
+    b = min(_ROW_BLOCK, n)
+    starts = [min(s, n - b) for s in range(0, n, b)]
+
+    def row_product(v):
+        out = np.empty(n)
+        for s in starts:
+            np.einsum("ij,i->j", np.ascontiguousarray(D[s : s + b].T), v, out=out[s : s + b])
+        return out
+
+    return row_product
 
 
 def _checked_scale(v, n) -> np.ndarray:
@@ -328,6 +323,7 @@ def tridiagonal(n: int, c: float, a: float, b: float) -> NonnegMatrix:
 
 def tridiagonal_eigs(n: int, c: float, a: float, b: float) -> np.ndarray:
     """Eigenvalues a + 2*sqrt(b*c)*cos(k*pi/(n+1)), k = 1..n, in descending order."""
+    n = _order(n)
     if b * c < 0:
         raise DomainError(f"b*c must be >= 0, got {b * c}")
     k = np.arange(1, n + 1)

@@ -60,7 +60,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ZeroSumError
-from .matcore import GerschgorinDisc, NonnegMatrix, Side, _apply, _entries, _kernel, rank_one_hadamard, sums
+from .matcore import GerschgorinDisc, NonnegMatrix, Side, _entries, _kernel, rank_one_hadamard, sums
 from .primitivity import is_primitive
 
 __all__ = [
@@ -180,7 +180,7 @@ def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
     every disc's rightmost point sits at the computed root.
     """
     A, y = result._A, result._y
-    quotients = _apply(A, result.side_used, y) / y
+    quotients = _kernel(A, result.side_used)(y) / y
     return [GerschgorinDisc(float(c), float(s - c)) for c, s in zip(A.diagonal(), quotients)]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,19 @@ def test_report_builds_no_scaled_matrix(sample3, monkeypatch):
     monkeypatch.setattr(perronkit.matcore, "rank_one_hadamard", refuse)
     monkeypatch.setattr(perronkit.solver, "rank_one_hadamard", refuse)
     assert bounds_report(sample3) == expected
+
+
+def test_report_on_dense_storage_copies_no_transpose():
+    # the row-side sums and minc solve transpose 64 rows at a time, never all of A
+    n = 400
+    A = random_primitive(n, rng=3)
+    tracemalloc.start()
+    try:
+        bounds_report(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 4
 
 
 def test_power_root_inside_every_reported_interval():

@@ -52,6 +52,14 @@ def test_dense_file_reads_in_about_two_n_by_n_arrays(tmp_path):
     assert _peak(lambda: read_matrix_market(path)) < 2.2 * 8 * n * n
 
 
+def test_dense_csv_reads_in_about_two_n_by_n_arrays(tmp_path):
+    # one float64 array per line, then A; a table of Python floats is 4 x 8n² bytes
+    n = 300
+    path = tmp_path / "r.csv"
+    np.savetxt(path, random_primitive(n, rng=3).to_dense(), fmt="%.17g", delimiter=",")
+    assert _peak(lambda: read_csv(path)) < 2.5 * 8 * n * n
+
+
 def test_dense_write_copies_no_n_by_n_array(tmp_path):
     n = 400
     A = random_primitive(n, rng=3)

@@ -311,6 +311,11 @@ class TestTridiagonal:
         eigs = tridiagonal_eigs(20, 2.0, 1.0, 0.5)
         assert np.all(np.diff(eigs) <= 0)
 
+    @pytest.mark.parametrize("order", [2.5, 0, -3, True])
+    def test_eigs_reject_what_is_not_an_order(self, order):
+        with pytest.raises(NotSquareError, match=f"got {order!r}$"):
+            tridiagonal_eigs(order, 1.0, 3.0, 2.0)
+
     @pytest.mark.parametrize(
         "bands, error, at",
         [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,18 @@ class TestAlgorithmB:
         assert res.status is Status.CONVERGED
         assert res.root == pytest.approx(3.0, abs=1e-8)
         assert np.all(res.eigenvector > 0)
+
+    def test_dense_row_solve_copies_no_transpose(self):
+        # the row kernel transposes 64 rows at a time; a full copy of Aᵀ is 8n² bytes
+        n = 400
+        A = random_primitive(n, rng=3)
+        tracemalloc.start()
+        try:
+            algorithm_b(A, SolverConfig(side=Side.ROW))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4
 
     @pytest.mark.parametrize(
         "rows, side",
@@ -331,7 +344,8 @@ class TestConvergenceDiscs:
         # random primitive runs converge; periodic3 stagnates on rows; a cap of 3 stops early
         uncapped = SolverConfig.max_iterations
         cases = [(random_primitive(int(rng.integers(2, 9)), rng=rng), uncapped) for _ in range(30)]
-        cases += [(periodic3, uncapped), (periodic3, 3)]
+        # past two of the dense row kernel's 64-row blocks, the last one overlapping
+        cases += [(random_primitive(130, rng=rng), uncapped), (periodic3, uncapped), (periodic3, 3)]
         for A, cap in cases:
             if storage == "csr":
                 nz = np.nonzero(A.to_dense())
