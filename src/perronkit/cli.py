@@ -28,13 +28,7 @@ from .io import parse_matrix, write_matrix_market
 from .markov import StochasticMatrix, damp, make_stochastic, stationary
 from .matcore import NonnegMatrix, Side, _dense_view, _entries, random_primitive, tridiagonal
 from .primitivity import is_irreducible, is_primitive, wielandt_bound
-from .solver import (
-    PerronResult,
-    SolverConfig,
-    Status,
-    algorithm_a,
-    algorithm_b,
-)
+from .solver import PerronResult, SolverConfig, Status, algorithm_a
 
 _STATUS_EXIT = {Status.CONVERGED: 0, Status.STAGNATED: 2, Status.MAX_ITERATIONS: 3}
 
@@ -65,14 +59,15 @@ def _matrix_payload(M: NonnegMatrix) -> dict:
     }
 
 
-def _solver_result_payload(res: PerronResult, balanced: bool) -> dict:
-    # scaling, y normalized as eigenvector is, fixes the balanced matrix in n numbers
+def _solver_result_payload(res: PerronResult, algo: str, balanced: bool) -> dict:
+    # scaling fixes the balanced matrix in n numbers; --algo b prints it as the eigenvector too
+    scaling = res.eigenvector.tolist()
     payload = {
         "root_lo": res.root_lo,
         "root_hi": res.root_hi,
         "root": res.root,
-        "eigenvector": None if res.eigenvector is None else res.eigenvector.tolist(),
-        "scaling": (res._y / res._y.sum()).tolist(),
+        "eigenvector": scaling if algo == "b" else None,
+        "scaling": scaling,
         "iterations": res.iterations,
         "side_used": res.side_used.value,
         "status": res.status.value,
@@ -133,12 +128,11 @@ def _perron(A: NonnegMatrix, args):
         max_iterations=args.max_iter,
         side=None if args.side == "auto" else Side(args.side),
     )
-    solve = algorithm_a if args.algo == "a" else algorithm_b
     if args.discs:
         with open(args.discs, "w", encoding="ascii", newline="\n") as fh:
-            res = solve(A, cfg, on_step=_disc_writer(fh, A))
+            res = algorithm_a(A, cfg, on_step=_disc_writer(fh, A))
     else:
-        res = solve(A, cfg)
+        res = algorithm_a(A, cfg)
     if args.trace:
         _write_trace(args.trace, res.history)
     config = {
@@ -146,10 +140,10 @@ def _perron(A: NonnegMatrix, args):
         "side": args.side, "algo": args.algo,
     }
     # only the run record shows the balanced matrix, so text mode never builds it
-    result = _solver_result_payload(res, args.balanced and args.json)
+    result = _solver_result_payload(res, args.algo, args.balanced and args.json)
     text = (f"root {res.root!r} in [{res.root_lo!r}, {res.root_hi!r}]\n"
             f"iterations {res.iterations}  side {res.side_used.value}  status {res.status.value}")
-    if res.eigenvector is not None:
+    if args.algo == "b":
         text += "\neigenvector " + " ".join(repr(float(v)) for v in res.eigenvector)
     return config, result, _STATUS_EXIT[res.status], text
 
@@ -214,8 +208,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any input error: argparse's 2 means stagnated here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="perronkit",
         description="Dominant eigenvalue tools for nonnegative matrices via sum balancing.",
     )
@@ -226,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_arg(sp, _perron)
     sp.add_argument("--side", choices=["auto", "row", "col"], default="auto")
     sp.add_argument("--algo", choices=["a", "b"], default="a",
-                    help="a: root only; b: root plus eigenvector")
+                    help="both run the same solve; a prints the root, b also the eigenvector")
     sp.add_argument("--trace", metavar="FILE", help="write per-iteration min/max sums as CSV")
     sp.add_argument("--discs", metavar="FILE", help="write per-iteration disc traces as CSV")
     sp.add_argument("--balanced", action="store_true",

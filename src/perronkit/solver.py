@@ -17,8 +17,9 @@ v -> Aᵀ v for columns, and returns only y and the min and max sums of
 each step; a caller that wants the sum vectors passes ``on_step``, which
 sees each one as it is computed and keeps what it needs.
 :func:`algorithm_a` picks the side, runs it and builds the result around
-y; :func:`algorithm_b` adds y normalized, the dominant eigenvector (of the
-transpose for columns).  The stationary distribution of
+y, normalized as the dominant eigenvector (of the transpose for columns).
+The paper's Algorithm B is Algorithm A plus that scaling vector, so
+:func:`algorithm_b` is the same function.  The stationary distribution of
 :mod:`~perronkit.markov` runs the loop alone.
 
 The loop runs its steps in blocks.  A power-of-two rescaling is exact and
@@ -54,7 +55,7 @@ import functools
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -124,15 +125,15 @@ class PerronResult:
     both kept by the result, and cached: a_ij y_j / y_i when row sums were
     balanced, a_ij y_i / y_j when column sums were.  It keeps the input's
     orientation, diagonal and zero pattern, so for column-side runs its
-    column sums are the equalized ones.  ``eigenvector`` (algorithm B only)
-    is y normalized to unit sum: the dominant eigenvector of the input for
-    rows and of its transpose for columns.
+    column sums are the equalized ones.  ``eigenvector`` is y normalized to
+    unit sum: the dominant eigenvector of the input for rows and of its
+    transpose for columns.
     """
 
     root_lo: float
     root_hi: float
     root: float
-    eigenvector: np.ndarray | None
+    eigenvector: np.ndarray
     iterations: int
     side_used: Side
     status: Status
@@ -375,29 +376,20 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     return y, t, status, ConvergenceHistory(rmin=np.array(rmin), rmax=np.array(rmax))
 
 
-def algorithm_b(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=None) -> PerronResult:
-    """Balance the sums and also return the accumulated scaling vector y.
+def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=None) -> PerronResult:
+    """Balance the sums; returns the root enclosure and the eigenvector.
 
-    Runs :func:`algorithm_a`; the balanced matrix is built from the final y
-    only when the result's ``balanced`` is read.  On convergence y
+    Picks the side and runs the loop.  Each step is equivalent to
+    multiplying entry (i, j) of the working matrix by r_j / r_i, where r is
+    the current sum vector on the chosen side; see the module docstring for
+    how the solver computes it.  The balanced matrix is built from the
+    final y only when the result's ``balanced`` is read.  On convergence y
     spans the dominant eigenvector: M y = root * y within 10x tolerance,
     where M is the matrix in the balanced orientation.
 
     ``on_step(t, r)``, when given, receives the balanced sums r after t
     steps, for t = 0 up to the returned iteration count.  r belongs to the
     solver: read it or copy it, but do not modify it.
-    """
-    res = algorithm_a(A, cfg, on_step=on_step)
-    return replace(res, eigenvector=res._y / res._y.sum())
-
-
-def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=None) -> PerronResult:
-    """Balance the sums; returns the root enclosure only.
-
-    Picks the side and runs the loop.  Each step is equivalent to
-    multiplying entry (i, j) of the working matrix by r_j / r_i, where r is
-    the current sum vector on the chosen side; see the module docstring for
-    how the solver computes it.  ``on_step`` is as for :func:`algorithm_b`.
     """
     cfg = cfg or SolverConfig()
     side = cfg.side or _smaller_range(sums(A, Side.ROW), sums(A, Side.COLUMN))
@@ -407,7 +399,7 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
         root_lo=lo,
         root_hi=hi,
         root=0.5 * lo + 0.5 * hi,  # lo + hi may overflow
-        eigenvector=None,
+        eigenvector=y / y.sum(),
         iterations=t,
         side_used=side,
         status=status,
@@ -415,3 +407,5 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
         _A=A,
         _y=y,
     )
+
+algorithm_b = algorithm_a

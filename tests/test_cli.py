@@ -351,6 +351,26 @@ class TestRunner:
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["perron", "--side", "up"], ["perron", "--max-iter", "1e3"], ["perron", "--bogus"], ["gen", "random", "--n", "abc"]],
+        ids=["choice", "int", "unknown-flag", "gen"],
+    )
+    def test_usage_error_is_input_error(self, capsys, sample3_file, argv):
+        # exit 2 would read as "stagnated"; argparse's usage and message stay on stderr
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, sample3_file] if argv[0] == "perron" else argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: perronkit")
+        assert "error: " in captured.err.splitlines()[-1]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perron", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: perronkit perron")
+
     @pytest.mark.parametrize("n", HUGE_ORDERS)
     @pytest.mark.parametrize("command", MATRIX_COMMANDS, ids=lambda c: c[0])
     def test_order_numpy_cannot_address_is_input_error(self, capsys, tmp_path, command, n):

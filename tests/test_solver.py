@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,7 +66,9 @@ class TestAlgorithmA:
         assert res.side_used is Side.COLUMN
         assert res.root == pytest.approx(5.739952, abs=1e-6)
         assert res.root_hi - res.root_lo <= 1e-8
-        assert res.eigenvector is None
+        # Algorithm B is Algorithm A: one solve, whose result carries the eigenvector
+        assert res.eigenvector.tobytes() == algorithm_b(sample3).eigenvector.tobytes()
+        assert res.eigenvector.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_already_balanced_needs_no_update(self):
         A = from_dense([[1.0, 2.0], [2.0, 1.0]])
@@ -505,6 +509,17 @@ class TestInvariants:
         sparse = bounds_report(from_coordinates(2, *nz, arr[nz]))
         assert dense == sparse
         assert np.all(np.isfinite(dataclasses.astuple(dense)))
+
+    def test_only_solver_reads_a_results_private_fields(self):
+        # every other module reads a PerronResult through its public fields
+        package = pathlib.Path(perronkit.solver.__file__).parent
+        reads = [
+            f"{path.name}:{k}: {line.strip()}"
+            for path in sorted(package.glob("*.py")) if path.name != "solver.py"
+            for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(r"\._(y|A)\b", line)
+        ]
+        assert reads == []
 
 
 class TestConfigValidation:

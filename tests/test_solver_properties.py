@@ -98,8 +98,7 @@ def test_results_are_finite_and_enclosure_is_monotone(A, solve, side):
     assert np.all(np.isfinite([res.root_lo, res.root_hi, res.root]))
     assert np.all(np.isfinite(res.history.rmin)) and np.all(np.isfinite(res.history.rmax))
     assert np.all(np.isfinite(res.balanced.to_dense()))
-    if res.eigenvector is not None:
-        assert np.all(np.isfinite(res.eigenvector))
+    assert np.all(np.isfinite(res.eigenvector))
     rmin, rmax = res.history.rmin, res.history.rmax
     assert np.all(rmin[1:] >= rmin[:-1] * (1 - 1e-12))
     assert np.all(rmax[1:] <= rmax[:-1] * (1 + 1e-12))
