@@ -24,9 +24,9 @@ from .solver import _STAGNATION_WINDOW, SolverConfig, Status, _stalled
 __all__ = ["PowerResult", "power_method"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerResult:
-    """Dominant eigenpair estimate from power iteration."""
+    """Dominant eigenpair estimate from power iteration; ``==`` is identity."""
 
     eigenvalue: float
     eigenvector: np.ndarray

@@ -59,9 +59,9 @@ class StochasticMatrix:
         return self.matrix.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryDistribution:
-    """Probability vector u with u^T P = u^T, plus solve diagnostics."""
+    """Probability vector u with u^T P = u^T, plus solve diagnostics; ``==`` is identity."""
 
     u: np.ndarray
     residual: float
@@ -100,8 +100,8 @@ def _operator(P: StochasticMatrix) -> _Operator:
     op, alpha, beta = _matrix_operator(P.matrix), P.alpha, (1.0 - P.alpha) / P.n
     kernel = op.apply
 
-    def apply(u):
-        w = kernel(u)
+    def apply(u, out=None):
+        w = kernel(u, out=out)
         w *= alpha
         w += beta * u.sum()
         return w

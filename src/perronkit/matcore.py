@@ -5,9 +5,12 @@ Dense storage is row-major; sparse storage is CSR kept as row-sorted
 triplets: the row index, column index and value of each stored entry, in
 row-major order, with no explicitly stored zeros.  Every sum and
 product goes through one kernel, which adds in index-ascending order, so
-dense and CSR storage of the same matrix give bit-identical results.  No
-other module reads the storage: they use that kernel, ``_entries`` and,
-for dense storage, the read-only ``_dense_view``.
+dense and CSR storage of the same matrix give bit-identical results.  The
+kernel writes into an ``out`` array when given one; the solver's loop,
+which calls it at every step, asks for a CSR kernel that runs a padded
+slot layout built once, with the same bits.  No other module reads the
+storage: they use that kernel, ``_entries`` and, for dense storage, the
+read-only ``_dense_view``.
 """
 
 from __future__ import annotations
@@ -231,42 +234,98 @@ def sums(A: NonnegMatrix, side: Side) -> np.ndarray:
 
 # rows of a dense A that the row-side kernel transposes at a time
 _ROW_BLOCK = 64
+# a loop's CSR kernel pads each output's terms to K slots, K the most of any
+# output, when the K n slots are at most this many times the nnz terms: the
+# slots ran 25-50 % faster than bincount up to 1.5 nnz, and lost from about 2
+_SLOT_FILL = 1.5
 
 
-def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN):
+def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
     """``v -> vᵀA`` (column side) or ``v -> A v`` (row side), A's arrays bound once.
 
-    Both storages add each output's terms in ascending index order, so
-    dense and CSR results are bit-identical, and the row side of A is the
-    column side of Aᵀ bit for bit.  CSR runs np.bincount, which adds in
-    input order; the row side swaps its bins and gather index.  Dense runs
-    an einsum on A: only this einsum, without ``optimize``, adds row after
-    row into the output and fuses no multiply-add.  Axis-1 or
-    transposed-view reductions and BLAS ``@`` round differently.  The
-    dense row side copies no Aᵀ: each call runs the einsum on a
-    C-contiguous copy of each (n, b) column block of Aᵀ, b = min(64, n),
-    into the matching b outputs, which add the same terms in the same
-    order.  Every block is b wide, the last one overlapping the one before
-    it: on a block one column wide einsum reduces in another order.
+    The kernel is ``apply(v, out=None)``: it writes into ``out`` when one
+    is given, a float (n,) array that does not overlap v, and returns it,
+    else a fresh array.  Both storages add each output's terms in
+    ascending index order, so dense and CSR results are bit-identical, and
+    the row side of A is the column side of Aᵀ bit for bit.  CSR runs
+    np.bincount, which adds in input order; the row side swaps its bins
+    and gather index.  Dense runs an einsum on A: only this einsum,
+    without ``optimize``, adds row after row into the output and fuses no
+    multiply-add.  Axis-1 or transposed-view reductions and BLAS ``@``
+    round differently.  The dense row side copies no Aᵀ: each call runs
+    the einsum on a C-contiguous copy of each (n, b) column block of Aᵀ,
+    b = min(64, n), into the matching b outputs, which add the same terms
+    in the same order.  Every block is b wide, the last one overlapping
+    the one before it: on a block one column wide einsum reduces in
+    another order.
+
+    ``loop=True`` asks for a kernel that a loop calls many times.  On CSR
+    it builds a padded slot (ELLPACK) layout once, when its slots number at
+    most 1.5 nnz: two (K, n) arrays, K the most terms of any output, whose
+    column j holds output j's gather indices and values in row-major
+    order, padded at the end with index 0 and value 0.  A call gathers v
+    into a (K, n) scratch array the kernel owns, multiplies by the values
+    and reduces over axis 0 into ``out``.  Each output adds its terms in
+    bincount's order and then exact +0.0s, so the bits are bincount's, and
+    the call allocates nothing; the scratch array makes the kernel one
+    loop's at a time.  A padding term 0 v_0 is nan when v_0 is inf, where
+    bincount gives inf; the solver's loop discards every row computed from
+    one that holds an inf.  The one-shot callers (:func:`sums`, the discs,
+    the power method) keep bincount: they may see an inf, and would pay
+    the layout's sort once per call.  With more slots the padding costs
+    about what bincount does, and the loop kernel is the one-shot one.
     """
     if A.storage == "csr":
         n, data, bins, gather = A.n, A._data, A._indices, A._rows
         if side is Side.ROW:
             bins, gather = gather, bins
-        return lambda v: np.bincount(bins, weights=data * v[gather], minlength=n)
+        slots = _slot_product(n, bins, gather, data) if loop else None
+
+        def product(v, out=None):
+            w = np.bincount(bins, weights=data * v[gather], minlength=n)
+            if out is None:
+                return w
+            out[...] = w
+            return out
+
+        return product if slots is None else slots
     if side is Side.COLUMN:
         return functools.partial(np.einsum, "ij,i->j", A._dense)
     D, n = A._dense, A.n
     b = min(_ROW_BLOCK, n)
     starts = [min(s, n - b) for s in range(0, n, b)]
 
-    def row_product(v):
-        out = np.empty(n)
+    def row_product(v, out=None):
+        out = np.empty(n) if out is None else out
         for s in starts:
             np.einsum("ij,i->j", np.ascontiguousarray(D[s : s + b].T), v, out=out[s : s + b])
         return out
 
     return row_product
+
+
+def _slot_product(n, bins, gather, data):
+    """The padded slot kernel of :func:`_kernel` on entries in row-major
+    order, or None when its slots would number more than _SLOT_FILL times
+    the entries.
+    """
+    counts = np.bincount(bins, minlength=n)
+    k = int(counts.max())
+    if k * n > _SLOT_FILL * len(data):
+        return None
+    order = np.argsort(bins, kind="stable")  # row-major in each bin; the row side's bins are sorted
+    bins = bins[order]
+    slot = np.arange(len(bins)) - (np.cumsum(counts) - counts)[bins]
+    idx, val, terms = np.zeros((k, n), np.intp), np.zeros((k, n)), np.empty((k, n))
+    idx[slot, bins] = gather[order]
+    val[slot, bins] = data[order]
+
+    def product(v, out=None):
+        v.take(idx, None, terms, "clip")  # the method, and "clip", neither buffers nor copies
+        np.multiply(terms, val, terms)
+        return np.add.reduce(terms, 0, None, out)
+
+    return product
 
 
 def _checked_scale(v, n) -> np.ndarray:

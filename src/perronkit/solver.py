@@ -106,9 +106,14 @@ class SolverConfig:
             raise DomainError(f"side must be a Side or None, got {self.side!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceHistory:
-    """Minimum and maximum sums per iteration, entry 0 being the input's."""
+    """Minimum and maximum sums per iteration, entry 0 being the input's.
+
+    ``rmin`` and ``rmax`` are float arrays of one length, the iterations
+    plus one: the two rows of one array the solver's loop filled, cut to
+    the entries it kept.  ``==`` is identity, as for every result record.
+    """
 
     rmin: np.ndarray
     rmax: np.ndarray
@@ -117,7 +122,7 @@ class ConvergenceHistory:
         return len(self.rmin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerronResult:
     """Outcome of one balancing run.
 
@@ -126,20 +131,24 @@ class PerronResult:
     balanced, a_ij y_i / y_j when column sums were.  It keeps the input's
     orientation, diagonal and zero pattern, so for column-side runs its
     column sums are the equalized ones.  ``eigenvector`` is y normalized to
-    unit sum: the dominant eigenvector of the input for rows and of its
-    transpose for columns.
+    unit sum, computed on first access and cached likewise: the dominant
+    eigenvector of the input for rows and of its transpose for columns.
+    ``==`` is identity: results hold arrays, which do not compare to a bool.
     """
 
     root_lo: float
     root_hi: float
     root: float
-    eigenvector: np.ndarray
     iterations: int
     side_used: Side
     status: Status
     history: ConvergenceHistory
-    _A: NonnegMatrix = field(repr=False, compare=False)
-    _y: np.ndarray = field(repr=False, compare=False)
+    _A: NonnegMatrix = field(repr=False)
+    _y: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def eigenvector(self) -> np.ndarray:
+        return self._y / self._y.sum()
 
     @functools.cached_property
     def balanced(self) -> NonnegMatrix:
@@ -191,6 +200,8 @@ _min, _max = np.minimum.reduce, np.maximum.reduce
 # a block runs at most this many steps, on at most this many multiply-adds
 _BLOCK_STEPS = 64
 _BLOCK_WORK = 2**16
+# history entries the loop makes room for at first; it doubles the room when full
+_HISTORY_START = 256
 # least() min y at or above this keeps kernel terms normal, with room for rounding
 _TERM_FLOOR = 2.0**-1018
 
@@ -219,7 +230,8 @@ def _first(flags) -> int:
 class _Operator:
     """An operator K of order n, as :func:`_iterate` reads it.
 
-    ``apply(y)`` computes Kᵀ y; K need not be stored as a matrix.
+    ``apply(y, out=None)`` computes Kᵀ y, into ``out`` when one is given;
+    K need not be stored as a matrix.
     ``work`` is the multiply-adds of one ``apply`` call, and ``least()``
     the least positive factor it multiplies an entry of y by; the loop
     calls it once, at its first block of more than one step.
@@ -228,7 +240,7 @@ class _Operator:
     ZeroSumError.
     """
 
-    apply: Callable[[np.ndarray], np.ndarray]
+    apply: Callable[..., np.ndarray]
     n: int
     work: int
     least: Callable[[], float]
@@ -243,7 +255,7 @@ def _operator(A: NonnegMatrix, side: Side = Side.COLUMN) -> _Operator:
     """
     work = A.n * A.n if A.storage == "dense" else A.nnz  # the kernel's multiply-adds
     return _Operator(
-        _kernel(A, side), A.n, work, lambda: float(_entries(A)[2].min()),
+        _kernel(A, side, loop=True), A.n, work, lambda: float(_entries(A)[2].min()),
         functools.partial(is_primitive, A), side,
     )
 
@@ -252,7 +264,10 @@ def _operator(A: NonnegMatrix, side: Side = Side.COLUMN) -> _Operator:
 def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     """The one loop on ``op``: y <- Kᵀ y from y = 1, with the sums r = (Kᵀ y) / y.
 
-    Returns (y, iterations, status, history).
+    Returns (y, iterations, status, history).  The history's arrays are
+    the kept part of one (2, capacity) array that the loop writes each
+    block's kept minima and maxima into, doubling its capacity when full,
+    up to one entry more than the iteration cap.
     ``on_step(t, r)``, when given, is called with the input's sums (t = 0)
     and then with the sums of each accepted step, so once per history
     entry; r belongs to the loop and must not be modified.
@@ -261,9 +276,10 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     exponent of max w, so max y lies in [1/2, 1).  While every value stays
     normal that scaling commutes with every rounding, so the loop runs
     steps in blocks of k without rescaling.  One (2k + 1, n) array B holds
-    y in row 0, its images Kᵀ y, Kᵀ Kᵀ y, ... in rows 1..k, and in rows
-    k + 1..2k the k quotient rows B[j + 1] / B[j], formed by one division;
-    two axis-1 reductions over all 2k + 1 rows then read every min and max.
+    y in row 0, its images Kᵀ y, Kᵀ Kᵀ y, ... in rows 1..k, which ``apply``
+    writes in place, and in rows k + 1..2k the k quotient rows
+    B[j + 1] / B[j], formed by one division; two axis-1 reductions over
+    all 2k + 1 rows then read every min and max.
 
     Row j stands for the rescaled loop's y times 2^s_j, s_j the exponent of
     max B[j], up to the cut: the first step j >= 1 where least() times
@@ -305,9 +321,11 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     if zero.size:
         raise ZeroSumError(int(zero[0]), side=op.side.value)
 
-    rmin = [float(_min(w))]
-    rmax = [float(_max(w))]
-    wmax = rmax[0]  # r = w on the first step
+    tolerance, cap, window = cfg.tolerance, cfg.max_iterations, _STAGNATION_WINDOW
+    # the history: row 0 the min and row 1 the max sum of each entry
+    history = np.empty((2, min(cap + 1, _HISTORY_START)))
+    lo0, wmax = float(_min(w)), float(_max(w))  # r = w on the first step
+    history[:, 0] = lo0, wmax
     if on_step is not None:
         on_step(0, w)
     tiny = float(np.finfo(np.float64).tiny)
@@ -316,17 +334,16 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     verdict = None  # primitive(), once a stall is the first stop of a block
     y_exp = 0  # the last accepted y is y 2^-y_exp, rescaled on return
 
-    tolerance, cap, window = cfg.tolerance, cfg.max_iterations, _STAGNATION_WINDOW
     t = m = 0
     grow = 1  # zero after a block that was cut
-    status = Status.CONVERGED if _converged(rmax[0] - rmin[0], rmax[0], tolerance) else None
+    status = Status.CONVERGED if _converged(wmax - lo0, wmax, tolerance) else None
     while status is None and t < cap:
         k = min(_BLOCK_STEPS, m + grow, cap - t, budget)
         # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients
         B = np.empty((2 * k + 1, op.n))
         np.ldexp(w, -math.frexp(wmax)[1], out=B[0])
         for i in range(k):
-            B[i + 1] = vecmat(B[i])
+            vecmat(B[i], out=B[i + 1])
         np.divide(B[1 : k + 1], B[:k], out=B[k + 1 :])
         mins, maxs = _min(B, 1), _max(B, 1)
         s = np.frexp(maxs[:k])[1]
@@ -352,7 +369,8 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
         if verdict is None and t + stop >= window:  # a row before the stop has an entry window back
             # the last history spreads, then the block's; the rule's entry p
             # is row p + window - (the number of history spreads)
-            spreads = np.concatenate((np.subtract(rmax[-window:], rmin[-window:]), spread))
+            last = history[:, max(0, t + 1 - window) : t + 1]
+            spreads = np.concatenate((last[1] - last[0], spread))
             q = _first(_stalled(spreads[window:], spreads[:-window], tolerance)) + c + window - len(spreads)
             if q < stop:
                 verdict = op.primitive()
@@ -360,8 +378,12 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
                     m, status = q + 1, Status.STAGNATED
 
         if m:
-            rmin.extend(lo[:m].tolist())
-            rmax.extend(hi[:m].tolist())
+            if t + 1 + m > history.shape[1]:  # doubling, from 256, makes room for 64 more
+                grown = np.empty((2, min(2 * history.shape[1], cap + 1)))
+                grown[:, : t + 1] = history[:, : t + 1]
+                history = grown
+            history[0, t + 1 : t + 1 + m] = lo[:m]
+            history[1, t + 1 : t + 1 + m] = hi[:m]
             y, y_exp = B[m - 1], int(s[m - 1])
             w, wmax = B[m], float(maxs[m])
             if on_step is not None:
@@ -373,7 +395,7 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
         status = Status.MAX_ITERATIONS
     if y_exp:  # a block's first row is rescaled already
         y = np.ldexp(y, -y_exp)
-    return y, t, status, ConvergenceHistory(rmin=np.array(rmin), rmax=np.array(rmax))
+    return y, t, status, ConvergenceHistory(rmin=history[0, : t + 1], rmax=history[1, : t + 1])
 
 
 def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=None) -> PerronResult:
@@ -399,7 +421,6 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
         root_lo=lo,
         root_hi=hi,
         root=0.5 * lo + 0.5 * hi,  # lo + hi may overflow
-        eigenvector=y / y.sum(),
         iterations=t,
         side_used=side,
         status=status,

@@ -6,9 +6,10 @@ recursion, primitivity from stepwise boolean powers, irreducibility from a
 boolean transitive closure, stationary vectors from a linear solve, and
 eigenvalues from numpy's dense QR solver.  A damped chain is written out as
 the n×n matrix it stands for, and a transpose is rebuilt from the dense
-entries.  The reference balancing loop shares only the
-kernel with the solver, and spells the stall rule out with its own window
-and factor.  It runs one step at a time,
+entries.  The reference balancing loop shares only the one-shot kernel
+with the solver, np.bincount on CSR and never the loop's padded slot
+layout, and spells the stall rule out with its own window and factor.
+It runs one step at a time,
 rescaling y by a power of two at every step, where the solver runs blocks
 of steps between rescalings, and spells out each step with one reduction
 per guard.  The dense vᵀA is one n×n product reduced over axis 0,
@@ -107,6 +108,12 @@ def transposed(A):
         return from_dense(arr)
     rows, cols = np.nonzero(arr)
     return from_coordinates(A.n, rows, cols, arr[rows, cols])
+
+
+def damped_vecmat(P):
+    """u -> uᵀ (alpha P + (1 - alpha)/n 11ᵀ) for a StochasticMatrix P, on its matrix's one-shot kernel."""
+    kernel, alpha, beta = _kernel(P.matrix), P.alpha, (1.0 - P.alpha) / P.n
+    return lambda u: alpha * kernel(u) + beta * u.sum()
 
 
 def reference_iterate(K, cfg, primitive=None):

@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import damped_dense, reference_loop, stationary_linear_solve
+from oracles import damped_dense, damped_vecmat, reference_loop, stationary_linear_solve
 from perronkit import (
     SolverConfig,
     Status,
@@ -94,8 +94,11 @@ def test_blocked_damped_loop_matches_the_reference_loop(P, alpha, cap):
     # a tolerance below the rounding floor runs slowly mixing chains long
     cfg = SolverConfig(tolerance=1e-300, max_iterations=cap)
     for matrix in (P.matrix, from_dense(P.matrix.to_dense())):
-        op = markov._operator(damp(StochasticMatrix(matrix), alpha))
-        y_ref, t_ref, status_ref, rmin_ref, rmax_ref, steps_ref = reference_loop(op.apply, P.n, lambda: True, cfg)
+        damped = damp(StochasticMatrix(matrix), alpha)
+        op = markov._operator(damped)
+        y_ref, t_ref, status_ref, rmin_ref, rmax_ref, steps_ref = reference_loop(
+            damped_vecmat(damped), P.n, lambda: True, cfg
+        )
         steps = []
         y, t, status, history = solver._iterate(op, cfg, lambda t, r: steps.append((t, r.tobytes())))
         assert (t, status) == (t_ref, status_ref)

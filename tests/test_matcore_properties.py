@@ -1,20 +1,20 @@
 """Randomised agreement of the two storages: the dense kernel, either side,
-with the plain axis-0 reduction and with CSR, the dense row sums, taken a
-block of rows at a time, with the row kernel, and the jobs that run on the
-entry view."""
+with the plain axis-0 reduction and with CSR, the loop's padded slot kernel
+with bincount and dense, the dense row sums, taken a block of rows at a
+time, with the row kernel, and the jobs that run on the entry view."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import transposed, vecmat_unblocked
 from perronkit import PerronError, Side, from_coordinates, from_dense, rank_one_hadamard, sums
 from perronkit.errors import DomainError
 from perronkit.markov import make_stochastic
-from perronkit.matcore import _ROW_BLOCK, NonnegMatrix, _csr, _entries, _kernel, _like
+from perronkit.matcore import _ROW_BLOCK, _SLOT_FILL, NonnegMatrix, _csr, _entries, _kernel, _like
 from perronkit.primitivity import _period
 
 
@@ -39,6 +39,47 @@ def test_dense_vecmat_is_the_unblocked_reduction_bit_for_bit(side, n, density, s
     if side is Side.ROW:
         for A in (dense, csr):
             assert _kernel(A, Side.ROW)(v).tobytes() == _kernel(transposed(A))(v).tobytes()
+
+
+@pytest.mark.parametrize("side", list(Side), ids=lambda side: side.value)
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    fill=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+    heavy=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=40, fill=[0.1, 0.1], heavy=False, seed=0)  # 4 terms in every bin: slots
+@example(n=40, fill=[0.1, 0.1], heavy=True, seed=0)  # one bin of 40 terms: bincount
+def test_loop_kernel_is_bincount_and_dense_bit_for_bit(side, n, fill, heavy, seed):
+    """Output bin j (a column for the column side, a row for the row side)
+    holds a count of terms drawn between the two ``fill`` shares of n, and
+    with ``heavy`` bin 0 holds n, so the slots number from nnz to n² and
+    either CSR path runs.  Entries and vector components span e^±30, so
+    every add rounds.  The loop kernel keeps scratch between calls, and
+    fills and returns ``out`` when given one."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(round(fill[0] * n), round(fill[1] * n) + 1, n)
+    if heavy:
+        counts[0] = n
+    D = np.zeros((n, n))
+    for j, count in enumerate(counts):
+        D[rng.choice(n, count, replace=False), j] = np.exp(rng.uniform(-30.0, 30.0, count))
+    if side is Side.ROW:
+        D = np.ascontiguousarray(D.T)
+    i, j = np.nonzero(D)
+    dense, csr = from_dense(D), from_coordinates(n, i, j, D[i, j])
+    loop = _kernel(csr, side, loop=True)
+    slots = counts.max() * n <= _SLOT_FILL * csr.nnz
+    assert ("_slot_product" in loop.__qualname__) == slots
+    for v in (np.exp(rng.uniform(-30.0, 30.0, n)), np.exp(rng.uniform(-30.0, 30.0, n))):
+        want = _kernel(csr, side)(v)
+        assert want.tobytes() == _kernel(dense, side)(v).tobytes()
+        assert loop(v).tobytes() == want.tobytes()
+        for kernel in (loop, _kernel(csr, side), _kernel(dense, side), _kernel(dense, side, loop=True)):
+            out = np.full(n, np.nan)
+            assert kernel(v, out=out) is out
+            assert out.tobytes() == want.tobytes()
 
 
 def test_dense_vecmat_fuses_no_multiply_add():

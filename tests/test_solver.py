@@ -22,9 +22,11 @@ from perronkit import (
     convergence_discs,
     from_coordinates,
     from_dense,
+    make_stochastic,
     power_method,
     random_primitive,
     rank_one_hadamard,
+    stationary,
     sums,
     tridiagonal,
 )
@@ -243,9 +245,9 @@ class TestStoppingRules:
         # the run computes 21 steps to keep 17, plus the input's sums
         op, calls = _operator(sample3), []
 
-        def vecmat(v):
+        def vecmat(v, out=None):
             calls.append(None)
-            return op.apply(v)
+            return op.apply(v, out=out)
 
         _, t, status, _ = _iterate(dataclasses.replace(op, apply=vecmat), SolverConfig())
         assert (t, status, len(calls)) == (17, Status.CONVERGED, 22)
@@ -266,9 +268,9 @@ class TestStoppingRules:
         A = build()
         op, made = _operator(A), []
 
-        def vecmat(v):
+        def vecmat(v, out=None):
             made.append(None)
-            return op.apply(v)
+            return op.apply(v, out=out)
 
         y, t, status, history = _iterate(dataclasses.replace(op, apply=vecmat), SolverConfig())
         assert (len(made), t, status) == (calls, steps, Status.CONVERGED)
@@ -278,6 +280,18 @@ class TestStoppingRules:
             assert ref_y.tobytes() == y.tobytes()
             assert ref_rmin.tobytes() == history.rmin.tobytes()
             assert ref_rmax.tobytes() == history.rmax.tobytes()
+
+    def test_a_long_run_keeps_its_history_in_float_arrays(self):
+        # 76 599 history entries as Python floats in lists peaked at 6.5 MB
+        A = tridiagonal(200, 1.0, 3.0, 2.0)
+        tracemalloc.start()
+        try:
+            res = algorithm_b(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.iterations, res.status) == (76_599, Status.CONVERGED)
+        assert peak <= 3.5e6
 
     def test_block_rounding_floor_is_math_ulp(self):
         # np.spacing alone is inf at the largest double, where math.ulp is 2^971
@@ -520,6 +534,27 @@ class TestInvariants:
             if re.search(r"\._(y|A)\b", line)
         ]
         assert reads == []
+
+
+class TestResultRecords:
+    @pytest.mark.parametrize(
+        "solve",
+        [algorithm_a, lambda A: algorithm_a(A).history, power_method, lambda A: stationary(make_stochastic(A))],
+        ids=["perron", "history", "power", "stationary"],
+    )
+    def test_records_compare_by_identity(self, sample3, solve):
+        # generated __eq__ compared array fields, whose truth value raises
+        first, second = solve(sample3), solve(sample3)
+        assert first == first
+        assert first != second
+
+    def test_a_result_keeps_one_vector(self, sample3):
+        res = algorithm_a(sample3)
+        assert [f.name for f in dataclasses.fields(res)] == [
+            "root_lo", "root_hi", "root", "iterations", "side_used", "status", "history", "_A", "_y",
+        ]
+        assert res.eigenvector is res.eigenvector
+        assert res.eigenvector.tobytes() == (res._y / res._y.sum()).tobytes()
 
 
 class TestConfigValidation:

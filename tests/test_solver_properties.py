@@ -138,9 +138,11 @@ def test_stall_past_the_stop_in_one_block_is_not_asked():
     # its value at t = 21: a stall, one row past the stop in the block 37..45
     q = [0.95**t for t in range(40)] + [0.1, 0.95**21] + [1.0] * 30
 
-    def vecmat(v):
+    def vecmat(v, out=None):
         q_t = q[math.frexp(v[0] / v[1])[1] - 1]
-        return np.array([v[0] * (2 * q_t), v[1] * q_t])
+        out = np.empty(2) if out is None else out
+        out[:] = v[0] * (2 * q_t), v[1] * q_t
+        return out
 
     cfg = SolverConfig(tolerance=0.12)
     asked = CountedThunk(lambda: False)
