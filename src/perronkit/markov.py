@@ -98,20 +98,25 @@ def _operator(P: StochasticMatrix) -> _Operator:
     the sum of u.  A damped chain is positive, hence primitive.
     """
     op, alpha, beta = _matrix_operator(P.matrix), P.alpha, (1.0 - P.alpha) / P.n
-    kernel = op.apply
 
-    def apply(u, out=None):
-        w = kernel(u, out=out)
-        w *= alpha
-        w += beta * u.sum()
-        return w
+    def damped(kernel):
+        def apply(u, out=None):
+            w = kernel(u, out=out)
+            w *= alpha
+            w += beta * u.sum()
+            return w
+
+        return apply
 
     def least():
         term = alpha * op.least()
         return min(term, beta) if beta > 0 else term
 
     primitive = op.primitive if P.alpha == 1 else (lambda: True)
-    return replace(op, apply=apply, work=op.work + P.n, least=least, primitive=primitive)
+    return replace(
+        op, apply=damped(op.apply), loop=lambda: damped(op.loop()), work=op.work + P.n,
+        least=least, primitive=primitive,
+    )
 
 
 def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> StationaryDistribution:

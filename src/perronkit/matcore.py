@@ -7,20 +7,25 @@ row-major order, with no explicitly stored zeros.  Every sum and
 product goes through one kernel, which adds in index-ascending order, so
 dense and CSR storage of the same matrix give bit-identical results.  The
 kernel writes into an ``out`` array when given one; the solver's loop,
-which calls it at every step, asks for a CSR kernel that runs a padded
-slot layout built once, with the same bits.  No other module reads the
+which calls it at every step, asks, once a run gets past its first step,
+for a CSR kernel that runs a padded slot layout built once, with the
+same bits.  No other module reads the
 storage: they use that kernel, ``_entries`` and, for dense storage, the
 read-only ``_dense_view``.
 """
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+try:  # einsum's C entry point, without np.einsum's Python wrapper and dispatch
+    from numpy._core._multiarray_umath import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import c_einsum
 
 from .errors import (
     DomainError,
@@ -257,20 +262,23 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
     b = min(64, n), into the matching b outputs, which add the same terms
     in the same order.  Every block is b wide, the last one overlapping
     the one before it: on a block one column wide einsum reduces in
-    another order.
+    another order.  Every einsum here is a call of its C entry point,
+    which np.einsum without ``optimize`` makes too, minus its Python
+    wrapper and dispatch.
 
     ``loop=True`` asks for a kernel that a loop calls many times.  On CSR
     it builds a padded slot (ELLPACK) layout once, when its slots number at
     most 1.5 nnz: two (K, n) arrays, K the most terms of any output, whose
     column j holds output j's gather indices and values in row-major
     order, padded at the end with index 0 and value 0.  A call gathers v
-    into a (K, n) scratch array the kernel owns, multiplies by the values
-    and reduces over axis 0 into ``out``.  Each output adds its terms in
+    into a (K, n) scratch array the kernel owns, and one einsum
+    ``"kj,kj->j"`` multiplies it by the values and adds each output's K
+    products slot after slot into ``out``.  Each output adds its terms in
     bincount's order and then exact +0.0s, so the bits are bincount's, and
-    the call allocates nothing; the scratch array makes the kernel one
-    loop's at a time.  A padding term 0 v_0 is nan when v_0 is inf, where
-    bincount gives inf; the solver's loop discards every row computed from
-    one that holds an inf.  The one-shot callers (:func:`sums`, the discs,
+    a call given ``out`` allocates nothing; the scratch array makes the
+    kernel one loop's at a time.  A padding term 0 v_0 is nan when v_0 is
+    inf, where bincount gives inf; the solver's loop discards every row
+    computed from one that holds an inf.  The one-shot callers (:func:`sums`, the discs,
     the power method) keep bincount: they may see an inf, and would pay
     the layout's sort once per call.  With more slots the padding costs
     about what bincount does, and the loop kernel is the one-shot one.
@@ -289,16 +297,19 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
             return out
 
         return product if slots is None else slots
-    if side is Side.COLUMN:
-        return functools.partial(np.einsum, "ij,i->j", A._dense)
     D, n = A._dense, A.n
+    if side is Side.COLUMN:
+        def col_product(v, out=None):
+            return c_einsum("ij,i->j", D, v, out=np.empty(n) if out is None else out)
+
+        return col_product
     b = min(_ROW_BLOCK, n)
     starts = [min(s, n - b) for s in range(0, n, b)]
 
     def row_product(v, out=None):
         out = np.empty(n) if out is None else out
         for s in starts:
-            np.einsum("ij,i->j", np.ascontiguousarray(D[s : s + b].T), v, out=out[s : s + b])
+            c_einsum("ij,i->j", np.ascontiguousarray(D[s : s + b].T), v, out=out[s : s + b])
         return out
 
     return row_product
@@ -322,8 +333,7 @@ def _slot_product(n, bins, gather, data):
 
     def product(v, out=None):
         v.take(idx, None, terms, "clip")  # the method, and "clip", neither buffers nor copies
-        np.multiply(terms, val, terms)
-        return np.add.reduce(terms, 0, None, out)
+        return c_einsum("kj,kj->j", terms, val, out=np.empty(n) if out is None else out)
 
     return product
 

@@ -24,7 +24,7 @@ The paper's Algorithm B is Algorithm A plus that scaling vector, so
 
 The loop runs its steps in blocks.  A power-of-two rescaling is exact and
 commutes with every rounding while all values stay normal, so a block of
-up to 64 steps applies the kernel to unscaled vectors, one row of an array
+up to 128 steps applies the kernel to unscaled vectors, one row of an array
 each, and reads all their sums with one division and two reductions.  The
 block's minima and maxima then show where a value may have left the normal
 range, unscaled or rescaled: the block is cut there, and keeps only the
@@ -198,8 +198,8 @@ def convergence_discs(result: PerronResult) -> list[GerschgorinDisc]:
 _min, _max = np.minimum.reduce, np.maximum.reduce
 
 # a block runs at most this many steps, on at most this many multiply-adds
-_BLOCK_STEPS = 64
-_BLOCK_WORK = 2**16
+_BLOCK_STEPS = 128
+_BLOCK_WORK = 2**17
 # history entries the loop makes room for at first; it doubles the room when full
 _HISTORY_START = 256
 # least() min y at or above this keeps kernel terms normal, with room for rounding
@@ -231,7 +231,10 @@ class _Operator:
     """An operator K of order n, as :func:`_iterate` reads it.
 
     ``apply(y, out=None)`` computes Kᵀ y, into ``out`` when one is given;
-    K need not be stored as a matrix.
+    K need not be stored as a matrix.  ``loop()`` returns a kernel with
+    ``apply``'s signature and bits that is cheaper to call many times and
+    may cost something to build; the loop calls it once, when the run
+    gets past its first step, and calls that kernel from then on.
     ``work`` is the multiply-adds of one ``apply`` call, and ``least()``
     the least positive factor it multiplies an entry of y by; the loop
     calls it once, at its first block of more than one step.
@@ -241,6 +244,7 @@ class _Operator:
     """
 
     apply: Callable[..., np.ndarray]
+    loop: Callable[[], Callable[..., np.ndarray]]
     n: int
     work: int
     least: Callable[[], float]
@@ -251,12 +255,14 @@ class _Operator:
 def _operator(A: NonnegMatrix, side: Side = Side.COLUMN) -> _Operator:
     """A's kernel on ``side``: v -> vᵀA for columns, v -> A v for rows.
 
-    A and Aᵀ are primitive together, so either side's exact test runs on A.
+    The loop kernel, on CSR a padded slot layout, is built only for a run
+    that gets past one step.  A and Aᵀ are primitive together, so either
+    side's exact test runs on A.
     """
     work = A.n * A.n if A.storage == "dense" else A.nnz  # the kernel's multiply-adds
     return _Operator(
-        _kernel(A, side, loop=True), A.n, work, lambda: float(_entries(A)[2].min()),
-        functools.partial(is_primitive, A), side,
+        _kernel(A, side), functools.partial(_kernel, A, side, True), A.n, work,
+        lambda: float(_entries(A)[2].min()), functools.partial(is_primitive, A), side,
     )
 
 
@@ -270,16 +276,22 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     up to one entry more than the iteration cap.
     ``on_step(t, r)``, when given, is called with the input's sums (t = 0)
     and then with the sums of each accepted step, so once per history
-    entry; r belongs to the loop and must not be modified.
+    entry; r belongs to the loop and must not be modified, and a later
+    block overwrites it once the call returns, so a hook that keeps r
+    keeps a copy.
 
     Each step rescales y by an exact power of two, w 2^-e with e the
     exponent of max w, so max y lies in [1/2, 1).  While every value stays
     normal that scaling commutes with every rounding, so the loop runs
-    steps in blocks of k without rescaling.  One (2k + 1, n) array B holds
-    y in row 0, its images Kᵀ y, Kᵀ Kᵀ y, ... in rows 1..k, which ``apply``
+    steps in blocks of k without rescaling.  The first 2k + 1 rows B of
+    one array, allocated once per run for its longest block, hold y in
+    row 0, its images Kᵀ y, Kᵀ Kᵀ y, ... in rows 1..k, which the kernel
     writes in place, and in rows k + 1..2k the k quotient rows
     B[j + 1] / B[j], formed by one division; two axis-1 reductions over
-    all 2k + 1 rows then read every min and max.
+    all 2k + 1 rows then read every min and max.  The kernel is ``apply``
+    for the first step and ``loop()``'s from the second on.  The next
+    block overwrites the array, so the kept y is copied out; the kept Kᵀ y
+    is read only by that block's first write, the rescaled copy in row 0.
 
     Row j stands for the rescaled loop's y times 2^s_j, s_j the exponent of
     max B[j], up to the cut: the first step j >= 1 where least() times
@@ -294,11 +306,13 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     once.  The sums, history and final y are bit for bit those of a loop
     that rescales at every step and tests each step in turn.
 
-    A block runs k = min(64, m + g, steps left, 2**16 // work) steps, m
-    being the steps the last block kept (none before the first), and g one
-    when the last block was not cut, else zero.  So a cut wastes at most
-    one row, and a run cut at every block's first step alternates blocks
-    of one and two steps instead of computing two rows for each it keeps.
+    A block runs k = min(128, m + g, steps left, 2**17 // work) steps, at
+    least one, m being the steps the last block kept (none before the
+    first), and g one when the last block was not cut, else zero.  So a
+    cut wastes at most one row, and a run cut at every block's first step
+    alternates blocks of one and two steps instead of computing two rows
+    for each it keeps.  A block's reductions and stop decisions cost about
+    the same at any k, so a long uncut run pays them once per 128 steps.
 
     The step guard stops the run as STAGNATED, keeping the last accurate
     step, when y or Kᵀ y has an entry below the normal range or a quotient
@@ -330,6 +344,9 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
         on_step(0, w)
     tiny = float(np.finfo(np.float64).tiny)
     budget = max(1, _BLOCK_WORK // op.work)
+    # every block's rows are a prefix of one array, sized for the longest block
+    blocks = np.empty((2 * min(_BLOCK_STEPS, cap, budget) + 1, op.n))
+    rows = list(blocks)
     least_term = None  # least(), once a block of k > 1 first runs
     verdict = None  # primitive(), once a stall is the first stop of a block
     y_exp = 0  # the last accepted y is y 2^-y_exp, rescaled on return
@@ -338,12 +355,14 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     grow = 1  # zero after a block that was cut
     status = Status.CONVERGED if _converged(wmax - lo0, wmax, tolerance) else None
     while status is None and t < cap:
+        if t == 1:  # the second block: the run got past one step
+            vecmat = op.loop()
         k = min(_BLOCK_STEPS, m + grow, cap - t, budget)
         # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients
-        B = np.empty((2 * k + 1, op.n))
-        np.ldexp(w, -math.frexp(wmax)[1], out=B[0])
+        B = blocks[: 2 * k + 1]
+        np.ldexp(w, -math.frexp(wmax)[1], out=rows[0])
         for i in range(k):
-            vecmat(B[i], out=B[i + 1])
+            vecmat(rows[i], out=rows[i + 1])
         np.divide(B[1 : k + 1], B[:k], out=B[k + 1 :])
         mins, maxs = _min(B, 1), _max(B, 1)
         s = np.frexp(maxs[:k])[1]
@@ -378,17 +397,19 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
                     m, status = q + 1, Status.STAGNATED
 
         if m:
-            if t + 1 + m > history.shape[1]:  # doubling, from 256, makes room for 64 more
+            if t + 1 + m > history.shape[1]:  # doubling, from 256, makes room for 128 more
                 grown = np.empty((2, min(2 * history.shape[1], cap + 1)))
                 grown[:, : t + 1] = history[:, : t + 1]
                 history = grown
             history[0, t + 1 : t + 1 + m] = lo[:m]
             history[1, t + 1 : t + 1 + m] = hi[:m]
-            y, y_exp = B[m - 1], int(s[m - 1])
+            # the next block rewrites the array: y is kept as a copy, and w
+            # only until that block's first write, which reads it into row 0
+            y, y_exp = B[m - 1].copy(), int(s[m - 1])
             w, wmax = B[m], float(maxs[m])
             if on_step is not None:
                 for j in range(m):
-                    on_step(t + 1 + j, B[k + 1 + j])
+                    on_step(t + 1 + j, rows[k + 1 + j])
             t += m
 
     if status is None:
@@ -411,7 +432,8 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
 
     ``on_step(t, r)``, when given, receives the balanced sums r after t
     steps, for t = 0 up to the returned iteration count.  r belongs to the
-    solver: read it or copy it, but do not modify it.
+    solver: read it or copy it, but do not modify it.  The solver
+    overwrites r once the call returns, so keep a copy, not r itself.
     """
     cfg = cfg or SolverConfig()
     side = cfg.side or _smaller_range(sums(A, Side.ROW), sums(A, Side.COLUMN))

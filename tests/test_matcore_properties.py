@@ -95,6 +95,23 @@ def test_dense_vecmat_fuses_no_multiply_add():
     assert got.tobytes() == _kernel(from_coordinates(2, i, j, D[i, j]))(v).tobytes()
 
 
+@pytest.mark.parametrize("side", [Side.COLUMN, Side.ROW])
+def test_slot_kernel_fuses_no_multiply_add(side):
+    """The slot layout's einsum adds -1 and then (1 + 2⁻³⁰)(1 − 2⁻³⁰),
+    which rounds to 1, in output 0, so that output is 0 exactly, as in
+    bincount; a fused multiply-add would return -2⁻⁶⁰."""
+    eps = 2.0**-30
+    D = np.array([[1.0, 1.0], [1.0 + eps, 1.0]])
+    D = D if side is Side.COLUMN else np.ascontiguousarray(D.T)
+    i, j = np.nonzero(D)
+    A = from_coordinates(2, i, j, D[i, j])
+    loop = _kernel(A, side, loop=True)
+    assert "_slot_product" in loop.__qualname__
+    got = loop(np.array([-1.0, 1.0 - eps]))
+    assert got.tobytes() == np.array([0.0, -eps]).tobytes()
+    assert got.tobytes() == _kernel(A, side)(np.array([-1.0, 1.0 - eps])).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.sampled_from([1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])

@@ -46,6 +46,19 @@ def collect(out):
     return lambda t, r: out.append((t, r.copy()))
 
 
+def counted(op, calls):
+    """op with both its kernels, ``apply`` and ``loop()``'s, appending to calls at each call."""
+
+    def count(kernel):
+        def vecmat(v, out=None):
+            calls.append(None)
+            return kernel(v, out=out)
+
+        return vecmat
+
+    return dataclasses.replace(op, apply=count(op.apply), loop=lambda: count(op.loop()))
+
+
 class TestAutomaticSide:
     """side=None balances the side whose initial sum spread is smaller; ties go to rows."""
 
@@ -240,16 +253,48 @@ class TestStoppingRules:
         assert [r.min() for _, r in steps] == res.history.rmin.tolist()
         assert [r.max() for _, r in steps] == res.history.rmax.tolist()
 
+    @pytest.mark.parametrize("side", [Side.ROW, Side.COLUMN])
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_full_blocks_in_one_array_match_the_one_step_loop(self, storage, side):
+        # blocks grow by a step at a time: on CSR they reach 128 steps at
+        # step 8 256, and six such blocks follow; dense blocks stop growing
+        # at 2**17 // 100² = 13 steps, from step 91.  Every block rewrites
+        # the one block array, so each on_step copy and y must match the
+        # reference loop's, which keeps a fresh array per step
+        A = tridiagonal(100, 1.0, 3.0, 2.0)
+        if storage == "dense":
+            A = from_dense(A.to_dense())
+        cfg, steps = SolverConfig(max_iterations=9_000, side=side), []
+        res = algorithm_b(A, cfg, on_step=collect(steps))
+        ref_y, *ref_run, ref_steps = reference_iterate(A if side is Side.COLUMN else transposed(A), cfg)
+        assert [res.iterations, res.status] == ref_run[:2] == [9_000, Status.MAX_ITERATIONS]
+        assert [(t, r.tobytes()) for t, r in steps] == ref_steps
+        assert [r.min() for _, r in steps] == res.history.rmin.tolist()
+        assert [r.max() for _, r in steps] == res.history.rmax.tolist()
+        assert res.eigenvector.tobytes() == (ref_y / ref_y.sum()).tobytes()
+        x, z = (np.reciprocal(ref_y), ref_y) if side is Side.ROW else (ref_y, np.reciprocal(ref_y))
+        assert res.balanced.to_dense().tobytes() == rank_one_hadamard(A, x, z).to_dense().tobytes()
+
+    def test_the_slot_layout_is_built_only_past_one_step(self, monkeypatch):
+        # bounds_report runs two one-step solves, which must not pay for it
+        built, slot_product = [], perronkit.matcore._slot_product
+
+        def counted_slots(*args):
+            built.append(None)
+            return slot_product(*args)
+
+        monkeypatch.setattr(perronkit.matcore, "_slot_product", counted_slots)
+        A = tridiagonal(600, 1.0, 3.0, 2.0)
+        bounds_report(A)
+        assert built == []
+        res = algorithm_b(A, SolverConfig(max_iterations=1_000))
+        assert (res.iterations, len(built)) == (1_000, 1)
+
     def test_each_block_runs_one_step_past_the_last_blocks_keep(self, sample3):
         # blocks of 1, 2, 3, 4, 5 and 6 steps: the sixth stops after two, so
         # the run computes 21 steps to keep 17, plus the input's sums
-        op, calls = _operator(sample3), []
-
-        def vecmat(v, out=None):
-            calls.append(None)
-            return op.apply(v, out=out)
-
-        _, t, status, _ = _iterate(dataclasses.replace(op, apply=vecmat), SolverConfig())
+        calls = []
+        _, t, status, _ = _iterate(counted(_operator(sample3), calls), SolverConfig())
         assert (t, status, len(calls)) == (17, Status.CONVERGED, 22)
 
     @pytest.mark.parametrize(
@@ -257,7 +302,7 @@ class TestStoppingRules:
         [
             (lambda: tridiagonal(50, 1e250, 3e250, 2e250), 17_521, 11_680),
             (lambda: _with_corner(tridiagonal(200, 1.0, 3.0, 2.0), 1e-300), 114_068, 76_120),
-            (lambda: tridiagonal(200, 1.0, 3.0, 2.0), 76_641, 76_599),
+            (lambda: tridiagonal(200, 1.0, 3.0, 2.0), 76_609, 76_599),
         ],
         ids=["huge-tridiagonal", "tiny-corner", "tridiagonal"],
     )
@@ -265,14 +310,8 @@ class TestStoppingRules:
         # the first two cut every block at its first step: blocks of one and
         # two steps alternate, where growing after a cut ran two for each one
         # kept (23 360 and 151 993 calls); the third is never cut
-        A = build()
-        op, made = _operator(A), []
-
-        def vecmat(v, out=None):
-            made.append(None)
-            return op.apply(v, out=out)
-
-        y, t, status, history = _iterate(dataclasses.replace(op, apply=vecmat), SolverConfig())
+        A, made = build(), []
+        y, t, status, history = _iterate(counted(_operator(A), made), SolverConfig())
         assert (len(made), t, status) == (calls, steps, Status.CONVERGED)
         if steps < 20_000:  # blocks change no bit: the one-step reference loop agrees
             ref_y, ref_t, ref_status, ref_rmin, ref_rmax, _ = reference_iterate(A, SolverConfig())
