@@ -4,6 +4,9 @@ Array files load into dense storage, coordinate files into CSR.  Writers emit
 values at 17 significant digits so a write/read round trip is lossless.
 A Matrix Market body is parsed in one ``np.loadtxt`` call.  A body it
 refuses (a faulty line, but also a comment line) is read again line by line.
+A dense file is read into one n×n array, which becomes the matrix: an
+array body, which lists A column by column, is transposed in place a tile
+at a time, and CSV rows fill an array that grows in place.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DuplicateEntryError, MatrixParseError
-from .matcore import NonnegMatrix, _dense_view, _entries, from_coordinates, from_dense
+from .matcore import NonnegMatrix, _adopt_dense, _dense_view, _entries, from_coordinates
 
 __all__ = [
     "parse_matrix",
@@ -95,7 +98,9 @@ def read_matrix_market(path) -> NonnegMatrix:
     ).all()):
         body = _rescan(path, size_lineno, layout, n, count)[0]
     if layout == "array":
-        return from_dense(body["v"].reshape(n, n).T)  # array layout is column-major
+        arr = body.view(np.float64).reshape(n, n)  # Aᵀ: the array layout is column-major
+        _transpose_in_place(arr)
+        return _adopt_dense(arr)
     try:
         return from_coordinates(n, body["i"] - 1, body["j"] - 1, body["v"])
     except MemoryError:
@@ -137,10 +142,31 @@ def _rescan(path, size_lineno, layout, n, count):
     return np.array(records, dtype=dtype), [k for k, _ in entries]
 
 
+# the side of the square tiles that an array body is transposed in
+_TILE = 64
+
+
+def _transpose_in_place(a) -> None:
+    """Transpose the square array a in place, one tile pair at a time,
+    with one tile of scratch."""
+    n, tile = len(a), np.empty((_TILE, _TILE))
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper, lower = a[i : i + _TILE, j : j + _TILE], a[j : j + _TILE, i : i + _TILE]
+            t = tile[: lower.shape[0], : lower.shape[1]]
+            np.copyto(t, upper.T)
+            np.copyto(upper, lower.T)  # on the diagonal, numpy buffers the overlap
+            np.copyto(lower, t)
+
+
 def read_csv(path) -> NonnegMatrix:
-    """Read a dense matrix from comma-separated values, one row per line."""
-    table = []
-    width = None
+    """Read a dense matrix from comma-separated values, one row per line.
+
+    Rows go into one float array that becomes the matrix.  It starts at
+    min(64, w) rows, w the first row's width, and doubles in place up to w
+    rows, past w only for a table taller than it is wide.
+    """
+    table, k = None, 0
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -150,14 +176,19 @@ def read_csv(path) -> NonnegMatrix:
                 row = [float(c) for c in cells]
             except ValueError:
                 raise MatrixParseError(lineno, f"not a number in {line.strip()!r}") from None
-            if width is None:
+            if table is None:
                 width = len(row)
+                table = np.empty((min(64, width), width))
             elif len(row) != width:
                 raise MatrixParseError(lineno, f"row has {len(row)} values, expected {width}")
-            table.append(np.array(row))  # one float64 row, not n Python floats
-    if not table:
+            if k == len(table):  # a realloc, with no second array
+                table.resize((min(2 * k, width) if k < width else 2 * k, width), refcheck=False)
+            table[k] = row
+            k += 1
+    if table is None:
         raise MatrixParseError(1, "empty file")
-    return from_dense(table)
+    table.resize((k, width), refcheck=False)
+    return _adopt_dense(table)
 
 
 def write_matrix_market(A: NonnegMatrix, path_or_file) -> None:

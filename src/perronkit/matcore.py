@@ -161,12 +161,13 @@ def _order(n, least: int = 1, power: int = 1) -> int:
     return int(n)
 
 
-def _validated_array(rows) -> np.ndarray:
-    """The one owned row-major float copy of rows, checked, with -0.0 made +0.0."""
-    try:
-        arr = np.array(rows, dtype=np.float64, order="C")  # axis-0 reductions rely on row-major
-    except (ValueError, TypeError) as exc:
-        raise NotSquareError(f"input is not a rectangular numeric table: {exc}") from exc
+def _adopt_dense(arr) -> NonnegMatrix:
+    """Validated dense matrix stored in arr itself, with -0.0 made +0.0.
+
+    arr is a row-major float64 array that the caller owns and gives up:
+    it is checked and normalized in place and becomes the storage, with no
+    copy.  :func:`from_dense` and the dense readers validate through it.
+    """
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise NotSquareError(f"expected a square matrix, got shape {arr.shape}")
     if not (arr.min() >= 0 and arr.max() < np.inf):  # nan fails both; no n x n mask on valid input
@@ -176,8 +177,8 @@ def _validated_array(rows) -> np.ndarray:
             raise NonFiniteEntryError(i, j, float(arr[i, j]))
         i, j = map(int, np.argwhere(arr < 0)[0])
         raise NegativeEntryError(i, j, float(arr[i, j]))
-    arr += 0.0  # in place on the copy: normalizes -0.0 so stored zeros compare equal
-    return arr
+    arr += 0.0  # in place: normalizes -0.0 so stored zeros compare equal
+    return _finite_sums(NonnegMatrix(arr.shape[0], dense=arr))
 
 
 def _finite_sums(A: NonnegMatrix) -> NonnegMatrix:
@@ -193,11 +194,15 @@ def _finite_sums(A: NonnegMatrix) -> NonnegMatrix:
 def from_dense(rows) -> NonnegMatrix:
     """Validated dense matrix from a list of row lists (or any 2-D array-like).
 
-    Rejects a matrix whose row or column sums overflow, since every sum,
-    bound and solver step would turn inf.
+    The matrix keeps one row-major float copy of rows.  Rejects a matrix
+    whose row or column sums overflow, since every sum, bound and solver
+    step would turn inf.
     """
-    arr = _validated_array(rows)
-    return _finite_sums(NonnegMatrix(arr.shape[0], dense=arr))
+    try:
+        arr = np.array(rows, dtype=np.float64, order="C")  # axis-0 reductions rely on row-major
+    except (ValueError, TypeError) as exc:
+        raise NotSquareError(f"input is not a rectangular numeric table: {exc}") from exc
+    return _adopt_dense(arr)
 
 
 def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
@@ -406,6 +411,10 @@ def random_primitive(n, density=0.5, rng=None) -> NonnegMatrix:
     present, so the pattern is strongly connected; with the positive
     diagonal the matrix is primitive by construction.  ``rng`` is a seed
     or generator for np.random.default_rng; ``density`` lies in [0, 1].
+    The stream gives n² draws for the mask (an entry is kept where its draw
+    is below ``density``), then n² entry values, then the diagonal and the
+    cycle.  Both n² draws go into the matrix's one array, the values 1/64
+    of the rows at a time.
     """
     n = _order(n, power=2)
     if not 0 <= density <= 1:  # nan fails too
@@ -414,9 +423,10 @@ def random_primitive(n, density=0.5, rng=None) -> NonnegMatrix:
         rng = np.random.default_rng(rng)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"seed must be a non-negative integer, got {rng!r}") from exc
-    mask = rng.random((n, n)) < density
-    arr = rng.uniform(0.2, 2.0, (n, n))
-    arr[~mask] = 0.0  # in place: np.where would hold a second n x n float array
+    arr = rng.random((n, n))
+    np.less(arr, density, out=arr)  # the mask, as 1.0 and 0.0, in the draws' own array
+    for block in np.array_split(arr, 64):  # the values, next in the stream
+        block *= rng.uniform(0.2, 2.0, block.shape)
     idx = np.arange(n)
     arr[idx, idx] = rng.uniform(0.2, 2.0, n)
     arr[idx, (idx + 1) % n] = rng.uniform(0.2, 2.0, n)

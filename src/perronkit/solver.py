@@ -133,18 +133,26 @@ class PerronResult:
     column sums are the equalized ones.  ``eigenvector`` is y normalized to
     unit sum, computed on first access and cached likewise: the dominant
     eigenvector of the input for rows and of its transpose for columns.
+    ``iterations`` and ``root``, the enclosure's midpoint, are derived, so
+    they cannot disagree with the history and the enclosure.
     ``==`` is identity: results hold arrays, which do not compare to a bool.
     """
 
     root_lo: float
     root_hi: float
-    root: float
-    iterations: int
     side_used: Side
     status: Status
     history: ConvergenceHistory
     _A: NonnegMatrix = field(repr=False)
     _y: np.ndarray = field(repr=False)
+
+    @property
+    def root(self) -> float:
+        return 0.5 * self.root_lo + 0.5 * self.root_hi  # lo + hi may overflow
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history) - 1
 
     @functools.cached_property
     def eigenvector(self) -> np.ndarray:
@@ -437,13 +445,10 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
     """
     cfg = cfg or SolverConfig()
     side = cfg.side or _smaller_range(sums(A, Side.ROW), sums(A, Side.COLUMN))
-    y, t, status, history = _iterate(_operator(A, side), cfg, on_step)
-    lo, hi = float(history.rmin[-1]), float(history.rmax[-1])
+    y, _, status, history = _iterate(_operator(A, side), cfg, on_step)
     return PerronResult(
-        root_lo=lo,
-        root_hi=hi,
-        root=0.5 * lo + 0.5 * hi,  # lo + hi may overflow
-        iterations=t,
+        root_lo=float(history.rmin[-1]),
+        root_hi=float(history.rmax[-1]),
         side_used=side,
         status=status,
         history=history,

@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths under test: determinants
 come from cofactor expansion, characteristic polynomials from the trace
 recursion, primitivity from stepwise boolean powers, irreducibility from a
 boolean transitive closure, stationary vectors from a linear solve, and
-eigenvalues from numpy's dense QR solver.  A damped chain is written out as
-the n×n matrix it stands for, and a transpose is rebuilt from the dense
-entries.  The reference balancing loop shares only the one-shot kernel
+eigenvalues from numpy's dense QR solver.  A random primitive matrix is
+drawn with a separate mask array and value array.  A damped chain is
+written out as the n×n matrix it stands for, and a transpose is rebuilt
+from the dense entries.  The reference balancing loop shares only the one-shot kernel
 with the solver, np.bincount on CSR and never the loop's padded slot
 layout, and spells the stall rule out with its own window and factor.
 It runs one step at a time,
@@ -197,3 +198,14 @@ def write_matrix_market_per_value(A, fh) -> None:
         fh.write(f"{A.n} {A.n} {A.nnz}\n")
         for i, j, v in zip(A._rows, A._indices, A._data):
             fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+
+
+def random_primitive_two_arrays(n, density, rng):
+    """A random primitive matrix drawn as an n×n mask and an n×n value array."""
+    mask = rng.random((n, n)) < density
+    arr = rng.uniform(0.2, 2.0, (n, n))
+    arr[~mask] = 0.0
+    idx = np.arange(n)
+    arr[idx, idx] = rng.uniform(0.2, 2.0, n)
+    arr[idx, (idx + 1) % n] = rng.uniform(0.2, 2.0, n)
+    return arr

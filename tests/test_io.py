@@ -44,20 +44,54 @@ def _peak(job) -> int:
         tracemalloc.stop()
 
 
-def test_dense_file_reads_in_about_two_n_by_n_arrays(tmp_path):
-    # the parsed body and A itself; row sums and validation add no n x n array
+def test_dense_file_reads_into_one_n_by_n_array(tmp_path):
+    # the parsed body becomes A, transposed in place; the row sums transpose 64 rows at a time
     n = 400
     path = tmp_path / "r.mtx"
     write_matrix_market(random_primitive(n, rng=3), path)
-    assert _peak(lambda: read_matrix_market(path)) < 2.2 * 8 * n * n
+    assert _peak(lambda: read_matrix_market(path)) < 1.3 * 8 * n * n
 
 
-def test_dense_csv_reads_in_about_two_n_by_n_arrays(tmp_path):
-    # one float64 array per line, then A; a table of Python floats is 4 x 8n² bytes
+def test_dense_csv_reads_into_one_n_by_n_array(tmp_path):
+    # the rows fill one array that grows in place; a copy of it would be 2 x 8n² bytes
     n = 300
     path = tmp_path / "r.csv"
     np.savetxt(path, random_primitive(n, rng=3).to_dense(), fmt="%.17g", delimiter=",")
-    assert _peak(lambda: read_csv(path)) < 2.5 * 8 * n * n
+    assert _peak(lambda: read_csv(path)) < 1.6 * 8 * n * n
+
+
+@pytest.mark.parametrize(
+    "n, comment", [(1, False), (2, False), (63, False), (64, False), (65, False), (65, True), (129, False), (200, False)]
+)
+def test_dense_write_then_read_is_bit_identical_across_tiles(tmp_path, monkeypatch, n, comment):
+    # orders below, at and past the 64-wide transpose tiles; a comment line sends
+    # the body through the line-by-line rescan, which takes the same transpose
+    rng = np.random.default_rng(n)
+    arr = rng.random((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+    arr[rng.random((n, n)) < 0.3] = 0.0
+    A = from_dense(arr)
+    path = tmp_path / "a.mtx"
+    write_matrix_market(A, path)
+    rescans = []
+    if comment:
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + ["% a comment in the body\n"] + lines[3:]))
+        rescan = perronkit.io._rescan
+        monkeypatch.setattr(perronkit.io, "_rescan", lambda *a: rescans.append(a) or rescan(*a))
+    back = read_matrix_market(path)
+    assert len(rescans) == comment
+    assert back.to_dense().tobytes() == A.to_dense().tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 200])
+def test_csv_read_is_bit_identical_as_its_table_grows(tmp_path, n):
+    # the table starts at min(64, n) rows and doubles up to n
+    rng = np.random.default_rng(n)
+    arr = rng.random((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+    arr[rng.random((n, n)) < 0.3] = 0.0
+    path = tmp_path / "a.csv"
+    np.savetxt(path, arr, fmt="%.17g", delimiter=",")
+    assert read_csv(path).to_dense().tobytes() == arr.tobytes()
 
 
 def test_dense_write_copies_no_n_by_n_array(tmp_path):
@@ -72,6 +106,15 @@ def test_generated_file_bytes_are_pinned(tmp_path, capsys):
     assert main(["gen", "random", "--n", "50", "--seed", "0", "-o", str(path)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "c57e2d1e22da74ea78faf062cdab9aa844c2c4e176bad1d8bb4192dab20962ef"
+
+
+def test_generated_file_bytes_are_pinned_past_a_row_block(tmp_path, capsys):
+    # n = 130 draws its entry values in 64 blocks of 2 or 3 rows; n = 50
+    # draws them one row at a time
+    path = tmp_path / "g130.mtx"
+    assert main(["gen", "random", "--n", "130", "--seed", "0", "-o", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "34eb096c645197decca9d590ed73fa4c7be44b501845259fc7e41529428ff268"
 
 
 def test_coordinate_roundtrip_keeps_csr(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 import perronkit.matcore
 from conftest import SAMPLE3_ROWS
-from oracles import all_eigenvalues, charpoly_coefficients, det_cofactor
+from oracles import all_eigenvalues, charpoly_coefficients, det_cofactor, random_primitive_two_arrays
 from perronkit import (
     NegativeEntryError,
     NonFiniteEntryError,
@@ -339,6 +339,29 @@ def test_random_primitive_has_positive_diagonal():
     for seed in range(5):
         A = random_primitive(6, density=0.4, rng=seed)
         assert np.all(np.diagonal(A.to_dense()) > 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_random_primitive_draws_what_two_arrays_draw(n, density):
+    # the same draws from the same stream, which ends in the same place
+    for seed in (0, 1, 2):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        A = random_primitive(n, density, rng=mine)
+        assert A.to_dense().tobytes() == random_primitive_two_arrays(n, density, theirs).tobytes()
+        assert mine.random() == theirs.random()
+
+
+def test_random_primitive_holds_one_n_by_n_array():
+    # a separate mask and value array hold 1.25 x 8n² bytes
+    n = 400
+    tracemalloc.start()
+    try:
+        random_primitive(n, rng=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15 * 8 * n * n
 
 
 @pytest.mark.parametrize("kwargs", [{"rng": -1}, {"rng": 1.5}, {"density": -1.0}, {"density": 2.0}, {"density": math.nan}])

@@ -590,8 +590,10 @@ class TestResultRecords:
     def test_a_result_keeps_one_vector(self, sample3):
         res = algorithm_a(sample3)
         assert [f.name for f in dataclasses.fields(res)] == [
-            "root_lo", "root_hi", "root", "iterations", "side_used", "status", "history", "_A", "_y",
+            "root_lo", "root_hi", "side_used", "status", "history", "_A", "_y",
         ]
+        assert res.iterations == len(res.history) - 1 == 17
+        assert res.root == 0.5 * res.root_lo + 0.5 * res.root_hi
         assert res.eigenvector is res.eigenvector
         assert res.eigenvector.tobytes() == (res._y / res._y.sum()).tobytes()
 
