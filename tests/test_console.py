@@ -45,6 +45,14 @@ def test_dense_and_coordinate_files_print_the_same_result(capsys, files, side):
     assert result_text(capsys, argv + [files["r200c"]]) == dense
 
 
+def test_generated_dense_file_is_rewritten_byte_for_byte(tmp_path):
+    # gen's file, read and written again: 90 000 values at 17 digits, many chunks
+    path, again = tmp_path / "r300.mtx", tmp_path / "r300b.mtx"
+    assert main(["gen", "random", "--n", "300", "--seed", "2", "-o", str(path)]) == 0
+    write_matrix_market(read_matrix_market(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_perron_json_on_a_dense_file_carries_scaling_not_balanced(capsys, files):
     result = result_of(capsys, ["perron", "--json", files["r200"]])
     assert "scaling" in result and "balanced" not in result

@@ -13,6 +13,7 @@ from perronkit import (
     NegativeEntryError,
     NonFiniteEntryError,
     Side,
+    from_coordinates,
     from_dense,
     parse_matrix,
     random_primitive,
@@ -100,6 +101,19 @@ def test_dense_write_copies_no_n_by_n_array(tmp_path):
     assert _peak(lambda: write_matrix_market(A, tmp_path / "r.mtx")) < 8 * n * n / 4
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_primitive(400, rng=3), lambda: random_primitive(1000, rng=3),
+     lambda: tridiagonal(2_000, 1.0, 3.0, 2.0), lambda: tridiagonal(20_000, 1.0, 3.0, 2.0)],
+    ids=["dense-400", "dense-1000", "csr-2000", "csr-20000"],
+)
+def test_writer_memory_does_not_grow_with_the_order(tmp_path, make):
+    # the writer formats a fixed number of entries at a time, so one bound
+    # holds for both layouts at every order
+    A = make()
+    assert _peak(lambda: write_matrix_market(A, tmp_path / "a.mtx")) < 100_000
+
+
 def test_generated_file_bytes_are_pinned(tmp_path, capsys):
     # the generator's draws and the writer's %.17g column-major layout, byte for byte
     path = tmp_path / "g50.mtx"
@@ -115,6 +129,27 @@ def test_generated_file_bytes_are_pinned_past_a_row_block(tmp_path, capsys):
     assert main(["gen", "random", "--n", "130", "--seed", "0", "-o", str(path)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "34eb096c645197decca9d590ed73fa4c7be44b501845259fc7e41529428ff268"
+
+
+def test_generated_coordinate_file_bytes_are_pinned(tmp_path, capsys):
+    # 898 entries, so the coordinate layout's "i j value" lines run past several chunks
+    path = tmp_path / "t300.mtx"
+    assert main(["gen", "tridiag", "--n", "300", "--c", "1", "--a", "3", "--b", "2", "-o", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "1a38aa0864e28df7391b1b3183087d887fe162bc90011a76ebb1ac6882093b58"
+
+
+def test_coordinate_file_bytes_are_pinned_from_1e_minus_300_to_1e300(tmp_path):
+    # 1 000 entries of order 100 from 1.3e-299 to 3.8e299, drawn as [1, 2)
+    # times a power of two, so that no libm pow enters the values
+    rng = np.random.default_rng(7)
+    n = 100
+    flat = rng.choice(n * n, 1000, replace=False)
+    values = np.ldexp(1.0 + rng.random(1000), rng.integers(-997, 997, 1000))
+    path = tmp_path / "c.mtx"
+    write_matrix_market(from_coordinates(n, flat // n, flat % n, values), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "ac0cff558ca1edd06bd60c41adcea6e1a9e40055ec969b0efaab943334813bb5"
 
 
 def test_coordinate_roundtrip_keeps_csr(tmp_path):
