@@ -22,10 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-try:  # einsum's C entry point, without np.einsum's Python wrapper and dispatch
-    from numpy._core._multiarray_umath import c_einsum
-except ImportError:  # numpy < 2
-    from numpy.core._multiarray_umath import c_einsum
+# einsum's C entry point, without np.einsum's Python wrapper and dispatch
+from numpy._core._multiarray_umath import c_einsum
 
 from .errors import (
     DomainError,

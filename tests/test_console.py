@@ -10,14 +10,24 @@ from perronkit import from_coordinates, read_matrix_market, write_matrix_market
 from perronkit.cli import main
 
 
+# gen tridiag's --n, --c, --a and --b of each coordinate file the fixture writes
+TRIDIAG_FILES = {
+    "t50": ["50", "1", "3", "2"],
+    "p50": ["50", "1", "0", "2"],  # zero diagonal: period 2, so nothing converges
+    "p51": ["51", "1", "0", "2"],  # made stochastic, a chain of period 2 that damping mends
+    "h50": ["50", "1e100", "3e100", "2e100"],  # t50 scaled by 1e100
+}
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """t50.mtx, the coordinate file of ``tridiagonal(50, 1, 3, 2)``;
-    r200.mtx, a random dense primitive matrix of order 200; and r200c.mtx,
-    r200's entries as a coordinate file.  ``gen`` writes t50 and r200."""
+    """The coordinate files of ``TRIDIAG_FILES``; r200.mtx, a random dense
+    primitive matrix of order 200; and r200c.mtx, r200's entries as a
+    coordinate file.  ``gen`` writes all but r200c."""
     root = tmp_path_factory.mktemp("console")
-    paths = {name: str(root / f"{name}.mtx") for name in ("t50", "r200", "r200c")}
-    assert main(["gen", "tridiag", "--n", "50", "--c", "1", "--a", "3", "--b", "2", "-o", paths["t50"]]) == 0
+    paths = {name: str(root / f"{name}.mtx") for name in (*TRIDIAG_FILES, "r200", "r200c")}
+    for name, (n, c, a, b) in TRIDIAG_FILES.items():
+        assert main(["gen", "tridiag", "--n", n, "--c", c, "--a", a, "--b", b, "-o", paths[name]]) == 0
     assert main(["gen", "random", "--n", "200", "--seed", "1", "-o", paths["r200"]]) == 0
     D = read_matrix_market(paths["r200"]).to_dense()
     nz = np.nonzero(D)
@@ -83,3 +93,58 @@ def test_balanced_payload_of_a_dense_file_is_dense(capsys, files):
 def test_each_command_runs_on_a_dense_file(capsys, files, argv, expected):
     result = result_of(capsys, [*argv, "--json", files["r200"]])
     assert {key: result[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "name, argv, code, expected",
+    [
+        ("t50", ["primitivity"], 0, {"primitive": True}),
+        ("t50", ["stationary", "--normalize"], 0, {"status": "converged"}),
+        ("p50", ["perron"], 2, {"status": "stagnated"}),
+        ("p50", ["power"], 2, {"status": "stagnated"}),
+        ("p51", ["stationary", "--normalize", "--no-damp"], 2, {"status": "stagnated"}),
+        ("p51", ["stationary", "--normalize"], 0, {"status": "converged"}),
+    ],
+    ids=["t50-primitivity", "t50-stationary", "p50-perron", "p50-power", "p51-undamped", "p51-damped"],
+)
+def test_exit_code_and_result_on_a_coordinate_file(capsys, files, name, argv, code, expected):
+    assert main([*argv, "--json", files[name]]) == code
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert {key: result[key] for key in expected} == expected
+
+
+def test_root_of_the_1e100_scaled_tridiagonal(capsys, files):
+    # t50 scaled by 1e100 keeps t50's root, scaled, to 1e-12
+    result = result_of(capsys, ["perron", "--json", files["h50"]])
+    assert result["status"] == "converged"
+    assert abs(result["root"] / 5.823062528299319e100 - 1) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "flags, code", [([], 0), (["--max-iter", "1"], 3), (["--tol", "1e-3"], 0)], ids=["default", "max-iter-1", "tol-1e-3"]
+)
+def test_trace_and_discs_have_a_line_per_step(capsys, files, tmp_path, flags, code):
+    # a header, then step 0 and each accepted step: one trace line, or one disc line per index
+    trace, discs = tmp_path / "t50.csv", tmp_path / "d50.csv"
+    assert main(["perron", "--json", *flags, "--trace", str(trace), "--discs", str(discs), files["t50"]]) == code
+    record = json.loads(capsys.readouterr().out)
+    result, config = record["result"], record["config"]
+    if code == 3:
+        assert result["iterations"] == config["max_iter"] == 1
+    else:
+        assert result["root_hi"] - result["root_lo"] <= config["tol"]
+    assert len(trace.read_text().splitlines()) == result["iterations"] + 2
+    assert len(discs.read_text().splitlines()) == (result["iterations"] + 1) * 50 + 1
+
+
+def test_row_and_column_roots_of_t50_are_equal(capsys, files):
+    row, col = (result_of(capsys, ["perron", "--side", side, "--json", files["t50"]]) for side in ("row", "col"))
+    assert row["status"] == col["status"] == "converged"
+    assert row["root"] == col["root"]
+
+
+def test_minc_bounds_nest_in_the_frobenius_bounds(capsys, files):
+    result = result_of(capsys, ["bounds", "--json", files["t50"]])
+    for side in ("row", "col"):
+        (lo, hi), (flo, fhi) = result[f"minc_{side}"], result[f"frobenius_{side}"]
+        assert flo * (1 - 1e-12) <= lo <= hi <= fhi * (1 + 1e-12), result
