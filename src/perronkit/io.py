@@ -86,7 +86,7 @@ def read_matrix_market(path) -> NonnegMatrix:
         count = nnz[0] if nnz else n * n
         if count < 0:
             raise MatrixParseError(size_lineno, f"entry count must be >= 0, got {count}")
-        # a warning also means a rescan: numpy warns on an empty body
+        # a warning also means a rescan: an empty body, or older numpy truncating an index 1.5 to 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from perronkit import from_coordinates, read_matrix_market, write_matrix_market
+from perronkit import SolverConfig, from_coordinates, read_matrix_market, write_matrix_market
 from perronkit.cli import main
 
 
@@ -85,19 +85,12 @@ def test_balanced_payload_of_a_dense_file_is_dense(capsys, files):
 
 
 @pytest.mark.parametrize(
-    "argv, expected",
-    [(["bounds"], {}), (["power"], {}), (["primitivity"], {"primitive": True}),
-     (["stationary", "--normalize"], {"status": "converged"})],
-    ids=["bounds", "power", "primitivity", "stationary"],
-)
-def test_each_command_runs_on_a_dense_file(capsys, files, argv, expected):
-    result = result_of(capsys, [*argv, "--json", files["r200"]])
-    assert {key: result[key] for key in expected} == expected
-
-
-@pytest.mark.parametrize(
     "name, argv, code, expected",
     [
+        ("r200", ["bounds"], 0, {}),
+        ("r200", ["power"], 0, {}),
+        ("r200", ["primitivity"], 0, {"primitive": True}),
+        ("r200", ["stationary", "--normalize"], 0, {"status": "converged"}),
         ("t50", ["primitivity"], 0, {"primitive": True}),
         ("t50", ["stationary", "--normalize"], 0, {"status": "converged"}),
         ("p50", ["perron"], 2, {"status": "stagnated"}),
@@ -105,9 +98,10 @@ def test_each_command_runs_on_a_dense_file(capsys, files, argv, expected):
         ("p51", ["stationary", "--normalize", "--no-damp"], 2, {"status": "stagnated"}),
         ("p51", ["stationary", "--normalize"], 0, {"status": "converged"}),
     ],
-    ids=["t50-primitivity", "t50-stationary", "p50-perron", "p50-power", "p51-undamped", "p51-damped"],
+    ids=["r200-bounds", "r200-power", "r200-primitivity", "r200-stationary", "t50-primitivity",
+         "t50-stationary", "p50-perron", "p50-power", "p51-undamped", "p51-damped"],
 )
-def test_exit_code_and_result_on_a_coordinate_file(capsys, files, name, argv, code, expected):
+def test_exit_code_and_result_of_each_command(capsys, files, name, argv, code, expected):
     assert main([*argv, "--json", files[name]]) == code
     result = json.loads(capsys.readouterr().out)["result"]
     assert {key: result[key] for key in expected} == expected
@@ -121,18 +115,19 @@ def test_root_of_the_1e100_scaled_tridiagonal(capsys, files):
 
 
 @pytest.mark.parametrize(
-    "flags, code", [([], 0), (["--max-iter", "1"], 3), (["--tol", "1e-3"], 0)], ids=["default", "max-iter-1", "tol-1e-3"]
+    "flags, code, width",
+    [([], 0, SolverConfig.tolerance), (["--max-iter", "1"], 3, None), (["--tol", "1e-3"], 0, 1e-3)],
+    ids=["default", "max-iter-1", "tol-1e-3"],
 )
-def test_trace_and_discs_have_a_line_per_step(capsys, files, tmp_path, flags, code):
+def test_trace_and_discs_have_a_line_per_step(capsys, files, tmp_path, flags, code, width):
     # a header, then step 0 and each accepted step: one trace line, or one disc line per index
     trace, discs = tmp_path / "t50.csv", tmp_path / "d50.csv"
     assert main(["perron", "--json", *flags, "--trace", str(trace), "--discs", str(discs), files["t50"]]) == code
-    record = json.loads(capsys.readouterr().out)
-    result, config = record["result"], record["config"]
-    if code == 3:
-        assert result["iterations"] == config["max_iter"] == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    if width is None:
+        assert result["iterations"] == 1
     else:
-        assert result["root_hi"] - result["root_lo"] <= config["tol"]
+        assert result["root_hi"] - result["root_lo"] <= width
     assert len(trace.read_text().splitlines()) == result["iterations"] + 2
     assert len(discs.read_text().splitlines()) == (result["iterations"] + 1) * 50 + 1
 
