@@ -10,7 +10,8 @@ Damping is implicit: a damped chain keeps P as given, sparse or dense, next
 to its factor alpha, and each step applies the PageRank identity
 u^T (alpha P + (1 - alpha)/n 11^T) = alpha u^T P + (1 - alpha)/n sum(u) 1^T
 (Langville & Meyer, Google's PageRank and Beyond, 2006, ch. 4).  A step
-costs O(nnz + n) and no n x n matrix is ever built.
+costs O(nnz + n) and no n x n matrix is ever built.  It damps the one
+kernel a solve calls, on CSR a slot layout when more than one step is allowed.
 """
 
 from __future__ import annotations
@@ -91,32 +92,28 @@ def damp(P: StochasticMatrix, alpha: float) -> StochasticMatrix:
     return StochasticMatrix(P.matrix, P.alpha * alpha)
 
 
-def _operator(P: StochasticMatrix) -> _Operator:
+def _operator(P: StochasticMatrix, loop: bool = False) -> _Operator:
     """u -> u^T (alpha P + (1 - alpha)/n 11^T), in O(nnz + n).
 
-    Its least factor is alpha times P's least entry, or (1 - alpha)/n on
-    the sum of u.  A damped chain is positive, hence primitive.
+    It damps the one kernel of P's column operator, which ``loop`` picks
+    as in :func:`~perronkit.solver._operator`.  Its least factor is alpha
+    times P's least entry, or (1 - alpha)/n on the sum of u.  A damped
+    chain is positive, hence primitive.
     """
-    op, alpha, beta = _matrix_operator(P.matrix), P.alpha, (1.0 - P.alpha) / P.n
+    op, alpha, beta = _matrix_operator(P.matrix, Side.COLUMN, loop), P.alpha, (1.0 - P.alpha) / P.n
 
-    def damped(kernel):
-        def apply(u, out=None):
-            w = kernel(u, out=out)
-            w *= alpha
-            w += beta * u.sum()
-            return w
-
-        return apply
+    def apply(u, out=None):
+        w = op.apply(u, out=out)
+        w *= alpha
+        w += beta * u.sum()
+        return w
 
     def least():
         term = alpha * op.least()
         return min(term, beta) if beta > 0 else term
 
     primitive = op.primitive if P.alpha == 1 else (lambda: True)
-    return replace(
-        op, apply=damped(op.apply), loop=lambda: damped(op.loop()), work=op.work + P.n,
-        least=least, primitive=primitive,
-    )
+    return replace(op, apply=apply, work=op.work + P.n, least=least, primitive=primitive)
 
 
 def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> StationaryDistribution:
@@ -132,7 +129,7 @@ def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> Stationa
     by more than 100x tolerance plus the 1e-12 row-sum slack: a mis-scaled input.
     """
     cfg = cfg or SolverConfig()
-    op = _operator(P)
+    op = _operator(P, cfg.max_iterations > 1)
     y, iterations, status, history = _iterate(op, cfg)
     root = 0.5 * float(history.rmin[-1]) + 0.5 * float(history.rmax[-1])
     if status is Status.CONVERGED and abs(root - 1.0) > 100.0 * cfg.tolerance + _ROWSUM_TOL:

@@ -6,10 +6,10 @@ triplets: the row index, column index and value of each stored entry, in
 row-major order, with no explicitly stored zeros.  Every sum and
 product goes through one kernel, which adds in index-ascending order, so
 dense and CSR storage of the same matrix give bit-identical results.  The
-kernel writes into an ``out`` array when given one; the solver's loop,
-which calls it at every step, asks, once a run gets past its first step,
-for a CSR kernel that runs a padded slot layout built once, with the
-same bits.  No other module reads the
+kernel writes into an ``out`` array when given one; a solve allowed
+more than one step asks, when it builds its operator, for a CSR kernel
+that runs a padded slot layout built once, with the same bits, and
+calls it at every step.  No other module reads the
 storage: they use that kernel, ``_entries`` and, for dense storage, the
 read-only ``_dense_view``.
 """
@@ -269,22 +269,25 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
     which np.einsum without ``optimize`` makes too, minus its Python
     wrapper and dispatch.
 
-    ``loop=True`` asks for a kernel that a loop calls many times.  On CSR
-    it builds a padded slot (ELLPACK) layout once, when its slots number at
-    most 1.5 nnz: two (K, n) arrays, K the most terms of any output, whose
-    column j holds output j's gather indices and values in row-major
-    order, padded at the end with index 0 and value 0.  A call gathers v
-    into a (K, n) scratch array the kernel owns, and one einsum
-    ``"kj,kj->j"`` multiplies it by the values and adds each output's K
-    products slot after slot into ``out``.  Each output adds its terms in
-    bincount's order and then exact +0.0s, so the bits are bincount's, and
-    a call given ``out`` allocates nothing; the scratch array makes the
-    kernel one loop's at a time.  A padding term 0 v_0 is nan when v_0 is
-    inf, where bincount gives inf; the solver's loop discards every row
-    computed from one that holds an inf.  The one-shot callers (:func:`sums`, the discs,
-    the power method) keep bincount: they may see an inf, and would pay
-    the layout's sort once per call.  With more slots the padding costs
-    about what bincount does, and the loop kernel is the one-shot one.
+    ``loop=True`` asks for a kernel that a loop calls many times: the
+    solver's operator of a run allowed more than one step asks for it, and
+    calls it from the first step on.  On CSR it builds a padded slot
+    (ELLPACK) layout once, when its slots number at most 1.5 nnz: two
+    (K, n) arrays, K the most terms of any output, whose column j holds
+    output j's gather indices and values in row-major order, padded at
+    the end with index 0 and value 0.  A call gathers v into a (K, n) scratch
+    array the kernel owns, and one einsum ``"kj,kj->j"`` multiplies it by
+    the values and adds each output's K products slot after slot into
+    ``out``.  Each output adds its terms in bincount's order and then
+    exact +0.0s, so the bits are bincount's, and a call given ``out``
+    allocates nothing; the scratch array makes the kernel one loop's at a
+    time.  A padding term 0 v_0 is nan when v_0 is inf, where bincount
+    gives inf; the solver's loop discards every row computed from one that
+    holds an inf, and its first step, from y = 1, sees none.  The one-shot
+    callers (:func:`sums`, the discs, the power method, a one-step solve)
+    keep bincount: they may see an inf, or would pay the layout's sort for
+    one call.  With more slots the padding costs about what bincount does,
+    and the loop kernel is the one-shot one.
     """
     if A.storage == "csr":
         n, data, bins, gather = A.n, A._data, A._indices, A._rows

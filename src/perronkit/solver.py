@@ -239,20 +239,17 @@ class _Operator:
     """An operator K of order n, as :func:`_iterate` reads it.
 
     ``apply(y, out=None)`` computes Kᵀ y, into ``out`` when one is given;
-    K need not be stored as a matrix.  ``loop()`` returns a kernel with
-    ``apply``'s signature and bits that is cheaper to call many times and
-    may cost something to build; the loop calls it once, when the run
-    gets past its first step, and calls that kernel from then on.
-    ``work`` is the multiply-adds of one ``apply`` call, and ``least()``
-    the least positive factor it multiplies an entry of y by; the loop
-    calls it once, at its first block of more than one step.
+    K need not be stored as a matrix, and the loop calls it at every step,
+    the first included.  ``work`` is the multiply-adds of one ``apply``
+    call, and ``least()`` the least positive factor it multiplies an entry
+    of y by; the loop calls it once, at its first block of more than one
+    step.
     ``primitive()`` answers whether K is primitive; the loop calls it at
     most once, when the spread stalls.  ``side`` only labels a
     ZeroSumError.
     """
 
     apply: Callable[..., np.ndarray]
-    loop: Callable[[], Callable[..., np.ndarray]]
     n: int
     work: int
     least: Callable[[], float]
@@ -260,16 +257,17 @@ class _Operator:
     side: Side
 
 
-def _operator(A: NonnegMatrix, side: Side = Side.COLUMN) -> _Operator:
+def _operator(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False) -> _Operator:
     """A's kernel on ``side``: v -> vᵀA for columns, v -> A v for rows.
 
-    The loop kernel, on CSR a padded slot layout, is built only for a run
-    that gets past one step.  A and Aᵀ are primitive together, so either
-    side's exact test runs on A.
+    ``loop``, true for a run allowed more than one step, picks
+    :func:`~perronkit.matcore._kernel`'s loop kernel, on CSR a slot layout
+    built here; a one-step run's one-shot kernel builds none.  A and Aᵀ
+    are primitive together, so either side's exact test runs on A.
     """
     work = A.n * A.n if A.storage == "dense" else A.nnz  # the kernel's multiply-adds
     return _Operator(
-        _kernel(A, side), functools.partial(_kernel, A, side, True), A.n, work,
+        _kernel(A, side, loop), A.n, work,
         lambda: float(_entries(A)[2].min()), functools.partial(is_primitive, A), side,
     )
 
@@ -296,10 +294,10 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     row 0, its images Kᵀ y, Kᵀ Kᵀ y, ... in rows 1..k, which the kernel
     writes in place, and in rows k + 1..2k the k quotient rows
     B[j + 1] / B[j], formed by one division; two axis-1 reductions over
-    all 2k + 1 rows then read every min and max.  The kernel is ``apply``
-    for the first step and ``loop()``'s from the second on.  The next
-    block overwrites the array, so the kept y is copied out; the kept Kᵀ y
-    is read only by that block's first write, the rescaled copy in row 0.
+    all 2k + 1 rows then read every min and max.  ``apply`` runs every
+    step, the first included.  The next block overwrites the array, so
+    the kept y is copied out; the kept Kᵀ y is read only by that block's
+    first write, the rescaled copy in row 0.
 
     Row j stands for the rescaled loop's y times 2^s_j, s_j the exponent of
     max B[j], up to the cut: the first step j >= 1 where least() times
@@ -363,8 +361,6 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     grow = 1  # zero after a block that was cut
     status = Status.CONVERGED if _converged(wmax - lo0, wmax, tolerance) else None
     while status is None and t < cap:
-        if t == 1:  # the second block: the run got past one step
-            vecmat = op.loop()
         k = min(_BLOCK_STEPS, m + grow, cap - t, budget)
         # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients
         B = blocks[: 2 * k + 1]
@@ -445,7 +441,7 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
     """
     cfg = cfg or SolverConfig()
     side = cfg.side or _smaller_range(sums(A, Side.ROW), sums(A, Side.COLUMN))
-    y, _, status, history = _iterate(_operator(A, side), cfg, on_step)
+    y, _, status, history = _iterate(_operator(A, side, cfg.max_iterations > 1), cfg, on_step)
     return PerronResult(
         root_lo=float(history.rmin[-1]),
         root_hi=float(history.rmax[-1]),

@@ -95,7 +95,7 @@ def test_blocked_damped_loop_matches_the_reference_loop(P, alpha, cap):
     cfg = SolverConfig(tolerance=1e-300, max_iterations=cap)
     for matrix in (P.matrix, from_dense(P.matrix.to_dense())):
         damped = damp(StochasticMatrix(matrix), alpha)
-        op = markov._operator(damped)
+        op = markov._operator(damped, cfg.max_iterations > 1)
         y_ref, t_ref, status_ref, rmin_ref, rmax_ref, steps_ref = reference_loop(
             damped_vecmat(damped), P.n, lambda: True, cfg
         )

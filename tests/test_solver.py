@@ -29,7 +29,9 @@ from perronkit import (
     stationary,
     sums,
     tridiagonal,
+    write_matrix_market,
 )
+from perronkit.cli import main
 from perronkit.errors import DomainError
 from perronkit.matcore import NonnegMatrix, _csr, _entries
 from perronkit.solver import _STAGNATION_WINDOW, _iterate, _operator, _stalled, _ulp
@@ -47,16 +49,13 @@ def collect(out):
 
 
 def counted(op, calls):
-    """op with both its kernels, ``apply`` and ``loop()``'s, appending to calls at each call."""
+    """op with its kernel appending to calls at each call."""
 
-    def count(kernel):
-        def vecmat(v, out=None):
-            calls.append(None)
-            return kernel(v, out=out)
+    def vecmat(v, out=None):
+        calls.append(None)
+        return op.apply(v, out=out)
 
-        return vecmat
-
-    return dataclasses.replace(op, apply=count(op.apply), loop=lambda: count(op.loop()))
+    return dataclasses.replace(op, apply=vecmat)
 
 
 class TestAutomaticSide:
@@ -275,26 +274,52 @@ class TestStoppingRules:
         x, z = (np.reciprocal(ref_y), ref_y) if side is Side.ROW else (ref_y, np.reciprocal(ref_y))
         assert res.balanced.to_dense().tobytes() == rank_one_hadamard(A, x, z).to_dense().tobytes()
 
-    def test_the_slot_layout_is_built_only_past_one_step(self, monkeypatch):
-        # bounds_report runs two one-step solves, which must not pay for it
-        built, slot_product = [], perronkit.matcore._slot_product
+    @pytest.mark.parametrize(
+        "run, steps",
+        [
+            (lambda A, path: bounds_report(A), 1),
+            (lambda A, path: main(["perron", "--max-iter", "1", str(path)]), 1),
+            (lambda A, path: algorithm_b(A, SolverConfig(max_iterations=1_000)), 1_000),
+            (lambda A, path: stationary(make_stochastic(A), SolverConfig(max_iterations=1_000)), 1_000),
+        ],
+        ids=["bounds", "perron-max-iter-1", "algorithm-b", "stationary"],
+    )
+    def test_the_slot_layout_is_built_only_past_one_step(self, monkeypatch, tmp_path, run, steps):
+        # a one-step solve (bounds_report runs two) must not pay for it; a
+        # longer one builds it with its operator and makes every call through it
+        built, slot_product, kernel = [], perronkit.matcore._slot_product, perronkit.solver._kernel
+        kernels = []  # the kernel behind each call the solver makes
 
         def counted_slots(*args):
             built.append(None)
             return slot_product(*args)
 
+        def counted_kernel(*args):
+            product = kernel(*args)
+
+            def call(v, out=None):
+                kernels.append(product.__qualname__)
+                return product(v, out=out)
+
+            return call
+
         monkeypatch.setattr(perronkit.matcore, "_slot_product", counted_slots)
+        monkeypatch.setattr(perronkit.solver, "_kernel", counted_kernel)
         A = tridiagonal(600, 1.0, 3.0, 2.0)
-        bounds_report(A)
-        assert built == []
-        res = algorithm_b(A, SolverConfig(max_iterations=1_000))
-        assert (res.iterations, len(built)) == (1_000, 1)
+        path = tmp_path / "t600.mtx"
+        write_matrix_market(A, path)
+        res = run(A, path)
+        if steps == 1:
+            assert built == []
+        else:
+            assert (res.iterations, len(built)) == (1_000, 1)
+            assert kernels and all("_slot_product" in name for name in kernels)
 
     def test_each_block_runs_one_step_past_the_last_blocks_keep(self, sample3):
         # blocks of 1, 2, 3, 4, 5 and 6 steps: the sixth stops after two, so
         # the run computes 21 steps to keep 17, plus the input's sums
         calls = []
-        _, t, status, _ = _iterate(counted(_operator(sample3), calls), SolverConfig())
+        _, t, status, _ = _iterate(counted(_operator(sample3, loop=True), calls), SolverConfig())
         assert (t, status, len(calls)) == (17, Status.CONVERGED, 22)
 
     @pytest.mark.parametrize(
@@ -311,7 +336,7 @@ class TestStoppingRules:
         # two steps alternate, where growing after a cut ran two for each one
         # kept (23 360 and 151 993 calls); the third is never cut
         A, made = build(), []
-        y, t, status, history = _iterate(counted(_operator(A), made), SolverConfig())
+        y, t, status, history = _iterate(counted(_operator(A, loop=True), made), SolverConfig())
         assert (len(made), t, status) == (calls, steps, Status.CONVERGED)
         if steps < 20_000:  # blocks change no bit: the one-step reference loop agrees
             ref_y, ref_t, ref_status, ref_rmin, ref_rmax, _ = reference_iterate(A, SolverConfig())

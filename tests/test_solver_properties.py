@@ -148,7 +148,7 @@ def test_stall_past_the_stop_in_one_block_is_not_asked():
     asked = CountedThunk(lambda: False)
     y_ref, t_ref, status_ref, *_ = reference_loop(vecmat, 2, asked, cfg)
     assert (t_ref, status_ref, asked.calls) == (40, Status.CONVERGED, 0)
-    y, t, status, _ = _iterate(_Operator(vecmat, lambda: vecmat, 2, 2, lambda: min(q), asked, Side.COLUMN), cfg)
+    y, t, status, _ = _iterate(_Operator(vecmat, 2, 2, lambda: min(q), asked, Side.COLUMN), cfg)
     assert (t, status, asked.calls) == (40, Status.CONVERGED, 0)
     assert y.tobytes() == y_ref.tobytes()
 
@@ -171,7 +171,7 @@ def blocked_iterate(A, cfg, side=Side.COLUMN):
     of its ``on_step`` calls and the number of ``primitive()`` calls.
     """
     steps = []
-    op = _operator(A, side)
+    op = _operator(A, side, cfg.max_iterations > 1)
     asked = CountedThunk(op.primitive)
     run = _iterate(replace(op, primitive=asked), cfg, lambda t, r: steps.append((t, r.tobytes())))
     return (*run, steps, asked.calls)
