@@ -24,9 +24,9 @@ from . import __version__
 from .baseline import power_method
 from .bounds import bounds_report
 from .errors import PerronError
-from .io import parse_matrix, write_matrix_market
+from .io import _write_array, parse_matrix, write_matrix_market
 from .markov import StochasticMatrix, damp, make_stochastic, stationary
-from .matcore import NonnegMatrix, Side, _dense_view, _entries, random_primitive, tridiagonal
+from .matcore import NonnegMatrix, Side, _dense_view, _entries, _random_args, _random_columns, tridiagonal
 from .primitivity import is_irreducible, is_primitive, wielandt_bound
 from .solver import PerronResult, SolverConfig, Status, algorithm_a
 
@@ -196,16 +196,38 @@ def _stationary(A: NonnegMatrix, args):
 
 
 def _cmd_gen(args) -> int:
+    out = sys.stdout if args.output == "-" else args.output
     if args.kind == "tridiag":
         M = tridiagonal(args.n, args.c, args.a, args.b)
+        write_matrix_market(M, out)
+        n, stored = M.n, M.nnz
     else:
-        M = random_primitive(args.n, density=args.density, rng=args.seed)
-    if args.output == "-":
-        write_matrix_market(M, sys.stdout)
-    else:
-        write_matrix_market(M, args.output)
-        print(f"wrote {M.n}x{M.n} matrix ({M.nnz} stored entries) to {args.output}", file=sys.stderr)
+        n, rng = _random_args(args.n, args.density, args.seed)  # a refused argument opens no file
+        counts = []
+        _write_array(n, _random_blocks(n, args.density, rng, counts), out)
+        stored = sum(counts)
+    if args.output != "-":
+        print(f"wrote {n}x{n} matrix ({stored} stored entries) to {args.output}", file=sys.stderr)
     return 0
+
+
+# columns of `gen random`'s matrix drawn and written at a time, so its one
+# scratch array holds n × 256 doubles; the sweep that chose it is in CHANGES.md
+_COLUMNS = 256
+
+
+def _random_blocks(n, density, rng, counts):
+    """Yield random_primitive(n, density, rng) _COLUMNS columns at a time,
+    each block drawn from rng's start state into one scratch array; append
+    each block's nonzero count to counts."""
+    start = rng.bit_generator.state
+    scratch = np.empty((n, min(n, _COLUMNS)))
+    for j0 in range(0, n, _COLUMNS):
+        rng.bit_generator.state = start
+        block = scratch[:, : min(_COLUMNS, n - j0)]
+        _random_columns(n, density, rng, j0, block)
+        counts.append(np.count_nonzero(block))
+        yield block
 
 
 class _Parser(argparse.ArgumentParser):

@@ -3,7 +3,10 @@
 Array files load into dense storage, coordinate files into CSR.  Writers emit
 values at 17 significant digits so a write/read round trip is lossless;
 the Matrix Market writer formats a fixed number of entries at a time, so its
-memory does not grow with the order or the number of nonzeros.
+memory does not grow with the order or the number of nonzeros.  It writes
+an array body from column blocks: a held matrix gives its own array as one
+block, and ``gen random`` gives blocks drawn into one scratch array as the
+file is written, so that it never holds the n×n matrix.
 A Matrix Market body is parsed in one ``np.loadtxt`` call.  A body it
 refuses (a faulty line, but also a comment line) is read again line by line.
 A dense file is read into one n×n array, which becomes the matrix: an
@@ -13,6 +16,7 @@ at a time, and CSV rows fill an array that grows in place.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -194,11 +198,27 @@ def read_csv(path) -> NonnegMatrix:
 
 def write_matrix_market(A: NonnegMatrix, path_or_file) -> None:
     """Write A in Matrix Market format: array for dense storage, coordinate for CSR."""
+    if A.storage == "dense":
+        _write_array(A.n, [_dense_view(A)], path_or_file)
+        return
+    rows, cols, values = _entries(A)
+    with _opened(path_or_file) as fh:
+        fh.write(f"%%MatrixMarket matrix coordinate real general\n{A.n} {A.n} {A.nnz}\n")
+        for s in range(0, A.nnz, _CHUNK):
+            chunk = values[s : s + _CHUNK].tolist()
+            fields = [None] * (3 * len(chunk))  # i, j, value of each entry in turn
+            fields[0::3] = (rows[s : s + _CHUNK] + 1).tolist()
+            fields[1::3] = (cols[s : s + _CHUNK] + 1).tolist()
+            fields[2::3] = chunk
+            fh.write(("%d %d %.17g\n" * len(chunk)) % tuple(fields))
+
+
+def _opened(path_or_file):
+    """path_or_file if it is a stream, else the file at that path, opened
+    for writing; either way a context manager."""
     if hasattr(path_or_file, "write"):
-        _write_mm(A, path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="ascii", newline="\n") as fh:
-            _write_mm(A, fh)
+        return contextlib.nullcontext(path_or_file)
+    return open(path_or_file, "w", encoding="ascii", newline="\n")
 
 
 # entries per %-format call, so the writer holds a few kB whatever the order
@@ -207,21 +227,18 @@ def write_matrix_market(A: NonnegMatrix, path_or_file) -> None:
 _CHUNK = 128
 
 
-def _write_mm(A: NonnegMatrix, fh) -> None:
-    # %-format _CHUNK lines at a time: the bytes of a per-value f"{v:.17g}" loop
-    if A.storage == "dense":
-        fh.write(f"%%MatrixMarket matrix array real general\n{A.n} {A.n}\n")
-        flat = _dense_view(A).T.flat  # the array layout is column-major
-        for s in range(0, A.n * A.n, _CHUNK):
-            chunk = flat[s : s + _CHUNK].tolist()
-            fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))
-        return
-    rows, cols, values = _entries(A)
-    fh.write(f"%%MatrixMarket matrix coordinate real general\n{A.n} {A.n} {A.nnz}\n")
-    for s in range(0, A.nnz, _CHUNK):
-        chunk = values[s : s + _CHUNK].tolist()
-        fields = [None] * (3 * len(chunk))  # i, j, value of each entry in turn
-        fields[0::3] = (rows[s : s + _CHUNK] + 1).tolist()
-        fields[1::3] = (cols[s : s + _CHUNK] + 1).tolist()
-        fields[2::3] = chunk
-        fh.write(("%d %d %.17g\n" * len(chunk)) % tuple(fields))
+def _write_array(n: int, blocks, path_or_file) -> None:
+    """Write the n×n matrix whose column blocks, left to right, are the
+    (n, w) arrays ``blocks`` yields, in the array layout.
+
+    Each block is formatted as it arrives, so a caller that draws its
+    blocks into one scratch array never holds the matrix.
+    """
+    with _opened(path_or_file) as fh:
+        fh.write(f"%%MatrixMarket matrix array real general\n{n} {n}\n")
+        for block in blocks:
+            flat = block.T.flat  # the array layout is column-major
+            for s in range(0, block.size, _CHUNK):
+                # %-format _CHUNK lines at a time: the bytes of a per-value f"{v:.17g}" loop
+                chunk = flat[s : s + _CHUNK].tolist()
+                fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))

@@ -414,21 +414,52 @@ def random_primitive(n, density=0.5, rng=None) -> NonnegMatrix:
     or generator for np.random.default_rng; ``density`` lies in [0, 1].
     The stream gives n² draws for the mask (an entry is kept where its draw
     is below ``density``), then n² entry values, then the diagonal and the
-    cycle.  Both n² draws go into the matrix's one array, the values 1/64
-    of the rows at a time.
+    cycle.  Both n² draws go into the matrix's one array, a row at a time,
+    through :func:`_random_columns`, which also draws any block of columns
+    alone with the same bits.
     """
+    n, rng = _random_args(n, density, rng)
+    arr = np.empty((n, n))
+    _random_columns(n, density, rng, 0, arr)
+    return NonnegMatrix(n, dense=arr)
+
+
+def _random_args(n, density, rng):
+    """random_primitive's order as an int and its Generator; raise on a bad argument."""
     n = _order(n, power=2)
     if not 0 <= density <= 1:  # nan fails too
         raise DomainError(f"density must be in [0, 1], got {density!r}")
     try:
-        rng = np.random.default_rng(rng)
+        return n, np.random.default_rng(rng)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"seed must be a non-negative integer, got {rng!r}") from exc
-    arr = rng.random((n, n))
-    np.less(arr, density, out=arr)  # the mask, as 1.0 and 0.0, in the draws' own array
-    for block in np.array_split(arr, 64):  # the values, next in the stream
-        block *= rng.uniform(0.2, 2.0, block.shape)
-    idx = np.arange(n)
-    arr[idx, idx] = rng.uniform(0.2, 2.0, n)
-    arr[idx, (idx + 1) % n] = rng.uniform(0.2, 2.0, n)
-    return NonnegMatrix(n, dense=arr)
+
+
+def _random_columns(n, density, rng, j0, out) -> None:
+    """Fill out, an (n, w) array, with columns j0 .. j0 + w - 1 of
+    random_primitive(n, density, rng).
+
+    rng must stand at the start of the matrix's stream; it is left where
+    random_primitive leaves it, 2n² + 2n draws on.  Each row takes w mask
+    draws and, n² draws later, w values; the bit generator's ``advance``
+    skips the other n - w draws of each row, so a block of all n columns
+    skips nothing and draws from any bit generator.
+    """
+    w = out.shape[1]
+    bits, skip = rng.bit_generator, j0
+    for row in out:  # the mask
+        if skip:
+            bits.advance(skip)
+        rng.random(out=row)
+        skip = n - w
+    np.less(out, density, out=out)  # 1.0 where an entry is kept, else 0.0
+    for row in out:  # the values, next in the stream
+        if skip:
+            bits.advance(skip)
+        row *= rng.uniform(0.2, 2.0, w)
+    if n - j0 - w:  # to the end of the values
+        bits.advance(n - j0 - w)
+    diagonal, cycle = rng.uniform(0.2, 2.0, n), rng.uniform(0.2, 2.0, n)
+    cols, at = np.arange(j0, j0 + w), np.arange(w)
+    out[cols, at] = diagonal[cols]
+    out[(cols - 1) % n, at] = cycle[(cols - 1) % n]  # after the diagonal: at n = 1 the cycle is the diagonal

@@ -423,6 +423,19 @@ class TestGenCommand:
         assert "does not fit in memory" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_random_memory_does_not_grow_with_the_square_of_the_order(self, capsys, tmp_path, n):
+        # the matrix is drawn and written 256 columns at a time through one
+        # n x 256 scratch array (2 MB at n = 1000); holding it would take 8n²
+        tracemalloc.start()
+        try:
+            code = main(["gen", "random", "--n", str(n), "--seed", "3", "-o", str(tmp_path / "r.mtx")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 3_000_000
+
     def test_random_is_primitive(self, capsys, tmp_path):
         out = tmp_path / "r.mtx"
         assert main(["gen", "random", "--n", "6", "--seed", "4", "-o", str(out)]) == 0

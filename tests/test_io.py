@@ -131,6 +131,24 @@ def test_generated_file_bytes_are_pinned_past_a_row_block(tmp_path, capsys):
     assert digest == "34eb096c645197decca9d590ed73fa4c7be44b501845259fc7e41529428ff268"
 
 
+@pytest.mark.parametrize(
+    "n, digest",
+    [(255, "22b4243d9f08f43b067fbcf4750104ce47b6689a71b20449687d7e9cd3eb5255"),
+     (257, "a31b02e38f5854d4cf8bdaf53134b44f9fbf0df739414fd1345e6f8c68d43a73"),
+     (513, "893b2fb7299d9a23dcb691176f17242e4588bf4caf02f4085fcaace8d4a5c275")],
+)
+def test_generated_file_bytes_are_pinned_at_the_column_blocks(tmp_path, capsys, n, digest):
+    # gen random draws and writes 256 columns at a time: one block one column
+    # short, a full block and one column, two full blocks and one column;
+    # the digests are those of the generator that held the whole matrix
+    path = tmp_path / "g.mtx"
+    assert main(["gen", "random", "--n", str(n), "--seed", "0", "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+    assert main(["gen", "random", "--n", str(n), "--seed", "0", "-o", "-"]) == 0
+    assert capsys.readouterr().out.encode("ascii") == path.read_bytes()
+
+
 def test_generated_coordinate_file_bytes_are_pinned(tmp_path, capsys):
     # 898 entries, so the coordinate layout's "i j value" lines run past several chunks
     path = tmp_path / "t300.mtx"

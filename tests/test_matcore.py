@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import perronkit.cli
 import perronkit.matcore
 from conftest import SAMPLE3_ROWS
 from oracles import all_eigenvalues, charpoly_coefficients, det_cofactor, random_primitive_two_arrays
@@ -350,6 +351,25 @@ def test_random_primitive_draws_what_two_arrays_draw(n, density):
         A = random_primitive(n, density, rng=mine)
         assert A.to_dense().tobytes() == random_primitive_two_arrays(n, density, theirs).tobytes()
         assert mine.random() == theirs.random()
+
+
+W = perronkit.cli._COLUMNS  # the width of the column blocks gen random writes
+
+
+@pytest.mark.parametrize("n", [1, 2, W - 1, W, W + 1, 2 * W + 1])
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_random_columns_draw_each_block_of_the_two_arrays(n, density):
+    # each column block gen random writes, drawn alone from the stream's start,
+    # with the same bits; the stream ends where the two arrays leave it
+    for seed in (0, 1, 2):
+        theirs = np.random.default_rng(seed)
+        expected = random_primitive_two_arrays(n, density, theirs)
+        after = theirs.random()
+        for j0 in range(0, n, W):
+            mine, block = np.random.default_rng(seed), np.empty((n, min(W, n - j0)))
+            perronkit.matcore._random_columns(n, density, mine, j0, block)
+            assert block.tobytes() == np.ascontiguousarray(expected[:, j0 : j0 + W]).tobytes()
+            assert mine.random() == after
 
 
 def test_random_primitive_holds_one_n_by_n_array():
