@@ -7,22 +7,27 @@ memory does not grow with the order or the number of nonzeros.  It writes
 an array body from column blocks: a held matrix gives its own array as one
 block, and ``gen random`` gives blocks drawn into one scratch array as the
 file is written, so that it never holds the n×n matrix.
-A Matrix Market body is parsed in one ``np.loadtxt`` call.  A body it
-refuses (a faulty line, but also a comment line) is read again line by line.
+A Matrix Market body is parsed in one ``np.loadtxt`` call, into an array
+of its final size when the file can hold the entries its size line
+promises.  A body it refuses (a faulty line, but also a comment line) is
+read again line by line.
 A dense file is read into one n×n array, which becomes the matrix: an
 array body, which lists A column by column, is transposed in place a tile
-at a time, and CSV rows fill an array that grows in place.
+at a time, and CSV rows fill an array that grows in place.  A coordinate
+body's records become the CSR arrays with no second copy of the body,
+and they are sorted only when they are not in row-major order already.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import warnings
 
 import numpy as np
 
 from .errors import DuplicateEntryError, MatrixParseError
-from .matcore import NonnegMatrix, _adopt_dense, _dense_view, _entries, from_coordinates
+from .matcore import NonnegMatrix, _adopt_dense, _coordinates, _dense_view, _entries
 
 __all__ = [
     "parse_matrix",
@@ -90,30 +95,65 @@ def read_matrix_market(path) -> NonnegMatrix:
         count = nnz[0] if nnz else n * n
         if count < 0:
             raise MatrixParseError(size_lineno, f"entry count must be >= 0, got {count}")
+        # loadtxt reserves max_rows records at once, so it gets a max_rows only when the
+        # rest of the file can hold count lines of two bytes a field; then it reads one
+        # record past count, and a body with more entries or a '%' line is rescanned
+        fields = len(_LINE[layout][1])
+        room = os.fstat(fh.fileno()).st_size - fh.tell()  # st_size is 0 for a pipe
+        max_rows = count + 1 if room >= 2 * fields * count - 1 else None
         # a warning also means a rescan: an empty body, or older numpy truncating an index 1.5 to 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)  # a blank line
             try:
-                body = np.loadtxt(fh, _LINE[layout][0], comments=None, ndmin=1)
+                body = np.loadtxt(fh, _LINE[layout][0], comments=None, ndmin=1, max_rows=max_rows)
             except (ValueError, Warning):
                 body = None
 
-    if body is None or len(body) != count or (layout == "coordinate" and not (
-        (body["i"] >= 1) & (body["i"] <= n) & (body["j"] >= 1) & (body["j"] <= n)
-    ).all()):
+    if body is None or len(body) != count or (
+        layout == "coordinate" and not (_inside(body["i"], n) and _inside(body["j"], n))
+    ):
         body = _rescan(path, size_lineno, layout, n, count)[0]
     if layout == "array":
         arr = body.view(np.float64).reshape(n, n)  # Aᵀ: the array layout is column-major
         _transpose_in_place(arr)
         return _adopt_dense(arr)
     try:
-        return from_coordinates(n, body["i"] - 1, body["j"] - 1, body["v"])
+        return _coordinates(n, *_split(body), owned=True)
     except MemoryError:
         raise MatrixParseError(size_lineno, f"a {n}x{n} matrix does not fit in memory") from None
     except DuplicateEntryError as exc:
         lines = _rescan(path, size_lineno, layout, n, count)[1]
         msg = f"duplicate entry ({exc.i + 1}, {exc.j + 1}), first seen on line {lines[exc.first]}"
         raise MatrixParseError(lines[exc.second], msg) from None
+
+
+def _inside(index, n) -> bool:
+    """Whether every entry of the 1-based index array lies in 1..n."""
+    return not len(index) or (index.min() >= 1 and index.max() <= n)
+
+
+def _split(body):
+    """The coordinate records body, which the caller gives up, as three
+    contiguous arrays: the 0-based rows and columns and the values.
+
+    The rows and values are copied out; the columns are moved to the front
+    of body's own buffer, which then shrinks to them.  So at most body and
+    two of the arrays are held at once, 40 bytes an entry.
+    """
+    m = len(body)
+    rows, values = body["i"] - 1, body["v"].copy()
+    words = body.view(np.int64)  # i, j, v of each record in turn
+    a = 0
+    while a < m:  # j of records a..b-1 moves to words a..b-1, all below where it is read
+        b = min(m, 3 * a + 1)
+        words[a:b] = words[3 * a + 1 : 3 * b + 1 : 3]
+        a = b
+    del words
+    body.resize((m + 2) // 3, refcheck=False)  # a realloc: no view of body is left
+    cols = body.view(np.int64)[:m]
+    cols -= 1
+    return rows, cols, values
 
 
 def _rescan(path, size_lineno, layout, n, count):
@@ -160,7 +200,8 @@ def _transpose_in_place(a) -> None:
             upper, lower = a[i : i + _TILE, j : j + _TILE], a[j : j + _TILE, i : i + _TILE]
             t = tile[: lower.shape[0], : lower.shape[1]]
             np.copyto(t, upper.T)
-            np.copyto(upper, lower.T)  # on the diagonal, numpy buffers the overlap
+            if i != j:  # on the diagonal upper is lower, and t alone is its transpose
+                np.copyto(upper, lower.T)
             np.copyto(lower, t)
 
 

@@ -123,7 +123,10 @@ class GerschgorinDisc:
 
 
 def _csr(n, rows, cols, values) -> NonnegMatrix:
-    """CSR matrix from entries in row-major order; zero entries are dropped."""
+    """CSR matrix from entries in row-major order; zero entries are dropped.
+    With no zero among them the matrix keeps the three arrays themselves."""
+    if values.all():
+        return NonnegMatrix(n, rows=rows, indices=cols, data=values)
     keep = values != 0
     return NonnegMatrix(n, rows=rows[keep], indices=cols[keep], data=values[keep])
 
@@ -207,32 +210,55 @@ def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
     """Validated CSR matrix from coordinate triplets (0-based, any order).
 
     Duplicate coordinates (an explicit zero among them) and row or column
-    sums that overflow are rejected; explicit zeros are then dropped.
+    sums that overflow are rejected; explicit zeros are then dropped.  The
+    matrix keeps its own copy of the entries.
+    """
+    return _coordinates(n, rows, cols, values, owned=False)
+
+
+def _coordinates(n, rows, cols, values, owned) -> NonnegMatrix:
+    """:func:`from_coordinates`; with ``owned`` the caller gives up the three
+    arrays, which must then be contiguous int64, int64 and float64: they
+    are sorted in place, and the matrix may keep them.
+
+    Entries already in row-major order are neither sorted nor gathered.
     """
     n = _order(n)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
+    copy = None if owned else True
+    rows = np.array(rows, dtype=np.int64, copy=copy)
+    cols = np.array(cols, dtype=np.int64, copy=copy)
+    values = np.array(values, dtype=np.float64, copy=copy)
     if not (len(rows) == len(cols) == len(values)):
         raise NotSquareError("coordinate arrays have unequal lengths")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        k = int(bad[0])
-        raise NonFiniteEntryError(int(rows[k]), int(cols[k]), float(values[k]))
-    neg = np.flatnonzero(values < 0)
-    if neg.size:
-        k = int(neg[0])
+    if len(values) and not (values.min() >= 0 and values.max() < np.inf):  # no mask on valid input
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            k = int(bad[0])
+            raise NonFiniteEntryError(int(rows[k]), int(cols[k]), float(values[k]))
+        k = int(np.flatnonzero(values < 0)[0])
         raise NegativeEntryError(int(rows[k]), int(cols[k]), float(values[k]))
     if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
         raise NotSquareError(f"coordinate outside a {n}x{n} matrix")
-    order = np.lexsort((cols, rows))
-    rows, cols, values = rows[order], cols[order], values[order]
+    order = None if _row_major(rows, cols) else np.lexsort((cols, rows))
+    if order is not None:
+        for field in (rows, cols, values):
+            field.take(order, out=field)  # mode "raise" buffers the overlap
     # duplicates first, so an explicit zero cannot hide a second copy
     dup = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
     if dup.size:
+        order = np.arange(len(rows)) if order is None else order
         k = dup[np.argmin(order[dup + 1])]  # lexsort is stable: the first repeat in input order
         raise DuplicateEntryError(int(rows[k]), int(cols[k]), int(order[k]), int(order[k + 1]))
+    del order, dup  # before the sums, which need 16 bytes an entry more
     return _finite_sums(_csr(n, rows, cols, values))
+
+
+def _row_major(rows, cols) -> bool:
+    """Whether the entries are in non-decreasing row-major order, compared
+    rows first and then columns: a key rows·n + cols overflows for large n."""
+    if not (rows[1:] >= rows[:-1]).all():
+        return False
+    return bool(((rows[1:] > rows[:-1]) | (cols[1:] >= cols[:-1])).all())
 
 
 def sums(A: NonnegMatrix, side: Side) -> np.ndarray:
@@ -240,8 +266,11 @@ def sums(A: NonnegMatrix, side: Side) -> np.ndarray:
     return _kernel(A, side)(np.ones(A.n))
 
 
-# rows of a dense A that the row-side kernel transposes at a time
-_ROW_BLOCK = 64
+# doubles in the scratch block of a dense row-side kernel (32 KB), and the
+# fewest rows it holds: at n = 3000, 8 rows a block ran at the speed of 64
+# and 2 rows took three times as long
+_ROW_SCRATCH = 4096
+_ROW_LEAST = 8
 # a loop's CSR kernel pads each output's terms to K slots, K the most of any
 # output, when the K n slots are at most this many times the nnz terms: the
 # slots ran 25-50 % faster than bincount up to 1.5 nnz, and lost from about 2
@@ -260,14 +289,16 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
     and gather index.  Dense runs an einsum on A: only this einsum,
     without ``optimize``, adds row after row into the output and fuses no
     multiply-add.  Axis-1 or transposed-view reductions and BLAS ``@``
-    round differently.  The dense row side copies no Aᵀ: each call runs
-    the einsum on a C-contiguous copy of each (n, b) column block of Aᵀ,
-    b = min(64, n), into the matching b outputs, which add the same terms
-    in the same order.  Every block is b wide, the last one overlapping
-    the one before it: on a block one column wide einsum reduces in
-    another order.  Every einsum here is a call of its C entry point,
-    which np.einsum without ``optimize`` makes too, minus its Python
-    wrapper and dispatch.
+    round differently.  The dense row side copies no Aᵀ: each call copies
+    each (n, b) column block of Aᵀ in turn into one C-contiguous (n, b)
+    scratch block the kernel owns, b = min(n, max(8, 4096 // n)), so
+    32 KB up to n = 512 and 8 rows past it, and runs the einsum on it into
+    the matching b outputs, which add the same terms in the same order;
+    the scratch block makes the kernel one caller's at a time.  Every
+    block is b wide, the last one overlapping the one before it: on a
+    block one column wide einsum reduces in another order.  Every einsum
+    here is a call of its C entry point, which np.einsum without
+    ``optimize`` makes too, minus its Python wrapper and dispatch.
 
     ``loop=True`` asks for a kernel that a loop calls many times: the
     solver's operator of a run allowed more than one step asks for it, and
@@ -309,13 +340,15 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
             return c_einsum("ij,i->j", D, v, out=np.empty(n) if out is None else out)
 
         return col_product
-    b = min(_ROW_BLOCK, n)
+    b = min(n, max(_ROW_LEAST, _ROW_SCRATCH // n))
     starts = [min(s, n - b) for s in range(0, n, b)]
+    block = np.empty((n, b))
 
     def row_product(v, out=None):
         out = np.empty(n) if out is None else out
         for s in starts:
-            c_einsum("ij,i->j", np.ascontiguousarray(D[s : s + b].T), v, out=out[s : s + b])
+            np.copyto(block, D[s : s + b].T)
+            c_einsum("ij,i->j", block, v, out=out[s : s + b])
         return out
 
     return row_product
@@ -393,7 +426,7 @@ def tridiagonal(n: int, c: float, a: float, b: float) -> NonnegMatrix:
     rows = np.concatenate((i[1:], i, i[:-1]))
     cols = np.concatenate((i[:-1], i, i[1:]))
     vals = np.repeat([c, a, b], [n - 1, n, n - 1])
-    return from_coordinates(n, rows, cols, vals)
+    return _coordinates(n, rows, cols, vals, owned=True)
 
 
 def tridiagonal_eigs(n: int, c: float, a: float, b: float) -> np.ndarray:

@@ -61,7 +61,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ZeroSumError
-from .matcore import GerschgorinDisc, NonnegMatrix, Side, _entries, _kernel, rank_one_hadamard, sums
+from .matcore import GerschgorinDisc, NonnegMatrix, Side, _dense_view, _entries, _kernel, rank_one_hadamard, sums
 from .primitivity import is_primitive
 
 __all__ = [
@@ -268,8 +268,17 @@ def _operator(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False) -> 
     work = A.n * A.n if A.storage == "dense" else A.nnz  # the kernel's multiply-adds
     return _Operator(
         _kernel(A, side, loop), A.n, work,
-        lambda: float(_entries(A)[2].min()), functools.partial(is_primitive, A), side,
+        functools.partial(_least, A), functools.partial(is_primitive, A), side,
     )
+
+
+def _least(A: NonnegMatrix) -> float:
+    """A's least positive entry.  On dense storage it takes a mask of A,
+    n² bytes, and not the index arrays of its nonzeros, 16 bytes each."""
+    if A.storage == "dense":
+        D = _dense_view(A)
+        return float(np.min(D, where=D > 0, initial=np.inf))
+    return float(_entries(A)[2].min())
 
 
 @np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED

@@ -2,11 +2,12 @@
 module fixture writes once."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from perronkit import SolverConfig, from_coordinates, read_matrix_market, write_matrix_market
+from perronkit import SolverConfig, from_coordinates, random_primitive, read_matrix_market, write_matrix_market
 from perronkit.cli import main
 
 
@@ -143,3 +144,66 @@ def test_minc_bounds_nest_in_the_frobenius_bounds(capsys, files):
     for side in ("row", "col"):
         (lo, hi), (flo, fhi) = result[f"minc_{side}"], result[f"frobenius_{side}"]
         assert flo * (1 - 1e-12) <= lo <= hi <= fhi * (1 + 1e-12), result
+
+
+ARRAY = "%%MatrixMarket matrix array real general\n"
+COORD = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (ARRAY + "20000 20000\n1\n2\n3\n", "line 5: expected 400000000 values, found 3"),
+        (ARRAY + "100000 100000\n1\n2\n3\n", "line 5: expected 10000000000 values, found 3"),
+        (COORD + "10 10 1000000000\n1 1 1\n2 2 2\n3 3 3\n", "line 5: size line promises 1000000000 entries, found 3"),
+    ],
+    ids=["array-20000", "array-100000", "coordinate-1e9"],
+)
+def test_a_size_line_past_its_body_reserves_nothing(tmp_path, capsys, text, message):
+    # the reader reserves a body's records at once only when the file can
+    # hold them; these size lines would reserve 3.2 GB, 74.5 GiB and 24 GB
+    path = tmp_path / "short.mtx"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        code = main(["perron", "--json", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+    assert peak < 2_000_000
+
+
+@pytest.fixture(scope="module")
+def long_bodies(tmp_path_factory):
+    """A random primitive matrix of order 100 as an array file (10 000
+    values) and as a coordinate file of its nonzeros; each is over 100 kB,
+    so its body passes numpy's read blocks."""
+    root = tmp_path_factory.mktemp("long")
+    paths = {"array": root / "r.mtx", "coordinate": root / "c.mtx"}
+    A = random_primitive(100, rng=5)
+    write_matrix_market(A, paths["array"])
+    D = A.to_dense()
+    nz = np.nonzero(D)
+    write_matrix_market(from_coordinates(100, *nz, D[nz]), paths["coordinate"])
+    return paths
+
+
+@pytest.mark.parametrize("layout", ["array", "coordinate"])
+@pytest.mark.parametrize("tail", ["extra", "comments"])
+def test_the_tail_after_a_full_body_is_read(tmp_path, capsys, long_bodies, layout, tail):
+    # an entry or comment lines past the count-th entry lie beyond what
+    # numpy reads ahead, so only a read past the last entry sees them
+    text = long_bodies[layout].read_text()
+    count = int(text.splitlines()[1].split()[-1]) if layout == "coordinate" else 10_000
+    path = tmp_path / "tail.mtx"
+    argv = ["perron", "--json", str(path)]
+    if tail == "extra":
+        path.write_text(text + ("1\n" if layout == "array" else "100 100 1\n"))
+        found = "values, found" if layout == "array" else "entries, found"
+        promise = f"expected {count}" if layout == "array" else f"size line promises {count}"
+        message = f"error: line {count + 3}: {promise} {found} {count + 1}\n"
+        assert (main(argv), capsys.readouterr().err) == (1, message)
+    else:
+        path.write_text(text + "% one\n\n% two\n")
+        assert result_text(capsys, argv) == result_text(capsys, ["perron", "--json", str(long_bodies[layout])])

@@ -24,6 +24,7 @@ from perronkit import (
     write_matrix_market,
 )
 from perronkit.cli import main
+from perronkit.matcore import _entries
 
 
 def test_array_roundtrip(tmp_path, sample3):
@@ -46,11 +47,30 @@ def _peak(job) -> int:
 
 
 def test_dense_file_reads_into_one_n_by_n_array(tmp_path):
-    # the parsed body becomes A, transposed in place; the row sums transpose 64 rows at a time
+    # the body is parsed into an array of its final size, which becomes A,
+    # transposed in place; the row sums transpose 10 rows into 32 kB at a time
     n = 400
     path = tmp_path / "r.mtx"
     write_matrix_market(random_primitive(n, rng=3), path)
-    assert _peak(lambda: read_matrix_market(path)) < 1.3 * 8 * n * n
+    assert _peak(lambda: read_matrix_market(path)) < 1.05 * 8 * n * n
+
+
+@pytest.mark.parametrize("n", [10_000, 50_000])
+@pytest.mark.parametrize("shuffled", [False, True], ids=["row-major", "shuffled"])
+def test_coordinate_file_reads_in_48_bytes_an_entry(tmp_path, n, shuffled):
+    # the parsed records (24 bytes an entry) become the CSR arrays (24 more)
+    # with no second copy; a shuffled body is sorted in place
+    T = tridiagonal(n, 1.0, 3.0, 2.0)
+    path = tmp_path / "t.mtx"
+    if shuffled:
+        order = np.random.default_rng(n).permutation(T.nnz)
+        rows, cols, values = (a[order] for a in _entries(T))
+        path.write_text(COORD + f"{n} {n} {T.nnz}\n" + "".join(
+            f"{i + 1} {j + 1} {v!r}\n" for i, j, v in zip(rows.tolist(), cols.tolist(), values.tolist())))
+    else:
+        write_matrix_market(T, path)
+    peak = _peak(lambda: read_matrix_market(path))
+    assert peak <= 48 * T.nnz
 
 
 def test_dense_csv_reads_into_one_n_by_n_array(tmp_path):
@@ -296,6 +316,15 @@ def test_comments_and_blank_lines_skipped(tmp_path):
     assert np.array_equal(A.to_dense(), np.diag([2.5, 1.5]))
 
 
+@pytest.mark.parametrize("layout", ["array", "coordinate"])
+def test_blank_lines_in_a_body_need_no_rescan(tmp_path, monkeypatch, layout):
+    body = ["1", "", "2", "3", "  ", "4", ""] if layout == "array" else ["1 1 1", "", "2 1 2", "  ", "1 2 3", "2 2 4", ""]
+    path = tmp_path / "b.mtx"
+    path.write_text((ARRAY + "2 2\n" if layout == "array" else COORD + "2 2 4\n") + "\n".join(body))
+    monkeypatch.setattr(perronkit.io, "_rescan", None)
+    assert np.array_equal(read_matrix_market(path).to_dense(), [[1.0, 3.0], [2.0, 4.0]])
+
+
 def test_roundtrip_preserves_determinant(tmp_path):
     rng = np.random.default_rng(13)
     arr = rng.uniform(0.0, 2.0, (3, 3))
@@ -359,12 +388,12 @@ def test_malformed_matrix_market_names_line_and_fault(tmp_path, content, lineno,
 def test_out_of_memory_names_the_matrix_order(tmp_path, monkeypatch, capsys):
     # stands in for a size line such as 3000000000 3000000000 1, whose CSR
     # row pointers alone would need 24 GB
-    def exhausted(*args):
+    def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 22.4 GiB for an array with shape (3000000001,)")
 
     path = tmp_path / "big.mtx"
     path.write_text(COORD + "% c\n3 3 1\n1 1 1.0\n")
-    monkeypatch.setattr(perronkit.io, "from_coordinates", exhausted)
+    monkeypatch.setattr(perronkit.io, "_coordinates", exhausted)
     with pytest.raises(MatrixParseError) as err:
         read_matrix_market(path)
     assert (err.value.lineno, str(err.value)) == (3, "line 3: a 3x3 matrix does not fit in memory")

@@ -86,6 +86,19 @@ class TestConstruction:
         expected = np.array([[1, 0, 2], [0, 4, 0], [0, 5, 0]], dtype=float)
         assert np.array_equal(A.to_dense(), expected)
 
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 1, 0, 2]], ids=["row-major", "shuffled"])
+    def test_coordinates_copy_the_callers_arrays(self, order):
+        # entries in row-major order are not gathered, so they are copied
+        rows, cols, values = (np.array(a)[order] for a in ([0, 0, 1, 2], [0, 2, 1, 1], [1.0, 2.0, 4.0, 5.0]))
+        A = from_coordinates(3, rows, cols, values)
+        rows[:], cols[:], values[:] = 2, 2, 9.0
+        assert np.array_equal(A.to_dense(), [[1, 0, 2], [0, 4, 0], [0, 5, 0]])
+
+    def test_row_major_coordinates_are_not_sorted(self, monkeypatch):
+        monkeypatch.setattr(np, "lexsort", None)
+        A = from_coordinates(3, [0, 0, 1, 2], [0, 2, 1, 1], [1.0, 2.0, 4.0, 5.0])
+        assert np.array_equal(A.to_dense(), [[1, 0, 2], [0, 4, 0], [0, 5, 0]])
+
     def test_coordinates_drop_zeros_and_reject_duplicates(self):
         A = from_coordinates(2, [0, 1], [1, 0], [0.0, 3.0])
         assert A.nnz == 1

@@ -3,6 +3,8 @@ with the plain axis-0 reduction and with CSR, the loop's padded slot kernel
 with bincount and dense, the dense row sums, taken a block of rows at a
 time, with the row kernel, and the jobs that run on the entry view."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 
 from oracles import transposed, vecmat_unblocked
 from perronkit import PerronError, Side, from_coordinates, from_dense, rank_one_hadamard, sums
-from perronkit.errors import DomainError
+from perronkit.errors import DomainError, DuplicateEntryError
 from perronkit.markov import make_stochastic
-from perronkit.matcore import _ROW_BLOCK, _SLOT_FILL, NonnegMatrix, _csr, _entries, _kernel, _like
+from perronkit.matcore import _ROW_LEAST, _ROW_SCRATCH, _SLOT_FILL, NonnegMatrix, _csr, _entries, _kernel, _like
 from perronkit.primitivity import _period
 
 
@@ -112,10 +114,17 @@ def test_slot_kernel_fuses_no_multiply_add(side):
     assert got.tobytes() == _kernel(A, side)(np.array([-1.0, 1.0 - eps])).tobytes()
 
 
+# the dense row kernel's block edges: the largest order that is one block,
+# the next, blocks that split n exactly (128, 32 rows a block) or whose last
+# one overlaps all but 5 columns (129, 31 rows), and an order past the
+# fewest rows a block (513, 8 rows)
+_ONE_BLOCK = math.isqrt(_ROW_SCRATCH)
+_BLOCK_EDGES = [1, 2, _ONE_BLOCK, _ONE_BLOCK + 1, 128, 129, _ROW_SCRATCH // _ROW_LEAST + 1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    n=st.sampled_from([1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
-    | st.integers(1, 3 * _ROW_BLOCK),
+    n=st.sampled_from(_BLOCK_EDGES) | st.integers(1, 2 * _ONE_BLOCK),
     density=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
     overflow=st.booleans(),
@@ -182,3 +191,55 @@ def test_entry_view_jobs_agree_across_storages(n, density, seed, pair):
     for A in (dense, csr):
         assert _outcome(lambda A: _like(A, *_entries(A)), A) == (A.nnz, A.to_dense().tobytes())
     assert _period(dense) == _period(csr)
+
+
+def _built(n, rows, cols, values):
+    """The CSR arrays of from_coordinates, as bytes, or the fields of the
+    DuplicateEntryError it raised."""
+    try:
+        A = from_coordinates(n, rows, cols, values)
+    except DuplicateEntryError as exc:
+        return exc.i, exc.j, exc.first, exc.second
+    return tuple(a.tobytes() for a in _entries(A))
+
+
+def _first_repeat(rows, cols):
+    """(i, j, first, second) of the first entry, in input order, whose coordinates came before."""
+    seen = {}
+    for k, key in enumerate(zip(rows.tolist(), cols.tolist())):
+        if key in seen:
+            return (*key, seen[key], k)
+        seen[key] = k
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    zero=st.booleans(),
+    duplicate=st.booleans(),
+)
+def test_coordinates_in_any_order_build_the_row_major_arrays(n, density, seed, zero, duplicate):
+    """Entries in row-major order skip the sort; a permutation of them is
+    sorted.  Both give the same arrays bit for bit, an explicit zero
+    dropped, or the same first repeat in their own input order."""
+    rng = np.random.default_rng(seed)
+    D = np.where(rng.random((n, n)) < density, 10.0 ** rng.uniform(-300, 300, (n, n)), 0.0)
+    D[0, 0] = 1.0
+    rows, cols = np.nonzero(D)
+    values = D[rows, cols]
+    if zero:
+        values[rng.integers(len(values))] = 0.0
+    if duplicate:  # a second copy right after the first keeps row-major order
+        k = int(rng.integers(len(values)))
+        rows, cols, values = (np.insert(a, k + 1, a[k]) for a in (rows, cols, values))
+    order = rng.permutation(len(values))
+    got = [_built(n, rows, cols, values), _built(n, rows[order], cols[order], values[order])]
+    if duplicate:
+        assert got == [_first_repeat(rows, cols), _first_repeat(rows[order], cols[order])]
+    else:
+        assert got[0] == got[1]
+        kept = values != 0
+        assert got[0] == tuple(a[kept].tobytes() for a in (rows, cols, values))

@@ -172,8 +172,24 @@ class TestAlgorithmB:
         assert res.root == pytest.approx(3.0, abs=1e-8)
         assert np.all(res.eigenvector > 0)
 
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    def test_least_entry_of_dense_storage_takes_no_index_arrays(self, density):
+        # np.nonzero's two index arrays would take 16 bytes a nonzero; a mask of A takes n² bytes
+        n = 300
+        A = random_primitive(n, density, rng=4)
+        least = _operator(A).least
+        want = float(_entries(A)[2].min())
+        tracemalloc.start()
+        try:
+            got = least()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= n * n + 4096
+
     def test_dense_row_solve_copies_no_transpose(self):
-        # the row kernel transposes 64 rows at a time; a full copy of Aᵀ is 8n² bytes
+        # the row kernel transposes a few rows at a time into 32 kB; a full copy of Aᵀ is 8n² bytes
         n = 400
         A = random_primitive(n, rng=3)
         tracemalloc.start()
