@@ -13,7 +13,9 @@ identical input and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -203,30 +205,50 @@ def _cmd_gen(args) -> int:
         n, stored = M.n, M.nnz
     else:
         n, rng = _random_args(args.n, args.density, args.seed)  # a refused argument opens no file
-        counts = []
-        _write_array(n, _random_blocks(n, args.density, rng, counts), out)
-        stored = sum(counts)
+        counts, start = {}, rng.bit_generator.state
+        blocks = functools.partial(_random_blocks, n, args.density, rng, start, counts)
+        _write_array(n, blocks, out, _cuts(n))
+        stored = sum(counts.values())
     if args.output != "-":
         print(f"wrote {n}x{n} matrix ({stored} stored entries) to {args.output}", file=sys.stderr)
     return 0
 
 
 # columns of `gen random`'s matrix drawn and written at a time, so its one
-# scratch array holds n × 256 doubles; the sweep that chose it is in CHANGES.md
+# scratch array holds n × 256 doubles, and the unit of its parts: each usable
+# CPU formats a part of whole blocks (io._write_array); the sweep that chose
+# 256 is in CHANGES.md
 _COLUMNS = 256
 
 
-def _random_blocks(n, density, rng, counts):
-    """Yield random_primitive(n, density, rng) _COLUMNS columns at a time,
-    each block drawn from rng's start state into one scratch array; append
-    each block's nonzero count to counts."""
-    start = rng.bit_generator.state
-    scratch = np.empty((n, min(n, _COLUMNS)))
-    for j0 in range(0, n, _COLUMNS):
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cuts(n) -> list:
+    """First columns of the parts after the first, when `gen random` splits
+    its n columns into k = min(usable CPUs, n // _COLUMNS) parts of whole
+    blocks, as even as they divide; no part has fewer blocks than the
+    first, which this process formats after drawing all the others."""
+    blocks = -(-n // _COLUMNS)
+    k = max(1, min(_usable_cpus(), n // _COLUMNS))
+    return [p * blocks // k * _COLUMNS for p in range(1, k)]
+
+
+def _random_blocks(n, density, rng, start, counts, j0, j1):
+    """Yield columns j0 .. j1 - 1 of random_primitive(n, density, rng) for
+    rng at bit generator state start, _COLUMNS at a time from j0, each
+    block drawn from that state into one scratch array; set counts[j] to
+    the nonzero count of the block at column j."""
+    scratch = np.empty((n, min(j1 - j0, _COLUMNS)))
+    for j in range(j0, j1, _COLUMNS):
         rng.bit_generator.state = start
-        block = scratch[:, : min(_COLUMNS, n - j0)]
-        _random_columns(n, density, rng, j0, block)
-        counts.append(np.count_nonzero(block))
+        block = scratch[:, : min(_COLUMNS, j1 - j)]
+        _random_columns(n, density, rng, j, block)
+        counts[j] = np.count_nonzero(block)
         yield block
 
 

@@ -6,7 +6,12 @@ the Matrix Market writer formats a fixed number of entries at a time, so its
 memory does not grow with the order or the number of nonzeros.  It writes
 an array body from column blocks: a held matrix gives its own array as one
 block, and ``gen random`` gives blocks drawn into one scratch array as the
-file is written, so that it never holds the n×n matrix.
+file is written, so that it never holds the n×n matrix.  ``gen random``
+also splits its columns into one part per usable CPU: each part after the
+first goes as raw doubles to a standard-library helper process
+(``_lines.py``), whose lines are copied after the first part's.  One
+formatter, :func:`_lines.lines`, writes every array value in either
+process, so the bytes do not depend on the split.
 A Matrix Market body is parsed in one ``np.loadtxt`` call, into an array
 of its final size when the file can hold the entries its size line
 promises.  A body it refuses (a faulty line, but also a comment line) is
@@ -22,10 +27,14 @@ from __future__ import annotations
 
 import contextlib
 import os
+import sys
+import tempfile
 import warnings
 
 import numpy as np
 
+from . import _lines
+from ._lines import CHUNK as _CHUNK
 from .errors import DuplicateEntryError, MatrixParseError
 from .matcore import NonnegMatrix, _adopt_dense, _coordinates, _dense_view, _entries
 
@@ -240,7 +249,8 @@ def read_csv(path) -> NonnegMatrix:
 def write_matrix_market(A: NonnegMatrix, path_or_file) -> None:
     """Write A in Matrix Market format: array for dense storage, coordinate for CSR."""
     if A.storage == "dense":
-        _write_array(A.n, [_dense_view(A)], path_or_file)
+        D = _dense_view(A)
+        _write_array(A.n, lambda j0, j1: [D[:, j0:j1]], path_or_file)
         return
     rows, cols, values = _entries(A)
     with _opened(path_or_file) as fh:
@@ -262,24 +272,67 @@ def _opened(path_or_file):
     return open(path_or_file, "w", encoding="ascii", newline="\n")
 
 
-# entries per %-format call, so the writer holds a few kB whatever the order
-# or the nonzero count; chunks of 32 to 192 entries gave a `gen random --n 1000`
-# process its lowest peak RSS, and 512 or 1024 one MB more (see CHANGES.md)
-_CHUNK = 128
+# bytes of a helper's lines copied to the output per write
+_COPY = 1 << 16
+# the helper that formats a part of an array body: this interpreter, isolated
+# and without site, running _lines.py on its own (sys.executable may be empty)
+_HELPER = [sys.executable, "-I", "-S", os.path.join(os.path.dirname(__file__), "_lines.py")]
 
 
-def _write_array(n: int, blocks, path_or_file) -> None:
-    """Write the n×n matrix whose column blocks, left to right, are the
-    (n, w) arrays ``blocks`` yields, in the array layout.
+def _write_array(n: int, blocks, path_or_file, cuts=()) -> None:
+    """Write the n×n matrix in the array layout; ``blocks(j0, j1)`` yields
+    the (n, w) column blocks of its columns j0 .. j1 - 1, left to right.
 
-    Each block is formatted as it arrives, so a caller that draws its
-    blocks into one scratch array never holds the matrix.
+    ``cuts`` splits the columns into parts: 0 .. cuts[0] - 1, then up to
+    each later cut, then up to n.  Each part after the first is drawn
+    first, column by column, as raw doubles into an anonymous temporary
+    file, and a helper process (:data:`_HELPER`) formats it into a second
+    one while this process formats the first part; the helpers' lines
+    then follow, _COPY bytes a write.  Every value, here or in a helper,
+    goes through :func:`_lines.lines`, so the bytes do not depend on the
+    cuts.  If a helper cannot be set up, every part is formatted here; a
+    helper that fails raises OSError.  No helper outlives the call.  Each
+    block is formatted or written out as it arrives, so a caller that
+    draws its blocks into one scratch array never holds the matrix.
     """
-    with _opened(path_or_file) as fh:
+    bounds = (0, *cuts, n) if _HELPER[0] else (0, n)
+    with _opened(path_or_file) as fh, contextlib.ExitStack() as helpers:
         fh.write(f"%%MatrixMarket matrix array real general\n{n} {n}\n")
+        try:
+            started = [_start(blocks(j0, j1), j0, j1, helpers) for j0, j1 in zip(bounds[1:], bounds[2:])]
+        except OSError:  # no temporary file, or no helper process: every part here
+            helpers.close()
+            bounds, started = (0, n), []
+        _format(blocks(0, bounds[1]), fh)
+        for proc, out, message in started:
+            if code := proc.wait():
+                raise OSError(f"{message} exited with status {code}")
+            out.seek(0)
+            while chunk := out.read(_COPY):
+                fh.write(chunk.decode("ascii"))
+
+
+def _format(blocks, fh) -> None:
+    """Write the lines of the column blocks to fh, column by column."""
+    for block in blocks:
+        flat = block.T.flat  # the array layout is column-major
+        for s in range(0, block.size, _CHUNK):
+            fh.write(_lines.lines(flat[s : s + _CHUNK].tolist()))
+
+
+def _start(blocks, j0, j1, helpers):
+    """Start a helper on columns j0 .. j1 - 1, whose blocks are given;
+    return it, the file it writes its lines to, and its name for errors.
+    helpers closes both and kills and waits for the helper."""
+    import subprocess  # only gen random starts a process; other commands skip the import
+
+    with tempfile.TemporaryFile() as raw:
         for block in blocks:
-            flat = block.T.flat  # the array layout is column-major
-            for s in range(0, block.size, _CHUNK):
-                # %-format _CHUNK lines at a time: the bytes of a per-value f"{v:.17g}" loop
-                chunk = flat[s : s + _CHUNK].tolist()
-                fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))
+            for column in block.T:
+                raw.write(column.tobytes())
+        raw.seek(0)
+        out = helpers.enter_context(tempfile.TemporaryFile())
+        proc = helpers.enter_context(
+            subprocess.Popen(_HELPER, stdin=raw, stdout=out, stderr=subprocess.DEVNULL))
+    helpers.callback(proc.kill)  # runs before Popen's exit waits: a helper never outlives the writer
+    return proc, out, f"the helper formatting columns {j0 + 1} to {j1}"

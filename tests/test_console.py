@@ -1,12 +1,19 @@
 """The console checks, run in-process through ``cli.main`` on files that a
 module fixture writes once."""
 
+import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import perronkit.cli
+import perronkit.io
 from perronkit import SolverConfig, from_coordinates, random_primitive, read_matrix_market, write_matrix_market
 from perronkit.cli import main
 
@@ -207,3 +214,57 @@ def test_the_tail_after_a_full_body_is_read(tmp_path, capsys, long_bodies, layou
     else:
         path.write_text(text + "% one\n\n% two\n")
         assert result_text(capsys, argv) == result_text(capsys, ["perron", "--json", str(long_bodies[layout])])
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """gen random on two usable CPUs; the list of the helper processes it starts."""
+    monkeypatch.setattr(perronkit.cli, "_usable_cpus", lambda: 2)
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    yield started
+    with pytest.raises(ChildProcessError):  # no process outlives gen
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_helper_that_fails_is_one_error_line(tmp_path, capsys, monkeypatch, helpers):
+    monkeypatch.setattr(perronkit.io, "_HELPER", [sys.executable, "-c", "raise SystemExit(3)"])
+    assert main(["gen", "random", "--n", "513", "--seed", "0", "-o", str(tmp_path / "g.mtx")]) == 1
+    assert capsys.readouterr().err == "error: the helper formatting columns 257 to 513 exited with status 3\n"
+    assert [proc.returncode for proc in helpers] == [3]
+
+
+class _FailingStream(io.StringIO):
+    """A stream whose write fails after a number of writes."""
+
+    def __init__(self, writes):
+        super().__init__()
+        self.writes = writes
+
+    def write(self, text):
+        self.writes -= 1
+        if self.writes < 0:
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+def test_a_failing_output_kills_the_helper(capsys, monkeypatch, helpers):
+    # the output fails 50 chunks into the first part's 512 000 values, long
+    # before the helper could format its 488 000
+    monkeypatch.setattr(sys, "stdout", _FailingStream(50))
+    assert main(["gen", "random", "--n", "1000", "--seed", "0", "-o", "-"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert [proc.returncode for proc in helpers] == [-signal.SIGKILL]
+
+
+def test_an_output_that_cannot_be_opened_starts_no_helper(tmp_path, capsys, helpers):
+    path = tmp_path / "missing" / "g.mtx"
+    assert main(["gen", "random", "--n", "1000", "--seed", "0", "-o", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert helpers == []

@@ -1,10 +1,14 @@
 import hashlib
+import io
+import os
+import subprocess
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import perronkit.cli
 import perronkit.io
 from conftest import SAMPLE3_ROWS
 from oracles import det_cofactor
@@ -160,13 +164,93 @@ def test_generated_file_bytes_are_pinned_past_a_row_block(tmp_path, capsys):
 def test_generated_file_bytes_are_pinned_at_the_column_blocks(tmp_path, capsys, n, digest):
     # gen random draws and writes 256 columns at a time: one block one column
     # short, a full block and one column, two full blocks and one column;
-    # the digests are those of the generator that held the whole matrix
+    # the digests are those of the generator that held the whole matrix.
+    # With two usable CPUs, n = 513 formats its last 257 columns in a helper
     path = tmp_path / "g.mtx"
     assert main(["gen", "random", "--n", str(n), "--seed", "0", "-o", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     capsys.readouterr()
     assert main(["gen", "random", "--n", str(n), "--seed", "0", "-o", "-"]) == 0
     assert capsys.readouterr().out.encode("ascii") == path.read_bytes()
+
+
+def _count_helpers(monkeypatch):
+    """A list that gains one entry per helper io._write_array starts."""
+    started = []
+    start = perronkit.io._start
+
+    def counted(*args):
+        started.append(args[1:3])
+        return start(*args)
+
+    monkeypatch.setattr(perronkit.io, "_start", counted)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", [513, 1000])
+def test_generated_bytes_do_not_depend_on_the_usable_cpus(tmp_path, capsys, monkeypatch, n, cpus):
+    # k = min(cpus, n // 256) parts of whole blocks; the parts after the
+    # first are formatted by helper processes and copied after it
+    monkeypatch.setattr(perronkit.cli, "_usable_cpus", lambda: cpus)
+    started = _count_helpers(monkeypatch)
+    A = random_primitive(n, 0.5, 6)
+    expected = io.StringIO(newline="\n")
+    write_matrix_market(A, expected)
+    path = tmp_path / "g.mtx"
+    assert main(["gen", "random", "--n", str(n), "--seed", "6", "-o", str(path)]) == 0
+    assert path.read_bytes() == expected.getvalue().encode("ascii")
+    assert capsys.readouterr().err == f"wrote {n}x{n} matrix ({A.nnz} stored entries) to {path}\n"
+    assert main(["gen", "random", "--n", str(n), "--seed", "6", "-o", "-"]) == 0
+    assert capsys.readouterr().out == expected.getvalue()
+    parts = {(513, 1): [], (513, 2): [(256, 513)], (513, 3): [(256, 513)], (1000, 1): [],
+             (1000, 2): [(512, 1000)], (1000, 3): [(256, 512), (512, 1000)]}[n, cpus]
+    assert started == 2 * parts  # the file, then stdout
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_gen_random_holds_one_scratch_block_beside_its_helpers(tmp_path, capsys, monkeypatch, cpus):
+    # the parts are drawn one after another, each into a scratch array of
+    # its own, and each column goes out as it is drawn; the copy of the
+    # helpers' lines starts once the last scratch array is gone.  Without
+    # helpers the n = 1000 peak sat 139-157 kB over the scratch array; with
+    # them 136-156 kB.  A 64 kB copy chunk held beside it would pass 200 kB
+    n = 1000
+    monkeypatch.setattr(perronkit.cli, "_usable_cpus", lambda: cpus)
+    argv = ["gen", "random", "--n", str(n), "--seed", "0", "-o", str(tmp_path / "g.mtx")]
+    assert main(argv) == 0  # a first run also imports what gen imports on first use
+    assert _peak(lambda: main(argv)) < 8 * n * perronkit.cli._COLUMNS + 200_000
+
+
+@pytest.mark.parametrize("fault", ["no interpreter", "spawn error", "no temporary file"])
+def test_a_helper_that_cannot_be_set_up_leaves_every_part_here(tmp_path, capsys, monkeypatch, fault):
+    n = 1000
+    monkeypatch.setattr(perronkit.cli, "_usable_cpus", lambda: 3)
+    if fault == "no interpreter":
+        monkeypatch.setattr(perronkit.io, "_HELPER", ["", *perronkit.io._HELPER[1:]])
+    elif fault == "spawn error":  # the second of two helpers; the first is killed and waited for
+        spawned = []
+
+        class SecondRefused(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                if spawned:
+                    raise OSError(11, "Resource temporarily unavailable")
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", SecondRefused)
+    else:
+        def refused(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(perronkit.io.tempfile, "TemporaryFile", refused)
+    expected = io.StringIO(newline="\n")
+    write_matrix_market(random_primitive(n, 0.5, 2), expected)
+    assert main(["gen", "random", "--n", str(n), "--seed", "2", "-o", "-"]) == 0
+    assert capsys.readouterr().out == expected.getvalue()
+    if fault == "spawn error":
+        assert spawned[0].returncode is not None
+    with pytest.raises(ChildProcessError):  # no process outlives gen
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_generated_coordinate_file_bytes_are_pinned(tmp_path, capsys):
