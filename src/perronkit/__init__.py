@@ -43,7 +43,7 @@ from .matcore import (
     tridiagonal,
     tridiagonal_eigs,
 )
-from .primitivity import is_irreducible, is_primitive, wielandt_bound
+from .primitivity import is_irreducible, is_primitive, period, wielandt_bound
 from .solver import (
     ConvergenceHistory,
     PerronResult,

@@ -29,7 +29,7 @@ from .errors import PerronError
 from .io import _write_array, parse_matrix, write_matrix_market
 from .markov import StochasticMatrix, damp, make_stochastic, stationary
 from .matcore import NonnegMatrix, Side, _dense_view, _entries, _random_args, _random_columns, tridiagonal
-from .primitivity import is_irreducible, is_primitive, wielandt_bound
+from .primitivity import period, wielandt_bound
 from .solver import PerronResult, SolverConfig, Status, algorithm_a
 
 _STATUS_EXIT = {Status.CONVERGED: 0, Status.STAGNATED: 2, Status.MAX_ITERATIONS: 3}
@@ -168,9 +168,11 @@ def _bounds(A: NonnegMatrix, args):
 
 
 def _primitivity(A: NonnegMatrix, args):
+    p = period(A)
     result = {
-        "irreducible": is_irreducible(A),
-        "primitive": is_primitive(A),
+        "irreducible": p is not None,
+        "primitive": p == 1,
+        "period": p,
         "wielandt_bound": wielandt_bound(A.n),
     }
     return {}, result, 0, None

@@ -6,8 +6,8 @@ primitive when it is irreducible with period 1, the period being the gcd of
 its cycle lengths.  With level[v] the breadth-first distance from node 0,
 the period of a strongly connected graph is the gcd of
 level[u] + 1 - level[v] over its edges u -> v (Denardo, Math. Oper. Res.
-1977; Jarvis & Shier, 1999).  Both tests read the edges from ``_entries``
-and run in O(n + nnz); they never form matrix powers.
+1977; Jarvis & Shier, 1999).  :func:`period`, which both tests read, makes
+two searches over ``_entries`` in O(n + nnz) and forms no matrix power.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .matcore import NonnegMatrix, _entries
 
 __all__ = [
     "wielandt_bound",
+    "period",
     "is_irreducible",
     "is_primitive",
 ]
@@ -44,8 +45,8 @@ def _levels(src: np.ndarray, dst: np.ndarray, n: int) -> list[int]:
     return level
 
 
-def _period(A: NonnegMatrix) -> int | None:
-    """Period of A's graph, None when A is reducible; 0 when the graph has no cycle."""
+def period(A: NonnegMatrix) -> int | None:
+    """Period of A's graph: None when A is reducible, 0 for the order-1 zero matrix."""
     src, dst, _ = _entries(A)
     level = _levels(src, dst, A.n)
     if -1 in level or -1 in _levels(dst, src, A.n):
@@ -56,7 +57,7 @@ def _period(A: NonnegMatrix) -> int | None:
 
 def is_irreducible(A: NonnegMatrix) -> bool:
     """True when the graph of A is strongly connected (every order-1 matrix is)."""
-    return _period(A) is not None
+    return period(A) is not None
 
 
 def is_primitive(A: NonnegMatrix) -> bool:
@@ -64,4 +65,4 @@ def is_primitive(A: NonnegMatrix) -> bool:
 
     The first such power is at most :func:`wielandt_bound` (n).
     """
-    return _period(A) == 1
+    return period(A) == 1

@@ -40,8 +40,8 @@ spread stops shrinking the loop runs the exact test
 :func:`~perronkit.primitivity.is_primitive` once: an imprimitive matrix
 stops as ``Status.STAGNATED``, while a primitive one that merely converges
 slowly keeps iterating.  A run whose y or A y leaves the normal
-floating-point range (on reducible input) also stops as ``STAGNATED``, with
-the last accurate step.
+floating-point range also stops as ``STAGNATED``, with the last accurate
+step, on reducible and primitive input alike (ROADMAP item 17).
 
 The one stopping rule is the paper's: the run has converged once the
 balanced sums agree, that is once max r - min r is within the tolerance

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: determinants
 come from cofactor expansion, characteristic polynomials from the trace
 recursion, primitivity from stepwise boolean powers, irreducibility from a
-boolean transitive closure, stationary vectors from a linear solve, and
-eigenvalues from numpy's dense QR solver.  A random primitive matrix is
+boolean transitive closure, the period from the traces of boolean powers,
+stationary vectors from a linear solve, and eigenvalues from numpy's dense
+QR solver.  A random primitive matrix is
 drawn with a separate mask array and value array.  A damped chain is
 written out as the n×n matrix it stands for, and a transpose is rebuilt
 from the dense entries.  The reference balancing loop shares only the one-shot kernel
@@ -84,6 +85,23 @@ def irreducible_by_closure(arr) -> bool:
     for k in range(len(reach)):
         reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
     return bool(reach.all())
+
+
+def period_by_powers(arr):
+    """gcd of the k <= n with trace(A^k) > 0, by boolean powers; None when A is reducible.
+
+    Every cycle length is a sum of simple cycle lengths, each at most n, so
+    the gcd over k <= n is the gcd of all cycle lengths; 0 when there is none.
+    """
+    if not irreducible_by_closure(arr):
+        return None
+    p = (np.asarray(arr, dtype=float) > 0).astype(np.int64)
+    q, g = np.eye(len(p), dtype=np.int64), 0
+    for k in range(1, len(p) + 1):
+        q = ((q @ p) > 0).astype(np.int64)
+        if np.trace(q) > 0:
+            g = math.gcd(g, k)
+    return g
 
 
 def stationary_linear_solve(p) -> np.ndarray:

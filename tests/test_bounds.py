@@ -97,6 +97,12 @@ class TestMincBounds:
             if len(history) > 1:
                 stepped += 1
                 assert minc_bounds(A, side) == (history.rmin[1], history.rmax[1])
+            # the report reads both intervals of a side off one such step
+            rep = bounds_report(A)
+            name = "row" if side is Side.ROW else "col"
+            for got, want in ((getattr(rep, f"frobenius_{name}"), frobenius_bounds(A, side)),
+                              (getattr(rep, f"minc_{name}"), minc_bounds(A, side))):
+                assert [x.hex() for x in got] == [x.hex() for x in want]
         assert stepped >= 30
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import perronkit.cli
+import perronkit.primitivity
 import perronkit.solver
 from conftest import PERIODIC3_ROWS, SAMPLE3_ROWS
-from perronkit import from_dense, tridiagonal, write_matrix_market
+from perronkit import from_dense, period, tridiagonal, write_matrix_market
 from perronkit.cli import main
 
 # perron output on sample3 with the default flags (column side), pinned to
@@ -257,11 +258,44 @@ class TestPrimitivityCommand:
     def test_periodic3(self, capsys, periodic3_file):
         code, payload = run_json(capsys, ["primitivity", periodic3_file])
         assert code == 0
-        assert payload == {"irreducible": True, "primitive": False, "wielandt_bound": 5}
+        # the 3x3 bipartite path: every cycle has even length
+        assert payload == {"irreducible": True, "primitive": False, "period": 2, "wielandt_bound": 5}
 
     def test_sample3(self, capsys, sample3_file):
         _, payload = run_json(capsys, ["primitivity", sample3_file])
         assert payload["primitive"] is True
+
+    @pytest.mark.parametrize("rows", [
+        SAMPLE3_ROWS, PERIODIC3_ROWS, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[0]], [[1, 1], [0, 1]],
+    ], ids=["primitive", "period2", "cycle3", "zero1x1", "reducible"])
+    def test_period_member_is_the_period(self, capsys, tmp_path, rows):
+        A = from_dense(rows)
+        path = tmp_path / "m.mtx"
+        write_matrix_market(A, path)
+        _, payload = run_json(capsys, ["primitivity", str(path)])
+        p = period(A)
+        assert (payload["period"], payload["irreducible"], payload["primitive"]) == (p, p is not None, p == 1)
+
+    def test_searches_the_graph_twice(self, capsys, monkeypatch, sample3_file):
+        # one forward and one backward search answer both questions
+        searches = []
+        levels = perronkit.primitivity._levels
+        monkeypatch.setattr(perronkit.primitivity, "_levels", lambda *a: searches.append(a) or levels(*a))
+        run_json(capsys, ["primitivity", sample3_file])
+        assert len(searches) == 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
+def test_perron_converges_on_what_primitivity_calls_primitive(capsys, tmp_path):
+    # primitive, but its Perron vector spans more than the float64 range;
+    # the solver leaves that range on the way and stops early
+    n, path = 20, tmp_path / "wide.mtx"
+    arr = np.diag(np.arange(1.0, n + 1)) + 1e-20 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    write_matrix_market(from_dense(arr), path)
+    _, structure = run_json(capsys, ["primitivity", str(path)])
+    code, record = run_json(capsys, ["perron", "--json", str(path)])
+    assert structure["primitive"] is True
+    assert (code, record["result"]["status"]) == (0, "converged")
 
 
 class TestStationaryCommand:

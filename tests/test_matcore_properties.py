@@ -17,7 +17,7 @@ from perronkit import PerronError, Side, from_coordinates, from_dense, rank_one_
 from perronkit.errors import DomainError, DuplicateEntryError
 from perronkit.markov import make_stochastic
 from perronkit.matcore import _ROW_LEAST, _ROW_SCRATCH, _SLOT_FILL, NonnegMatrix, _csr, _entries, _kernel, _like
-from perronkit.primitivity import _period
+from perronkit.primitivity import period
 
 
 @pytest.mark.parametrize("side", list(Side), ids=lambda side: side.value)
@@ -190,7 +190,7 @@ def test_entry_view_jobs_agree_across_storages(n, density, seed, pair):
         assert _outcome(job, dense) == _outcome(job, csr)
     for A in (dense, csr):
         assert _outcome(lambda A: _like(A, *_entries(A)), A) == (A.nnz, A.to_dense().tobytes())
-    assert _period(dense) == _period(csr)
+    assert period(dense) == period(csr)
 
 
 def _built(n, rows, cols, values):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import irreducible_by_closure, primitive_by_stepwise_powers
+from conftest import PERIODIC3_ROWS
+from oracles import irreducible_by_closure, period_by_powers, primitive_by_stepwise_powers
 from perronkit import (
     SolverConfig,
     Side,
@@ -10,6 +11,7 @@ from perronkit import (
     from_dense,
     is_irreducible,
     is_primitive,
+    period,
     random_primitive,
     rank_one_hadamard,
     tridiagonal,
@@ -75,6 +77,31 @@ class TestPrimitive:
             B = rank_one_hadamard(A, np.reciprocal(d), d)
             assert is_primitive(A) == is_primitive(B)
             assert is_irreducible(A) == is_irreducible(B)
+
+
+class TestPeriod:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_cycle_of_length_k(self, k):
+        assert period(from_dense(np.roll(np.eye(k), 1, axis=1))) == k
+
+    @pytest.mark.parametrize("rows, expected", [(PERIODIC3_ROWS, 2), ([[0.0]], 0), ([[1.0, 1.0], [0.0, 1.0]], None)],
+                             ids=["periodic3", "zero1x1-no-cycle", "reducible"])
+    def test_known_periods(self, rows, expected):
+        assert period(from_dense(rows)) == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_block_cyclic(self, p):
+        # edges only from block b to block b + 1 (mod p), dense enough to be irreducible
+        rng = np.random.default_rng(p)
+        blocks = np.repeat(np.arange(p), 3)
+        arr = np.where((blocks[None, :] - blocks[:, None]) % p == 1, rng.uniform(0.5, 2.0, (3 * p, 3 * p)), 0.0)
+        assert period(from_dense(arr)) == period_by_powers(arr) == p
+
+    def test_primitive_with_a_perron_vector_wider_than_float64(self):
+        # the matrix on which perron stops STAGNATED (ROADMAP item 17)
+        n = 20
+        A = from_dense(np.diag(np.arange(1.0, n + 1)) + 1e-20 * (np.eye(n, k=1) + np.eye(n, k=-1)))
+        assert period(A) == 1
 
 
 class TestWielandtBound:

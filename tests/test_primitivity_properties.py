@@ -7,8 +7,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import irreducible_by_closure, primitive_by_stepwise_powers, transposed
-from perronkit import from_coordinates, from_dense, is_irreducible, is_primitive, wielandt_bound
+from oracles import irreducible_by_closure, period_by_powers, primitive_by_stepwise_powers, transposed
+from perronkit import from_coordinates, from_dense, is_irreducible, is_primitive, period, wielandt_bound
 
 
 @st.composite
@@ -24,11 +24,10 @@ def patterns(draw):
 @given(arr=patterns(), storage=st.sampled_from(["dense", "csr"]))
 def test_structure_tests_match_oracles(arr, storage):
     n = len(arr)
-    if storage == "dense":
-        A = from_dense(arr)
-    else:
-        rows, cols = np.nonzero(arr)
-        A = from_coordinates(n, rows, cols, arr[rows, cols])
+    rows, cols = np.nonzero(arr)
+    dense, csr = from_dense(arr), from_coordinates(n, rows, cols, arr[rows, cols])
+    A = dense if storage == "dense" else csr
     assert is_primitive(A) == primitive_by_stepwise_powers(arr, wielandt_bound(n))
     assert is_irreducible(A) == irreducible_by_closure(arr)
     assert is_primitive(A) == is_primitive(transposed(A))
+    assert period(dense) == period(csr) == period_by_powers(arr)
