@@ -16,6 +16,7 @@ read-only ``_dense_view``.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -171,7 +172,8 @@ def _adopt_dense(arr) -> NonnegMatrix:
     """
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise NotSquareError(f"expected a square matrix, got shape {arr.shape}")
-    if not (arr.min() >= 0 and arr.max() < np.inf):  # nan fails both; no n x n mask on valid input
+    largest = arr.max()
+    if not (arr.min() >= 0 and largest < np.inf):  # nan fails both; no n x n mask on valid input
         bad = np.argwhere(~np.isfinite(arr))
         if bad.size:
             i, j = map(int, bad[0])
@@ -179,11 +181,19 @@ def _adopt_dense(arr) -> NonnegMatrix:
         i, j = map(int, np.argwhere(arr < 0)[0])
         raise NegativeEntryError(i, j, float(arr[i, j]))
     arr += 0.0  # in place: normalizes -0.0 so stored zeros compare equal
-    return _finite_sums(NonnegMatrix(arr.shape[0], dense=arr))
+    return _finite_sums(NonnegMatrix(arr.shape[0], dense=arr), largest)
 
 
-def _finite_sums(A: NonnegMatrix) -> NonnegMatrix:
-    """A itself, once no row or column sum overflows to inf."""
+def _finite_sums(A: NonnegMatrix, largest) -> NonnegMatrix:
+    """A itself, once no row or column sum overflows to inf.
+
+    ``largest`` is A's largest entry.  A rounded sum of n terms, each at
+    most ``largest``, stays below 2 n ``largest`` while n 2⁻⁵³ < 1/2, so
+    when that bound is finite no sum is taken.  The product is taken in
+    Python floats, which overflow to inf without a warning.
+    """
+    if math.isfinite(2.0 * A.n * float(largest)):
+        return A
     for side, name in ((Side.ROW, "row"), (Side.COLUMN, "column")):
         with np.errstate(over="ignore"):
             over = np.flatnonzero(np.isinf(sums(A, side)))
@@ -230,7 +240,8 @@ def _coordinates(n, rows, cols, values, owned) -> NonnegMatrix:
     values = np.array(values, dtype=np.float64, copy=copy)
     if not (len(rows) == len(cols) == len(values)):
         raise NotSquareError("coordinate arrays have unequal lengths")
-    if len(values) and not (values.min() >= 0 and values.max() < np.inf):  # no mask on valid input
+    largest = values.max(initial=0.0)
+    if not (values.min(initial=0.0) >= 0 and largest < np.inf):  # no mask on valid input
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             k = int(bad[0])
@@ -250,7 +261,7 @@ def _coordinates(n, rows, cols, values, owned) -> NonnegMatrix:
         k = dup[np.argmin(order[dup + 1])]  # lexsort is stable: the first repeat in input order
         raise DuplicateEntryError(int(rows[k]), int(cols[k]), int(order[k]), int(order[k + 1]))
     del order, dup  # before the sums, which need 16 bytes an entry more
-    return _finite_sums(_csr(n, rows, cols, values))
+    return _finite_sums(_csr(n, rows, cols, values), largest)
 
 
 def _row_major(rows, cols) -> bool:
@@ -266,11 +277,6 @@ def sums(A: NonnegMatrix, side: Side) -> np.ndarray:
     return _kernel(A, side)(np.ones(A.n))
 
 
-# doubles in the scratch block of a dense row-side kernel (32 KB), and the
-# fewest rows it holds: at n = 3000, 8 rows a block ran at the speed of 64
-# and 2 rows took three times as long
-_ROW_SCRATCH = 4096
-_ROW_LEAST = 8
 # a loop's CSR kernel pads each output's terms to K slots, K the most of any
 # output, when the K n slots are at most this many times the nnz terms: the
 # slots ran 25-50 % faster than bincount up to 1.5 nnz, and lost from about 2
@@ -286,17 +292,14 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
     ascending index order, so dense and CSR results are bit-identical, and
     the row side of A is the column side of Aᵀ bit for bit.  CSR runs
     np.bincount, which adds in input order; the row side swaps its bins
-    and gather index.  Dense runs an einsum on A: only this einsum,
-    without ``optimize``, adds row after row into the output and fuses no
-    multiply-add.  Axis-1 or transposed-view reductions and BLAS ``@``
-    round differently.  The dense row side copies no Aᵀ: each call copies
-    each (n, b) column block of Aᵀ in turn into one C-contiguous (n, b)
-    scratch block the kernel owns, b = min(n, max(8, 4096 // n)), so
-    32 KB up to n = 512 and 8 rows past it, and runs the einsum on it into
-    the matching b outputs, which add the same terms in the same order;
-    the scratch block makes the kernel one caller's at a time.  Every
-    block is b wide, the last one overlapping the one before it: on a
-    block one column wide einsum reduces in another order.  Every einsum
+    and gather index.  Dense runs one einsum on A, ``"ij,i->j"`` on the
+    column side and ``"ij,j->i"`` on the row side, the latter iterated in
+    Fortran order: both then run the output index innermost, so every
+    output adds its terms in ascending order of the summed index, one row
+    or one column of A after another, and neither fuses a multiply-add.
+    Axis-1 reductions, the row einsum in its default order and BLAS ``@``
+    round differently.  Neither side copies Aᵀ or holds scratch, so a
+    dense kernel keeps no state between calls.  Every einsum
     here is a call of its C entry point, which np.einsum without
     ``optimize`` makes too, minus its Python wrapper and dispatch.
 
@@ -335,23 +338,12 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
 
         return product if slots is None else slots
     D, n = A._dense, A.n
-    if side is Side.COLUMN:
-        def col_product(v, out=None):
-            return c_einsum("ij,i->j", D, v, out=np.empty(n) if out is None else out)
+    subscripts, order = ("ij,i->j", "K") if side is Side.COLUMN else ("ij,j->i", "F")
 
-        return col_product
-    b = min(n, max(_ROW_LEAST, _ROW_SCRATCH // n))
-    starts = [min(s, n - b) for s in range(0, n, b)]
-    block = np.empty((n, b))
+    def dense_product(v, out=None):
+        return c_einsum(subscripts, D, v, order=order, out=np.empty(n) if out is None else out)
 
-    def row_product(v, out=None):
-        out = np.empty(n) if out is None else out
-        for s in starts:
-            np.copyto(block, D[s : s + b].T)
-            c_einsum("ij,i->j", block, v, out=out[s : s + b])
-        return out
-
-    return row_product
+    return dense_product
 
 
 def _slot_product(n, bins, gather, data):
@@ -409,10 +401,11 @@ def rank_one_hadamard(A: NonnegMatrix, x, y) -> NonnegMatrix:
     data = np.ldexp(values * (mx[rows] * my[cols]), ex[rows] + ey[cols])
     keep = (rows == cols) & unit[rows]
     data[keep] = values[keep]
-    over = np.flatnonzero(np.isinf(data))
-    if over.size:
-        raise DomainError(f"entry ({rows[over[0]] + 1}, {cols[over[0]] + 1}) overflows; scale the matrix down")
-    return _finite_sums(_like(A, rows, cols, data))
+    largest = data.max(initial=0.0)
+    if largest == np.inf:
+        k = np.flatnonzero(np.isinf(data))[0]
+        raise DomainError(f"entry ({rows[k] + 1}, {cols[k] + 1}) overflows; scale the matrix down")
+    return _finite_sums(_like(A, rows, cols, data), largest)
 
 
 def tridiagonal(n: int, c: float, a: float, b: float) -> NonnegMatrix:

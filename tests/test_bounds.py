@@ -156,7 +156,7 @@ def test_report_builds_no_scaled_matrix(sample3, monkeypatch):
 
 
 def test_report_on_dense_storage_copies_no_transpose():
-    # the row-side sums and minc solve transpose a few rows into 32 kB at a time, never all of A
+    # the row-side sums and minc solve run one einsum over A itself and copy no transpose of it
     n = 400
     A = random_primitive(n, rng=3)
     tracemalloc.start()

@@ -52,7 +52,7 @@ def _peak(job) -> int:
 
 def test_dense_file_reads_into_one_n_by_n_array(tmp_path):
     # the body is parsed into an array of its final size, which becomes A,
-    # transposed in place; the row sums transpose 10 rows into 32 kB at a time
+    # transposed in place; validation takes no sum, as 2n times the largest entry is finite
     n = 400
     path = tmp_path / "r.mtx"
     write_matrix_market(random_primitive(n, rng=3), path)

@@ -1,9 +1,8 @@
 """Randomised agreement of the two storages: the dense kernel, either side,
 with the plain axis-0 reduction and with CSR, the loop's padded slot kernel
-with bincount and dense, the dense row sums, taken a block of rows at a
-time, with the row kernel, and the jobs that run on the entry view."""
-
-import math
+with bincount and dense, the dense row sums with the row kernel, the
+sum overflow check with the sums themselves, and the jobs that run on the
+entry view."""
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from oracles import transposed, vecmat_unblocked
 from perronkit import PerronError, Side, from_coordinates, from_dense, rank_one_hadamard, sums
 from perronkit.errors import DomainError, DuplicateEntryError
 from perronkit.markov import make_stochastic
-from perronkit.matcore import _ROW_LEAST, _ROW_SCRATCH, _SLOT_FILL, NonnegMatrix, _csr, _entries, _kernel, _like
+from perronkit.matcore import _SLOT_FILL, NonnegMatrix, _csr, _entries, _kernel, _like
 from perronkit.primitivity import period
 
 
@@ -27,6 +26,9 @@ from perronkit.primitivity import period
     density=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
+# large orders on either side of n ≈ 1500, where the row einsum's time per entry jumps
+@example(n=1000, density=0.5, seed=0)
+@example(n=2000, density=0.5, seed=1)
 def test_dense_vecmat_is_the_unblocked_reduction_bit_for_bit(side, n, density, seed):
     """Entries and vector components span e^±30, so every add rounds.  The
     row side is v -> A v, the column side of Aᵀ."""
@@ -84,17 +86,20 @@ def test_loop_kernel_is_bincount_and_dense_bit_for_bit(side, n, fill, heavy, see
             assert out.tobytes() == want.tobytes()
 
 
-def test_dense_vecmat_fuses_no_multiply_add():
-    """(1 + 2⁻³⁰)(1 − 2⁻³⁰) rounds to 1, so the column sums to 0 exactly; a
-    fused multiply-add would keep the product exact and return -2⁻⁶⁰."""
+@pytest.mark.parametrize("side", [Side.COLUMN, Side.ROW])
+def test_dense_vecmat_fuses_no_multiply_add(side):
+    """(1 + 2⁻³⁰)(1 − 2⁻³⁰) rounds to 1, so output 0, which adds -1 and
+    then that product, is 0 exactly; a fused multiply-add would keep the
+    product exact and return -2⁻⁶⁰.  The row side runs on the transpose."""
     eps = 2.0**-30
-    D = np.array([[1.0, 0.0], [1.0 + eps, 0.0]])
+    M = np.array([[1.0, 0.0], [1.0 + eps, 0.0]])
+    D = M if side is Side.COLUMN else np.ascontiguousarray(M.T)
     v = np.array([-1.0, 1.0 - eps])
-    got = _kernel(from_dense(D))(v)
+    got = _kernel(from_dense(D), side)(v)
     assert got.tobytes() == np.zeros(2).tobytes()
-    assert got.tobytes() == vecmat_unblocked(D, v).tobytes()
+    assert got.tobytes() == vecmat_unblocked(M, v).tobytes()
     i, j = np.nonzero(D)
-    assert got.tobytes() == _kernel(from_coordinates(2, i, j, D[i, j]))(v).tobytes()
+    assert got.tobytes() == _kernel(from_coordinates(2, i, j, D[i, j]), side)(v).tobytes()
 
 
 @pytest.mark.parametrize("side", [Side.COLUMN, Side.ROW])
@@ -114,21 +119,20 @@ def test_slot_kernel_fuses_no_multiply_add(side):
     assert got.tobytes() == _kernel(A, side)(np.array([-1.0, 1.0 - eps])).tobytes()
 
 
-# the dense row kernel's block edges: the largest order that is one block,
-# the next, blocks that split n exactly (128, 32 rows a block) or whose last
-# one overlaps all but 5 columns (129, 31 rows), and an order past the
-# fewest rows a block (513, 8 rows)
-_ONE_BLOCK = math.isqrt(_ROW_SCRATCH)
-_BLOCK_EDGES = [1, 2, _ONE_BLOCK, _ONE_BLOCK + 1, 128, 129, _ROW_SCRATCH // _ROW_LEAST + 1]
+# orders of one and two, powers of two, and the orders just past them,
+# where a vectorised inner loop leaves a remainder
+_ORDERS = [1, 2, 64, 65, 128, 129, 513]
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    n=st.sampled_from(_BLOCK_EDGES) | st.integers(1, 2 * _ONE_BLOCK),
+    n=st.sampled_from(_ORDERS) | st.integers(1, 128),
     density=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
     overflow=st.booleans(),
 )
+@example(n=1000, density=0.5, seed=0, overflow=True)  # as in the test above
+@example(n=2000, density=0.5, seed=1, overflow=True)
 def test_dense_row_sums_are_the_row_kernel_bit_for_bit(n, density, seed, overflow):
     """Entries span e^±30, so every add rounds.  With ``overflow`` one row
     holds 2^969 twice and then the largest double: added in ascending order
@@ -149,6 +153,48 @@ def test_dense_row_sums_are_the_row_kernel_bit_for_bit(n, density, seed, overflo
     if big is not None:
         with pytest.raises(DomainError, match=f"^row {big + 1} sum overflows"):
             from_dense(D)
+
+
+_FMAX = np.finfo(np.float64).max
+
+
+def _validated(build):
+    """"ok" when build() returns, else the type and message of the error it raised."""
+    try:
+        build()
+    except PerronError as exc:
+        return type(exc), str(exc)
+    return "ok"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    density=st.floats(0.0, 1.0),
+    scale=st.floats(0.25, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sum_overflow_check_is_the_sums_rule(n, density, scale, seed):
+    """The largest entry is scale fmax / n (fmax at most), the others lie
+    within a factor 2 below it.  Under fmax / (2n) the check takes no sum;
+    above it the sums decide, and past fmax / n a full row or column
+    overflows.  Both storages accept exactly what has every row and column
+    sum finite, and otherwise name the first row, or else the first
+    column, whose sum overflows."""
+    rng = np.random.default_rng(seed)
+    largest = min(scale / n, 1.0) * _FMAX
+    D = np.where(rng.random((n, n)) < density, largest * 2.0 ** -rng.uniform(0.0, 1.0, (n, n)), 0.0)
+    D[rng.integers(n), rng.integers(n)] = largest
+    want = "ok"
+    with np.errstate(over="ignore"):
+        for name, M in (("row", np.ascontiguousarray(D.T)), ("column", D)):
+            over = np.flatnonzero(np.isinf(vecmat_unblocked(M, np.ones(n))))
+            if over.size:
+                want = DomainError, f"{name} {over[0] + 1} sum overflows; scale the matrix down"
+                break
+    i, j = np.nonzero(D)
+    assert _validated(lambda: from_dense(D)) == want
+    assert _validated(lambda: from_coordinates(n, i, j, D[i, j])) == want
 
 
 def _outcome(job, A):

@@ -189,7 +189,7 @@ class TestAlgorithmB:
         assert peak <= n * n + 4096
 
     def test_dense_row_solve_copies_no_transpose(self):
-        # the row kernel transposes a few rows at a time into 32 kB; a full copy of Aᵀ is 8n² bytes
+        # the row kernel is one einsum over A itself; a full copy of Aᵀ is 8n² bytes
         n = 400
         A = random_primitive(n, rng=3)
         tracemalloc.start()
