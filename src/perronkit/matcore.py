@@ -172,16 +172,24 @@ def _adopt_dense(arr) -> NonnegMatrix:
     """
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise NotSquareError(f"expected a square matrix, got shape {arr.shape}")
-    largest = arr.max()
-    if not (arr.min() >= 0 and largest < np.inf):  # nan fails both; no n x n mask on valid input
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            i, j = map(int, bad[0])
-            raise NonFiniteEntryError(i, j, float(arr[i, j]))
-        i, j = map(int, np.argwhere(arr < 0)[0])
-        raise NegativeEntryError(i, j, float(arr[i, j]))
+    n = arr.shape[0]
+    largest = _checked_entries(arr.reshape(-1), lambda k: divmod(k, n))
     arr += 0.0  # in place: normalizes -0.0 so stored zeros compare equal
-    return _finite_sums(NonnegMatrix(arr.shape[0], dense=arr), largest)
+    return _finite_sums(NonnegMatrix(n, dense=arr), largest)
+
+
+def _checked_entries(values, at):
+    """max(values, 0.0), or NonFiniteEntryError at the first non-finite value,
+    else NegativeEntryError at the first negative one, with at(k) the (i, j)
+    of values[k].  Valid values cost one max and one min, and no mask."""
+    largest = values.max(initial=0.0)
+    if not (values.min(initial=0.0) >= 0 and largest < np.inf):  # nan fails both
+        bad = np.flatnonzero(~np.isfinite(values))
+        error = NonFiniteEntryError if bad.size else NegativeEntryError
+        k = int(bad[0] if bad.size else np.flatnonzero(values < 0)[0])
+        i, j = at(k)
+        raise error(int(i), int(j), float(values[k]))
+    return largest
 
 
 def _finite_sums(A: NonnegMatrix, largest) -> NonnegMatrix:
@@ -240,14 +248,7 @@ def _coordinates(n, rows, cols, values, owned) -> NonnegMatrix:
     values = np.array(values, dtype=np.float64, copy=copy)
     if not (len(rows) == len(cols) == len(values)):
         raise NotSquareError("coordinate arrays have unequal lengths")
-    largest = values.max(initial=0.0)
-    if not (values.min(initial=0.0) >= 0 and largest < np.inf):  # no mask on valid input
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            k = int(bad[0])
-            raise NonFiniteEntryError(int(rows[k]), int(cols[k]), float(values[k]))
-        k = int(np.flatnonzero(values < 0)[0])
-        raise NegativeEntryError(int(rows[k]), int(cols[k]), float(values[k]))
+    largest = _checked_entries(values, lambda k: (rows[k], cols[k]))
     if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
         raise NotSquareError(f"coordinate outside a {n}x{n} matrix")
     order = None if _row_major(rows, cols) else np.lexsort((cols, rows))

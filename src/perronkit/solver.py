@@ -61,7 +61,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ZeroSumError
-from .matcore import GerschgorinDisc, NonnegMatrix, Side, _dense_view, _entries, _kernel, rank_one_hadamard, sums
+from .matcore import GerschgorinDisc, NonnegMatrix, Side, _entries, _kernel, rank_one_hadamard, sums
 from .primitivity import is_primitive
 
 __all__ = [
@@ -243,7 +243,8 @@ class _Operator:
     the first included.  ``work`` is the multiply-adds of one ``apply``
     call, and ``least()`` the least positive factor it multiplies an entry
     of y by; the loop calls it once, at its first block of more than one
-    step.
+    step, which needs 2**17 // work >= 2: never for a dense matrix above
+    n = 256, or a damped dense chain above n = 255.
     ``primitive()`` answers whether K is primitive; the loop calls it at
     most once, when the spread stalls.  ``side`` only labels a
     ZeroSumError.
@@ -264,21 +265,13 @@ def _operator(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False) -> 
     :func:`~perronkit.matcore._kernel`'s loop kernel, on CSR a slot layout
     built here; a one-step run's one-shot kernel builds none.  A and Aᵀ
     are primitive together, so either side's exact test runs on A.
+    ``least()`` gathers a dense A's nonzeros by np.nonzero: 1.6 MB at n = 256.
     """
     work = A.n * A.n if A.storage == "dense" else A.nnz  # the kernel's multiply-adds
     return _Operator(
         _kernel(A, side, loop), A.n, work,
-        functools.partial(_least, A), functools.partial(is_primitive, A), side,
+        lambda: float(_entries(A)[2].min()), functools.partial(is_primitive, A), side,
     )
-
-
-def _least(A: NonnegMatrix) -> float:
-    """A's least positive entry.  On dense storage it takes a mask of A,
-    n² bytes, and not the index arrays of its nonzeros, 16 bytes each."""
-    if A.storage == "dense":
-        D = _dense_view(A)
-        return float(np.min(D, where=D > 0, initial=np.inf))
-    return float(_entries(A)[2].min())
 
 
 @np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED

@@ -16,10 +16,13 @@ rescaling y by a power of two at every step, where the solver runs blocks
 of steps between rescalings, and spells out each step with one reduction
 per guard.  The dense vᵀA is one n×n product reduced over axis 0,
 and Matrix Market files are written one value at a time.
+The one helper that is not a reference, :func:`traced_peak`, measures
+the memory the memory tests bound.
 """
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -30,6 +33,16 @@ from perronkit.solver import Status
 
 # the stall rule's window and factor, written out rather than imported
 STALL_WINDOW, STALL_FACTOR = 20, 0.999
+
+
+def traced_peak(job):
+    """(job(), the bytes held at job's tracemalloc peak, its result included)."""
+    tracemalloc.start()
+    try:
+        result = job()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def det_cofactor(arr) -> float:

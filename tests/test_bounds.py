@@ -1,12 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import perronkit.matcore
 import perronkit.solver
-from oracles import charpoly_coefficients, dominant_eigenvalue
+from oracles import charpoly_coefficients, dominant_eigenvalue, traced_peak
 from perronkit import (
     NotApplicableError,
     Side,
@@ -159,12 +158,7 @@ def test_report_on_dense_storage_copies_no_transpose():
     # the row-side sums and minc solve run one einsum over A itself and copy no transpose of it
     n = 400
     A = random_primitive(n, rng=3)
-    tracemalloc.start()
-    try:
-        bounds_report(A)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: bounds_report(A))
     assert peak < 8 * n * n / 4
 
 

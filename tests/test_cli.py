@@ -1,6 +1,5 @@
 import hashlib
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ import perronkit.cli
 import perronkit.primitivity
 import perronkit.solver
 from conftest import PERIODIC3_ROWS, SAMPLE3_ROWS
+from oracles import traced_peak
 from perronkit import from_dense, period, tridiagonal, write_matrix_market
 from perronkit.cli import main
 
@@ -208,12 +208,7 @@ class TestPerronCommand:
         t50 = tmp_path / "t50.mtx"
         write_matrix_market(tridiagonal(50, 1.0, 3.0, 2.0), t50)
         discs = tmp_path / "discs.csv"
-        tracemalloc.start()
-        try:
-            code = main(["perron", "--discs", str(discs), "--max-iter", "3000", str(t50)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(["perron", "--discs", str(discs), "--max-iter", "3000", str(t50)]))
         assert code == 3
         assert peak < 1_000_000
         with open(discs) as fh:
@@ -461,12 +456,7 @@ class TestGenCommand:
     def test_random_memory_does_not_grow_with_the_square_of_the_order(self, capsys, tmp_path, n):
         # the matrix is drawn and written 256 columns at a time through one
         # n x 256 scratch array (2 MB at n = 1000); holding it would take 8n²
-        tracemalloc.start()
-        try:
-            code = main(["gen", "random", "--n", str(n), "--seed", "3", "-o", str(tmp_path / "r.mtx")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(["gen", "random", "--n", str(n), "--seed", "3", "-o", str(tmp_path / "r.mtx")]))
         assert code == 0
         assert peak < 3_000_000
 

@@ -7,13 +7,13 @@ import os
 import signal
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import perronkit.cli
 import perronkit.io
+from oracles import traced_peak
 from perronkit import SolverConfig, from_coordinates, random_primitive, read_matrix_market, write_matrix_market
 from perronkit.cli import main
 
@@ -171,12 +171,7 @@ def test_a_size_line_past_its_body_reserves_nothing(tmp_path, capsys, text, mess
     # hold them; these size lines would reserve 3.2 GB, 74.5 GiB and 24 GB
     path = tmp_path / "short.mtx"
     path.write_text(text)
-    tracemalloc.start()
-    try:
-        code = main(["perron", "--json", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(["perron", "--json", str(path)]))
     assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
     assert peak < 2_000_000
 

@@ -2,7 +2,6 @@ import hashlib
 import io
 import os
 import subprocess
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 import perronkit.cli
 import perronkit.io
 from conftest import SAMPLE3_ROWS
-from oracles import det_cofactor
+from oracles import det_cofactor, traced_peak
 from perronkit import (
     MatrixParseError,
     NegativeEntryError,
@@ -40,23 +39,13 @@ def test_array_roundtrip(tmp_path, sample3):
     assert np.array_equal(sums(back, Side.ROW), [3.0, 5.5, 7.0])
 
 
-def _peak(job) -> int:
-    """Bytes job() holds at its tracemalloc peak, its result included."""
-    tracemalloc.start()
-    try:
-        job()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_dense_file_reads_into_one_n_by_n_array(tmp_path):
     # the body is parsed into an array of its final size, which becomes A,
     # transposed in place; validation takes no sum, as 2n times the largest entry is finite
     n = 400
     path = tmp_path / "r.mtx"
     write_matrix_market(random_primitive(n, rng=3), path)
-    assert _peak(lambda: read_matrix_market(path)) < 1.05 * 8 * n * n
+    assert traced_peak(lambda: read_matrix_market(path))[1] < 1.05 * 8 * n * n
 
 
 @pytest.mark.parametrize("n", [10_000, 50_000])
@@ -73,7 +62,7 @@ def test_coordinate_file_reads_in_48_bytes_an_entry(tmp_path, n, shuffled):
             f"{i + 1} {j + 1} {v!r}\n" for i, j, v in zip(rows.tolist(), cols.tolist(), values.tolist())))
     else:
         write_matrix_market(T, path)
-    peak = _peak(lambda: read_matrix_market(path))
+    peak = traced_peak(lambda: read_matrix_market(path))[1]
     assert peak <= 48 * T.nnz
 
 
@@ -82,7 +71,7 @@ def test_dense_csv_reads_into_one_n_by_n_array(tmp_path):
     n = 300
     path = tmp_path / "r.csv"
     np.savetxt(path, random_primitive(n, rng=3).to_dense(), fmt="%.17g", delimiter=",")
-    assert _peak(lambda: read_csv(path)) < 1.6 * 8 * n * n
+    assert traced_peak(lambda: read_csv(path))[1] < 1.6 * 8 * n * n
 
 
 @pytest.mark.parametrize(
@@ -122,7 +111,7 @@ def test_csv_read_is_bit_identical_as_its_table_grows(tmp_path, n):
 def test_dense_write_copies_no_n_by_n_array(tmp_path):
     n = 400
     A = random_primitive(n, rng=3)
-    assert _peak(lambda: write_matrix_market(A, tmp_path / "r.mtx")) < 8 * n * n / 4
+    assert traced_peak(lambda: write_matrix_market(A, tmp_path / "r.mtx"))[1] < 8 * n * n / 4
 
 
 @pytest.mark.parametrize(
@@ -135,7 +124,7 @@ def test_writer_memory_does_not_grow_with_the_order(tmp_path, make):
     # the writer formats a fixed number of entries at a time, so one bound
     # holds for both layouts at every order
     A = make()
-    assert _peak(lambda: write_matrix_market(A, tmp_path / "a.mtx")) < 100_000
+    assert traced_peak(lambda: write_matrix_market(A, tmp_path / "a.mtx"))[1] < 100_000
 
 
 def test_generated_file_bytes_are_pinned(tmp_path, capsys):
@@ -219,7 +208,7 @@ def test_gen_random_holds_one_scratch_block_beside_its_helpers(tmp_path, capsys,
     monkeypatch.setattr(perronkit.cli, "_usable_cpus", lambda: cpus)
     argv = ["gen", "random", "--n", str(n), "--seed", "0", "-o", str(tmp_path / "g.mtx")]
     assert main(argv) == 0  # a first run also imports what gen imports on first use
-    assert _peak(lambda: main(argv)) < 8 * n * perronkit.cli._COLUMNS + 200_000
+    assert traced_peak(lambda: main(argv))[1] < 8 * n * perronkit.cli._COLUMNS + 200_000
 
 
 @pytest.mark.parametrize("fault", ["no interpreter", "spawn error", "no temporary file"])
@@ -386,6 +375,21 @@ def test_malformed_csv_rejected(tmp_path):
     assert err.value.lineno == 1
 
 
+@pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["empty", "blank"])
+def test_csv_with_no_rows_is_an_empty_file(tmp_path, content):
+    path = tmp_path / "e.csv"
+    path.write_text(content)
+    with pytest.raises(MatrixParseError) as err:
+        read_csv(path)
+    assert (err.value.lineno, str(err.value)) == (1, "line 1: empty file")
+
+
+def test_csv_blank_lines_between_rows_skipped(tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text("\n1,2\n\n  \n3,4\n\n")
+    assert np.array_equal(read_csv(path).to_dense(), [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_comments_and_blank_lines_skipped(tmp_path):
     path = tmp_path / "c.mtx"
     path.write_text(
@@ -459,6 +463,7 @@ COORD = "%%MatrixMarket matrix coordinate real general\n"
         (COORD + "2 2\n", 2, "coordinate size line must be 'rows cols nnz', got '2 2'"),
         (ARRAY + "2 x\n", 2, "size line entries are not integers"),
         ("hello\n", 1, "not a Matrix Market header: 'hello'"),
+        ("%%MatrixMarket matrix vector real general\n2 2\n", 1, "unsupported layout 'vector'"),
     ],
 )
 def test_malformed_matrix_market_names_line_and_fault(tmp_path, content, lineno, message):

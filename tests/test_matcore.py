@@ -1,7 +1,6 @@
 import math
 import pathlib
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import pytest
 import perronkit.cli
 import perronkit.matcore
 from conftest import SAMPLE3_ROWS
-from oracles import all_eigenvalues, charpoly_coefficients, det_cofactor, random_primitive_two_arrays
+from oracles import all_eigenvalues, charpoly_coefficients, det_cofactor, random_primitive_two_arrays, traced_peak
 from perronkit import (
     NegativeEntryError,
     NonFiniteEntryError,
@@ -99,6 +98,20 @@ class TestConstruction:
         A = from_coordinates(3, [0, 0, 1, 2], [0, 2, 1, 1], [1.0, 2.0, 4.0, 5.0])
         assert np.array_equal(A.to_dense(), [[1, 0, 2], [0, 4, 0], [0, 5, 0]])
 
+    @pytest.mark.parametrize(
+        "rows, cols, values",
+        [([0, 1], [0], [1.0]), ([0], [0, 1], [1.0]), ([0], [0], [1.0, 2.0])],
+        ids=["rows", "cols", "values"],
+    )
+    def test_coordinates_of_unequal_lengths_are_refused(self, rows, cols, values):
+        with pytest.raises(NotSquareError, match="^coordinate arrays have unequal lengths$"):
+            from_coordinates(2, rows, cols, values)
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (2, 0), (0, 2), (0, 7)])
+    def test_coordinate_outside_the_matrix_is_refused(self, i, j):
+        with pytest.raises(NotSquareError, match="^coordinate outside a 2x2 matrix$"):
+            from_coordinates(2, [1, i], [1, j], [1.0, 1.0])
+
     def test_coordinates_drop_zeros_and_reject_duplicates(self):
         A = from_coordinates(2, [0, 1], [1, 0], [0.0, 3.0])
         assert A.nnz == 1
@@ -152,6 +165,12 @@ class TestConstruction:
         ]
         assert reads == []
 
+    def test_only_io_cli_and_baseline_import_the_dense_view(self):
+        # a solve reads dense and CSR storage alike, through _kernel and _entries
+        package = pathlib.Path(perronkit.matcore.__file__).parent
+        named = {path.stem for path in package.glob("*.py") if "_dense_view" in path.read_text(encoding="utf-8")}
+        assert named == {"matcore", "io", "cli", "baseline"}
+
     @pytest.mark.parametrize(
         "build, n",
         [
@@ -190,15 +209,10 @@ class TestSums:
                     assert np.array_equal(sums(dense, side), sums(csr, side))
 
     def test_dense_row_sums_copy_no_transpose(self):
-        # a block of rows is transposed at a time; a full copy of Aᵀ is 8n² bytes
+        # the row sums are one einsum over A itself; a full copy of Aᵀ is 8n² bytes
         n = 400
         A = random_primitive(n, rng=3)
-        tracemalloc.start()
-        try:
-            sums(A, Side.ROW)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: sums(A, Side.ROW))
         assert peak < 8 * n * n / 4
 
 
@@ -226,6 +240,12 @@ class TestRankOneHadamard:
         with pytest.raises(NonPositiveScaleError) as err:
             rank_one_hadamard(sample3, [1.0, 0.0, 1.0], np.ones(3))
         assert err.value.i == 1
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
+    def test_rejects_a_scale_of_the_wrong_shape(self, sample3, shape):
+        for x, y in ((np.ones(shape), np.ones(3)), (np.ones(3), np.ones(shape))):
+            with pytest.raises(DomainError, match=re.escape(f"scaling vector has shape {shape}, expected (3,)")):
+                rank_one_hadamard(sample3, x, y)
 
     def test_zero_pattern_preserved(self, sample3):
         B = rank_one_hadamard(sample3, [0.5, 2.0, 3.0], [7.0, 0.25, 1.0])
@@ -330,6 +350,10 @@ class TestTridiagonal:
         with pytest.raises(NotSquareError, match=f"got {order!r}$"):
             tridiagonal_eigs(order, 1.0, 3.0, 2.0)
 
+    def test_eigs_reject_bands_of_opposite_sign(self):
+        with pytest.raises(DomainError, match=r"^b\*c must be >= 0, got -2.0$"):
+            tridiagonal_eigs(5, 1.0, 3.0, -2.0)
+
     @pytest.mark.parametrize(
         "bands, error, at",
         [
@@ -388,12 +412,7 @@ def test_random_columns_draw_each_block_of_the_two_arrays(n, density):
 def test_random_primitive_holds_one_n_by_n_array():
     # a separate mask and value array hold 1.25 x 8n² bytes
     n = 400
-    tracemalloc.start()
-    try:
-        random_primitive(n, rng=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: random_primitive(n, rng=3))
     assert peak < 1.15 * 8 * n * n
 
 

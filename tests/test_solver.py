@@ -2,15 +2,15 @@ import dataclasses
 import math
 import pathlib
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
+import perronkit.markov
 import perronkit.matcore
 import perronkit.solver
 from conftest import SAMPLE3_ROWS
-from oracles import charpoly_coefficients, reference_iterate, transposed
+from oracles import charpoly_coefficients, reference_iterate, traced_peak, transposed
 from perronkit import (
     Side,
     SolverConfig,
@@ -20,6 +20,7 @@ from perronkit import (
     algorithm_b,
     bounds_report,
     convergence_discs,
+    damp,
     from_coordinates,
     from_dense,
     make_stochastic,
@@ -56,6 +57,49 @@ def counted(op, calls):
         return op.apply(v, out=out)
 
     return dataclasses.replace(op, apply=vecmat)
+
+
+def counting_least(operator, calls):
+    """operator, with each operator it builds appending to calls at each least() call."""
+
+    def build(*args):
+        op = operator(*args)
+
+        def least():
+            calls.append(None)
+            return op.least()
+
+        return dataclasses.replace(op, least=least)
+
+    return build
+
+
+class TestLeastEntry:
+    """least() runs only in a block of two or more steps, which needs 2**17 // work >= 2."""
+
+    @pytest.mark.parametrize("n, calls", [(256, 1), (257, 0)])
+    def test_dense_solve_reads_it_only_up_to_order_256(self, monkeypatch, n, calls):
+        made = []
+        monkeypatch.setattr(perronkit.solver, "_operator", counting_least(perronkit.solver._operator, made))
+        res = algorithm_a(random_primitive(n, rng=4))
+        assert (res.status, len(made)) == (Status.CONVERGED, calls)
+
+    @pytest.mark.parametrize("n, calls", [(255, 1), (256, 0)])
+    def test_damped_dense_chain_reads_it_only_up_to_order_255(self, monkeypatch, n, calls):
+        # the damped kernel's work is n² + n
+        made = []
+        monkeypatch.setattr(perronkit.markov, "_matrix_operator", counting_least(perronkit.markov._matrix_operator, made))
+        P = damp(make_stochastic(random_primitive(n, rng=4)), 0.85)
+        assert P.matrix.storage == "dense"
+        assert (stationary(P).status, len(made)) == (Status.CONVERGED, calls)
+
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    def test_it_is_the_least_positive_entry_on_either_storage(self, density):
+        arr = random_primitive(40, density, rng=5).to_dense()
+        i, j = np.nonzero(arr)
+        want = arr[arr > 0].min()
+        for A in (from_dense(arr), from_coordinates(40, i, j, arr[i, j])):
+            assert _operator(A).least() == want
 
 
 class TestAutomaticSide:
@@ -172,32 +216,11 @@ class TestAlgorithmB:
         assert res.root == pytest.approx(3.0, abs=1e-8)
         assert np.all(res.eigenvector > 0)
 
-    @pytest.mark.parametrize("density", [0.3, 1.0])
-    def test_least_entry_of_dense_storage_takes_no_index_arrays(self, density):
-        # np.nonzero's two index arrays would take 16 bytes a nonzero; a mask of A takes n² bytes
-        n = 300
-        A = random_primitive(n, density, rng=4)
-        least = _operator(A).least
-        want = float(_entries(A)[2].min())
-        tracemalloc.start()
-        try:
-            got = least()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == want
-        assert peak <= n * n + 4096
-
     def test_dense_row_solve_copies_no_transpose(self):
         # the row kernel is one einsum over A itself; a full copy of Aᵀ is 8n² bytes
         n = 400
         A = random_primitive(n, rng=3)
-        tracemalloc.start()
-        try:
-            algorithm_b(A, SolverConfig(side=Side.ROW))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: algorithm_b(A, SolverConfig(side=Side.ROW)))
         assert peak < 8 * n * n / 4
 
     @pytest.mark.parametrize(
@@ -364,12 +387,7 @@ class TestStoppingRules:
     def test_a_long_run_keeps_its_history_in_float_arrays(self):
         # 76 599 history entries as Python floats in lists peaked at 6.5 MB
         A = tridiagonal(200, 1.0, 3.0, 2.0)
-        tracemalloc.start()
-        try:
-            res = algorithm_b(A)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        res, peak = traced_peak(lambda: algorithm_b(A))
         assert (res.iterations, res.status) == (76_599, Status.CONVERGED)
         assert peak <= 3.5e6
 
