@@ -12,6 +12,7 @@ which the tridiagonal family exposes through its closed-form spectrum.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
     max_iterations are; bad values raise DomainError.
     """
     SolverConfig(tolerance=tol, max_iterations=max_iter)  # raises on a bad tol or max_iter
-    spreads = []
+    spreads = deque(maxlen=_STAGNATION_WINDOW + 1)  # this step's spread and the window's before it
     verdict = None  # is_primitive(A), once the spread stalls
     # v -> A v: BLAS on dense storage, the solver's row kernel on CSR
     matvec = functools.partial(np.matmul, _dense_view(A)) if A.storage == "dense" else _kernel(A, Side.ROW)
@@ -73,7 +74,7 @@ def power_method(A: NonnegMatrix, tol: float = 1e-8, max_iter: int = 100_000) ->
         ):
             return PowerResult(nw, v_new, t, Status.CONVERGED)
         v, lam = v_new, nw
-        then = spreads[-1 - _STAGNATION_WINDOW] if t > _STAGNATION_WINDOW else 0.0
+        then = spreads[0] if t > _STAGNATION_WINDOW else 0.0
         if then > 0 and _stalled(spread, then, tol):
             verdict = is_primitive(A) if verdict is None else verdict
             if not verdict:

@@ -95,12 +95,15 @@ def damp(P: StochasticMatrix, alpha: float) -> StochasticMatrix:
 def _operator(P: StochasticMatrix, loop: bool = False) -> _Operator:
     """u -> u^T (alpha P + (1 - alpha)/n 11^T), in O(nnz + n).
 
-    It damps the one kernel of P's column operator, which ``loop`` picks
-    as in :func:`~perronkit.solver._operator`.  Its least factor is alpha
-    times P's least entry, or (1 - alpha)/n on the sum of u.  A damped
-    chain is positive, hence primitive.
+    An undamped chain (alpha = 1) is P's column operator itself, which
+    ``loop`` picks as in :func:`~perronkit.solver._operator`.  A damped
+    one damps that operator's kernel; its least factor is alpha times P's
+    least entry, or (1 - alpha)/n on the sum of u, and it is positive,
+    hence primitive.
     """
     op, alpha, beta = _matrix_operator(P.matrix, Side.COLUMN, loop), P.alpha, (1.0 - P.alpha) / P.n
+    if alpha == 1:
+        return op
 
     def apply(u, out=None):
         w = op.apply(u, out=out)
@@ -108,12 +111,9 @@ def _operator(P: StochasticMatrix, loop: bool = False) -> _Operator:
         w += beta * u.sum()
         return w
 
-    def least():
-        term = alpha * op.least()
-        return min(term, beta) if beta > 0 else term
-
-    primitive = op.primitive if P.alpha == 1 else (lambda: True)
-    return replace(op, apply=apply, work=op.work + P.n, least=least, primitive=primitive)
+    return replace(
+        op, apply=apply, work=op.work + P.n, least=lambda: min(alpha * op.least(), beta), primitive=lambda: True
+    )
 
 
 def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> StationaryDistribution:
@@ -130,7 +130,7 @@ def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> Stationa
     """
     cfg = cfg or SolverConfig()
     op = _operator(P, cfg.max_iterations > 1)
-    y, iterations, status, history = _iterate(op, cfg)
+    y, iterations, status, history = _iterate(op, op.apply(np.ones(P.n)), cfg)
     root = 0.5 * float(history.rmin[-1]) + 0.5 * float(history.rmax[-1])
     if status is Status.CONVERGED and abs(root - 1.0) > 100.0 * cfg.tolerance + _ROWSUM_TOL:
         raise RootNotOneError(root)

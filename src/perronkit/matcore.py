@@ -306,19 +306,19 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
 
     ``loop=True`` asks for a kernel that a loop calls many times: the
     solver's operator of a run allowed more than one step asks for it, and
-    calls it from the first step on.  On CSR it builds a padded slot
-    (ELLPACK) layout once, when its slots number at most 1.5 nnz: two
-    (K, n) arrays, K the most terms of any output, whose column j holds
-    output j's gather indices and values in row-major order, padded at
-    the end with index 0 and value 0.  A call gathers v into a (K, n) scratch
-    array the kernel owns, and one einsum ``"kj,kj->j"`` multiplies it by
+    calls it at every step past the input's sums.  On CSR it builds a
+    padded slot (ELLPACK) layout once, when its slots number at most 1.5
+    nnz: two (K, n) arrays, K the most terms of any output, whose column j
+    holds output j's gather indices and values in row-major order, padded
+    at the end with index 0 and value 0.  A call gathers v into a (K, n)
+    scratch array the kernel owns, and one einsum ``"kj,kj->j"`` multiplies it by
     the values and adds each output's K products slot after slot into
     ``out``.  Each output adds its terms in bincount's order and then
     exact +0.0s, so the bits are bincount's, and a call given ``out``
     allocates nothing; the scratch array makes the kernel one loop's at a
     time.  A padding term 0 v_0 is nan when v_0 is inf, where bincount
     gives inf; the solver's loop discards every row computed from one that
-    holds an inf, and its first step, from y = 1, sees none.  The one-shot
+    holds an inf, and the all-ones vector holds none.  The one-shot
     callers (:func:`sums`, the discs, the power method, a one-step solve)
     keep bincount: they may see an inf, or would pay the layout's sort for
     one call.  With more slots the padding costs about what bincount does,

@@ -166,13 +166,6 @@ class PerronResult:
         return rank_one_hadamard(self._A, y, np.reciprocal(y))
 
 
-def _smaller_range(row_sums, col_sums) -> Side:
-    """Side whose initial sum spread max - min is smaller; ties go to rows."""
-    if row_sums.max() - row_sums.min() <= col_sums.max() - col_sums.min():
-        return Side.ROW
-    return Side.COLUMN
-
-
 # steps the spread gets to shrink before the exact primitivity test is run
 _STAGNATION_WINDOW = 20
 # a spread that keeps more than this share of itself over the window has stalled
@@ -236,13 +229,13 @@ def _first(flags) -> int:
 
 @dataclass(frozen=True)
 class _Operator:
-    """An operator K of order n, as :func:`_iterate` reads it.
+    """An operator K, as :func:`_iterate` reads it.
 
     ``apply(y, out=None)`` computes Kᵀ y, into ``out`` when one is given;
-    K need not be stored as a matrix, and the loop calls it at every step,
-    the first included.  ``work`` is the multiply-adds of one ``apply``
-    call, and ``least()`` the least positive factor it multiplies an entry
-    of y by; the loop calls it once, at its first block of more than one
+    K need not be stored as a matrix, and the loop calls it at every step
+    but the first, whose image its caller hands it.  ``work`` is the
+    multiply-adds of one ``apply`` call, and ``least()`` the least
+    positive factor it multiplies an entry of y by; the loop calls it once, at its first block of more than one
     step, which needs 2**17 // work >= 2: never for a dense matrix above
     n = 256, or a damped dense chain above n = 255.
     ``primitive()`` answers whether K is primitive; the loop calls it at
@@ -251,7 +244,6 @@ class _Operator:
     """
 
     apply: Callable[..., np.ndarray]
-    n: int
     work: int
     least: Callable[[], float]
     primitive: Callable[[], bool]
@@ -269,14 +261,17 @@ def _operator(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False) -> 
     """
     work = A.n * A.n if A.storage == "dense" else A.nnz  # the kernel's multiply-adds
     return _Operator(
-        _kernel(A, side, loop), A.n, work,
+        _kernel(A, side, loop), work,
         lambda: float(_entries(A)[2].min()), functools.partial(is_primitive, A), side,
     )
 
 
 @np.errstate(all="ignore")  # the step guard reports non-finite values as STAGNATED
-def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
+def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
     """The one loop on ``op``: y <- Kᵀ y from y = 1, with the sums r = (Kᵀ y) / y.
+
+    ``w`` is the first image Kᵀ 1, the input's sums, which the caller
+    holds already; its length is the order of K.
 
     Returns (y, iterations, status, history).  The history's arrays are
     the kept part of one (2, capacity) array that the loop writes each
@@ -297,8 +292,8 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     writes in place, and in rows k + 1..2k the k quotient rows
     B[j + 1] / B[j], formed by one division; two axis-1 reductions over
     all 2k + 1 rows then read every min and max.  ``apply`` runs every
-    step, the first included.  The next block overwrites the array, so
-    the kept y is copied out; the kept Kᵀ y is read only by that block's
+    step but the first, whose image is ``w``.  The next block overwrites
+    the array, so the kept y is copied out; the kept Kᵀ y is read only by that block's
     first write, the rescaled copy in row 0.
 
     Row j stands for the rescaled loop's y times 2^s_j, s_j the exponent of
@@ -336,9 +331,7 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     stalls converges, and a row that converges or stalls is kept even when
     the next row fails the guard.
     """
-    vecmat = op.apply
-    y = np.ones(op.n)
-    w = vecmat(y)
+    vecmat, y = op.apply, np.ones(len(w))  # y until a step is kept
     zero = np.flatnonzero(w == 0)
     if zero.size:
         raise ZeroSumError(int(zero[0]), side=op.side.value)
@@ -353,7 +346,7 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
     tiny = float(np.finfo(np.float64).tiny)
     budget = max(1, _BLOCK_WORK // op.work)
     # every block's rows are a prefix of one array, sized for the longest block
-    blocks = np.empty((2 * min(_BLOCK_STEPS, cap, budget) + 1, op.n))
+    blocks = np.empty((2 * min(_BLOCK_STEPS, cap, budget) + 1, len(y)))
     rows = list(blocks)
     least_term = None  # least(), once a block of k > 1 first runs
     verdict = None  # primitive(), once a stall is the first stop of a block
@@ -428,10 +421,13 @@ def _iterate(op: _Operator, cfg: SolverConfig, on_step=None):
 def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=None) -> PerronResult:
     """Balance the sums; returns the root enclosure and the eigenvector.
 
-    Picks the side and runs the loop.  Each step is equivalent to
-    multiplying entry (i, j) of the working matrix by r_j / r_i, where r is
-    the current sum vector on the chosen side; see the module docstring for
-    how the solver computes it.  The balanced matrix is built from the
+    Takes the sums of the configured side, or of both sides when
+    ``cfg.side`` is None, and keeps the side whose sums have the smaller
+    range max - min, ties going to rows; those sums are the loop's first
+    image, so no kernel runs twice on the all-ones vector.  Each step is
+    equivalent to multiplying entry (i, j) of the working matrix by
+    r_j / r_i, where r is the current sum vector on the chosen side; see
+    the module docstring for how the solver computes it.  The balanced matrix is built from the
     final y only when the result's ``balanced`` is read.  On convergence y
     spans the dominant eigenvector: M y = root * y within 10x tolerance,
     where M is the matrix in the balanced orientation.
@@ -442,8 +438,9 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
     overwrites r once the call returns, so keep a copy, not r itself.
     """
     cfg = cfg or SolverConfig()
-    side = cfg.side or _smaller_range(sums(A, Side.ROW), sums(A, Side.COLUMN))
-    y, _, status, history = _iterate(_operator(A, side, cfg.max_iterations > 1), cfg, on_step)
+    first = {s: sums(A, s) for s in ([cfg.side] if cfg.side else Side)}
+    side = min(first, key=lambda s: np.ptp(first[s]))  # ties go to Side.ROW, the first
+    y, _, status, history = _iterate(_operator(A, side, cfg.max_iterations > 1), first[side], cfg, on_step)
     return PerronResult(
         root_lo=float(history.rmin[-1]),
         root_hi=float(history.rmax[-1]),

@@ -3,6 +3,7 @@ import pytest
 
 import perronkit.baseline
 from conftest import PERIODIC3_ROWS
+from oracles import traced_peak
 from perronkit import (
     BreakdownError,
     DomainError,
@@ -75,6 +76,13 @@ class TestPowerMethod:
     def test_max_iteration_cap(self, sample3):
         res = power_method(sample3, tol=1e-14, max_iter=3)
         assert res.status is Status.MAX_ITERATIONS and res.iterations == 3
+
+    def test_a_long_run_keeps_only_the_stall_window_of_spreads(self):
+        # a list of every spread peaked at 670 kB, the window at 19 kB
+        A = tridiagonal(200, 1, 3, 2)
+        res, peak = traced_peak(lambda: power_method(A, max_iter=20_000))
+        assert res.status is Status.MAX_ITERATIONS
+        assert peak <= 100e3
 
     def test_agrees_with_balancing_solver(self):
         rng = np.random.default_rng(77)

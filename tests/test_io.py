@@ -197,6 +197,15 @@ def test_generated_bytes_do_not_depend_on_the_usable_cpus(tmp_path, capsys, monk
     assert started == 2 * parts  # the file, then stdout
 
 
+@pytest.mark.parametrize("count, cuts", [(3, [256, 512]), (None, [])])
+def test_without_an_affinity_mask_the_parts_follow_the_cpu_count(monkeypatch, count, cuts):
+    # where os has no sched_getaffinity, os.cpu_count() is the usable CPUs,
+    # and a count it cannot tell (None) leaves one part, formatted here
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert perronkit.cli._cuts(1000) == cuts
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_gen_random_holds_one_scratch_block_beside_its_helpers(tmp_path, capsys, monkeypatch, cpus):
     # the parts are drawn one after another, each into a scratch array of

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import perronkit.markov
 import perronkit.solver
 from oracles import damped_dense, stationary_linear_solve
 from perronkit import (
@@ -108,6 +109,19 @@ class TestDamp:
     def test_constructor_alpha_domain(self, alpha):
         with pytest.raises(DomainError):
             StochasticMatrix(from_dense(np.eye(2)), alpha)
+
+
+class TestOperator:
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_an_undamped_chain_runs_its_matrixs_own_operator(self, chain, storage):
+        # no damping wrapper, whose work would be the matrix's plus n
+        matrix = chain.matrix if storage == "csr" else from_dense(chain.matrix.to_dense())
+        op = perronkit.markov._operator(StochasticMatrix(matrix), loop=True)
+        assert op.work == (matrix.nnz if storage == "csr" else matrix.n**2)
+        assert op.apply.__module__ == "perronkit.matcore"
+        damped = perronkit.markov._operator(damp(StochasticMatrix(matrix), 0.85), loop=True)
+        assert damped.work == op.work + matrix.n
+        assert damped.apply.__module__ == "perronkit.markov"
 
 
 class TestStationary:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import damped_dense, damped_vecmat, reference_loop, stationary_linear_solve
 from perronkit import (
+    Side,
     SolverConfig,
     Status,
     StochasticMatrix,
@@ -17,6 +18,7 @@ from perronkit import (
     from_dense,
     make_stochastic,
     stationary,
+    sums,
 )
 from perronkit import markov, solver
 
@@ -65,7 +67,7 @@ def test_implicit_damping_matches_the_dense_damped_chain(P, alpha):
     # each loop rounds by about n*eps a step, amplified by at most 1/(1 - alpha).
     # That rounding can move the stop by one step.
     K = from_dense(damped_dense(damped))
-    y, t, status, _ = solver._iterate(solver._operator(K), cfg)
+    y, t, status, _ = solver._iterate(solver._operator(K), sums(K, Side.COLUMN), cfg)
     u = y / y.sum()
     assert status is dist.status and abs(t - dist.iterations) <= 1
     if t == dist.iterations:
@@ -100,7 +102,8 @@ def test_blocked_damped_loop_matches_the_reference_loop(P, alpha, cap):
             damped_vecmat(damped), P.n, lambda: True, cfg
         )
         steps = []
-        y, t, status, history = solver._iterate(op, cfg, lambda t, r: steps.append((t, r.tobytes())))
+        w = op.apply(np.ones(P.n))
+        y, t, status, history = solver._iterate(op, w, cfg, lambda t, r: steps.append((t, r.tobytes())))
         assert (t, status) == (t_ref, status_ref)
         assert steps == steps_ref
         assert y.tobytes() == y_ref.tobytes()

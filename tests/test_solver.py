@@ -93,6 +93,14 @@ class TestLeastEntry:
         assert P.matrix.storage == "dense"
         assert (stationary(P).status, len(made)) == (Status.CONVERGED, calls)
 
+    def test_undamped_dense_chain_reads_it_at_order_256(self, monkeypatch):
+        # an undamped chain runs P's own operator, whose work is n²
+        made = []
+        monkeypatch.setattr(perronkit.markov, "_matrix_operator", counting_least(perronkit.markov._matrix_operator, made))
+        P = make_stochastic(random_primitive(256, rng=4))
+        assert P.matrix.storage == "dense"
+        assert (stationary(P).status, len(made)) == (Status.CONVERGED, 1)
+
     @pytest.mark.parametrize("density", [0.3, 1.0])
     def test_it_is_the_least_positive_entry_on_either_storage(self, density):
         arr = random_primitive(40, density, rng=5).to_dense()
@@ -115,6 +123,30 @@ class TestAutomaticSide:
     def test_periodic3_prefers_columns(self, periodic3):
         # spreads: rows 5, columns 0
         assert algorithm_a(periodic3).side_used is Side.COLUMN
+
+    @pytest.mark.parametrize("side, sums_taken", [(None, 2), (Side.ROW, 1), (Side.COLUMN, 1)])
+    def test_the_sums_taken_are_the_loops_first_image(self, monkeypatch, side, sums_taken):
+        # the side choice's sums start the loop: past them every kernel
+        # application is one step; on random_primitive(1000, 0.5, 1) the
+        # automatic side, columns, makes 8 steps and 10 applications
+        applied, kernel = [], perronkit.matcore._kernel
+
+        def counted_kernel(*args):
+            product = kernel(*args)
+
+            def call(v, out=None):
+                applied.append(None)
+                return product(v, out=out)
+
+            return call
+
+        for module in (perronkit.matcore, perronkit.solver):
+            monkeypatch.setattr(module, "_kernel", counted_kernel)
+        res = algorithm_a(random_primitive(1000, 0.5, 1), SolverConfig(side=side))
+        assert res.status is Status.CONVERGED
+        assert len(applied) == sums_taken + res.iterations
+        if side is None:
+            assert (res.side_used, len(applied)) == (Side.COLUMN, 10)
 
 
 class TestAlgorithmA:
@@ -358,7 +390,8 @@ class TestStoppingRules:
         # blocks of 1, 2, 3, 4, 5 and 6 steps: the sixth stops after two, so
         # the run computes 21 steps to keep 17, plus the input's sums
         calls = []
-        _, t, status, _ = _iterate(counted(_operator(sample3, loop=True), calls), SolverConfig())
+        op = counted(_operator(sample3, loop=True), calls)
+        _, t, status, _ = _iterate(op, op.apply(np.ones(sample3.n)), SolverConfig())
         assert (t, status, len(calls)) == (17, Status.CONVERGED, 22)
 
     @pytest.mark.parametrize(
@@ -375,7 +408,8 @@ class TestStoppingRules:
         # two steps alternate, where growing after a cut ran two for each one
         # kept (23 360 and 151 993 calls); the third is never cut
         A, made = build(), []
-        y, t, status, history = _iterate(counted(_operator(A, loop=True), made), SolverConfig())
+        op = counted(_operator(A, loop=True), made)
+        y, t, status, history = _iterate(op, op.apply(np.ones(A.n)), SolverConfig())
         assert (len(made), t, status) == (calls, steps, Status.CONVERGED)
         if steps < 20_000:  # blocks change no bit: the one-step reference loop agrees
             ref_y, ref_t, ref_status, ref_rmin, ref_rmax, _ = reference_iterate(A, SolverConfig())

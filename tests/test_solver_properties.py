@@ -25,6 +25,7 @@ from perronkit import (
     from_coordinates,
     from_dense,
     rank_one_hadamard,
+    sums,
     tridiagonal,
 )
 from perronkit.primitivity import is_primitive
@@ -148,7 +149,7 @@ def test_stall_past_the_stop_in_one_block_is_not_asked():
     asked = CountedThunk(lambda: False)
     y_ref, t_ref, status_ref, *_ = reference_loop(vecmat, 2, asked, cfg)
     assert (t_ref, status_ref, asked.calls) == (40, Status.CONVERGED, 0)
-    y, t, status, _ = _iterate(_Operator(vecmat, 2, 2, lambda: min(q), asked, Side.COLUMN), cfg)
+    y, t, status, _ = _iterate(_Operator(vecmat, 2, lambda: min(q), asked, Side.COLUMN), vecmat(np.ones(2)), cfg)
     assert (t, status, asked.calls) == (40, Status.CONVERGED, 0)
     assert y.tobytes() == y_ref.tobytes()
 
@@ -165,7 +166,7 @@ class CountedThunk:
 
 
 def blocked_iterate(A, cfg, side=Side.COLUMN):
-    """The loop on A's ``side`` with the operator algorithm_b passes.
+    """The loop on A's ``side`` with the operator and sums algorithm_b passes.
 
     Returns the loop's (y, iterations, status, history), the (t, r.tobytes())
     of its ``on_step`` calls and the number of ``primitive()`` calls.
@@ -173,7 +174,7 @@ def blocked_iterate(A, cfg, side=Side.COLUMN):
     steps = []
     op = _operator(A, side, cfg.max_iterations > 1)
     asked = CountedThunk(op.primitive)
-    run = _iterate(replace(op, primitive=asked), cfg, lambda t, r: steps.append((t, r.tobytes())))
+    run = _iterate(replace(op, primitive=asked), sums(A, side), cfg, lambda t, r: steps.append((t, r.tobytes())))
     return (*run, steps, asked.calls)
 
 
