@@ -17,10 +17,12 @@ of its final size when the file can hold the entries its size line
 promises.  A body it refuses (a faulty line, but also a comment line) is
 read again line by line.
 A dense file is read into one n×n array, which becomes the matrix: an
-array body, which lists A column by column, is transposed in place a tile
+array body, which lists A column by column, is transposed in place a row
 at a time, and CSV rows fill an array that grows in place.  A coordinate
 body's records become the CSR arrays with no second copy of the body,
 and they are sorted only when they are not in row-major order already.
+matcore alone checks their indices; one outside the matrix sends the body
+to the line-by-line read, which names its line.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import _lines
 from ._lines import CHUNK as _CHUNK
-from .errors import DuplicateEntryError, MatrixParseError
+from .errors import DuplicateEntryError, MatrixParseError, NotSquareError
 from .matcore import NonnegMatrix, _adopt_dense, _coordinates, _dense_view, _entries
 
 __all__ = [
@@ -81,7 +83,8 @@ def read_matrix_market(path) -> NonnegMatrix:
         if layout not in ("array", "coordinate"):
             raise MatrixParseError(1, f"unsupported layout {layout!r}")
         if field != "real" or symmetry != "general":
-            raise MatrixParseError(1, f"only 'real general' matrices are supported, got {field!r} {symmetry!r}")
+            raise MatrixParseError(
+                1, f"only 'real general' matrices are supported, got {field!r} {symmetry!r}")
 
         # first non-comment, non-blank line after the banner is the size line
         size_lineno, line = 2, fh.readline()
@@ -119,9 +122,7 @@ def read_matrix_market(path) -> NonnegMatrix:
             except (ValueError, Warning):
                 body = None
 
-    if body is None or len(body) != count or (
-        layout == "coordinate" and not (_inside(body["i"], n) and _inside(body["j"], n))
-    ):
+    if body is None or len(body) != count:
         body = _rescan(path, size_lineno, layout, n, count)[0]
     if layout == "array":
         arr = body.view(np.float64).reshape(n, n)  # Aᵀ: the array layout is column-major
@@ -131,15 +132,13 @@ def read_matrix_market(path) -> NonnegMatrix:
         return _coordinates(n, *_split(body), owned=True)
     except MemoryError:
         raise MatrixParseError(size_lineno, f"a {n}x{n} matrix does not fit in memory") from None
+    except NotSquareError:  # an index outside the matrix, which the rescan names by its line
+        _rescan(path, size_lineno, layout, n, count)
+        raise
     except DuplicateEntryError as exc:
         lines = _rescan(path, size_lineno, layout, n, count)[1]
         msg = f"duplicate entry ({exc.i + 1}, {exc.j + 1}), first seen on line {lines[exc.first]}"
         raise MatrixParseError(lines[exc.second], msg) from None
-
-
-def _inside(index, n) -> bool:
-    """Whether every entry of the 1-based index array lies in 1..n."""
-    return not len(index) or (index.min() >= 1 and index.max() <= n)
 
 
 def _split(body):
@@ -196,22 +195,14 @@ def _rescan(path, size_lineno, layout, n, count):
     return np.array(records, dtype=dtype), [k for k, _ in entries]
 
 
-# the side of the square tiles that an array body is transposed in
-_TILE = 64
-
-
 def _transpose_in_place(a) -> None:
-    """Transpose the square array a in place, one tile pair at a time,
-    with one tile of scratch."""
-    n, tile = len(a), np.empty((_TILE, _TILE))
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            upper, lower = a[i : i + _TILE, j : j + _TILE], a[j : j + _TILE, i : i + _TILE]
-            t = tile[: lower.shape[0], : lower.shape[1]]
-            np.copyto(t, upper.T)
-            if i != j:  # on the diagonal upper is lower, and t alone is its transpose
-                np.copyto(upper, lower.T)
-            np.copyto(lower, t)
+    """Transpose the square array a in place, a row at a time: the part of
+    row i right of the diagonal trades places with the part of column i
+    below it, through a copy of the row's part."""
+    for i in range(len(a) - 1):
+        right = a[i, i + 1 :].copy()
+        a[i, i + 1 :] = a[i + 1 :, i]
+        a[i + 1 :, i] = right
 
 
 def read_csv(path) -> NonnegMatrix:

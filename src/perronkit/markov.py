@@ -111,9 +111,8 @@ def _operator(P: StochasticMatrix, loop: bool = False) -> _Operator:
         w += beta * u.sum()
         return w
 
-    return replace(
-        op, apply=apply, work=op.work + P.n, least=lambda: min(alpha * op.least(), beta), primitive=lambda: True
-    )
+    return replace(op, apply=apply, work=op.work + P.n,
+                   least=lambda: min(alpha * op.least(), beta), primitive=lambda: True)
 
 
 def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> StationaryDistribution:

@@ -227,9 +227,11 @@ def from_dense(rows) -> NonnegMatrix:
 def from_coordinates(n, rows, cols, values) -> NonnegMatrix:
     """Validated CSR matrix from coordinate triplets (0-based, any order).
 
-    Duplicate coordinates (an explicit zero among them) and row or column
-    sums that overflow are rejected; explicit zeros are then dropped.  The
-    matrix keeps its own copy of the entries.
+    Coordinates are checked before values: an index outside the matrix
+    raises NotSquareError, whatever the value at it.  Duplicate
+    coordinates (an explicit zero among them) and row or column sums that
+    overflow are rejected; explicit zeros are then dropped.  The matrix
+    keeps its own copy of the entries.
     """
     return _coordinates(n, rows, cols, values, owned=False)
 
@@ -239,7 +241,9 @@ def _coordinates(n, rows, cols, values, owned) -> NonnegMatrix:
     arrays, which must then be contiguous int64, int64 and float64: they
     are sorted in place, and the matrix may keep them.
 
-    Entries already in row-major order are neither sorted nor gathered.
+    The coordinate range is checked first, then the values, then
+    duplicates.  Entries already in row-major order are neither sorted nor
+    gathered.
     """
     n = _order(n)
     copy = None if owned else True
@@ -248,9 +252,9 @@ def _coordinates(n, rows, cols, values, owned) -> NonnegMatrix:
     values = np.array(values, dtype=np.float64, copy=copy)
     if not (len(rows) == len(cols) == len(values)):
         raise NotSquareError("coordinate arrays have unequal lengths")
-    largest = _checked_entries(values, lambda k: (rows[k], cols[k]))
     if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
         raise NotSquareError(f"coordinate outside a {n}x{n} matrix")
+    largest = _checked_entries(values, lambda k: (rows[k], cols[k]))
     order = None if _row_major(rows, cols) else np.lexsort((cols, rows))
     if order is not None:
         for field in (rows, cols, values):

@@ -235,9 +235,10 @@ class _Operator:
     K need not be stored as a matrix, and the loop calls it at every step
     but the first, whose image its caller hands it.  ``work`` is the
     multiply-adds of one ``apply`` call, and ``least()`` the least
-    positive factor it multiplies an entry of y by; the loop calls it once, at its first block of more than one
-    step, which needs 2**17 // work >= 2: never for a dense matrix above
-    n = 256, or a damped dense chain above n = 255.
+    positive factor it multiplies an entry of y by; the loop calls it
+    once, at its first block of more than one step, which needs
+    2**17 // work >= 2: never for a dense matrix above n = 256, or a
+    damped dense chain above n = 255.
     ``primitive()`` answers whether K is primitive; the loop calls it at
     most once, when the spread stalls.  ``side`` only labels a
     ZeroSumError.
@@ -293,8 +294,9 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
     B[j + 1] / B[j], formed by one division; two axis-1 reductions over
     all 2k + 1 rows then read every min and max.  ``apply`` runs every
     step but the first, whose image is ``w``.  The next block overwrites
-    the array, so the kept y is copied out; the kept Kᵀ y is read only by that block's
-    first write, the rescaled copy in row 0.
+    the array, so the kept y, rescaled, is written into a buffer of its
+    own; the kept Kᵀ y is read only by that block's first write, the
+    rescaled copy in row 0.
 
     Row j stands for the rescaled loop's y times 2^s_j, s_j the exponent of
     max B[j], up to the cut: the first step j >= 1 where least() times
@@ -331,7 +333,7 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
     stalls converges, and a row that converges or stalls is kept even when
     the next row fails the guard.
     """
-    vecmat, y = op.apply, np.ones(len(w))  # y until a step is kept
+    vecmat, y = op.apply, np.ones(len(w))  # each kept block rewrites y in place
     zero = np.flatnonzero(w == 0)
     if zero.size:
         raise ZeroSumError(int(zero[0]), side=op.side.value)
@@ -350,7 +352,6 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
     rows = list(blocks)
     least_term = None  # least(), once a block of k > 1 first runs
     verdict = None  # primitive(), once a stall is the first stop of a block
-    y_exp = 0  # the last accepted y is y 2^-y_exp, rescaled on return
 
     t = m = 0
     grow = 1  # zero after a block that was cut
@@ -402,9 +403,9 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
                 history = grown
             history[0, t + 1 : t + 1 + m] = lo[:m]
             history[1, t + 1 : t + 1 + m] = hi[:m]
-            # the next block rewrites the array: y is kept as a copy, and w
-            # only until that block's first write, which reads it into row 0
-            y, y_exp = B[m - 1].copy(), int(s[m - 1])
+            # the next block rewrites the array: y is kept, rescaled, in its own
+            # buffer, and w only until that block's first write, into row 0
+            np.ldexp(B[m - 1], -s[m - 1], out=y)
             w, wmax = B[m], float(maxs[m])
             if on_step is not None:
                 for j in range(m):
@@ -413,8 +414,6 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
 
     if status is None:
         status = Status.MAX_ITERATIONS
-    if y_exp:  # a block's first row is rescaled already
-        y = np.ldexp(y, -y_exp)
     return y, t, status, ConvergenceHistory(rmin=history[0, : t + 1], rmax=history[1, : t + 1])
 
 

@@ -77,9 +77,10 @@ def test_dense_csv_reads_into_one_n_by_n_array(tmp_path):
 @pytest.mark.parametrize(
     "n, comment", [(1, False), (2, False), (63, False), (64, False), (65, False), (65, True), (129, False), (200, False)]
 )
-def test_dense_write_then_read_is_bit_identical_across_tiles(tmp_path, monkeypatch, n, comment):
-    # orders below, at and past the 64-wide transpose tiles; a comment line sends
-    # the body through the line-by-line rescan, which takes the same transpose
+def test_dense_write_then_read_is_bit_identical_across_orders(tmp_path, monkeypatch, n, comment):
+    # the transpose swaps each row with its column, so the order sets both the
+    # number of swaps and the length of each; a comment line sends the body
+    # through the line-by-line rescan, which takes the same transpose
     rng = np.random.default_rng(n)
     arr = rng.random((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
     arr[rng.random((n, n)) < 0.3] = 0.0
@@ -452,6 +453,8 @@ COORD = "%%MatrixMarket matrix coordinate real general\n"
         (COORD + "2 2 1\n1 1 1.0 2\n", 3, "coordinate entry must be 'i j value', got '1 1 1.0 2'"),
         (COORD + "2 2 2\n1 1 1.0\n3 1 1.0\n", 4, "index (3, 1) outside 2x2"),
         (COORD + "2 2 1\n0 1 1.0\n", 3, "index (0, 1) outside 2x2"),
+        (COORD + "2 2 2\n1 1 -1.0\n3 1 1.0\n", 4, "index (3, 1) outside 2x2"),
+        (COORD + "2 2 2\n1 1 nan\n1 3 1.0\n", 4, "index (1, 3) outside 2x2"),
         (COORD + "2 2 1\n99999999999999999999 1 1.0\n", 3, "index (99999999999999999999, 1) outside 2x2"),
         (COORD + "2 2 3\n1 1 1.0\n2 2 2.0\n1 1 5.0\n", 5, "duplicate entry (1, 1), first seen on line 3"),
         (COORD + "2 2 2\n1 1 0\n1 1 1\n", 4, "duplicate entry (1, 1), first seen on line 3"),

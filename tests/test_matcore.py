@@ -107,10 +107,15 @@ class TestConstruction:
         with pytest.raises(NotSquareError, match="^coordinate arrays have unequal lengths$"):
             from_coordinates(2, rows, cols, values)
 
-    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (2, 0), (0, 2), (0, 7)])
-    def test_coordinate_outside_the_matrix_is_refused(self, i, j):
+    # coordinates are checked before values, so a bad value at an index
+    # outside the matrix is not reported as an entry of it
+    @pytest.mark.parametrize(
+        "i, j, value",
+        [(-1, 0, 1.0), (0, -1, 1.0), (2, 0, 1.0), (0, 2, 1.0), (0, 7, 1.0), (5, 0, -1.0), (0, 3, np.nan)],
+    )
+    def test_coordinate_outside_the_matrix_is_refused(self, i, j, value):
         with pytest.raises(NotSquareError, match="^coordinate outside a 2x2 matrix$"):
-            from_coordinates(2, [1, i], [1, j], [1.0, 1.0])
+            from_coordinates(2, [1, i], [1, j], [1.0, value])
 
     def test_coordinates_drop_zeros_and_reject_duplicates(self):
         A = from_coordinates(2, [0, 1], [1, 0], [0.0, 3.0])
