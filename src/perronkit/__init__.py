@@ -13,7 +13,7 @@ row-stochastic matrices.
 __version__ = "0.1.0"
 
 from .baseline import PowerResult, power_method
-from .bounds import BoundsReport, bounds_report, frobenius_bounds, minc_bounds, perron_2x2
+from .bounds import BoundsReport, bounds_report, frobenius_bounds, minc_bounds
 from .errors import (
     BreakdownError,
     DomainError,
@@ -22,7 +22,6 @@ from .errors import (
     NegativeEntryError,
     NonFiniteEntryError,
     NonPositiveScaleError,
-    NotApplicableError,
     NotSquareError,
     NotStochasticError,
     PerronError,
@@ -41,7 +40,6 @@ from .matcore import (
     rank_one_hadamard,
     sums,
     tridiagonal,
-    tridiagonal_eigs,
 )
 from .primitivity import is_irreducible, is_primitive, period, wielandt_bound
 from .solver import (

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotApplicableError
 from .matcore import NonnegMatrix, Side, sums
 from .solver import SolverConfig, algorithm_a
 
@@ -20,7 +19,6 @@ __all__ = [
     "frobenius_bounds",
     "minc_bounds",
     "bounds_report",
-    "perron_2x2",
 ]
 
 
@@ -64,21 +62,3 @@ def bounds_report(A: NonnegMatrix) -> BoundsReport:
         minc_col=(float(col.rmin[-1]), float(col.rmax[-1])),
     )
 
-
-def perron_2x2(A: NonnegMatrix) -> tuple[float, float]:
-    """Closed-form dominant eigenvalue of a 2x2 matrix with positive off-diagonals.
-
-    Returns (root, x) where root = (a11 + a22 + sqrt((a11 - a22)^2
-    + 4 a12 a21)) / 2 and x = (root - a11) / a12, so that scaling the
-    off-diagonals by x and 1/x equalizes both row sums at the root.  Both
-    terms of the quadratic formula are nonnegative here, so there is no
-    cancellation.
-    """
-    if A.n != 2:
-        raise NotApplicableError(f"matrix has order {A.n}, closed form needs 2")
-    (a11, a12), (a21, a22) = A.to_dense()
-    if a12 == 0 or a21 == 0:
-        raise NotApplicableError("off-diagonal entry is zero")
-    root = (a11 + a22 + math.sqrt((a11 - a22) ** 2 + 4.0 * a12 * a21)) / 2.0
-    x = (root - a11) / a12
-    return float(root), float(x)

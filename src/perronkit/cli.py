@@ -13,6 +13,7 @@ identical input and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -61,15 +62,13 @@ def _matrix_payload(M: NonnegMatrix) -> dict:
     }
 
 
-def _solver_result_payload(res: PerronResult, algo: str, balanced: bool) -> dict:
-    # scaling fixes the balanced matrix in n numbers; --algo b prints it as the eigenvector too
-    scaling = res.eigenvector.tolist()
+def _solver_result_payload(res: PerronResult, balanced: bool) -> dict:
+    # eigenvector fixes the balanced matrix in n numbers, so --balanced alone adds the n² entries
     payload = {
         "root_lo": res.root_lo,
         "root_hi": res.root_hi,
         "root": res.root,
-        "eigenvector": scaling if algo == "b" else None,
-        "scaling": scaling,
+        "eigenvector": res.eigenvector.tolist(),
         "iterations": res.iterations,
         "side_used": res.side_used.value,
         "status": res.status.value,
@@ -79,11 +78,15 @@ def _solver_result_payload(res: PerronResult, algo: str, balanced: bool) -> dict
     return payload
 
 
-def _write_trace(path, history) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("iter,rmin,rmax\n")
-        for t, (lo, hi) in enumerate(zip(history.rmin, history.rmax)):
-            fh.write(f"{t},{float(lo)!r},{float(hi)!r}\n")
+def _csv_file(path):
+    """path opened for a CSV trace, or a null context when the flag is unset or empty."""
+    return contextlib.nullcontext() if not path else open(path, "w", encoding="ascii", newline="\n")
+
+
+def _write_trace(fh, history) -> None:
+    fh.write("iter,rmin,rmax\n")
+    for t, (lo, hi) in enumerate(zip(history.rmin, history.rmax)):
+        fh.write(f"{t},{float(lo)!r},{float(hi)!r}\n")
 
 
 def _disc_writer(fh, A: NonnegMatrix):
@@ -130,19 +133,17 @@ def _perron(A: NonnegMatrix, args):
         max_iterations=args.max_iter,
         side=None if args.side == "auto" else Side(args.side),
     )
-    if args.discs:
-        with open(args.discs, "w", encoding="ascii", newline="\n") as fh:
-            res = algorithm_a(A, cfg, on_step=_disc_writer(fh, A))
-    else:
-        res = algorithm_a(A, cfg)
-    if args.trace:
-        _write_trace(args.trace, res.history)
+    # both trace files open before the solve, so an unwritable path costs no solve
+    with _csv_file(args.discs) as discs, _csv_file(args.trace) as trace:
+        res = algorithm_a(A, cfg, on_step=discs and _disc_writer(discs, A))
+        if trace:
+            _write_trace(trace, res.history)
     config = {
         "tol": cfg.tolerance, "max_iter": cfg.max_iterations,
         "side": args.side, "algo": args.algo,
     }
     # only the run record shows the balanced matrix, so text mode never builds it
-    result = _solver_result_payload(res, args.algo, args.balanced and args.json)
+    result = _solver_result_payload(res, args.balanced and args.json)
     text = (f"root {res.root!r} in [{res.root_lo!r}, {res.root_hi!r}]\n"
             f"iterations {res.iterations}  side {res.side_used.value}  status {res.status.value}")
     if args.algo == "b":
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_arg(sp, _perron)
     sp.add_argument("--side", choices=["auto", "row", "col"], default="auto")
     sp.add_argument("--algo", choices=["a", "b"], default="a",
-                    help="both run the same solve; a prints the root, b also the eigenvector")
+                    help="affects text output only: a prints the root, b also the eigenvector")
     sp.add_argument("--trace", metavar="FILE", help="write per-iteration min/max sums as CSV")
     sp.add_argument("--discs", metavar="FILE", help="write per-iteration disc traces as CSV")
     sp.add_argument("--balanced", action="store_true",

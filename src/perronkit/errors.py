@@ -69,10 +69,6 @@ class BreakdownError(PerronError):
     """Power iteration produced the zero vector and cannot continue."""
 
 
-class NotApplicableError(PerronError):
-    """The closed-form 2x2 solution does not apply to this matrix."""
-
-
 class NotStochasticError(PerronError):
     """Row sums deviate from 1 beyond the accepted tolerance."""
 

@@ -44,7 +44,6 @@ __all__ = [
     "sums",
     "rank_one_hadamard",
     "tridiagonal",
-    "tridiagonal_eigs",
     "random_primitive",
 ]
 
@@ -425,15 +424,6 @@ def tridiagonal(n: int, c: float, a: float, b: float) -> NonnegMatrix:
     cols = np.concatenate((i[:-1], i, i[1:]))
     vals = np.repeat([c, a, b], [n - 1, n, n - 1])
     return _coordinates(n, rows, cols, vals, owned=True)
-
-
-def tridiagonal_eigs(n: int, c: float, a: float, b: float) -> np.ndarray:
-    """Eigenvalues a + 2*sqrt(b*c)*cos(k*pi/(n+1)), k = 1..n, in descending order."""
-    n = _order(n)
-    if b * c < 0:
-        raise DomainError(f"b*c must be >= 0, got {b * c}")
-    k = np.arange(1, n + 1)
-    return a + 2.0 * np.sqrt(b * c) * np.cos(k * np.pi / (n + 1))
 
 
 def random_primitive(n, density=0.5, rng=None) -> NonnegMatrix:

@@ -15,7 +15,8 @@ It runs one step at a time,
 rescaling y by a power of two at every step, where the solver runs blocks
 of steps between rescalings, and spells out each step with one reduction
 per guard.  The dense vᵀA is one n×n product reduced over axis 0,
-and Matrix Market files are written one value at a time.
+and Matrix Market files are written one value at a time.  The 2x2 root
+and the tridiagonal spectrum are closed forms.
 The one helper that is not a reference, :func:`traced_peak`, measures
 the memory the memory tests bound.
 """
@@ -79,6 +80,30 @@ def dominant_eigenvalue(arr) -> float:
 
 def all_eigenvalues(arr) -> np.ndarray:
     return np.linalg.eigvals(np.asarray(arr, dtype=float))
+
+
+def perron_2x2(arr) -> tuple[float, float]:
+    """Closed-form dominant eigenvalue of a 2x2 array with positive off-diagonals.
+
+    Returns (root, x) where root = (a11 + a22 + sqrt((a11 - a22)^2
+    + 4 a12 a21)) / 2 and x = (root - a11) / a12, so that scaling the
+    off-diagonals by x and 1/x equalizes both row sums at the root.  Both
+    terms of the quadratic formula are nonnegative here, so there is no
+    cancellation.
+    """
+    a = np.asarray(arr, dtype=float)
+    assert a.shape == (2, 2) and a[0, 1] > 0 and a[1, 0] > 0
+    (a11, a12), (a21, a22) = a
+    root = (a11 + a22 + math.sqrt((a11 - a22) ** 2 + 4.0 * a12 * a21)) / 2.0
+    return float(root), float((root - a11) / a12)
+
+
+def tridiagonal_eigs(n, c, a, b) -> np.ndarray:
+    """Eigenvalues of tridiagonal(n, c, a, b) in descending order:
+    a + 2*sqrt(b*c)*cos(k*pi/(n+1)), k = 1..n."""
+    assert n >= 1 and b * c >= 0
+    k = np.arange(1, n + 1)
+    return a + 2.0 * np.sqrt(b * c) * np.cos(k * np.pi / (n + 1))
 
 
 def primitive_by_stepwise_powers(arr, limit: int) -> bool:

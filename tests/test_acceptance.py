@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from conftest import PERIODIC3_ROWS, ROOT4_2X2_ROWS, SAMPLE3_ROWS
-from oracles import stationary_linear_solve, transposed
+from oracles import perron_2x2, stationary_linear_solve, transposed
 from perronkit import (
     Side,
     SolverConfig,
@@ -24,7 +24,6 @@ from perronkit import (
     is_irreducible,
     is_primitive,
     minc_bounds,
-    perron_2x2,
     power_method,
     random_primitive,
     stationary,
@@ -109,7 +108,7 @@ def test_criterion_3_tridiagonal_order_50(tmp_path, capsys):
 
 def test_criterion_4_closed_form_2x2(capsys):
     A = from_dense(ROOT4_2X2_ROWS)
-    root, _ = perron_2x2(A)
+    root, _ = perron_2x2(ROOT4_2X2_ROWS)
     res = algorithm_a(A)
     balanced_err = np.abs(res.balanced.to_dense() - np.array([[3.0, 1.0], [3.0, 1.0]])).max()
     ok = abs(root - 4.0) <= 1e-12 and res.iterations == 1 and balanced_err <= 1e-12

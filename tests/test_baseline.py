@@ -3,7 +3,7 @@ import pytest
 
 import perronkit.baseline
 from conftest import PERIODIC3_ROWS
-from oracles import traced_peak
+from oracles import traced_peak, tridiagonal_eigs
 from perronkit import (
     BreakdownError,
     DomainError,
@@ -14,7 +14,6 @@ from perronkit import (
     power_method,
     random_primitive,
     tridiagonal,
-    tridiagonal_eigs,
 )
 from perronkit.primitivity import is_primitive
 

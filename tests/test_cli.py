@@ -81,17 +81,16 @@ class TestPerronCommand:
         assert "timing_seconds" in record
 
     @pytest.mark.parametrize("algo", ["a", "b"])
-    def test_json_result_carries_scaling_not_balanced(self, capsys, sample3_file, algo):
+    def test_json_result_carries_eigenvector_not_balanced(self, capsys, sample3_file, algo):
         _, record = run_json(capsys, ["perron", "--algo", algo, "--json", sample3_file])
         result = record["result"]
-        assert "balanced" not in result
-        assert result["scaling"] == SAMPLE3_SCALING
-        assert result["eigenvector"] == (SAMPLE3_SCALING if algo == "b" else None)
+        assert "balanced" not in result and "scaling" not in result
+        assert result["eigenvector"] == SAMPLE3_SCALING
 
-    def test_scaling_fixes_the_balanced_payload(self, capsys, sample3_file):
+    def test_eigenvector_fixes_the_balanced_payload(self, capsys, sample3_file):
         _, record = run_json(capsys, ["perron", "--balanced", "--json", sample3_file])
         result = record["result"]
-        y = np.array(result["scaling"])
+        y = np.array(result["eigenvector"])
         A = np.array(SAMPLE3_ROWS)  # column side: b_ij = a_ij y_i / y_j
         assert result["side_used"] == "col"
         assert np.allclose(result["balanced"]["rows"], A * np.outer(y, 1.0 / y), rtol=1e-15, atol=0)
@@ -183,6 +182,16 @@ class TestPerronCommand:
         rmax = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(a <= b + 1e-12 for a, b in zip(rmin, rmin[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(rmax, rmax[1:]))
+
+    @pytest.mark.parametrize("flag", ["--trace", "--discs"])
+    def test_unwritable_trace_file_fails_before_the_solve(self, capsys, tmp_path, sample3_file, monkeypatch, flag):
+        calls = []
+        monkeypatch.setattr(perronkit.cli, "algorithm_a", lambda *args, **kwargs: calls.append(args))
+        assert main(["perron", flag, str(tmp_path / "missing" / "x.csv"), sample3_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert calls == []
 
     def test_discs_trace_is_pinned(self, capsys, tmp_path, sample3_file):
         discs = tmp_path / "discs.csv"
