@@ -29,7 +29,7 @@ from .errors import (
     ZeroSumError,
 )
 from .io import parse_matrix, read_csv, read_matrix_market, write_matrix_market
-from .markov import StationaryDistribution, StochasticMatrix, damp, make_stochastic, stationary
+from .markov import StationaryDistribution, StochasticMatrix, make_stochastic, stationary
 from .matcore import (
     GerschgorinDisc,
     NonnegMatrix,

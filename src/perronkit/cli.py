@@ -28,7 +28,7 @@ from .baseline import power_method
 from .bounds import bounds_report
 from .errors import PerronError
 from .io import _write_array, parse_matrix, write_matrix_market
-from .markov import StochasticMatrix, damp, make_stochastic, stationary
+from .markov import StochasticMatrix, make_stochastic, stationary
 from .matcore import NonnegMatrix, Side, _dense_view, _entries, _random_args, _random_columns, tridiagonal
 from .primitivity import period, wielandt_bound
 from .solver import PerronResult, SolverConfig, Status, algorithm_a
@@ -78,9 +78,32 @@ def _solver_result_payload(res: PerronResult, balanced: bool) -> dict:
     return payload
 
 
+@contextlib.contextmanager
 def _csv_file(path):
-    """path opened for a CSV trace, or a null context when the flag is unset or empty."""
-    return contextlib.nullcontext() if not path else open(path, "w", encoding="ascii", newline="\n")
+    """path opened for a CSV trace, or None when the flag is unset or empty;
+    the file is removed if the block raises, so a failed run leaves none."""
+    if not path:
+        yield None
+        return
+    fh = open(path, "w", encoding="ascii", newline="\n")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+def _check_distinct(args) -> None:
+    """Refuse a run whose input, --trace and --discs name one file twice."""
+    seen = {}
+    for flag, path in [("the input", args.matrix), ("--trace", getattr(args, "trace", None)),
+                       ("--discs", getattr(args, "discs", None))]:
+        if not path:
+            continue
+        first = seen.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise PerronError(f"{first} and {flag} name one file: {path}")
 
 
 def _write_trace(fh, history) -> None:
@@ -110,6 +133,7 @@ def _run(args) -> int:
     (config, result, exit code, text).  Print the run record with --json,
     else text, or the result as indented JSON when text is None."""
     started = time.perf_counter()
+    _check_distinct(args)
     A = parse_matrix(args.matrix)
     config, result, code, text = args.body(A, args)
     if args.json:
@@ -180,15 +204,13 @@ def _primitivity(A: NonnegMatrix, args):
 
 
 def _stationary(A: NonnegMatrix, args):
-    P = make_stochastic(A) if args.normalize else StochasticMatrix(A)
-    if not args.no_damp:
-        P = damp(P, args.alpha)
+    P = StochasticMatrix(make_stochastic(A).matrix if args.normalize else A, args.alpha)
     cfg = SolverConfig(tolerance=args.tol, max_iterations=args.max_iter)
     dist = stationary(P, cfg)
     ranked = np.argsort(-dist.u, kind="stable").tolist()
     config = {
         "tol": cfg.tolerance, "max_iter": cfg.max_iterations,
-        "alpha": None if args.no_damp else args.alpha, "normalize": args.normalize,
+        "alpha": args.alpha, "normalize": args.normalize,
     }
     result = {
         "u": dist.u.tolist(),
@@ -295,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(sp)
     _add_matrix_arg(sp, _stationary)
     sp.add_argument("--alpha", type=float, default=0.85,
-                    help="uniform damping factor in (0, 1) (default 0.85)")
-    sp.add_argument("--no-damp", action="store_true", help="solve the chain as given")
+                    help="uniform damping factor in (0, 1]; 1 solves the chain as given (default 0.85)")
     sp.add_argument("--normalize", action="store_true",
                     help="renormalize rows of near-stochastic input")
 

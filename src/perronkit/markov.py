@@ -4,7 +4,9 @@ The stationary vector u (u^T P = u^T) is the dominant left eigenvector of
 P, so it drops out of the solver's loop run on P's columns; the dominant
 eigenvalue must come back as 1, which doubles as an input sanity check.
 Chains that are not primitive can be made so by blending with the uniform
-matrix (damping) before solving.
+matrix (damping) before solving.  The damping factor alpha is in (0, 1],
+1 being the chain as given, and it is set and checked only on a
+:class:`StochasticMatrix`.
 
 Damping is implicit: a damped chain keeps P as given, sparse or dense, next
 to its factor alpha, and each step applies the PageRank identity
@@ -28,7 +30,6 @@ __all__ = [
     "StochasticMatrix",
     "StationaryDistribution",
     "make_stochastic",
-    "damp",
     "stationary",
 ]
 
@@ -40,7 +41,10 @@ class StochasticMatrix:
     """The chain alpha*matrix + (1 - alpha)/n everywhere.
 
     ``matrix`` is square and nonnegative, and its rows each sum to 1 within
-    1e-12; ``alpha`` is in (0, 1], and 1 leaves the chain undamped.
+    1e-12; ``alpha`` is in (0, 1], checked before the rows, and 1 leaves
+    the chain undamped.  Below 1 every entry of the chain is at least
+    (1 - alpha)/n > 0, so it is positive, hence primitive, and its rows
+    still sum to 1.
     """
 
     matrix: NonnegMatrix
@@ -78,18 +82,6 @@ def make_stochastic(A: NonnegMatrix) -> StochasticMatrix:
         raise ZeroSumError(int(zero[0]), side="row")
     rows, cols, values = _entries(A)
     return StochasticMatrix(_like(A, rows, cols, values / r[rows]))
-
-
-def damp(P: StochasticMatrix, alpha: float) -> StochasticMatrix:
-    """Blend with the uniform matrix: alpha*P + (1 - alpha)/n everywhere.
-
-    Every entry of the result is at least (1 - alpha)/n > 0, so the damped
-    chain is positive and therefore primitive, and rows still sum to 1.
-    P's matrix is shared, not copied; damping twice multiplies the factors.
-    """
-    if not (0 < alpha < 1):
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    return StochasticMatrix(P.matrix, P.alpha * alpha)
 
 
 def _operator(P: StochasticMatrix, loop: bool = False) -> _Operator:

@@ -193,6 +193,35 @@ class TestPerronCommand:
         assert len(captured.err.splitlines()) == 1
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--trace", "x.csv", "--discs", "./x.csv"], "x.csv"), (["--trace", "a.csv"], "a.csv"),
+         (["--discs", "a.csv"], "a.csv")],
+        ids=["trace-and-discs", "trace-over-input", "discs-over-input"],
+    )
+    def test_two_outputs_naming_one_file_are_refused(self, capsys, tmp_path, monkeypatch, flags, named):
+        # one of the two writes would be lost, or the input overwritten
+        calls = []
+        monkeypatch.setattr(perronkit.cli, "algorithm_a", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.csv").write_text("2,1\n1,3\n")
+        before = (tmp_path / "a.csv").read_bytes()
+        assert main(["perron", *flags, "a.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1 and "name one file" in captured.err
+        assert calls == []
+        assert (tmp_path / "a.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+
+    def test_a_failed_run_removes_its_trace_files(self, capsys, tmp_path):
+        # the zero row raises inside the solve, after both files are opened
+        path, trace, discs = tmp_path / "z.csv", tmp_path / "t.csv", tmp_path / "d.csv"
+        path.write_text("0,0\n1,1\n")
+        assert main(["perron", "--side", "row", "--trace", str(trace), "--discs", str(discs), str(path)]) == 1
+        assert "sums to zero" in capsys.readouterr().err
+        assert not trace.exists() and not discs.exists()
+
     def test_discs_trace_is_pinned(self, capsys, tmp_path, sample3_file):
         discs = tmp_path / "discs.csv"
         assert main(["perron", "--discs", str(discs), sample3_file]) == 0
@@ -310,7 +339,7 @@ class TestStationaryCommand:
         return str(path)
 
     def test_undamped_two_state_chain(self, capsys, chain_file):
-        code, payload = run_json(capsys, ["stationary", "--no-damp", chain_file])
+        code, payload = run_json(capsys, ["stationary", "--alpha", "1", chain_file])
         assert code == 0
         assert np.allclose(payload["u"], [5.0 / 6.0, 1.0 / 6.0], atol=1e-8)
         assert payload["ranked"] == [0, 1]
@@ -325,14 +354,40 @@ class TestStationaryCommand:
     def test_normalize_accepts_raw_counts(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("9,1\n5,5\n")
-        code, payload = run_json(capsys, ["stationary", "--normalize", "--no-damp", str(path)])
+        code, payload = run_json(capsys, ["stationary", "--normalize", "--alpha", "1", str(path)])
         assert code == 0
         assert np.allclose(payload["u"], [5.0 / 6.0, 1.0 / 6.0], atol=1e-8)
 
     def test_non_stochastic_rejected_without_normalize(self, capsys, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("9,1\n5,5\n")
-        assert main(["stationary", "--no-damp", str(path)]) == 1
+        assert main(["stationary", "--alpha", "1", str(path)]) == 1
+
+    def test_alpha_one_is_the_chain_as_given(self, capsys, chain_file):
+        code, record = run_json(capsys, ["stationary", "--alpha", "1", "--json", chain_file])
+        assert code == 0
+        assert record["config"]["alpha"] == 1.0
+        assert np.allclose(record["result"]["u"], [5.0 / 6.0, 1.0 / 6.0], atol=1e-8)
+
+    @pytest.mark.parametrize("alpha", ["0", "1.5", "nan", "7"])
+    def test_alpha_outside_its_domain_is_input_error(self, capsys, chain_file, alpha):
+        assert main(["stationary", "--alpha", alpha, chain_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "(0, 1]" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_bad_alpha_is_reported_before_the_row_sums(self, capsys, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("9,1\n5,5\n")
+        assert main(["stationary", "--alpha", "7", str(path)]) == 1
+        assert "(0, 1]" in capsys.readouterr().err
+
+    def test_no_damp_is_a_usage_error(self, capsys, chain_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["stationary", "--no-damp", chain_file])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --no-damp" in capsys.readouterr().err
 
 
 class TestRunner:

@@ -101,7 +101,7 @@ def test_balanced_payload_of_a_dense_file_is_dense(capsys, files):
         ("t50", ["stationary", "--normalize"], 0, {"status": "converged"}),
         ("p50", ["perron"], 2, {"status": "stagnated"}),
         ("p50", ["power"], 2, {"status": "stagnated"}),
-        ("p51", ["stationary", "--normalize", "--no-damp"], 2, {"status": "stagnated"}),
+        ("p51", ["stationary", "--normalize", "--alpha", "1"], 2, {"status": "stagnated"}),
         ("p51", ["stationary", "--normalize"], 0, {"status": "converged"}),
     ],
     ids=["r200-bounds", "r200-power", "r200-primitivity", "r200-stationary", "t50-primitivity",

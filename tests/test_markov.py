@@ -14,7 +14,6 @@ from perronkit import (
     StochasticMatrix,
     ZeroSumError,
     algorithm_b,
-    damp,
     from_coordinates,
     from_dense,
     is_irreducible,
@@ -40,7 +39,7 @@ def chain():
 
 @pytest.fixture
 def damped_chain(chain):
-    return damp(chain, 0.85)
+    return StochasticMatrix(chain.matrix, 0.85)
 
 
 class TestMakeStochastic:
@@ -80,35 +79,28 @@ class TestMakeStochastic:
 class TestDamp:
     def test_half_damped_identity(self):
         P = StochasticMatrix(from_dense(np.eye(2)))
-        assert np.array_equal(damped_dense(damp(P, 0.5)), [[0.75, 0.25], [0.25, 0.75]])
+        assert np.array_equal(damped_dense(StochasticMatrix(P.matrix, 0.5)), [[0.75, 0.25], [0.25, 0.75]])
 
     def test_entries_bounded_below(self):
         P = make_stochastic(from_dense([[1.0, 3.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 2.0]]))
         alpha = 0.85
-        damped = damped_dense(damp(P, alpha))
+        damped = damped_dense(StochasticMatrix(P.matrix, alpha))
         assert damped.min() >= (1 - alpha) / 3
         assert np.allclose(damped.sum(axis=1), 1.0, atol=1e-12)
 
     def test_damping_makes_a_cycle_primitive(self):
         cycle = StochasticMatrix(from_dense([[0, 1, 0], [0, 0, 1], [1, 0, 0.0]]))
         assert not is_primitive(cycle.matrix)
-        assert is_primitive(from_dense(damped_dense(damp(cycle, 0.85))))
-
-    def test_shares_the_chain_and_multiplies_factors(self, chain):
-        damped = damp(damp(chain, 0.5), 0.85)
-        assert damped.matrix is chain.matrix
-        assert damped.alpha == 0.5 * 0.85
-
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, float("nan")])
-    def test_alpha_domain(self, alpha):
-        P = StochasticMatrix(from_dense(np.eye(2)))
-        with pytest.raises(DomainError):
-            damp(P, alpha)
+        assert is_primitive(from_dense(damped_dense(StochasticMatrix(cycle.matrix, 0.85))))
 
     @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5, float("nan")])
     def test_constructor_alpha_domain(self, alpha):
-        with pytest.raises(DomainError):
+        # 1 is the chain as given; alpha is checked before the row sums
+        assert StochasticMatrix(from_dense(np.eye(2)), 1.0).alpha == 1.0
+        with pytest.raises(DomainError, match=r"\(0, 1\]"):
             StochasticMatrix(from_dense(np.eye(2)), alpha)
+        with pytest.raises(DomainError):
+            StochasticMatrix(from_dense([[0.9, 0.2], [0.5, 0.5]]), alpha)
 
 
 class TestOperator:
@@ -119,7 +111,7 @@ class TestOperator:
         op = perronkit.markov._operator(StochasticMatrix(matrix), loop=True)
         assert op.work == (matrix.nnz if storage == "csr" else matrix.n**2)
         assert op.apply.__module__ == "perronkit.matcore"
-        damped = perronkit.markov._operator(damp(StochasticMatrix(matrix), 0.85), loop=True)
+        damped = perronkit.markov._operator(StochasticMatrix(matrix, 0.85), loop=True)
         assert damped.work == op.work + matrix.n
         assert damped.apply.__module__ == "perronkit.markov"
 
@@ -148,7 +140,7 @@ class TestStationary:
 
     def test_damped_cycle_gives_uniform(self):
         cycle = StochasticMatrix(from_dense([[0, 1, 0], [0, 0, 1], [1, 0, 0.0]]))
-        dist = stationary(damp(cycle, 0.85))
+        dist = stationary(StochasticMatrix(cycle.matrix, 0.85))
         assert np.allclose(dist.u, 1.0 / 3.0, atol=1e-10, rtol=0)
 
     def test_root_is_one_for_stochastic_input(self):
@@ -167,7 +159,7 @@ class TestStationary:
         )
         orders = []
         for alpha in (0.84, 0.85, 0.86):
-            u = stationary(damp(base, alpha)).u
+            u = stationary(StochasticMatrix(base.matrix, alpha)).u
             assert min(abs(np.diff(np.sort(u)))) > 1e-3
             orders.append(tuple(np.argsort(-u)))
         assert orders[0] == orders[1] == orders[2]
@@ -179,7 +171,7 @@ class TestStationary:
         assert dist.u.tobytes() == res.eigenvector.tobytes()
         assert (dist.iterations, dist.status) == (res.iterations, res.status)
         # damped, the implicit operator adds in another order than the n×n matrix
-        damped = damp(chain, 0.85)
+        damped = StochasticMatrix(chain.matrix, 0.85)
         dist = stationary(damped)
         res = algorithm_b(from_dense(damped_dense(damped)), SolverConfig(side=Side.COLUMN))
         assert np.abs(dist.u - res.eigenvector).max() <= 1e-15 * res.eigenvector.max()
@@ -197,7 +189,7 @@ class TestStationary:
             raise AssertionError("damping densified the chain")
 
         monkeypatch.setattr(NonnegMatrix, "to_dense", refuse)
-        assert stationary(damp(chain, 0.85)).status is Status.CONVERGED
+        assert stationary(StochasticMatrix(chain.matrix, 0.85)).status is Status.CONVERGED
 
     @pytest.mark.parametrize(
         "alpha, status, iterations, asked",

@@ -13,7 +13,6 @@ from perronkit import (
     SolverConfig,
     Status,
     StochasticMatrix,
-    damp,
     from_coordinates,
     from_dense,
     make_stochastic,
@@ -54,12 +53,11 @@ ONE_STEP_APART = make_stochastic(from_coordinates(
 @example(P=ONE_STEP_APART, alpha=0.6566934563136971)
 def test_implicit_damping_matches_the_dense_damped_chain(P, alpha):
     cfg = SolverConfig(tolerance=1e-12, max_iterations=3000)
-    damped = damp(P, alpha)
+    damped = StochasticMatrix(P.matrix, alpha)
     dist = stationary(damped, cfg)
 
     # dense and CSR storage of P run the same operator on the same numbers
-    dense_P = StochasticMatrix(from_dense(P.matrix.to_dense()))
-    other = stationary(damp(dense_P, alpha), cfg)
+    other = stationary(StochasticMatrix(from_dense(P.matrix.to_dense()), alpha), cfg)
     assert dist.u.tobytes() == other.u.tobytes()
     assert (dist.iterations, dist.status) == (other.iterations, other.status)
 
@@ -96,7 +94,7 @@ def test_blocked_damped_loop_matches_the_reference_loop(P, alpha, cap):
     # a tolerance below the rounding floor runs slowly mixing chains long
     cfg = SolverConfig(tolerance=1e-300, max_iterations=cap)
     for matrix in (P.matrix, from_dense(P.matrix.to_dense())):
-        damped = damp(StochasticMatrix(matrix), alpha)
+        damped = StochasticMatrix(matrix, alpha)
         op = markov._operator(damped, cfg.max_iterations > 1)
         y_ref, t_ref, status_ref, rmin_ref, rmax_ref, steps_ref = reference_loop(
             damped_vecmat(damped), P.n, lambda: True, cfg

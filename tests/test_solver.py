@@ -15,12 +15,12 @@ from perronkit import (
     Side,
     SolverConfig,
     Status,
+    StochasticMatrix,
     ZeroSumError,
     algorithm_a,
     algorithm_b,
     bounds_report,
     convergence_discs,
-    damp,
     from_coordinates,
     from_dense,
     make_stochastic,
@@ -89,7 +89,7 @@ class TestLeastEntry:
         # the damped kernel's work is n² + n
         made = []
         monkeypatch.setattr(perronkit.markov, "_matrix_operator", counting_least(perronkit.markov._matrix_operator, made))
-        P = damp(make_stochastic(random_primitive(n, rng=4)), 0.85)
+        P = StochasticMatrix(make_stochastic(random_primitive(n, rng=4)).matrix, 0.85)
         assert P.matrix.storage == "dense"
         assert (stationary(P).status, len(made)) == (Status.CONVERGED, calls)
 
