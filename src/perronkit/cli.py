@@ -17,6 +17,7 @@ import contextlib
 import functools
 import json
 import os
+import stat
 import sys
 import time
 from dataclasses import asdict
@@ -81,27 +82,40 @@ def _solver_result_payload(res: PerronResult, balanced: bool) -> dict:
 @contextlib.contextmanager
 def _csv_file(path):
     """path opened for a CSV trace, or None when the flag is unset or empty;
-    the file is removed if the block raises, so a failed run leaves none."""
+    a regular file is removed if the block raises, so a failed run leaves
+    none, and a device such as /dev/null is left alone."""
     if not path:
         yield None
         return
     fh = open(path, "w", encoding="ascii", newline="\n")
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
         with fh:
             yield fh
     except BaseException:
-        os.remove(path)
+        if regular:
+            with contextlib.suppress(OSError):  # the run's own error is the one to report
+                os.remove(path)
         raise
 
 
-def _check_distinct(args) -> None:
-    """Refuse a run whose input, --trace and --discs name one file twice."""
+def _check_distinct(paths) -> None:
+    """Refuse a run whose (flag, path) pairs name one regular file twice:
+    an existing file by its device and inode, so a hard link counts, a new
+    one by its resolved path."""
     seen = {}
-    for flag, path in [("the input", args.matrix), ("--trace", getattr(args, "trace", None)),
-                       ("--discs", getattr(args, "discs", None))]:
+    for flag, path in paths:
         if not path:
             continue
-        first = seen.setdefault(os.path.realpath(path), flag)
+        try:
+            st = os.stat(path)
+        except OSError:
+            key = os.path.realpath(path)
+        else:
+            if not stat.S_ISREG(st.st_mode):
+                continue  # /dev/null and the like lose nothing when shared
+            key = (st.st_dev, st.st_ino)
+        first = seen.setdefault(key, flag)
         if first != flag:
             raise PerronError(f"{first} and {flag} name one file: {path}")
 
@@ -133,7 +147,6 @@ def _run(args) -> int:
     (config, result, exit code, text).  Print the run record with --json,
     else text, or the result as indented JSON when text is None."""
     started = time.perf_counter()
-    _check_distinct(args)
     A = parse_matrix(args.matrix)
     config, result, code, text = args.body(A, args)
     if args.json:
@@ -157,6 +170,7 @@ def _perron(A: NonnegMatrix, args):
         max_iterations=args.max_iter,
         side=None if args.side == "auto" else Side(args.side),
     )
+    _check_distinct([("the input", args.matrix), ("--trace", args.trace), ("--discs", args.discs)])
     # both trace files open before the solve, so an unwritable path costs no solve
     with _csv_file(args.discs) as discs, _csv_file(args.trace) as trace:
         res = algorithm_a(A, cfg, on_step=discs and _disc_writer(discs, A))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -196,15 +197,16 @@ class TestPerronCommand:
     @pytest.mark.parametrize(
         "flags, named",
         [(["--trace", "x.csv", "--discs", "./x.csv"], "x.csv"), (["--trace", "a.csv"], "a.csv"),
-         (["--discs", "a.csv"], "a.csv")],
-        ids=["trace-and-discs", "trace-over-input", "discs-over-input"],
+         (["--discs", "a.csv"], "a.csv"), (["--trace", "h.csv"], "h.csv")],
+        ids=["trace-and-discs", "trace-over-input", "discs-over-input", "trace-over-a-hard-link"],
     )
     def test_two_outputs_naming_one_file_are_refused(self, capsys, tmp_path, monkeypatch, flags, named):
-        # one of the two writes would be lost, or the input overwritten
+        # one of the two writes would be lost, or the input overwritten; h.csv is a.csv under another name
         calls = []
         monkeypatch.setattr(perronkit.cli, "algorithm_a", lambda *args, **kwargs: calls.append(args))
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a.csv").write_text("2,1\n1,3\n")
+        os.link(tmp_path / "a.csv", tmp_path / "h.csv")
         before = (tmp_path / "a.csv").read_bytes()
         assert main(["perron", *flags, "a.csv"]) == 1
         captured = capsys.readouterr()
@@ -212,7 +214,10 @@ class TestPerronCommand:
         assert len(captured.err.splitlines()) == 1 and "name one file" in captured.err
         assert calls == []
         assert (tmp_path / "a.csv").read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "h.csv"]
+
+    def test_two_outputs_to_a_device_are_not_one_file(self, capsys, sample3_file):
+        assert main(["perron", "--trace", os.devnull, "--discs", os.devnull, sample3_file]) == 0
 
     def test_a_failed_run_removes_its_trace_files(self, capsys, tmp_path):
         # the zero row raises inside the solve, after both files are opened
@@ -221,6 +226,22 @@ class TestPerronCommand:
         assert main(["perron", "--side", "row", "--trace", str(trace), "--discs", str(discs), str(path)]) == 1
         assert "sums to zero" in capsys.readouterr().err
         assert not trace.exists() and not discs.exists()
+
+    def test_a_failed_run_removes_only_regular_files_and_reports_its_own_error(self, capsys, tmp_path, monkeypatch):
+        # removing /dev/null as root deletes the device; a failed removal must not hide the run's error
+        calls = []
+
+        def remove(path):
+            calls.append(path)
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(perronkit.cli.os, "remove", remove)
+        path, discs = tmp_path / "z.csv", tmp_path / "d.csv"
+        path.write_text("0,0\n1,1\n")
+        assert main(["perron", "--side", "row", "--trace", os.devnull, "--discs", str(discs), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "sums to zero" in err
+        assert calls == [str(discs)]
 
     def test_discs_trace_is_pinned(self, capsys, tmp_path, sample3_file):
         discs = tmp_path / "discs.csv"
