@@ -218,7 +218,7 @@ def _primitivity(A: NonnegMatrix, args):
 
 
 def _stationary(A: NonnegMatrix, args):
-    P = StochasticMatrix(make_stochastic(A).matrix if args.normalize else A, args.alpha)
+    P = make_stochastic(A, args.alpha) if args.normalize else StochasticMatrix(A, args.alpha)
     cfg = SolverConfig(tolerance=args.tol, max_iterations=args.max_iter)
     dist = stationary(P, cfg)
     ranked = np.argsort(-dist.u, kind="stable").tolist()

@@ -74,14 +74,17 @@ class StationaryDistribution:
     status: Status
 
 
-def make_stochastic(A: NonnegMatrix) -> StochasticMatrix:
-    """Divide each row by its sum; preserves the storage layout."""
+def make_stochastic(A: NonnegMatrix, alpha: float = 1.0) -> StochasticMatrix:
+    """Divide each row by its sum, in A's storage layout, and damp by alpha.
+
+    A zero row raises ZeroSumError before alpha is checked.
+    """
     r = sums(A, Side.ROW)
     zero = np.flatnonzero(r == 0)
     if zero.size:
         raise ZeroSumError(int(zero[0]), side="row")
     rows, cols, values = _entries(A)
-    return StochasticMatrix(_like(A, rows, cols, values / r[rows]))
+    return StochasticMatrix(_like(A, rows, cols, values / r[rows]), alpha)
 
 
 def _operator(P: StochasticMatrix, loop: bool = False) -> _Operator:
@@ -91,7 +94,7 @@ def _operator(P: StochasticMatrix, loop: bool = False) -> _Operator:
     ``loop`` picks as in :func:`~perronkit.solver._operator`.  A damped
     one damps that operator's kernel; its least factor is alpha times P's
     least entry, or (1 - alpha)/n on the sum of u, and it is positive,
-    hence primitive.
+    hence primitive.  It has no dense form, so the loop never squares it.
     """
     op, alpha, beta = _matrix_operator(P.matrix, Side.COLUMN, loop), P.alpha, (1.0 - P.alpha) / P.n
     if alpha == 1:
@@ -103,8 +106,8 @@ def _operator(P: StochasticMatrix, loop: bool = False) -> _Operator:
         w += beta * u.sum()
         return w
 
-    return replace(op, apply=apply, work=op.work + P.n,
-                   least=lambda: min(alpha * op.least(), beta), primitive=lambda: True)
+    return replace(op, apply=apply, work=op.work + P.n, least=lambda: min(alpha * op.least(), beta),
+                   primitive=lambda: True, balanced=None)
 
 
 def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> StationaryDistribution:

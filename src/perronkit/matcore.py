@@ -287,6 +287,10 @@ def sums(A: NonnegMatrix, side: Side) -> np.ndarray:
 _SLOT_FILL = 1.5
 
 
+# the dense kernel's einsum and iteration order on each side
+_DENSE_PRODUCT = {Side.COLUMN: ("ij,i->j", "K"), Side.ROW: ("ij,j->i", "F")}
+
+
 def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
     """``v -> vᵀA`` (column side) or ``v -> A v`` (row side), A's arrays bound once.
 
@@ -342,12 +346,28 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
 
         return product if slots is None else slots
     D, n = A._dense, A.n
-    subscripts, order = ("ij,i->j", "K") if side is Side.COLUMN else ("ij,j->i", "F")
+    subscripts, order = _DENSE_PRODUCT[side]
 
     def dense_product(v, out=None):
         return c_einsum(subscripts, D, v, order=order, out=np.empty(n) if out is None else out)
 
     return dense_product
+
+
+def _dense_sums(M, side: Side) -> np.ndarray:
+    """The side's sums of an (n, n) array, added as the dense kernel adds them."""
+    subscripts, order = _DENSE_PRODUCT[side]
+    return c_einsum(subscripts, M, np.ones(len(M)), order=order)
+
+
+def _square(M, out) -> np.ndarray:
+    """M M into ``out``, a float (n, n) array that does not overlap M.
+
+    One einsum ``"ij,jk->ik"``, iterated with k innermost: every entry adds
+    its terms in ascending order of j, with no fused multiply-add, so the
+    bits depend neither on the storage M came from nor on BLAS threads.
+    """
+    return c_einsum("ij,jk->ik", M, M, out=out)
 
 
 def _slot_product(n, bins, gather, data):

@@ -34,6 +34,23 @@ before the first stop any of them finds, all at once.  So the sums and y
 are bit for bit those of a loop that rescales at every step and tests
 each step in turn.
 
+Slow input ends in a squaring phase.  With D = diag(y), the balanced
+matrix B = D^{-1} A D has B^(2^k) 1 = D^{-1} A^(2^k) y, so k squarings of
+B do the work of 2^k steps, and products of nonnegative matrices round
+with a small relative error in each entry (Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed., section 3.5).  Once the spread's
+contraction over the last 20 steps projects more than 2^15 steps to go,
+and those steps would cost more than the squarings that stand for them,
+a primitive matrix builds B from y, stores it dense, and squares it with
+a fixed-order einsum, rescaled by a power of two before each product;
+each round sets y <- y ∘ z, with z the sums of B^(2^k) on the balanced
+side.  A round is one iteration, and the quotients (A y) / y of A's own
+kernel certify it: it is kept only while y stays positive and normal and
+its interval is narrower than the last one and inside it, up to four ulp
+of rounding at each end.  The first round that is not sends the run back
+to plain steps for good.  ``tridiagonal(200, 1, 3, 2)`` takes 292
+iterations this way, 275 steps and 17 rounds, instead of 76 599 steps.
+
 On matrices whose dominant eigenvalue is not strictly dominant in modulus
 (imprimitive matrices), the sums oscillate instead of converging.  When the
 spread stops shrinking the loop runs the exact test
@@ -61,7 +78,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ZeroSumError
-from .matcore import GerschgorinDisc, NonnegMatrix, Side, _entries, _kernel, rank_one_hadamard, sums
+from .matcore import (
+    GerschgorinDisc, NonnegMatrix, Side, _dense_sums, _entries, _kernel, _square, rank_one_hadamard, sums,
+)
 from .primitivity import is_primitive
 
 __all__ = [
@@ -160,10 +179,15 @@ class PerronResult:
 
     @functools.cached_property
     def balanced(self) -> NonnegMatrix:
-        y = self._y
-        if self.side_used is Side.ROW:
-            return rank_one_hadamard(self._A, np.reciprocal(y), y)
-        return rank_one_hadamard(self._A, y, np.reciprocal(y))
+        return _balanced(self._A, self.side_used, self._y)
+
+
+def _balanced(A: NonnegMatrix, side: Side, y) -> NonnegMatrix:
+    """The paper's balanced matrix for y: D⁻¹ A D for rows and D A D⁻¹ for
+    columns, D = diag(y), with A's orientation, diagonal and zero pattern."""
+    if side is Side.ROW:
+        return rank_one_hadamard(A, np.reciprocal(y), y)
+    return rank_one_hadamard(A, y, np.reciprocal(y))
 
 
 # steps the spread gets to shrink before the exact primitivity test is run
@@ -221,10 +245,83 @@ def _converged(spread, hi, tolerance):
     return spread <= np.maximum(_ulp(hi), tolerance)
 
 
+def _room(history, entries, cap):
+    """history, or a copy with twice its capacity, up to cap + 1 entries,
+    when it holds fewer than ``entries``; doubling, from 256, makes room
+    for a block of 128 more."""
+    if entries <= history.shape[1]:
+        return history
+    grown = np.empty((2, min(2 * history.shape[1], cap + 1)))
+    grown[:, : history.shape[1]] = history
+    return grown
+
+
 def _first(flags) -> int:
     """Index of the first true entry of flags, or len(flags) if there is none."""
     i = int(flags.argmax())
     return i if flags[i] else len(flags)
+
+
+# squaring starts only when more than this many steps are projected to remain
+_SQUARE_STEPS = 2**15
+# a step costs at least this many multiply-adds of a squaring: on CSR
+# tridiagonal(200, 1, 3, 2) a step took 2.6-4.4 µs and a squaring
+# 0.24-0.32 ns a multiply-add (n = 120-500, shared 2-vCPU Xeon, numpy 2.4)
+_STEP_COST = 2**14
+# a squaring round's quotients may leave the last interval by this many ulp
+# at each end: they are rounded, and the power loop's own maximum sum rises
+# by one ulp at times (tridiagonal(200, 1, 3, 2) from step 55 on)
+_NEST_ULPS = 4
+
+
+def _squares(now, then, hi, left, tolerance, step_cost, cube):
+    """The squaring rule per entry, on the spread ``now`` and the one
+    _STAGNATION_WINDOW entries back, ``then``, with ``hi`` the max sum and
+    ``left`` the steps to the cap.  The spread's contraction over the window
+    projects P steps to a spread within the tolerance or one ulp of ``hi``,
+    capped at ``left`` (and ``left`` when it does not contract); the rule
+    holds where P > _SQUARE_STEPS and P steps cost more than the
+    ⌈log₂ P⌉ squarings that stand for them, at ``cube`` = n³ each.
+    """
+    rate = np.log(now / then)  # negative while the spread contracts
+    steps = _STAGNATION_WINDOW * np.log(np.maximum(_ulp(hi), tolerance) / now) / rate
+    p = np.where(rate < 0, np.minimum(steps, left), left)
+    return (p > _SQUARE_STEPS) & (p * step_cost > np.ceil(np.log2(p)) * cube)
+
+
+def _rounds(op, y, lo, hi):
+    """The squaring phase from y, whose quotients span [lo, hi].
+
+    Builds the balanced matrix B = ``op.balanced(y)`` once, and one more
+    (n, n) buffer; round j rescales the last square by a power of two, so
+    that its largest entry lies in [1/2, 1), and squares it into the other
+    buffer: B^(2^j) up to scale.  z is its row sums for rows, its column
+    sums for columns, and y ∘ z is (Kᵀ)^(2^j) y up to scale: rescaled like
+    y, it is the round's vector v, and its quotients r = (Kᵀ v) / v come
+    from K's own kernel.  Yields (v, Kᵀ v, r, min r, max r) for each
+    round whose v and Kᵀ v are positive and normal and whose [min r, max r]
+    is narrower than the previous round's and lies inside it, up to
+    _NEST_ULPS at each end; it stops at the first round that is not, or
+    when B cannot be built.
+    """
+    try:
+        M = op.balanced(y)
+    except DomainError:  # an entry or a sum of B overflows
+        return
+    N, tiny = np.empty_like(M), float(np.finfo(np.float64).tiny)
+    while True:
+        np.ldexp(M, -math.frexp(float(M.max()))[1], out=M)
+        M, N = _square(M, N), M
+        v = y * _dense_sums(M, op.side)
+        np.ldexp(v, -math.frexp(float(_max(v)))[1], out=v)
+        w = op.apply(v)
+        r = w / v
+        r_lo, r_hi = float(_min(r)), float(_max(r))
+        inside = lo - _NEST_ULPS * math.ulp(lo) <= r_lo and r_hi <= hi + _NEST_ULPS * math.ulp(hi)
+        if not (_min(v) >= tiny and _min(w) >= tiny and inside and r_hi - r_lo < hi - lo):
+            return
+        yield v, w, r, r_lo, r_hi
+        lo, hi = r_lo, r_hi
 
 
 @dataclass(frozen=True)
@@ -240,8 +337,13 @@ class _Operator:
     2**17 // work >= 2: never for a dense matrix above n = 256, or a
     damped dense chain above n = 255.
     ``primitive()`` answers whether K is primitive; the loop calls it at
-    most once, when the spread stalls.  ``side`` only labels a
-    ZeroSumError.
+    most once, when the spread stalls or squaring would start.  ``side``
+    labels a ZeroSumError and picks the sums of a squared matrix.
+    ``balanced(y)``, K's dense form, is the paper's balanced matrix of K
+    for y as a fresh (n, n) array, whose sums on ``side`` are the
+    quotients (Kᵀ y) / y; the loop calls it at most once, when it starts
+    squaring.  None, for an operator that is not a stored matrix, means
+    the loop never squares.
     """
 
     apply: Callable[..., np.ndarray]
@@ -249,6 +351,7 @@ class _Operator:
     least: Callable[[], float]
     primitive: Callable[[], bool]
     side: Side
+    balanced: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _operator(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False) -> _Operator:
@@ -259,11 +362,13 @@ def _operator(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False) -> 
     built here; a one-step run's one-shot kernel builds none.  A and Aᵀ
     are primitive together, so either side's exact test runs on A.
     ``least()`` gathers a dense A's nonzeros by np.nonzero: 1.6 MB at n = 256.
+    ``balanced(y)`` is :attr:`PerronResult.balanced`'s matrix for y, stored dense.
     """
     work = A.n * A.n if A.storage == "dense" else A.nnz  # the kernel's multiply-adds
     return _Operator(
         _kernel(A, side, loop), work,
         lambda: float(_entries(A)[2].min()), functools.partial(is_primitive, A), side,
+        lambda y: _balanced(A, side, y).to_dense(),
     )
 
 
@@ -275,12 +380,12 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
     holds already; its length is the order of K.
 
     Returns (y, iterations, status, history).  The history's arrays are
-    the kept part of one (2, capacity) array that the loop writes each
-    block's kept minima and maxima into, doubling its capacity when full,
-    up to one entry more than the iteration cap.
+    the kept part of one (2, capacity) array that the loop writes the
+    kept minima and maxima of each block and round into, doubling its
+    capacity when full, up to one entry more than the iteration cap.
     ``on_step(t, r)``, when given, is called with the input's sums (t = 0)
-    and then with the sums of each accepted step, so once per history
-    entry; r belongs to the loop and must not be modified, and a later
+    and then with the sums of each accepted step or squaring round, so
+    once per history entry; r belongs to the loop and must not be modified, and a later
     block overwrites it once the call returns, so a hook that keeps r
     keeps a copy.
 
@@ -332,6 +437,20 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
     ``primitive()`` has answered yes.  A row that both converges and
     stalls converges, and a row that converges or stalls is kept even when
     the next row fails the guard.
+
+    The squaring rule, :func:`_squares`, runs on the same spreads while
+    K has a dense form and more than 2**15 steps are left.  At its first
+    row before the stop, if ``primitive()`` answers yes, the block keeps
+    the steps up to that row (a stall on the row comes first), and the
+    squaring phase of :func:`_rounds` starts from the kept y.  Each round
+    it keeps is one iteration, with one history entry and one ``on_step``
+    call on the quotients of K's kernel.  The phase runs once a run: after
+    its first refused round, or when B cannot be built, the loop goes on
+    in blocks from the last kept y and w.  The rule reads only the
+    history, so dense and CSR storage of one matrix start squaring at the
+    same step whenever the floor P > 2**15 decides for both: at every
+    order up to 323, where 2**15 steps cost more than 16 n³ multiply-adds
+    even at the least step cost, 2**14.
     """
     vecmat, y = op.apply, np.ones(len(w))  # each kept block rewrites y in place
     zero = np.flatnonzero(w == 0)
@@ -339,6 +458,8 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
         raise ZeroSumError(int(zero[0]), side=op.side.value)
 
     tolerance, cap, window = cfg.tolerance, cfg.max_iterations, _STAGNATION_WINDOW
+    squares = op.balanced is not None  # until the squaring phase has run
+    step_cost, cube = max(op.work, _STEP_COST), float(len(w)) ** 3
     # the history: row 0 the min and row 1 the max sum of each entry
     history = np.empty((2, min(cap + 1, _HISTORY_START)))
     lo0, wmax = float(_min(w)), float(_max(w))  # r = w on the first step
@@ -351,7 +472,7 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
     blocks = np.empty((2 * min(_BLOCK_STEPS, cap, budget) + 1, len(y)))
     rows = list(blocks)
     least_term = None  # least(), once a block of k > 1 first runs
-    verdict = None  # primitive(), once a stall is the first stop of a block
+    verdict = None  # primitive(), once a stall is the first stop of a block or squaring would start
 
     t = m = 0
     grow = 1  # zero after a block that was cut
@@ -385,22 +506,32 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
         m, status = c, None
         if stop < c:
             m, status = (stop, Status.STAGNATED) if fails[stop] else (stop + 1, Status.CONVERGED)
-        if verdict is None and t + stop >= window:  # a row before the stop has an entry window back
-            # the last history spreads, then the block's; the rule's entry p
-            # is row p + window - (the number of history spreads)
+        square = c  # the row after which the squaring phase starts, if it is before the stop
+        squares = squares and t + _SQUARE_STEPS < cap  # else no row has more than 2**15 steps left
+        if (verdict is not True or squares) and t + stop >= window:  # a row before the stop has an entry window back
+            # the last history spreads, then the block's; the rules' entry p
+            # is row p + first, first = c - (the number of entries)
             last = history[:, max(0, t + 1 - window) : t + 1]
             spreads = np.concatenate((last[1] - last[0], spread))
-            q = _first(_stalled(spreads[window:], spreads[:-window], tolerance)) + c + window - len(spreads)
-            if q < stop:
-                verdict = op.primitive()
-                if not verdict:
-                    m, status = q + 1, Status.STAGNATED
+            now, then = spreads[window:], spreads[:-window]
+            first = c - len(now)
+            if squares:
+                left = cap - t - 1 - np.arange(first, c)
+                square = first + _first(_squares(now, then, hi[first:], left, tolerance, step_cost, cube))
+                if square < stop:  # only a primitive K squares
+                    verdict = squares = op.primitive() if verdict is None else verdict
+                    square = square if verdict else c
+            if verdict is not True:
+                q = _first(_stalled(now, then, tolerance)) + first
+                if q < min(stop, square + 1):  # a stall on the squaring row comes first
+                    verdict = op.primitive() if verdict is None else verdict
+                    if not verdict:
+                        m, status, square = q + 1, Status.STAGNATED, c
+            if square < stop:
+                m, status = square + 1, None
 
         if m:
-            if t + 1 + m > history.shape[1]:  # doubling, from 256, makes room for 128 more
-                grown = np.empty((2, min(2 * history.shape[1], cap + 1)))
-                grown[:, : t + 1] = history[:, : t + 1]
-                history = grown
+            history = _room(history, t + 1 + m, cap)
             history[0, t + 1 : t + 1 + m] = lo[:m]
             history[1, t + 1 : t + 1 + m] = hi[:m]
             # the next block rewrites the array: y is kept, rescaled, in its own
@@ -411,6 +542,21 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
                 for j in range(m):
                     on_step(t + 1 + j, rows[k + 1 + j])
             t += m
+
+        if square < stop:  # one squaring phase a run; its rounds are iterations
+            squares = False
+            for v, w, r, r_lo, r_hi in _rounds(op, y, history[0, t], history[1, t]):
+                history = _room(history, t + 2, cap)
+                t += 1
+                history[:, t] = r_lo, r_hi
+                y, wmax = v, float(_max(w))
+                if on_step is not None:
+                    on_step(t, r)
+                if _converged(r_hi - r_lo, r_hi, tolerance):
+                    status = Status.CONVERGED
+                    break
+                if t == cap:
+                    break
 
     if status is None:
         status = Status.MAX_ITERATIONS
@@ -432,7 +578,8 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
     where M is the matrix in the balanced orientation.
 
     ``on_step(t, r)``, when given, receives the balanced sums r after t
-    steps, for t = 0 up to the returned iteration count.  r belongs to the
+    iterations, for t = 0 up to the returned iteration count; an iteration
+    is a step, or a round of the squaring phase of slow runs.  r belongs to the
     solver: read it or copy it, but do not modify it.  The solver
     overwrites r once the call returns, so keep a copy, not r itself.
     """

@@ -16,7 +16,9 @@ rescaling y by a power of two at every step, where the solver runs blocks
 of steps between rescalings, and spells out each step with one reduction
 per guard.  The dense vᵀA is one n×n product reduced over axis 0,
 and Matrix Market files are written one value at a time.  The 2x2 root
-and the tridiagonal spectrum are closed forms.
+and the tridiagonal spectrum are closed forms, and so is the Perron root
+of a tridiagonal matrix with a changed corner, as the zero of its
+characteristic equation.
 The one helper that is not a reference, :func:`traced_peak`, measures
 the memory the memory tests bound.
 """
@@ -104,6 +106,32 @@ def tridiagonal_eigs(n, c, a, b) -> np.ndarray:
     assert n >= 1 and b * c >= 0
     k = np.arange(1, n + 1)
     return a + 2.0 * np.sqrt(b * c) * np.cos(k * np.pi / (n + 1))
+
+
+def tridiagonal_root(n, c, a, b, a00=None) -> float:
+    """Perron root of tridiagonal(n, c, a, b), with entry (0, 0) set to a00
+    when one is given, from the closed-form characteristic equation.
+
+    The matrix is similar to a symmetric one with off-diagonals s = √(bc).
+    With λ = a + 2s cos θ, det(λI - T) is s^n U_n(cos θ) and moving a_00
+    by a - a00 adds (a - a00) s^(n-1) U_(n-1)(cos θ), where U_k(cos θ) =
+    sin((k+1)θ) / sin θ.  Without a00 the root is θ = π/(n+1); with
+    a00 < a it is the zero of s sin((n+1)θ) + (a - a00) sin(nθ) between
+    π/(n+1) and 2π/(n+1), found by bisection.  √(bc) is taken as √b √c,
+    so huge bands do not overflow.
+    """
+    s = math.sqrt(b) * math.sqrt(c)
+    lo, hi = math.pi / (n + 1), 2 * math.pi / (n + 1)
+    if a00 is None:
+        return a + 2.0 * s * math.cos(lo)
+    d = a - a00
+    assert d > 0
+    g = lambda th: math.sin((n + 1) * th) + (d / s) * math.sin(n * th)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return a + 2.0 * s * math.cos(lo)
+        lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
 
 
 def primitive_by_stepwise_powers(arr, limit: int) -> bool:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import perronkit.cli
+import perronkit.markov
 import perronkit.primitivity
 import perronkit.solver
 from conftest import PERIODIC3_ROWS, SAMPLE3_ROWS
@@ -378,6 +379,23 @@ class TestStationaryCommand:
         code, payload = run_json(capsys, ["stationary", "--normalize", "--alpha", "1", str(path)])
         assert code == 0
         assert np.allclose(payload["u"], [5.0 / 6.0, 1.0 / 6.0], atol=1e-8)
+
+    @pytest.mark.parametrize("flags, taken", [(["--normalize"], ["row", "row"]), ([], ["row"])],
+                             ids=["normalize", "as-given"])
+    def test_the_rows_are_summed_once_to_divide_and_once_to_check(self, capsys, tmp_path, monkeypatch,
+                                                                  flags, taken):
+        # --normalize once summed the rows a third time, to check the quotient again under alpha
+        sides, sums = [], perronkit.markov.sums
+
+        def logged(A, side):
+            sides.append(side.value)
+            return sums(A, side)
+
+        monkeypatch.setattr(perronkit.markov, "sums", logged)
+        path = tmp_path / "chain.csv"
+        path.write_text("0.9,0.1\n0.5,0.5\n")
+        code, payload = run_json(capsys, ["stationary", *flags, str(path)])
+        assert (code, payload["status"], sides) == (0, "converged", taken)
 
     def test_non_stochastic_rejected_without_normalize(self, capsys, tmp_path):
         path = tmp_path / "raw.csv"

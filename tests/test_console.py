@@ -138,6 +138,27 @@ def test_trace_and_discs_have_a_line_per_step(capsys, files, tmp_path, flags, co
     assert len(discs.read_text().splitlines()) == (result["iterations"] + 1) * 50 + 1
 
 
+def test_a_squared_solve_prints_the_same_result_at_any_blas_thread_count(tmp_path):
+    # the squaring phase runs one einsum, not BLAS: each child's result is the same bytes
+    path = str(tmp_path / "t200.mtx")
+    assert main(["gen", "tridiag", "--n", "200", "--c", "1", "--a", "3", "--b", "2", "-o", path]) == 0
+    src = os.path.dirname(os.path.dirname(perronkit.cli.__file__))
+    script = "import sys; from perronkit.cli import main; sys.exit(main(sys.argv[1:]))"
+    results = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", script, "perron", "--json", path],
+                               env=env, capture_output=True, text=True, check=True)
+        results.append(json.dumps(json.loads(child.stdout)["result"]))
+    assert results[0] == results[1]
+    result = json.loads(results[0])
+    root = 3.0 + 2.0 * np.sqrt(2.0) * np.cos(np.pi / 201)
+    slack = 4 * np.spacing(root)  # the closed form and the quotients are rounded
+    assert result["status"] == "converged" and result["iterations"] < 1_000
+    assert result["root_lo"] - slack <= root <= result["root_hi"] + slack
+
+
 def test_row_and_column_roots_of_t50_are_equal(capsys, files):
     row, col = (result_of(capsys, ["perron", "--side", side, "--json", files["t50"]]) for side in ("row", "col"))
     assert row["status"] == col["status"] == "converged"

@@ -116,6 +116,24 @@ class TestOperator:
         assert damped.apply.__module__ == "perronkit.markov"
 
 
+    def test_a_damped_chain_has_no_dense_form_to_square(self, monkeypatch):
+        # the undamped chain is its matrix's operator, whose slow run squares
+        # once; the damped one never does
+        phases, rounds = [], perronkit.solver._rounds
+
+        def logged(*args):
+            phases.append(None)
+            return rounds(*args)
+
+        monkeypatch.setattr(perronkit.solver, "_rounds", logged)
+        P = make_stochastic(tridiagonal(200, 1.0, 3.0, 2.0))
+        for alpha, squared in [(1.0, 1), (0.99999, 0)]:
+            chain, phases[:] = StochasticMatrix(P.matrix, alpha), []
+            assert (perronkit.markov._operator(chain, loop=True).balanced is None) == (alpha < 1)
+            dist = stationary(chain)
+            assert (dist.status, len(phases)) == (Status.CONVERGED, squared)
+
+
 class TestStationary:
     def test_two_state_chain(self):
         dist = stationary(StochasticMatrix(from_dense(TWO_STATE)))

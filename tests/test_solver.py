@@ -10,7 +10,7 @@ import perronkit.markov
 import perronkit.matcore
 import perronkit.solver
 from conftest import SAMPLE3_ROWS
-from oracles import charpoly_coefficients, reference_iterate, traced_peak, transposed
+from oracles import charpoly_coefficients, reference_iterate, traced_peak, transposed, tridiagonal_root
 from perronkit import (
     Side,
     SolverConfig,
@@ -57,6 +57,16 @@ def counted(op, calls):
         return op.apply(v, out=out)
 
     return dataclasses.replace(op, apply=vecmat)
+
+
+def power_only(op):
+    """op without its dense form, so the loop never squares: the power loop alone."""
+    return dataclasses.replace(op, balanced=None)
+
+
+def refuse_to_square(*args):
+    """A stand-in for solver._rounds in a run that must not square."""
+    raise AssertionError("the run squared")
 
 
 def counting_least(operator, calls):
@@ -406,9 +416,10 @@ class TestStoppingRules:
     def test_a_block_grows_only_after_one_that_was_not_cut(self, build, calls, steps):
         # the first two cut every block at its first step: blocks of one and
         # two steps alternate, where growing after a cut ran two for each one
-        # kept (23 360 and 151 993 calls); the third is never cut
+        # kept (23 360 and 151 993 calls); the third is never cut.  All three
+        # would square: the power loop runs alone on operators with no dense form
         A, made = build(), []
-        op = counted(_operator(A, loop=True), made)
+        op = counted(power_only(_operator(A, loop=True)), made)
         y, t, status, history = _iterate(op, op.apply(np.ones(A.n)), SolverConfig())
         assert (len(made), t, status) == (calls, steps, Status.CONVERGED)
         if steps < 20_000:  # blocks change no bit: the one-step reference loop agrees
@@ -419,16 +430,76 @@ class TestStoppingRules:
             assert ref_rmax.tobytes() == history.rmax.tobytes()
 
     def test_a_long_run_keeps_its_history_in_float_arrays(self):
-        # 76 599 history entries as Python floats in lists peaked at 6.5 MB
+        # 76 599 history entries as Python floats in lists peaked at 6.5 MB;
+        # the run would square, so the power loop runs alone, on the row side
+        # that algorithm_b picks
         A = tridiagonal(200, 1.0, 3.0, 2.0)
-        res, peak = traced_peak(lambda: algorithm_b(A))
-        assert (res.iterations, res.status) == (76_599, Status.CONVERGED)
+        op = power_only(_operator(A, Side.ROW, loop=True))
+        (_, t, status, _), peak = traced_peak(lambda: _iterate(op, sums(A, Side.ROW), SolverConfig()))
+        assert (t, status) == (76_599, Status.CONVERGED)
         assert peak <= 3.5e6
 
     def test_block_rounding_floor_is_math_ulp(self):
         # np.spacing alone is inf at the largest double, where math.ulp is 2^971
         values = [np.finfo(np.float64).max, 2.0**1023, 1.0, 2.0**-1022, 5e-324]
         assert _ulp(np.array(values)).tolist() == [math.ulp(v) for v in values]
+
+
+class TestSquaring:
+    """Slow runs end by squaring the balanced matrix; see also the property
+    tests.  The closed-form roots are checked to 4 ulp: the quotients, and
+    the closed form, are rounded."""
+
+    @staticmethod
+    def assert_encloses(res, root):
+        slack = 4 * math.ulp(root)
+        assert res.root_lo - slack <= root <= res.root_hi + slack
+
+    def test_huge_entries_are_rescaled_before_each_product(self):
+        # B's entries are near 1e250: a product of two without the rescaling overflows
+        res = algorithm_a(tridiagonal(200, 1e250, 3e250, 2e250))
+        assert res.status is Status.CONVERGED and res.iterations < 1_000
+        self.assert_encloses(res, tridiagonal_root(200, 1e250, 3e250, 2e250))
+
+    def test_a_tiny_corner_keeps_its_root(self):
+        A = _with_corner(tridiagonal(200, 1.0, 3.0, 2.0), 1e-300)
+        res = algorithm_a(A)
+        assert res.status is Status.CONVERGED and res.iterations < 1_000
+        self.assert_encloses(res, tridiagonal_root(200, 1.0, 3.0, 2.0, a00=1e-300))
+
+    @pytest.mark.parametrize(
+        "build, steps",
+        [(lambda: random_primitive(1000, 0.5, 1), 8), (lambda: tridiagonal(50, 1.0, 3.0, 2.0), 5_890)],
+        ids=["random-1000", "t50"],
+    )
+    def test_the_rule_never_fires_on_a_fast_or_short_run(self, monkeypatch, build, steps):
+        # so their results are the power loop's, bit for bit
+        monkeypatch.setattr(perronkit.solver, "_rounds", refuse_to_square)
+        res = algorithm_a(build())
+        assert (res.iterations, res.status) == (steps, Status.CONVERGED)
+
+    def test_a_round_is_one_iteration(self):
+        A, steps = tridiagonal(200, 1.0, 3.0, 2.0), []
+        res = algorithm_b(A, on_step=collect(steps))
+        assert res.status is Status.CONVERGED and res.iterations == 292  # 275 steps, 17 rounds
+        assert [t for t, _ in steps] == list(range(res.iterations + 1))
+        assert [r.min() for _, r in steps] == res.history.rmin.tolist()
+        assert [r.max() for _, r in steps] == res.history.rmax.tolist()
+        assert res.root_hi - res.root_lo <= 1e-12
+        self.assert_encloses(res, tridiagonal_root(200, 1.0, 3.0, 2.0))
+
+    def test_a_run_capped_at_2_to_the_15_steps_never_squares(self, monkeypatch):
+        monkeypatch.setattr(perronkit.solver, "_rounds", refuse_to_square)
+        res = algorithm_a(tridiagonal(200, 1.0, 3.0, 2.0), SolverConfig(max_iterations=2**15))
+        assert (res.iterations, res.status) == (2**15, Status.MAX_ITERATIONS)
+
+    def test_an_unbuildable_balanced_matrix_leaves_the_power_loop(self, monkeypatch):
+        def overflow(*args):
+            raise DomainError("entry (1, 1) overflows; scale the matrix down")
+
+        monkeypatch.setattr(perronkit.solver, "_balanced", overflow)
+        res = algorithm_a(tridiagonal(200, 1.0, 3.0, 2.0))
+        assert (res.iterations, res.status) == (76_599, Status.CONVERGED)
 
 
 def _stall_flags(rmin, rmax, tolerance):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PERIODIC3_ROWS
-from oracles import reference_iterate, reference_loop, transposed
+from oracles import reference_iterate, reference_loop, transposed, tridiagonal_root
 from perronkit import (
     PerronError,
     Side,
@@ -28,6 +28,7 @@ from perronkit import (
     sums,
     tridiagonal,
 )
+from perronkit.matcore import _kernel
 from perronkit.primitivity import is_primitive
 from perronkit.solver import _iterate, _operator, _Operator
 
@@ -263,3 +264,32 @@ def test_lazy_balanced_is_the_rank_one_product_of_the_final_y(A, solve, side):
     csr = solve(from_coordinates(A.n, i, j, arr[i, j]), cfg).balanced
     assert csr.storage == "csr"
     assert csr.to_dense().tobytes() == bal.tobytes()
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n=st.integers(120, 300),
+    c=st.floats(0.8, 1.2),
+    a=st.floats(2.5, 3.5),
+    b=st.floats(1.6, 2.4),
+)
+def test_slow_tridiagonals_square_to_their_closed_form_root(n, c, a, b):
+    # the benchmark's box: power steps alone would take 27 000 to over
+    # 100 000; the closed form and the quotients are rounded, so the root
+    # and each entry's move are checked to 4 ulp
+    root, ulps = tridiagonal_root(n, c, a, b), 4
+    T = tridiagonal(n, c, a, b)
+    runs = []
+    for A in (T, from_dense(T.to_dense())):
+        res = algorithm_a(A)
+        assert res.status is Status.CONVERGED and res.iterations < 2_000
+        assert res.root_lo - ulps * math.ulp(root) <= root <= res.root_hi + ulps * math.ulp(root)
+        rmin, rmax = res.history.rmin, res.history.rmax
+        assert np.all(rmin[1:] >= rmin[:-1] - ulps * np.spacing(rmin[:-1]))
+        assert np.all(rmax[1:] <= rmax[:-1] + ulps * np.spacing(rmax[:-1]))
+        q = _kernel(A, res.side_used)(res._y) / res._y
+        assert (rmin[-1], rmax[-1]) == (q.min(), q.max())
+        balanced = res.balanced.to_dense()
+        assert np.array_equal(balanced != 0, T.to_dense() != 0)
+        runs.append((rmin.tobytes(), rmax.tobytes(), res.eigenvector.tobytes(), balanced.tobytes()))
+    assert runs[0] == runs[1]
