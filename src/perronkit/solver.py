@@ -264,8 +264,8 @@ def _first(flags) -> int:
 
 # squaring starts only when more than this many steps are projected to remain
 _SQUARE_STEPS = 2**15
-# a step costs at least this many multiply-adds of a squaring: on CSR
-# tridiagonal(200, 1, 3, 2) a step took 2.6-4.4 µs and a squaring
+# a step costs this many multiply-adds of a squaring, on either storage: on
+# CSR tridiagonal(200, 1, 3, 2) a step took 2.6-4.4 µs and a squaring
 # 0.24-0.32 ns a multiply-add (n = 120-500, shared 2-vCPU Xeon, numpy 2.4)
 _STEP_COST = 2**14
 # a squaring round's quotients may leave the last interval by this many ulp
@@ -274,19 +274,22 @@ _STEP_COST = 2**14
 _NEST_ULPS = 4
 
 
-def _squares(now, then, hi, left, tolerance, step_cost, cube):
+@np.errstate(divide="ignore", invalid="ignore")  # a flat window's rate is 0, and its P too
+def _squares(now, then, hi, left, tolerance, cube):
     """The squaring rule per entry, on the spread ``now`` and the one
     _STAGNATION_WINDOW entries back, ``then``, with ``hi`` the max sum and
     ``left`` the steps to the cap.  The spread's contraction over the window
     projects P steps to a spread within the tolerance or one ulp of ``hi``,
-    capped at ``left`` (and ``left`` when it does not contract); the rule
-    holds where P > _SQUARE_STEPS and P steps cost more than the
-    ⌈log₂ P⌉ squarings that stand for them, at ``cube`` = n³ each.
+    capped at ``left``; a window that does not contract projects none, and
+    is left to the stall rule.  The rule holds where P > _SQUARE_STEPS and
+    P steps, at _STEP_COST each, cost more than the ⌈log₂ P⌉ squarings that
+    stand for them, at ``cube`` = n³ each.  It reads neither the storage
+    nor the kernel's work, so dense and CSR storage square alike.
     """
     rate = np.log(now / then)  # negative while the spread contracts
     steps = _STAGNATION_WINDOW * np.log(np.maximum(_ulp(hi), tolerance) / now) / rate
-    p = np.where(rate < 0, np.minimum(steps, left), left)
-    return (p > _SQUARE_STEPS) & (p * step_cost > np.ceil(np.log2(p)) * cube)
+    p = np.where(rate < 0, np.minimum(steps, left), 0)
+    return (p > _SQUARE_STEPS) & (p * _STEP_COST > np.ceil(np.log2(p)) * cube)
 
 
 def _rounds(op, y, lo, hi):
@@ -447,10 +450,9 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
     call on the quotients of K's kernel.  The phase runs once a run: after
     its first refused round, or when B cannot be built, the loop goes on
     in blocks from the last kept y and w.  The rule reads only the
-    history, so dense and CSR storage of one matrix start squaring at the
-    same step whenever the floor P > 2**15 decides for both: at every
-    order up to 323, where 2**15 steps cost more than 16 n³ multiply-adds
-    even at the least step cost, 2**14.
+    history and the order, so dense and CSR storage of one matrix start
+    squaring at the same step, and under the default cap no matrix of order
+    above 458 squares: 10**5 steps cost 17 n³ multiply-adds there.
     """
     vecmat, y = op.apply, np.ones(len(w))  # each kept block rewrites y in place
     zero = np.flatnonzero(w == 0)
@@ -459,7 +461,7 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
 
     tolerance, cap, window = cfg.tolerance, cfg.max_iterations, _STAGNATION_WINDOW
     squares = op.balanced is not None  # until the squaring phase has run
-    step_cost, cube = max(op.work, _STEP_COST), float(len(w)) ** 3
+    cube = float(len(w)) ** 3
     # the history: row 0 the min and row 1 the max sum of each entry
     history = np.empty((2, min(cap + 1, _HISTORY_START)))
     lo0, wmax = float(_min(w)), float(_max(w))  # r = w on the first step
@@ -517,7 +519,7 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
             first = c - len(now)
             if squares:
                 left = cap - t - 1 - np.arange(first, c)
-                square = first + _first(_squares(now, then, hi[first:], left, tolerance, step_cost, cube))
+                square = first + _first(_squares(now, then, hi[first:], left, tolerance, cube))
                 if square < stop:  # only a primitive K squares
                     verdict = squares = op.primitive() if verdict is None else verdict
                     square = square if verdict else c

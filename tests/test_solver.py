@@ -35,7 +35,7 @@ from perronkit import (
 from perronkit.cli import main
 from perronkit.errors import DomainError
 from perronkit.matcore import NonnegMatrix, _csr, _entries
-from perronkit.solver import _STAGNATION_WINDOW, _iterate, _operator, _stalled, _ulp
+from perronkit.solver import _STAGNATION_WINDOW, _iterate, _operator, _squares, _stalled, _ulp
 
 
 def _with_corner(T, a00):
@@ -487,6 +487,31 @@ class TestSquaring:
         assert [r.max() for _, r in steps] == res.history.rmax.tolist()
         assert res.root_hi - res.root_lo <= 1e-12
         self.assert_encloses(res, tridiagonal_root(200, 1.0, 3.0, 2.0))
+
+    def test_dense_and_csr_square_at_the_same_step_above_order_323(self):
+        # a dense step costs n² = 160 000 multiply-adds here and a CSR one
+        # 1 198, but the rule prices every step alike, so both run the same
+        # steps before the rounds
+        T = tridiagonal(400, 1.0, 3.0, 2.0)
+        runs = []
+        for A in (T, from_dense(T.to_dense())):
+            res = algorithm_a(A)
+            assert (res.iterations, res.status) == (412, Status.CONVERGED)  # 393 steps, 19 rounds
+            self.assert_encloses(res, tridiagonal_root(400, 1.0, 3.0, 2.0))
+            runs.append((res.history.rmin.tobytes(), res.history.rmax.tobytes(), res.eigenvector.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_the_rule_squares_up_to_order_458_under_the_default_cap(self):
+        # a window that barely contracts projects more steps than are left:
+        # 99 999 steps at 2**14 each cost more than 17 n³ up to n = 458
+        now, then, hi = np.array([0.5]), np.array([0.5 + 1e-12]), np.array([3.0])
+        rule = [_squares(now, then, hi, 99_999, 1e-8, float(n) ** 3)[0] for n in (458, 459)]
+        assert rule == [True, False]
+
+    def test_a_window_that_does_not_contract_never_squares(self):
+        # it is left to the stall rule, however many steps are left
+        now = then = np.array([0.5])
+        assert not _squares(now, then, np.array([3.0]), 99_999, 1e-8, 8.0)[0]
 
     def test_a_run_capped_at_2_to_the_15_steps_never_squares(self, monkeypatch):
         monkeypatch.setattr(perronkit.solver, "_rounds", refuse_to_square)
