@@ -264,9 +264,10 @@ def _first(flags) -> int:
 
 # squaring starts only when more than this many steps are projected to remain
 _SQUARE_STEPS = 2**15
-# a step costs this many multiply-adds of a squaring, on either storage: on
-# CSR tridiagonal(200, 1, 3, 2) a step took 2.6-4.4 µs and a squaring
-# 0.24-0.32 ns a multiply-add (n = 120-500, shared 2-vCPU Xeon, numpy 2.4)
+# a step is priced at this many multiply-adds of a squaring on either
+# storage, as measured on CSR: a step of tridiagonal(200, 1, 3, 2) took
+# 2.6-4.4 µs and a squaring 0.24-0.32 ns a multiply-add (n = 120-500,
+# shared 2-vCPU Xeon, numpy 2.4)
 _STEP_COST = 2**14
 # a squaring round's quotients may leave the last interval by this many ulp
 # at each end: they are rounded, and the power loop's own maximum sum rises
