@@ -44,12 +44,13 @@ and those steps would cost more than the squarings that stand for them,
 a primitive matrix builds B from y, stores it dense, and squares it with
 a fixed-order einsum, rescaled by a power of two before each product;
 each round sets y <- y ∘ z, with z the sums of B^(2^k) on the balanced
-side.  A round is one iteration, and the quotients (A y) / y of A's own
-kernel certify it: it is kept only while y stays positive and normal and
-its interval is narrower than the last one and inside it, up to four ulp
-of rounding at each end.  The first round that is not sends the run back
-to plain steps for good.  ``tridiagonal(200, 1, 3, 2)`` takes 292
-iterations this way, 275 steps and 17 rounds, instead of 76 599 steps.
+side.  The quotients (A y) / y of A's own kernel certify a round: it is
+kept, as a block of one step and one iteration, only while y stays
+positive and normal and its interval is narrower than the last one and
+inside it, up to four ulp of rounding at each end.  The first round that
+is not sends the run back to plain steps for good.
+``tridiagonal(200, 1, 3, 2)`` takes 292 iterations this way, 275 steps
+and 17 rounds, instead of 76 599 steps.
 
 On matrices whose dominant eigenvalue is not strictly dominant in modulus
 (imprimitive matrices), the sums oscillate instead of converging.  When the
@@ -256,6 +257,14 @@ def _room(history, entries, cap):
     return grown
 
 
+def _nonzero(w, side: Side):
+    """The sums w on ``side``; raises ZeroSumError at the first zero."""
+    zero = np.flatnonzero(w == 0)
+    if zero.size:
+        raise ZeroSumError(int(zero[0]), side=side.value)
+    return w
+
+
 def _first(flags) -> int:
     """Index of the first true entry of flags, or len(flags) if there is none."""
     i = int(flags.argmax())
@@ -293,7 +302,7 @@ def _squares(now, then, hi, left, tolerance, cube):
     return (p > _SQUARE_STEPS) & (p * _STEP_COST > np.ceil(np.log2(p)) * cube)
 
 
-def _rounds(op, y, lo, hi):
+def _rounds(op, y, lo, hi, out):
     """The squaring phase from y, whose quotients span [lo, hi].
 
     Builds the balanced matrix B = ``op.balanced(y)`` once, and one more
@@ -301,18 +310,19 @@ def _rounds(op, y, lo, hi):
     that its largest entry lies in [1/2, 1), and squares it into the other
     buffer: B^(2^j) up to scale.  z is its row sums for rows, its column
     sums for columns, and y ∘ z is (Kᵀ)^(2^j) y up to scale: rescaled like
-    y, it is the round's vector v, and its quotients r = (Kᵀ v) / v come
-    from K's own kernel.  Yields (v, Kᵀ v, r, min r, max r) for each
-    round whose v and Kᵀ v are positive and normal and whose [min r, max r]
-    is narrower than the previous round's and lies inside it, up to
-    _NEST_ULPS at each end; it stops at the first round that is not, or
-    when B cannot be built.
+    y, it is the round's vector v, and K's own kernel gives Kᵀ v.  A round
+    whose v and Kᵀ v are positive and normal, and whose quotients
+    (Kᵀ v) / v span an interval narrower than the last round's and inside
+    it, up to _NEST_ULPS at each end, is certified: it writes v and Kᵀ v
+    into ``out``, the loop's block rows 0 and 1, and yields 1, its block's
+    steps.  The first round that is not, or a B that cannot be built, ends
+    the phase with nothing written.  y is copied: the loop rewrites its own.
     """
     try:
         M = op.balanced(y)
     except DomainError:  # an entry or a sum of B overflows
         return
-    N, tiny = np.empty_like(M), float(np.finfo(np.float64).tiny)
+    y, N, tiny = y.copy(), np.empty_like(M), float(np.finfo(np.float64).tiny)
     while True:
         np.ldexp(M, -math.frexp(float(M.max()))[1], out=M)
         M, N = _square(M, N), M
@@ -324,7 +334,8 @@ def _rounds(op, y, lo, hi):
         inside = lo - _NEST_ULPS * math.ulp(lo) <= r_lo and r_hi <= hi + _NEST_ULPS * math.ulp(hi)
         if not (_min(v) >= tiny and _min(w) >= tiny and inside and r_hi - r_lo < hi - lo):
             return
-        yield v, w, r, r_lo, r_hi
+        out[0], out[1] = v, w
+        yield 1
         lo, hi = r_lo, r_hi
 
 
@@ -341,7 +352,7 @@ class _Operator:
     2**17 // work >= 2: never for a dense matrix above n = 256, or a
     damped dense chain above n = 255.
     ``primitive()`` answers whether K is primitive; the loop calls it at
-    most once, when the spread stalls or squaring would start.  ``side``
+    most once, when the spread first stalls or squaring would start.  ``side``
     labels a ZeroSumError and picks the sums of a squared matrix.
     ``balanced(y)``, K's dense form, is the paper's balanced matrix of K
     for y as a fresh (n, n) array, whose sums on ``side`` are the
@@ -385,8 +396,8 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
 
     Returns (y, iterations, status, history).  The history's arrays are
     the kept part of one (2, capacity) array that the loop writes the
-    kept minima and maxima of each block and round into, doubling its
-    capacity when full, up to one entry more than the iteration cap.
+    kept minima and maxima of each block into, doubling its capacity when
+    full, up to one entry more than the iteration cap.
     ``on_step(t, r)``, when given, is called with the input's sums (t = 0)
     and then with the sums of each accepted step or squaring round, so
     once per history entry; r belongs to the loop and must not be modified, and a later
@@ -436,32 +447,33 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
     NaN propagates through the reductions and r >= 0, so any NaN or inf
     among the quotients shows in max r and makes the spread non-finite.
     Row j's spread stalls against the one 20 entries before it, so the
-    last 20 history spreads are joined to the block's; this test is skipped
-    when no row before the first stop has an entry 20 back, and once
-    ``primitive()`` has answered yes.  A row that both converges and
-    stalls converges, and a row that converges or stalls is kept even when
-    the next row fails the guard.
+    last 20 history spreads are joined to the block's.  The event rule
+    runs on those spreads when a row before the first stop has an entry 20
+    back: its events are the rows where the spread stalls, until
+    ``primitive()`` has answered yes, or where :func:`_squares` holds,
+    while K has a dense form and has not squared.  At the first event
+    before the stop ``primitive()`` answers, once a run, and the answer
+    picks the rule that counts: a K that is not primitive stops STAGNATED
+    at its first stall, and a primitive K squares from its first squaring
+    row.  A row that both converges and stalls converges, and a row that
+    converges or stalls is kept even when the next row fails the guard.
 
-    The squaring rule, :func:`_squares`, runs on the same spreads while
-    K has a dense form and more than 2**15 steps are left.  At its first
-    row before the stop, if ``primitive()`` answers yes, the block keeps
-    the steps up to that row (a stall on the row comes first), and the
-    squaring phase of :func:`_rounds` starts from the kept y.  Each round
-    it keeps is one iteration, with one history entry and one ``on_step``
-    call on the quotients of K's kernel.  The phase runs once a run: after
-    its first refused round, or when B cannot be built, the loop goes on
-    in blocks from the last kept y and w.  The rule reads only the
-    history and the order, so dense and CSR storage of one matrix start
-    squaring at the same step, and under the default cap no matrix of order
-    above 458 squares: 10**5 steps cost 17 n³ multiply-adds there.
+    The squaring phase, :func:`_rounds`, starts once a run from the y kept
+    up to its row.  Each round it certifies is written into rows 0 and 1
+    and kept as a block of one step, by the same division, guard, stopping
+    rule and keep, so it is one iteration with one history entry and one
+    ``on_step`` call.  Rows are written only for a certified round, so
+    after a refused one, or a B that cannot be built, the loop goes on in
+    blocks from the last kept y and w.  The squaring rule reads only the
+    history and the order, so dense and CSR storage of one matrix square
+    at the same step, and under the default cap no matrix of order above
+    458 squares: 10**5 steps cost 17 n³ multiply-adds there.
     """
     vecmat, y = op.apply, np.ones(len(w))  # each kept block rewrites y in place
-    zero = np.flatnonzero(w == 0)
-    if zero.size:
-        raise ZeroSumError(int(zero[0]), side=op.side.value)
+    _nonzero(w, op.side)
 
     tolerance, cap, window = cfg.tolerance, cfg.max_iterations, _STAGNATION_WINDOW
-    squares = op.balanced is not None  # until the squaring phase has run
+    squares = op.balanced is not None  # until the phase has run or K is not primitive
     cube = float(len(w)) ** 3
     # the history: row 0 the min and row 1 the max sum of each entry
     history = np.empty((2, min(cap + 1, _HISTORY_START)))
@@ -475,18 +487,22 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
     blocks = np.empty((2 * min(_BLOCK_STEPS, cap, budget) + 1, len(y)))
     rows = list(blocks)
     least_term = None  # least(), once a block of k > 1 first runs
-    verdict = None  # primitive(), once a stall is the first stop of a block or squaring would start
+    verdict = None  # primitive(), once the event rule first fires
 
     t = m = 0
     grow = 1  # zero after a block that was cut
+    rounds = iter(())  # the squaring phase, once it has started
     status = Status.CONVERGED if _converged(wmax - lo0, wmax, tolerance) else None
     while status is None and t < cap:
-        k = min(_BLOCK_STEPS, m + grow, cap - t, budget)
+        # a certified squaring round is a block of one step, already in rows 0 and 1
+        k = next(rounds, 0)
+        if not k:
+            k = min(_BLOCK_STEPS, m + grow, cap - t, budget)
+            np.ldexp(w, -math.frexp(wmax)[1], out=rows[0])
+            for i in range(k):
+                vecmat(rows[i], out=rows[i + 1])
         # rows 0..k: y and its k images under Kᵀ; rows k+1..2k: their quotients
         B = blocks[: 2 * k + 1]
-        np.ldexp(w, -math.frexp(wmax)[1], out=rows[0])
-        for i in range(k):
-            vecmat(rows[i], out=rows[i + 1])
         np.divide(B[1 : k + 1], B[:k], out=B[k + 1 :])
         mins, maxs = _min(B, 1), _max(B, 1)
         s = np.frexp(maxs[:k])[1]
@@ -509,8 +525,7 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
         m, status = c, None
         if stop < c:
             m, status = (stop, Status.STAGNATED) if fails[stop] else (stop + 1, Status.CONVERGED)
-        square = c  # the row after which the squaring phase starts, if it is before the stop
-        squares = squares and t + _SQUARE_STEPS < cap  # else no row has more than 2**15 steps left
+        event = c  # the row the event rule stops at, if it is before the stop
         if (verdict is not True or squares) and t + stop >= window:  # a row before the stop has an entry window back
             # the last history spreads, then the block's; the rules' entry p
             # is row p + first, first = c - (the number of entries)
@@ -518,20 +533,15 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
             spreads = np.concatenate((last[1] - last[0], spread))
             now, then = spreads[window:], spreads[:-window]
             first = c - len(now)
-            if squares:
-                left = cap - t - 1 - np.arange(first, c)
-                square = first + _first(_squares(now, then, hi[first:], left, tolerance, cube))
-                if square < stop:  # only a primitive K squares
-                    verdict = squares = op.primitive() if verdict is None else verdict
-                    square = square if verdict else c
-            if verdict is not True:
-                q = _first(_stalled(now, then, tolerance)) + first
-                if q < min(stop, square + 1):  # a stall on the squaring row comes first
-                    verdict = op.primitive() if verdict is None else verdict
-                    if not verdict:
-                        m, status, square = q + 1, Status.STAGNATED, c
-            if square < stop:
-                m, status = square + 1, None
+            stall = first + _first(_stalled(now, then, tolerance)) if verdict is not True else c
+            left = cap - t - 1 - np.arange(first, c)
+            square = first + _first(_squares(now, then, hi[first:], left, tolerance, cube)) if squares else c
+            if min(stall, square) < stop:  # the answer picks the rule that counts
+                verdict = op.primitive() if verdict is None else verdict
+                squares = squares and verdict
+                event = square if verdict else stall
+                if event < stop:
+                    m, status = event + 1, None if verdict else Status.STAGNATED
 
         if m:
             history = _room(history, t + 1 + m, cap)
@@ -545,21 +555,8 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
                 for j in range(m):
                     on_step(t + 1 + j, rows[k + 1 + j])
             t += m
-
-        if square < stop:  # one squaring phase a run; its rounds are iterations
-            squares = False
-            for v, w, r, r_lo, r_hi in _rounds(op, y, history[0, t], history[1, t]):
-                history = _room(history, t + 2, cap)
-                t += 1
-                history[:, t] = r_lo, r_hi
-                y, wmax = v, float(_max(w))
-                if on_step is not None:
-                    on_step(t, r)
-                if _converged(r_hi - r_lo, r_hi, tolerance):
-                    status = Status.CONVERGED
-                    break
-                if t == cap:
-                    break
+        if squares and event < stop:  # one squaring phase a run, from the y just kept
+            squares, rounds = False, _rounds(op, y, history[0, t], history[1, t], blocks[:2])
 
     if status is None:
         status = Status.MAX_ITERATIONS
@@ -572,7 +569,9 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
     Takes the sums of the configured side, or of both sides when
     ``cfg.side`` is None, and keeps the side whose sums have the smaller
     range max - min, ties going to rows; those sums are the loop's first
-    image, so no kernel runs twice on the all-ones vector.  Each step is
+    image, so no kernel runs twice on the all-ones vector.  A zero among
+    the sums it takes raises ZeroSumError, rows first: with ``cfg.side``
+    None a zero row or column is refused whichever side would win.  Each step is
     equivalent to multiplying entry (i, j) of the working matrix by
     r_j / r_i, where r is the current sum vector on the chosen side; see
     the module docstring for how the solver computes it.  The balanced matrix is built from the
@@ -587,7 +586,7 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
     overwrites r once the call returns, so keep a copy, not r itself.
     """
     cfg = cfg or SolverConfig()
-    first = {s: sums(A, s) for s in ([cfg.side] if cfg.side else Side)}
+    first = {s: _nonzero(sums(A, s), s) for s in ([cfg.side] if cfg.side else Side)}
     side = min(first, key=lambda s: np.ptp(first[s]))  # ties go to Side.ROW, the first
     y, _, status, history = _iterate(_operator(A, side, cfg.max_iterations > 1), first[side], cfg, on_step)
     return PerronResult(

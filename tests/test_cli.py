@@ -143,6 +143,20 @@ class TestPerronCommand:
         path.write_text("0,0\n1,1\n")
         assert main(["perron", "--side", "row", str(path)]) == 1
 
+    @pytest.mark.parametrize("text", ["0,0\n1,1\n", "0,0,0\n3,0,0\n3,0,0\n"], ids=["columns-win", "rows-win"])
+    def test_auto_side_refuses_a_zero_sum_on_either_side(self, capsys, tmp_path, text):
+        path = tmp_path / "z.csv"
+        path.write_text(text)
+        assert main(["perron", "--json", str(path)]) == 1
+        assert "row 1 sums to zero" in capsys.readouterr().err
+
+    def test_column_side_runs_a_matrix_with_a_zero_row(self, capsys, tmp_path):
+        path = tmp_path / "z.csv"
+        path.write_text("0,0\n1,1\n")
+        code, record = run_json(capsys, ["perron", "--side", "col", "--json", str(path)])
+        assert code == 0
+        assert (record["result"]["status"], record["result"]["iterations"]) == ("converged", 0)
+
     @pytest.mark.parametrize("command", [["perron", "--json"], ["power"]], ids=["perron", "power"])
     def test_overflowing_sums_are_input_error(self, capsys, tmp_path, command):
         path = tmp_path / "big.csv"

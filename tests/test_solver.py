@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pathlib
 import re
@@ -192,6 +193,21 @@ class TestAlgorithmA:
         with pytest.raises(ZeroSumError) as err:
             algorithm_a(from_dense([[0.0, 0.0], [1.0, 1.0]]), SolverConfig(side=Side.ROW))
         assert err.value.index == 0
+
+    @pytest.mark.parametrize(
+        "rows",
+        # the column range is the smaller one in the first, the row range in the second
+        [[[0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [3.0, 0.0, 0.0]]],
+        ids=["columns-win", "rows-win"],
+    )
+    def test_auto_side_rejects_a_zero_sum_on_either_side_rows_first(self, rows):
+        with pytest.raises(ZeroSumError) as err:
+            algorithm_a(from_dense(rows))
+        assert (err.value.index, err.value.side) == (0, "row")
+
+    def test_an_explicit_side_checks_only_its_own_sums(self):
+        res = algorithm_a(from_dense([[0.0, 0.0], [1.0, 1.0]]), SolverConfig(side=Side.COLUMN))
+        assert (res.status, res.iterations, res.root) == (Status.CONVERGED, 0, 1.0)
 
     def test_max_iterations_status(self, sample3):
         res = algorithm_a(sample3, SolverConfig(max_iterations=2))
@@ -487,6 +503,33 @@ class TestSquaring:
         assert [r.max() for _, r in steps] == res.history.rmax.tolist()
         assert res.root_hi - res.root_lo <= 1e-12
         self.assert_encloses(res, tridiagonal_root(200, 1.0, 3.0, 2.0))
+
+    @pytest.mark.parametrize("rounds, iterations", [(1, 29_802), (2, 29_801)])
+    def test_plain_steps_resume_from_the_last_kept_round(self, monkeypatch, rounds, iterations):
+        # a phase cut after its first rounds goes on in blocks from the last
+        # round's y and image, which the round's block rows hold; with no
+        # round the run takes 29 803 plain steps
+        real = perronkit.solver._rounds
+        monkeypatch.setattr(perronkit.solver, "_rounds", lambda *a: itertools.islice(real(*a), rounds))
+        T, runs = tridiagonal(120, 1.0, 3.0, 2.0), []
+        for A in (T, from_dense(T.to_dense())):
+            res = algorithm_a(A)
+            assert (res.iterations, res.status) == (iterations, Status.CONVERGED)
+            self.assert_encloses(res, tridiagonal_root(120, 1.0, 3.0, 2.0))
+            runs.append((res.history.rmin.tobytes(), res.history.rmax.tobytes(), res.eigenvector.tobytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "n, storage, calls, iterations",
+        [(200, "csr", 293, 292), (200, "dense", 293, 292), (400, "csr", 425, 412)],
+    )
+    def test_a_round_costs_one_kernel_call(self, monkeypatch, n, storage, calls, iterations):
+        # its image serves the certificate and the next block alike
+        made = []
+        monkeypatch.setattr(perronkit.solver, "_operator", lambda *a: counted(_operator(*a), made))
+        T = tridiagonal(n, 1.0, 3.0, 2.0)
+        res = algorithm_a(T if storage == "csr" else from_dense(T.to_dense()), SolverConfig(side=Side.ROW))
+        assert (len(made), res.iterations, res.status) == (calls, iterations, Status.CONVERGED)
 
     def test_dense_and_csr_square_at_the_same_step_above_order_323(self):
         # a dense step costs n² = 160 000 multiply-adds here and a CSR one
