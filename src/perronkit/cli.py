@@ -13,7 +13,6 @@ identical input and flags.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -28,7 +27,7 @@ from . import __version__
 from .baseline import power_method
 from .bounds import bounds_report
 from .errors import PerronError
-from .io import _write_array, parse_matrix, write_matrix_market
+from .io import _output, _write_array, parse_matrix, write_matrix_market
 from .markov import StochasticMatrix, make_stochastic, stationary
 from .matcore import NonnegMatrix, Side, _dense_view, _entries, _random_args, _random_columns, tridiagonal
 from .primitivity import period, wielandt_bound
@@ -77,26 +76,6 @@ def _solver_result_payload(res: PerronResult, balanced: bool) -> dict:
     if balanced:
         payload["balanced"] = _matrix_payload(res.balanced)
     return payload
-
-
-@contextlib.contextmanager
-def _csv_file(path):
-    """path opened for a CSV trace, or None when the flag is unset or empty;
-    a regular file is removed if the block raises, so a failed run leaves
-    none, and a device such as /dev/null is left alone."""
-    if not path:
-        yield None
-        return
-    fh = open(path, "w", encoding="ascii", newline="\n")
-    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        if regular:
-            with contextlib.suppress(OSError):  # the run's own error is the one to report
-                os.remove(path)
-        raise
 
 
 def _check_distinct(paths) -> None:
@@ -171,8 +150,9 @@ def _perron(A: NonnegMatrix, args):
         side=None if args.side == "auto" else Side(args.side),
     )
     _check_distinct([("the input", args.matrix), ("--trace", args.trace), ("--discs", args.discs)])
-    # both trace files open before the solve, so an unwritable path costs no solve
-    with _csv_file(args.discs) as discs, _csv_file(args.trace) as trace:
+    # both trace files open before the solve, so an unwritable path costs no solve;
+    # an empty path, like an absent flag, asks for no file
+    with _output(args.discs or None) as discs, _output(args.trace or None) as trace:
         res = algorithm_a(A, cfg, on_step=discs and _disc_writer(discs, A))
         if trace:
             _write_trace(trace, res.history)

@@ -12,6 +12,8 @@ first goes as raw doubles to a standard-library helper process
 (``_lines.py``), whose lines are copied after the first part's.  One
 formatter, :func:`_lines.lines`, writes every array value in either
 process, so the bytes do not depend on the split.
+Every file the package writes, the CLI's CSV traces too, opens through
+:func:`_output`, which removes a regular file that a failed write leaves.
 A Matrix Market body is parsed in one ``np.loadtxt`` call, into an array
 of its final size when the file can hold the entries its size line
 promises.  A body it refuses (a faulty line, but also a comment line) is
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import stat
 import sys
 import tempfile
 import warnings
@@ -238,13 +241,17 @@ def read_csv(path) -> NonnegMatrix:
 
 
 def write_matrix_market(A: NonnegMatrix, path_or_file) -> None:
-    """Write A in Matrix Market format: array for dense storage, coordinate for CSR."""
+    """Write A in Matrix Market format: array for dense storage, coordinate for CSR.
+
+    A write that fails removes the regular file it opened at a path; a
+    stream, and a device such as /dev/null, are left alone.
+    """
     if A.storage == "dense":
         D = _dense_view(A)
         _write_array(A.n, lambda j0, j1: [D[:, j0:j1]], path_or_file)
         return
     rows, cols, values = _entries(A)
-    with _opened(path_or_file) as fh:
+    with _output(path_or_file) as fh:
         fh.write(f"%%MatrixMarket matrix coordinate real general\n{A.n} {A.n} {A.nnz}\n")
         for s in range(0, A.nnz, _CHUNK):
             chunk = values[s : s + _CHUNK].tolist()
@@ -255,12 +262,25 @@ def write_matrix_market(A: NonnegMatrix, path_or_file) -> None:
             fh.write(("%d %d %.17g\n" * len(chunk)) % tuple(fields))
 
 
-def _opened(path_or_file):
-    """path_or_file if it is a stream, else the file at that path, opened
-    for writing; either way a context manager."""
-    if hasattr(path_or_file, "write"):
-        return contextlib.nullcontext(path_or_file)
-    return open(path_or_file, "w", encoding="ascii", newline="\n")
+@contextlib.contextmanager
+def _output(path_or_file):
+    """path_or_file if it is a stream or None, else the file at that path,
+    opened for ASCII lines.  If the block raises, that file is removed when
+    it is a regular file, so a failed write leaves none; a device such as
+    /dev/null is never removed."""
+    if path_or_file is None or hasattr(path_or_file, "write"):
+        yield path_or_file
+        return
+    fh = open(path_or_file, "w", encoding="ascii", newline="\n")
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if regular:
+            with contextlib.suppress(OSError):  # the write's own error is the one to report
+                os.remove(path_or_file)
+        raise
 
 
 # bytes of a helper's lines copied to the output per write
@@ -287,7 +307,7 @@ def _write_array(n: int, blocks, path_or_file, cuts=()) -> None:
     draws its blocks into one scratch array never holds the matrix.
     """
     bounds = (0, *cuts, n) if _HELPER[0] else (0, n)
-    with _opened(path_or_file) as fh, contextlib.ExitStack() as helpers:
+    with _output(path_or_file) as fh, contextlib.ExitStack() as helpers:
         fh.write(f"%%MatrixMarket matrix array real general\n{n} {n}\n")
         try:
             started = [_start(blocks(j0, j1), j0, j1, helpers) for j0, j1 in zip(bounds[1:], bounds[2:])]

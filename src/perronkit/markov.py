@@ -22,9 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NotStochasticError, RootNotOneError, ZeroSumError
+from .errors import DomainError, NotStochasticError, RootNotOneError
 from .matcore import NonnegMatrix, Side, _entries, _like, sums
-from .solver import SolverConfig, Status, _iterate, _Operator, _operator as _matrix_operator
+from .solver import SolverConfig, Status, _iterate, _nonzero, _Operator, _operator as _matrix_operator
 
 __all__ = [
     "StochasticMatrix",
@@ -79,10 +79,7 @@ def make_stochastic(A: NonnegMatrix, alpha: float = 1.0) -> StochasticMatrix:
 
     A zero row raises ZeroSumError before alpha is checked.
     """
-    r = sums(A, Side.ROW)
-    zero = np.flatnonzero(r == 0)
-    if zero.size:
-        raise ZeroSumError(int(zero[0]), side="row")
+    r = _nonzero(sums(A, Side.ROW), Side.ROW)
     rows, cols, values = _entries(A)
     return StochasticMatrix(_like(A, rows, cols, values / r[rows]), alpha)
 

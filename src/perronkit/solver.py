@@ -534,7 +534,7 @@ def _iterate(op: _Operator, w: np.ndarray, cfg: SolverConfig, on_step=None):
             now, then = spreads[window:], spreads[:-window]
             first = c - len(now)
             stall = first + _first(_stalled(now, then, tolerance)) if verdict is not True else c
-            left = cap - t - 1 - np.arange(first, c)
+            left = float(cap - t - 1) - np.arange(first, c)  # a float: a cap may pass int64
             square = first + _first(_squares(now, then, hi[first:], left, tolerance, cube)) if squares else c
             if min(stall, square) < stop:  # the answer picks the rule that counts
                 verdict = op.primitive() if verdict is None else verdict

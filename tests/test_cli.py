@@ -258,6 +258,14 @@ class TestPerronCommand:
         assert len(err.splitlines()) == 1 and "sums to zero" in err
         assert calls == [str(discs)]
 
+    def test_an_empty_trace_path_asks_for_no_file(self, capsys, tmp_path, sample3_file, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["perron", "--trace", "", "--discs", "", sample3_file]) == 0
+        out = capsys.readouterr().out
+        assert main(["perron", sample3_file]) == 0
+        assert capsys.readouterr().out == out
+        assert [p.name for p in tmp_path.iterdir()] == ["sample3.mtx"]
+
     def test_discs_trace_is_pinned(self, capsys, tmp_path, sample3_file):
         discs = tmp_path / "discs.csv"
         assert main(["perron", "--discs", str(discs), sample3_file]) == 0
@@ -545,6 +553,12 @@ class TestGenCommand:
         out = capsys.readouterr().out
         assert out.startswith("%%MatrixMarket matrix coordinate real general")
         assert "3 3 7" in out
+
+    def test_an_empty_output_path_is_one_error_line(self, capsys):
+        # only the trace flags read an empty path as unset; -o "" names no file
+        assert main(["gen", "tridiag", "--n", "3", "--c", "1", "--a", "3", "--b", "2", "-o", ""]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: [Errno 2] No such file or directory: ''\n")
 
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--density", "2"], ["--density", "nan"]])
     def test_random_bad_argument_is_one_error_line(self, capsys, tmp_path, flags):

@@ -4,6 +4,7 @@ module fixture writes once."""
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from perronkit.cli import main
 # gen tridiag's --n, --c, --a and --b of each coordinate file the fixture writes
 TRIDIAG_FILES = {
     "t50": ["50", "1", "3", "2"],
+    "t200": ["200", "1", "3", "2"],  # slow enough to square
     "p50": ["50", "1", "0", "2"],  # zero diagonal: period 2, so nothing converges
     "p51": ["51", "1", "0", "2"],  # made stochastic, a chain of period 2 that damping mends
     "h50": ["50", "1e100", "3e100", "2e100"],  # t50 scaled by 1e100
@@ -159,6 +161,18 @@ def test_a_squared_solve_prints_the_same_result_at_any_blas_thread_count(tmp_pat
     assert result["root_lo"] - slack <= root <= result["root_hi"] + slack
 
 
+@pytest.mark.parametrize("cap", [10**20, 2**64], ids=["1e20", "2^64"])
+@pytest.mark.parametrize(
+    "name, argv",
+    [("t50", ["perron"]), ("t200", ["perron"]), ("t50", ["stationary", "--alpha", "0.9", "--normalize"])],
+    ids=["t50-perron", "t200-perron", "t50-stationary"],
+)
+def test_a_cap_past_int64_runs_as_a_cap_it_never_reaches(capsys, files, name, argv, cap):
+    # the squaring rule counts the steps left to the cap as a float, so any cap runs
+    base = [*argv, "--json", files[name]]
+    assert result_text(capsys, [*base, "--max-iter", str(cap)]) == result_text(capsys, [*base, "--max-iter", "100000"])
+
+
 def test_row_and_column_roots_of_t50_are_equal(capsys, files):
     row, col = (result_of(capsys, ["perron", "--side", side, "--json", files["t50"]]) for side in ("row", "col"))
     assert row["status"] == col["status"] == "converged"
@@ -252,6 +266,48 @@ def test_a_helper_that_fails_is_one_error_line(tmp_path, capsys, monkeypatch, he
     assert main(["gen", "random", "--n", "513", "--seed", "0", "-o", str(tmp_path / "g.mtx")]) == 1
     assert capsys.readouterr().err == "error: the helper formatting columns 257 to 513 exited with status 3\n"
     assert [proc.returncode for proc in helpers] == [3]
+    assert not (tmp_path / "g.mtx").exists()  # not the first part's 131 328 values of 263 169
+
+
+def test_a_failing_gen_to_a_device_leaves_it_in_place(capsys, monkeypatch, helpers):
+    # removing /dev/null as root would delete the device, so os.remove only records here
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    monkeypatch.setattr(perronkit.io, "_HELPER", [sys.executable, "-c", "raise SystemExit(3)"])
+    assert main(["gen", "random", "--n", "513", "--seed", "0", "-o", os.devnull]) == 1
+    assert capsys.readouterr().err == "error: the helper formatting columns 257 to 513 exited with status 3\n"
+    assert removed == []
+
+
+# gen random in a child with two usable CPUs; argv[1] "fail" gives it a helper that exits 3
+_DEV_GEN = """import sys
+import perronkit.cli, perronkit.io
+perronkit.cli._usable_cpus = lambda: 2
+if sys.argv[1] == "fail":
+    perronkit.io._HELPER = [sys.executable, "-c", "raise SystemExit(3)"]
+sys.exit(perronkit.cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("helper", ["real", "fail"])
+def test_gen_random_in_development_mode_warns_of_nothing(tmp_path, helper):
+    # -X dev reports an unclosed file or an unwaited helper as a ResourceWarning,
+    # which -W error turns into a traceback or an "Exception ignored" line
+    path = tmp_path / "g.mtx"
+    src = os.path.dirname(os.path.dirname(perronkit.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", _DEV_GEN, helper,
+         "gen", "random", "--n", "600", "--seed", "1", "-o", str(path)],
+        env=env, capture_output=True, text=True)
+    if helper == "real":
+        assert child.returncode == 0
+        assert re.fullmatch(rf"wrote 600x600 matrix \(\d+ stored entries\) to {re.escape(str(path))}\n", child.stderr)
+        assert path.exists()
+    else:
+        assert child.returncode == 1
+        assert child.stderr == "error: the helper formatting columns 257 to 600 exited with status 3\n"
+        assert not path.exists()
 
 
 class _FailingStream(io.StringIO):

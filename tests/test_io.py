@@ -273,6 +273,42 @@ def test_coordinate_file_bytes_are_pinned_from_1e_minus_300_to_1e300(tmp_path):
     assert digest == "ac0cff558ca1edd06bd60c41adcea6e1a9e40055ec969b0efaab943334813bb5"
 
 
+def _failing_open(writes):
+    """open, but a file it gives runs out of space after ``writes`` writes."""
+
+    class Failing:
+        def __init__(self, fh):
+            self.fh, self.left = fh, writes
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.left -= 1
+            if self.left < 0:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(text)
+
+    return lambda *args, **kwargs: Failing(open(*args, **kwargs))
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_a_write_that_fails_part_way_leaves_no_file(tmp_path, monkeypatch, storage):
+    # 10 000 array values or 2 998 coordinate entries: well past ten 128-entry chunks
+    A = random_primitive(100, rng=1) if storage == "dense" else tridiagonal(1000, 1.0, 3.0, 2.0)
+    path = tmp_path / "a.mtx"
+    monkeypatch.setattr(perronkit.io, "open", _failing_open(10), raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_matrix_market(A, path)
+    assert not path.exists()
+
+
 def test_coordinate_roundtrip_keeps_csr(tmp_path):
     T = tridiagonal(9, 1.0, 3.0, 2.0)
     path = tmp_path / "t.mtx"
