@@ -4,14 +4,15 @@ Matrices are immutable once constructed and safe to share between threads.
 Dense storage is row-major; sparse storage is CSR kept as row-sorted
 triplets: the row index, column index and value of each stored entry, in
 row-major order, with no explicitly stored zeros.  Every sum and
-product goes through one kernel, which adds in index-ascending order, so
-dense and CSR storage of the same matrix give bit-identical results.  The
-kernel writes into an ``out`` array when given one; a solve allowed
-more than one step asks, when it builds its operator, for a CSR kernel
-that runs a padded slot layout built once, with the same bits, and
-calls it at every step.  No other module reads the
-storage: they use that kernel, ``_entries`` and, for dense storage, the
-read-only ``_dense_view``.
+matrix-vector product goes through one kernel, which adds in
+index-ascending order, so dense and CSR storage of the same matrix give
+bit-identical results; ``_square``, the one matrix product, is one BLAS
+call on a dense array.  The kernel writes into an ``out`` array when given
+one; a solve allowed more than one step asks, when it builds its operator,
+for a CSR kernel that runs a padded slot layout built once, with the same
+bits, and calls it at every step.  No other module reads the storage: they
+use that kernel, ``_entries`` and, for dense storage, the read-only
+``_dense_view``.
 """
 
 from __future__ import annotations
@@ -363,11 +364,15 @@ def _dense_sums(M, side: Side) -> np.ndarray:
 def _square(M, out) -> np.ndarray:
     """M M into ``out``, a float (n, n) array that does not overlap M.
 
-    One einsum ``"ij,jk->ik"``, iterated with k innermost: every entry adds
-    its terms in ascending order of j, with no fused multiply-add, so the
-    bits depend neither on the storage M came from nor on BLAS threads.
+    One BLAS product.  Given M, its bits are the same whatever storage M
+    came from and from run to run, but they may change with the BLAS build,
+    the CPU kernel and the BLAS thread count, each of which can change the
+    order in which an entry's terms are added or fused: OpenBLAS 0.3.31 on
+    AVX-512 gave other last bits at two threads than at one for most orders,
+    n = 300 and 450 among them.  Every entry lies within γ_n =
+    n u / (1 - n u) relative of the exact product in any order.
     """
-    return c_einsum("ij,jk->ik", M, M, out=out)
+    return np.matmul(M, M, out=out)
 
 
 def _slot_product(n, bins, gather, data):

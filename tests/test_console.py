@@ -140,25 +140,61 @@ def test_trace_and_discs_have_a_line_per_step(capsys, files, tmp_path, flags, co
     assert len(discs.read_text().splitlines()) == (result["iterations"] + 1) * 50 + 1
 
 
-def test_a_squared_solve_prints_the_same_result_at_any_blas_thread_count(tmp_path):
-    # the squaring phase runs one einsum, not BLAS: each child's result is the same bytes
-    path = str(tmp_path / "t200.mtx")
-    assert main(["gen", "tridiag", "--n", "200", "--c", "1", "--a", "3", "--b", "2", "-o", path]) == 0
+def squared_results(tmp_path, n, threads):
+    """The ``result`` text of ``perron --json`` and of the undamped chain's
+    ``stationary --alpha 1 --normalize --json`` on tridiagonal(n, 1, 3, 2),
+    each run in a child process per entry of threads, which sets
+    ``OPENBLAS_NUM_THREADS`` before numpy loads: {command: [text, ...]}."""
+    path = str(tmp_path / f"t{n}.mtx")
+    assert main(["gen", "tridiag", "--n", str(n), "--c", "1", "--a", "3", "--b", "2", "-o", path]) == 0
     src = os.path.dirname(os.path.dirname(perronkit.cli.__file__))
     script = "import sys; from perronkit.cli import main; sys.exit(main(sys.argv[1:]))"
-    results = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+    commands = {"perron": ["perron", "--json", path],
+                "chain": ["stationary", "--alpha", "1", "--normalize", "--json", path]}
+    results = {name: [] for name in commands}
+    for count in threads:
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(count),
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        child = subprocess.run([sys.executable, "-c", script, "perron", "--json", path],
-                               env=env, capture_output=True, text=True, check=True)
-        results.append(json.dumps(json.loads(child.stdout)["result"]))
-    assert results[0] == results[1]
-    result = json.loads(results[0])
-    root = 3.0 + 2.0 * np.sqrt(2.0) * np.cos(np.pi / 201)
+        for name, argv in commands.items():
+            child = subprocess.run([sys.executable, "-c", script, *argv],
+                                   env=env, capture_output=True, text=True, check=True)
+            results[name].append(json.dumps(json.loads(child.stdout)["result"]))
+    return results
+
+
+def assert_encloses_the_tridiagonal_root(result, n):
+    root = 3.0 + 2.0 * np.sqrt(2.0) * np.cos(np.pi / (n + 1))
     slack = 4 * np.spacing(root)  # the closed form and the quotients are rounded
     assert result["status"] == "converged" and result["iterations"] < 1_000
     assert result["root_lo"] - slack <= root <= result["root_hi"] + slack
+
+
+def test_a_squared_solve_prints_the_same_result_at_any_blas_thread_count(tmp_path):
+    # each squaring round is one BLAS product; at n = 200 the AVX-512 kernels
+    # of OpenBLAS 0.3.31 add every entry's terms in the same order at one, two
+    # and three threads, so each child's result is the same bytes
+    results = squared_results(tmp_path, 200, (1, 2, 3))
+    for texts in results.values():
+        assert texts[0] == texts[1] == texts[2]
+    assert_encloses_the_tridiagonal_root(json.loads(results["perron"][0]), 200)
+    chain = json.loads(results["chain"][0])
+    assert (chain["status"], chain["iterations"]) == ("converged", 377)
+
+
+def test_a_squared_solve_keeps_its_counts_and_enclosure_at_any_blas_thread_count(tmp_path):
+    # at most other orders, n = 300 among them, the same kernels add a
+    # product's terms in another order at two threads than at one, so a run's
+    # last bits may change with the thread count; its status, its counts and
+    # the certified enclosure do not, and a fixed count prints the same bytes
+    results = squared_results(tmp_path, 300, (1, 2, 3, 2))
+    for texts in results.values():
+        assert texts[1] == texts[3]
+    perron = [json.loads(text) for text in results["perron"]]
+    chain = [json.loads(text) for text in results["chain"]]
+    assert {(r["status"], r["iterations"], r["side_used"]) for r in perron} == {("converged", 293, "row")}
+    assert {(r["status"], r["iterations"]) for r in chain} == {("converged", 377)}
+    for result in perron:
+        assert_encloses_the_tridiagonal_root(result, 300)
 
 
 @pytest.mark.parametrize("cap", [10**20, 2**64], ids=["1e20", "2^64"])

@@ -1,8 +1,11 @@
 """Randomised agreement of the two storages: the dense kernel, either side,
 with the plain axis-0 reduction and with CSR, the loop's padded slot kernel
 with bincount and dense, the dense row sums with the row kernel, the
-sum overflow check with the sums themselves, and the jobs that run on the
-entry view."""
+sum overflow check with the sums themselves, the jobs that run on the
+entry view, and the squaring product's error bound."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from oracles import transposed, vecmat_unblocked
 from perronkit import PerronError, Side, from_coordinates, from_dense, rank_one_hadamard, sums
 from perronkit.errors import DomainError, DuplicateEntryError
 from perronkit.markov import make_stochastic
-from perronkit.matcore import _SLOT_FILL, NonnegMatrix, _csr, _entries, _kernel, _like
+from perronkit.matcore import _SLOT_FILL, NonnegMatrix, _csr, _entries, _kernel, _like, _square
 from perronkit.primitivity import period
 
 
@@ -289,3 +292,31 @@ def test_coordinates_in_any_order_build_the_row_major_arrays(n, density, seed, z
         assert got[0] == got[1]
         kept = values != 0
         assert got[0] == tuple(a[kept].tobytes() for a in (rows, cols, values))
+
+
+# a zero, or a significand in [1, 2) scaled by 2^-40 to 2^40: every product
+# and sum of a square of order 8 or less stays in the normal range
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-40, 40)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_the_square_is_within_gamma_n_of_the_exact_product(data, n):
+    """Each entry of M M lies within γ_n = n u / (1 - n u), u = 2⁻⁵³,
+    relative of the exact product (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.5), which the squaring phase
+    relies on: the bound holds for a nonnegative inner product in any
+    order of summation, and a fused multiply-add only tightens it.  An
+    exact zero is therefore computed exactly.  ``out`` is filled and
+    returned."""
+    M = np.array(data.draw(st.lists(_ENTRY, min_size=n * n, max_size=n * n))).reshape(n, n)
+    out = np.full((n, n), np.nan)
+    assert _square(M, out) is out
+    gamma = Fraction(n, 2**53 - n)
+    exact = [[sum(Fraction(M[i, j]) * Fraction(M[j, k]) for j in range(n)) for k in range(n)] for i in range(n)]
+    for i in range(n):
+        for k in range(n):
+            assert abs(Fraction(out[i, k]) - exact[i][k]) <= gamma * exact[i][k], (i, k)

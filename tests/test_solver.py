@@ -531,6 +531,17 @@ class TestSquaring:
         res = algorithm_a(T if storage == "csr" else from_dense(T.to_dense()), SolverConfig(side=Side.ROW))
         assert (len(made), res.iterations, res.status) == (calls, iterations, Status.CONVERGED)
 
+    @pytest.mark.parametrize("n", [200, 450])
+    def test_the_squaring_phase_holds_two_square_buffers(self, n):
+        # B and its partner, 16n² bytes, and the block array of at most 257
+        # rows of n floats; the slack of 128 KiB covers the history and the
+        # loop's vectors and is below 8n², so a third (n, n) buffer fails
+        A = tridiagonal(n, 1.0, 3.0, 2.0)
+        algorithm_a(A)  # warm-up: the first call loads what stays loaded
+        res, peak = traced_peak(lambda: algorithm_a(A))
+        assert res.status is Status.CONVERGED and res.iterations < 1_000
+        assert peak <= 16 * n * n + 8 * n * 257 + 2**17
+
     def test_dense_and_csr_square_at_the_same_step_above_order_323(self):
         # a dense step costs n² = 160 000 multiply-adds here and a CSR one
         # 1 198, but the rule prices every step alike, so both run the same
