@@ -6,13 +6,13 @@ triplets: the row index, column index and value of each stored entry, in
 row-major order, with no explicitly stored zeros.  Every sum and
 matrix-vector product goes through one kernel, which adds in
 index-ascending order, so dense and CSR storage of the same matrix give
-bit-identical results; ``_square``, the one matrix product, is one BLAS
-call on a dense array.  The kernel writes into an ``out`` array when given
-one; a solve allowed more than one step asks, when it builds its operator,
-for a CSR kernel that runs a padded slot layout built once, with the same
-bits, and calls it at every step.  No other module reads the storage: they
-use that kernel, ``_entries`` and, for dense storage, the read-only
-``_dense_view``.
+bit-identical results; ``_square``, the one matrix product, runs BLAS on
+a dense array in blocks that each run on one thread.  The kernel writes
+into an ``out`` array when given one; a solve allowed more than one step
+asks, when it builds its operator, for a CSR kernel that runs a padded slot
+layout built once, with the same bits, and calls it at every step.  No
+other module reads the storage: they use that kernel, ``_entries`` and, for
+dense storage, the read-only ``_dense_view``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 # einsum's C entry point, without np.einsum's Python wrapper and dispatch
 from numpy._core._multiarray_umath import c_einsum
@@ -290,6 +291,15 @@ _SLOT_FILL = 1.5
 
 # the dense kernel's einsum and iteration order on each side
 _DENSE_PRODUCT = {Side.COLUMN: ("ij,i->j", "K"), Side.ROW: ("ij,j->i", "F")}
+# OpenBLAS runs a product of at most this many multiply-adds on one thread,
+# whatever its thread count (interface/gemm.c: m n k at most
+# SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4)
+_ONE_THREAD = 2**18
+# _square's blocks: columns this wide, or one more where one would be left,
+# and rows and inner terms at most _SQUARE_ROWS, so that each block's
+# product stays within _ONE_THREAD
+_SQUARE_COLUMNS = 16
+_SQUARE_ROWS = math.isqrt(_ONE_THREAD // (_SQUARE_COLUMNS + 1))
 
 
 def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
@@ -364,15 +374,44 @@ def _dense_sums(M, side: Side) -> np.ndarray:
 def _square(M, out) -> np.ndarray:
     """M M into ``out``, a float (n, n) array that does not overlap M.
 
-    One BLAS product.  Given M, its bits are the same whatever storage M
-    came from and from run to run, but they may change with the BLAS build,
-    the CPU kernel and the BLAS thread count, each of which can change the
-    order in which an entry's terms are added or fused: OpenBLAS 0.3.31 on
-    AVX-512 gave other last bits at two threads than at one for most orders,
-    n = 300 and 450 among them.  Every entry lies within γ_n =
-    n u / (1 - n u) relative of the exact product in any order.
+    Blocks of rows times blocks of _SQUARE_COLUMNS columns, each a sum over
+    blocks of inner terms, added in ascending order.  Each block's product
+    is one BLAS call with, for n > 1, at least two rows and two columns, so
+    that numpy calls gemm and not gemv, and its m n k is at most
+    _ONE_THREAD, so OpenBLAS runs it on one thread.  Given M, the bits are
+    therefore the same whatever storage M came from, from run to run and at
+    any OpenBLAS thread count; another BLAS build or CPU kernel may add an
+    entry's terms in another order.  Every entry lies within
+    γ_n = n u / (1 - n u) relative of the exact product.  Above order
+    _SQUARE_ROWS it holds one scratch array of _SQUARE_ROWS rows.
     """
-    return np.matmul(M, M, out=out)
+    n = len(M)
+    rest = n % _SQUARE_COLUMNS + (_SQUARE_COLUMNS if n % _SQUARE_COLUMNS == 1 < n else 0)
+    columns = [
+        (start, stop, width)
+        for start, stop, width in ((0, n - rest, _SQUARE_COLUMNS), (n - rest, n, rest))
+        if start < stop
+    ]
+    terms = [_column_blocks(M, *block) for block in columns]
+    starts = [*range(0, n, _SQUARE_ROWS), n]
+    if starts[-1] - starts[-2] == 1 < n:  # a last block of one row or term takes one more
+        starts[-2] -= 1
+    scratch = np.empty((_SQUARE_ROWS, n)) if n > _SQUARE_ROWS else None
+    for i, j in zip(starts, starts[1:]):
+        for p, q in zip(starts, starts[1:]):
+            part = out[i:j] if p == 0 else scratch[: j - i]
+            for block, blocks in zip(columns, terms):
+                np.matmul(M[i:j, p:q], blocks[:, p:q], out=_column_blocks(part, *block))
+            if p:
+                out[i:j] += part
+    return out
+
+
+def _column_blocks(X, start, stop, width):
+    """Columns start to stop of the 2-D array X as a (blocks, rows, width)
+    view, each block ``width`` columns wide."""
+    row, column = X.strides
+    return as_strided(X[:, start:], ((stop - start) // width, len(X), width), (width * column, row, column))
 
 
 def _slot_product(n, bins, gather, data):

@@ -41,14 +41,15 @@ with a small relative error in each entry (Higham, Accuracy and Stability
 of Numerical Algorithms, 2nd ed., section 3.5).  Once the spread's
 contraction over the last 20 steps projects more than 2^15 steps to go,
 and those steps would cost more than the squarings that stand for them,
-a primitive matrix builds B from y, stores it dense, and squares it with
-one BLAS product a round, rescaled by a power of two before each product;
-each round sets y <- y ∘ z, with z the sums of B^(2^k) on the balanced
-side.  The quotients (A y) / y of A's own kernel certify a round: it is
-kept, as a block of one step and one iteration, only while y stays
-positive and normal and its interval is narrower than the last one and
-inside it, up to four ulp of rounding at each end.  The first round that
-is not sends the run back to plain steps for good.
+a primitive matrix builds B from y, stores it dense, and squares it in
+BLAS products of blocks that each run on one thread, rescaled by a power
+of two before each product; each round sets y <- y ∘ z, with z the sums
+of B^(2^k) on the balanced side.  The quotients (A y) / y of A's own
+kernel certify a round: it is kept, as a block of one step and one
+iteration, only while y stays positive and normal and its interval is
+narrower than the last one and inside it, up to four ulp of rounding at
+each end.  The first round that is not sends the run back to plain steps
+for good.
 ``tridiagonal(200, 1, 3, 2)`` takes 292 iterations this way, 275 steps
 and 17 rounds, instead of 76 599 steps.
 
@@ -274,12 +275,8 @@ def _first(flags) -> int:
 # squaring starts only when more than this many steps are projected to remain
 _SQUARE_STEPS = 2**15
 # a step is priced at this many multiply-adds of a squaring on either
-# storage, as measured on CSR with a fixed-order einsum for the product: a
-# step of tridiagonal(200, 1, 3, 2) took 2.6-4.4 µs and a squaring 0.24-0.32
-# ns a multiply-add (n = 120-500, shared 2-vCPU Xeon, numpy 2.4).  A BLAS
-# multiply-add costs 0.03-0.06 ns at one thread, so the rule squares later
-# than the cost alone would justify; the price stays, so that the same runs
-# square at the same step, until the rule is re-priced (ROADMAP item 24)
+# storage; the price stays fixed, so that the same runs square at the same
+# step, until the rule is re-priced (ROADMAP item 24)
 _STEP_COST = 2**14
 # a squaring round's quotients may leave the last interval by this many ulp
 # at each end: they are rounded, and the power loop's own maximum sum rises

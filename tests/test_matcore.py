@@ -427,3 +427,18 @@ def test_random_primitive_holds_one_n_by_n_array():
 def test_random_primitive_rejects_bad_seed_and_density(kwargs):
     with pytest.raises(DomainError):
         random_primitive(3, **kwargs)
+
+
+# orders at each edge of the square's blocks: one BLAS product (1, 2, 16);
+# a last block of 15 columns (31) or of 17 (33, 449); blocks of rows and of
+# inner terms (125 on), where a last block of one takes one more (125, 249)
+@pytest.mark.parametrize("n", [1, 2, 16, 31, 33, 125, 249, 276, 449])
+def test_the_square_writes_every_entry_within_its_error_bound(n):
+    # entries span 2^±20 with zeros; the square and M @ M each lie within
+    # γ_n relative of the exact product, so within 2 γ_n of each other
+    rng = np.random.default_rng(n)
+    M = np.where(rng.random((n, n)) < 0.8, np.exp2(rng.uniform(-20, 20, (n, n))), 0.0)
+    out = np.full((n, n), np.nan)
+    assert perronkit.matcore._square(M, out) is out
+    gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
+    assert np.all(np.abs(out - M @ M) <= 2.01 * gamma * (M @ M))

@@ -35,7 +35,7 @@ from perronkit import (
 )
 from perronkit.cli import main
 from perronkit.errors import DomainError
-from perronkit.matcore import NonnegMatrix, _csr, _entries
+from perronkit.matcore import _SQUARE_ROWS, NonnegMatrix, _csr, _entries
 from perronkit.solver import _STAGNATION_WINDOW, _iterate, _operator, _squares, _stalled, _ulp
 
 
@@ -533,14 +533,16 @@ class TestSquaring:
 
     @pytest.mark.parametrize("n", [200, 450])
     def test_the_squaring_phase_holds_two_square_buffers(self, n):
-        # B and its partner, 16n² bytes, and the block array of at most 257
-        # rows of n floats; the slack of 128 KiB covers the history and the
-        # loop's vectors and is below 8n², so a third (n, n) buffer fails
+        # B and its partner, 16n² bytes, the block array of at most 257 rows
+        # of n floats and the product's scratch of _SQUARE_ROWS rows; the
+        # slack of 128 KiB covers the history and the loop's vectors, and a
+        # third (n, n) buffer fails
         A = tridiagonal(n, 1.0, 3.0, 2.0)
         algorithm_a(A)  # warm-up: the first call loads what stays loaded
         res, peak = traced_peak(lambda: algorithm_a(A))
         assert res.status is Status.CONVERGED and res.iterations < 1_000
-        assert peak <= 16 * n * n + 8 * n * 257 + 2**17
+        bound = 16 * n * n + 8 * n * (257 + _SQUARE_ROWS) + 2**17
+        assert peak <= bound < peak + 8 * n * n
 
     def test_dense_and_csr_square_at_the_same_step_above_order_323(self):
         # a dense step costs n² = 160 000 multiply-adds here and a CSR one
