@@ -12,8 +12,8 @@ Damping is implicit: a damped chain keeps P as given, sparse or dense, next
 to its factor alpha, and each step applies the PageRank identity
 u^T (alpha P + (1 - alpha)/n 11^T) = alpha u^T P + (1 - alpha)/n sum(u) 1^T
 (Langville & Meyer, Google's PageRank and Beyond, 2006, ch. 4).  A step
-costs O(nnz + n) and no n x n matrix is ever built.  It damps the one
-kernel a solve calls, on CSR a slot layout when more than one step is allowed.
+costs O(nnz + n) and no n x n matrix is ever built.  It damps the matrix's
+one kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NotStochasticError, RootNotOneError
-from .matcore import NonnegMatrix, Side, _entries, _like, sums
+from .matcore import NonnegMatrix, Side, _entries, _like, _real, sums
 from .solver import SolverConfig, Status, _iterate, _nonzero, _Operator, _operator as _matrix_operator
 
 __all__ = [
@@ -51,8 +51,8 @@ class StochasticMatrix:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.alpha <= 1):
-            raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not (_real(self.alpha) and 0 < self.alpha <= 1):
+            raise DomainError(f"alpha must be in (0, 1], got {self.alpha!r}")
         r = sums(self.matrix, Side.ROW)
         off = np.flatnonzero(np.abs(r - 1.0) > _ROWSUM_TOL)
         if off.size:
@@ -84,16 +84,15 @@ def make_stochastic(A: NonnegMatrix, alpha: float = 1.0) -> StochasticMatrix:
     return StochasticMatrix(_like(A, rows, cols, values / r[rows]), alpha)
 
 
-def _operator(P: StochasticMatrix, loop: bool = False) -> _Operator:
+def _operator(P: StochasticMatrix) -> _Operator:
     """u -> u^T (alpha P + (1 - alpha)/n 11^T), in O(nnz + n).
 
-    An undamped chain (alpha = 1) is P's column operator itself, which
-    ``loop`` picks as in :func:`~perronkit.solver._operator`.  A damped
+    An undamped chain (alpha = 1) is P's column operator itself.  A damped
     one damps that operator's kernel; its least factor is alpha times P's
     least entry, or (1 - alpha)/n on the sum of u, and it is positive,
     hence primitive.  It has no dense form, so the loop never squares it.
     """
-    op, alpha, beta = _matrix_operator(P.matrix, Side.COLUMN, loop), P.alpha, (1.0 - P.alpha) / P.n
+    op, alpha, beta = _matrix_operator(P.matrix, Side.COLUMN), P.alpha, (1.0 - P.alpha) / P.n
     if alpha == 1:
         return op
 
@@ -120,7 +119,7 @@ def stationary(P: StochasticMatrix, cfg: SolverConfig | None = None) -> Stationa
     by more than 100x tolerance plus the 1e-12 row-sum slack: a mis-scaled input.
     """
     cfg = cfg or SolverConfig()
-    op = _operator(P, cfg.max_iterations > 1)
+    op = _operator(P)
     y, iterations, status, history = _iterate(op, op.apply(np.ones(P.n)), cfg)
     root = 0.5 * float(history.rmin[-1]) + 0.5 * float(history.rmax[-1])
     if status is Status.CONVERGED and abs(root - 1.0) > 100.0 * cfg.tolerance + _ROWSUM_TOL:

@@ -7,12 +7,10 @@ row-major order, with no explicitly stored zeros.  Every sum and
 matrix-vector product goes through one kernel, which adds in
 index-ascending order, so dense and CSR storage of the same matrix give
 bit-identical results; ``_square``, the one matrix product, runs BLAS on
-a dense array in blocks that each run on one thread.  The kernel writes
-into an ``out`` array when given one; a solve allowed more than one step
-asks, when it builds its operator, for a CSR kernel that runs a padded slot
-layout built once, with the same bits, and calls it at every step.  No
-other module reads the storage: they use that kernel, ``_entries`` and, for
-dense storage, the read-only ``_dense_view``.
+a dense array in blocks that each run on one thread.  The kernel keeps no
+state and writes into an ``out`` array when given one.  No other module
+reads the storage: they use that kernel, ``_entries`` and, for dense
+storage, the read-only ``_dense_view``.
 """
 
 from __future__ import annotations
@@ -155,6 +153,11 @@ def _like(A: NonnegMatrix, rows, cols, values) -> NonnegMatrix:
     return _csr(A.n, rows, cols, values)
 
 
+def _real(x) -> bool:
+    """Whether x is a real number; numpy floats and integers count, bools and strings do not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _order(n, least: int = 1, power: int = 1) -> int:
     """n as an int, if it is an integer order >= least; numpy integers count, bools do not."""
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < least:
@@ -283,12 +286,6 @@ def sums(A: NonnegMatrix, side: Side) -> np.ndarray:
     return _kernel(A, side)(np.ones(A.n))
 
 
-# a loop's CSR kernel pads each output's terms to K slots, K the most of any
-# output, when the K n slots are at most this many times the nnz terms: the
-# slots ran 25-50 % faster than bincount up to 1.5 nnz, and lost from about 2
-_SLOT_FILL = 1.5
-
-
 # the dense kernel's einsum and iteration order on each side
 _DENSE_PRODUCT = {Side.COLUMN: ("ij,i->j", "K"), Side.ROW: ("ij,j->i", "F")}
 # OpenBLAS runs a product of at most this many multiply-adds on one thread,
@@ -302,7 +299,7 @@ _SQUARE_COLUMNS = 16
 _SQUARE_ROWS = math.isqrt(_ONE_THREAD // (_SQUARE_COLUMNS + 1))
 
 
-def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
+def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN):
     """``v -> vᵀA`` (column side) or ``v -> A v`` (row side), A's arrays bound once.
 
     The kernel is ``apply(v, out=None)``: it writes into ``out`` when one
@@ -317,36 +314,15 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
     output adds its terms in ascending order of the summed index, one row
     or one column of A after another, and neither fuses a multiply-add.
     Axis-1 reductions, the row einsum in its default order and BLAS ``@``
-    round differently.  Neither side copies Aᵀ or holds scratch, so a
-    dense kernel keeps no state between calls.  Every einsum
-    here is a call of its C entry point, which np.einsum without
-    ``optimize`` makes too, minus its Python wrapper and dispatch.
-
-    ``loop=True`` asks for a kernel that a loop calls many times: the
-    solver's operator of a run allowed more than one step asks for it, and
-    calls it at every step past the input's sums.  On CSR it builds a
-    padded slot (ELLPACK) layout once, when its slots number at most 1.5
-    nnz: two (K, n) arrays, K the most terms of any output, whose column j
-    holds output j's gather indices and values in row-major order, padded
-    at the end with index 0 and value 0.  A call gathers v into a (K, n)
-    scratch array the kernel owns, and one einsum ``"kj,kj->j"`` multiplies it by
-    the values and adds each output's K products slot after slot into
-    ``out``.  Each output adds its terms in bincount's order and then
-    exact +0.0s, so the bits are bincount's, and a call given ``out``
-    allocates nothing; the scratch array makes the kernel one loop's at a
-    time.  A padding term 0 v_0 is nan when v_0 is inf, where bincount
-    gives inf; the solver's loop discards every row computed from one that
-    holds an inf, and the all-ones vector holds none.  The one-shot
-    callers (:func:`sums`, the discs, the power method, a one-step solve)
-    keep bincount: they may see an inf, or would pay the layout's sort for
-    one call.  With more slots the padding costs about what bincount does,
-    and the loop kernel is the one-shot one.
+    round differently.  No kernel copies Aᵀ or holds scratch, so none
+    keeps state between calls.  Every einsum here is a call of its C entry
+    point, which np.einsum without ``optimize`` makes too, minus its Python
+    wrapper and dispatch.
     """
     if A.storage == "csr":
         n, data, bins, gather = A.n, A._data, A._indices, A._rows
         if side is Side.ROW:
             bins, gather = gather, bins
-        slots = _slot_product(n, bins, gather, data) if loop else None
 
         def product(v, out=None):
             w = np.bincount(bins, weights=data * v[gather], minlength=n)
@@ -355,7 +331,7 @@ def _kernel(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False):
             out[...] = w
             return out
 
-        return product if slots is None else slots
+        return product
     D, n = A._dense, A.n
     subscripts, order = _DENSE_PRODUCT[side]
 
@@ -412,29 +388,6 @@ def _column_blocks(X, start, stop, width):
     view, each block ``width`` columns wide."""
     row, column = X.strides
     return as_strided(X[:, start:], ((stop - start) // width, len(X), width), (width * column, row, column))
-
-
-def _slot_product(n, bins, gather, data):
-    """The padded slot kernel of :func:`_kernel` on entries in row-major
-    order, or None when its slots would number more than _SLOT_FILL times
-    the entries.
-    """
-    counts = np.bincount(bins, minlength=n)
-    k = int(counts.max())
-    if k * n > _SLOT_FILL * len(data):
-        return None
-    order = np.argsort(bins, kind="stable")  # row-major in each bin; the row side's bins are sorted
-    bins = bins[order]
-    slot = np.arange(len(bins)) - (np.cumsum(counts) - counts)[bins]
-    idx, val, terms = np.zeros((k, n), np.intp), np.zeros((k, n)), np.empty((k, n))
-    idx[slot, bins] = gather[order]
-    val[slot, bins] = data[order]
-
-    def product(v, out=None):
-        v.take(idx, None, terms, "clip")  # the method, and "clip", neither buffers nor copies
-        return c_einsum("kj,kj->j", terms, val, out=np.empty(n) if out is None else out)
-
-    return product
 
 
 def _checked_scale(v, n) -> np.ndarray:
@@ -512,7 +465,7 @@ def random_primitive(n, density=0.5, rng=None) -> NonnegMatrix:
 def _random_args(n, density, rng):
     """random_primitive's order as an int and its Generator; raise on a bad argument."""
     n = _order(n, power=2)
-    if not 0 <= density <= 1:  # nan fails too
+    if not (_real(density) and 0 <= density <= 1):  # nan fails too
         raise DomainError(f"density must be in [0, 1], got {density!r}")
     try:
         return n, np.random.default_rng(rng)

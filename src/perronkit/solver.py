@@ -81,7 +81,7 @@ import numpy as np
 
 from .errors import DomainError, ZeroSumError
 from .matcore import (
-    GerschgorinDisc, NonnegMatrix, Side, _dense_sums, _entries, _kernel, _square, rank_one_hadamard, sums,
+    GerschgorinDisc, NonnegMatrix, Side, _dense_sums, _entries, _kernel, _real, _square, rank_one_hadamard, sums,
 )
 from .primitivity import is_primitive
 
@@ -117,8 +117,7 @@ class SolverConfig:
 
     def __post_init__(self):
         tol = self.tolerance
-        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-        if not (real and math.isfinite(tol) and tol > 0):
+        if not (_real(tol) and math.isfinite(tol) and tol > 0):
             raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
         cap = self.max_iterations
         if not (isinstance(cap, numbers.Integral) and not isinstance(cap, bool) and cap >= 1):
@@ -369,19 +368,16 @@ class _Operator:
     balanced: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _operator(A: NonnegMatrix, side: Side = Side.COLUMN, loop: bool = False) -> _Operator:
+def _operator(A: NonnegMatrix, side: Side = Side.COLUMN) -> _Operator:
     """A's kernel on ``side``: v -> vᵀA for columns, v -> A v for rows.
 
-    ``loop``, true for a run allowed more than one step, picks
-    :func:`~perronkit.matcore._kernel`'s loop kernel, on CSR a slot layout
-    built here; a one-step run's one-shot kernel builds none.  A and Aᵀ
-    are primitive together, so either side's exact test runs on A.
+    A and Aᵀ are primitive together, so either side's exact test runs on A.
     ``least()`` gathers a dense A's nonzeros by np.nonzero: 1.6 MB at n = 256.
     ``balanced(y)`` is :attr:`PerronResult.balanced`'s matrix for y, stored dense.
     """
     work = A.n * A.n if A.storage == "dense" else A.nnz  # the kernel's multiply-adds
     return _Operator(
-        _kernel(A, side, loop), work,
+        _kernel(A, side), work,
         lambda: float(_entries(A)[2].min()), functools.partial(is_primitive, A), side,
         lambda y: _balanced(A, side, y).to_dense(),
     )
@@ -588,7 +584,7 @@ def algorithm_a(A: NonnegMatrix, cfg: SolverConfig | None = None, *, on_step=Non
     cfg = cfg or SolverConfig()
     first = {s: _nonzero(sums(A, s), s) for s in ([cfg.side] if cfg.side else Side)}
     side = min(first, key=lambda s: np.ptp(first[s]))  # ties go to Side.ROW, the first
-    y, _, status, history = _iterate(_operator(A, side, cfg.max_iterations > 1), first[side], cfg, on_step)
+    y, _, status, history = _iterate(_operator(A, side), first[side], cfg, on_step)
     return PerronResult(
         root_lo=float(history.rmin[-1]),
         root_hi=float(history.rmax[-1]),

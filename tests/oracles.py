@@ -8,9 +8,11 @@ stationary vectors from a linear solve, and eigenvalues from numpy's dense
 QR solver.  A random primitive matrix is
 drawn with a separate mask array and value array.  A damped chain is
 written out as the n×n matrix it stands for, and a transpose is rebuilt
-from the dense entries.  The reference balancing loop shares only the one-shot kernel
-with the solver, np.bincount on CSR and never the loop's padded slot
-layout, and spells the stall rule out with its own window and factor.
+from the dense entries.  The reference balancing loop shares the one
+kernel with the solver, np.bincount on CSR and an einsum on dense; the
+kernel is checked apart from both loops, dense against
+:func:`vecmat_unblocked` and CSR against dense.  The loop spells the
+stall rule out with its own window and factor.
 It runs one step at a time,
 rescaling y by a power of two at every step, where the solver runs blocks
 of steps between rescalings, and spells out each step with one reduction
@@ -196,7 +198,7 @@ def transposed(A):
 
 
 def damped_vecmat(P):
-    """u -> uᵀ (alpha P + (1 - alpha)/n 11ᵀ) for a StochasticMatrix P, on its matrix's one-shot kernel."""
+    """u -> uᵀ (alpha P + (1 - alpha)/n 11ᵀ) for a StochasticMatrix P, on its matrix's kernel."""
     kernel, alpha, beta = _kernel(P.matrix), P.alpha, (1.0 - P.alpha) / P.n
     return lambda u: alpha * kernel(u) + beta * u.sum()
 

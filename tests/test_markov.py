@@ -108,10 +108,10 @@ class TestOperator:
     def test_an_undamped_chain_runs_its_matrixs_own_operator(self, chain, storage):
         # no damping wrapper, whose work would be the matrix's plus n
         matrix = chain.matrix if storage == "csr" else from_dense(chain.matrix.to_dense())
-        op = perronkit.markov._operator(StochasticMatrix(matrix), loop=True)
+        op = perronkit.markov._operator(StochasticMatrix(matrix))
         assert op.work == (matrix.nnz if storage == "csr" else matrix.n**2)
         assert op.apply.__module__ == "perronkit.matcore"
-        damped = perronkit.markov._operator(StochasticMatrix(matrix, 0.85), loop=True)
+        damped = perronkit.markov._operator(StochasticMatrix(matrix, 0.85))
         assert damped.work == op.work + matrix.n
         assert damped.apply.__module__ == "perronkit.markov"
 
@@ -129,7 +129,7 @@ class TestOperator:
         P = make_stochastic(tridiagonal(200, 1.0, 3.0, 2.0))
         for alpha, squared in [(1.0, 1), (0.99999, 0)]:
             chain, phases[:] = StochasticMatrix(P.matrix, alpha), []
-            assert (perronkit.markov._operator(chain, loop=True).balanced is None) == (alpha < 1)
+            assert (perronkit.markov._operator(chain).balanced is None) == (alpha < 1)
             dist = stationary(chain)
             assert (dist.status, len(phases)) == (Status.CONVERGED, squared)
 

@@ -22,6 +22,7 @@ from perronkit import (
     NonPositiveScaleError,
     NotSquareError,
     Side,
+    SolverConfig,
     from_coordinates,
     from_dense,
     random_primitive,
@@ -30,7 +31,7 @@ from perronkit import (
     tridiagonal,
 )
 from perronkit.errors import DomainError, DuplicateEntryError
-from perronkit.markov import make_stochastic
+from perronkit.markov import StochasticMatrix, make_stochastic
 from perronkit.matcore import NonnegMatrix
 
 
@@ -427,6 +428,23 @@ def test_random_primitive_holds_one_n_by_n_array():
 def test_random_primitive_rejects_bad_seed_and_density(kwargs):
     with pytest.raises(DomainError):
         random_primitive(3, **kwargs)
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None, [0.5]], ids=["str", "bool", "none", "list"])
+@pytest.mark.parametrize(
+    "setting",
+    [
+        lambda v: StochasticMatrix(from_dense([[0.5, 0.5], [0.5, 0.5]]), v),
+        lambda v: random_primitive(5, v),
+        lambda v: SolverConfig(tolerance=v),
+    ],
+    ids=["alpha", "density", "tolerance"],
+)
+def test_a_real_setting_refuses_what_is_not_a_real_number(setting, value):
+    # one check serves the three: a str, None or a list is not a number,
+    # and a bool is not taken for 0 or 1
+    with pytest.raises(DomainError):
+        setting(value)
 
 
 # orders at each edge of the square's blocks: one BLAS product (1, 2, 16);

@@ -1,6 +1,6 @@
 """Randomised agreement of the two storages: the dense kernel, either side,
-with the plain axis-0 reduction and with CSR, the loop's padded slot kernel
-with bincount and dense, the dense row sums with the row kernel, the
+with the plain axis-0 reduction and with CSR, the CSR kernel with dense on
+uneven bins and into ``out``, the dense row sums with the row kernel, the
 sum overflow check with the sums themselves, the jobs that run on the
 entry view, and the squaring product's error bound."""
 
@@ -18,7 +18,7 @@ from oracles import transposed, vecmat_unblocked
 from perronkit import PerronError, Side, from_coordinates, from_dense, rank_one_hadamard, sums
 from perronkit.errors import DomainError, DuplicateEntryError
 from perronkit.markov import make_stochastic
-from perronkit.matcore import _SLOT_FILL, NonnegMatrix, _csr, _entries, _kernel, _like, _square
+from perronkit.matcore import NonnegMatrix, _csr, _entries, _kernel, _like, _square
 from perronkit.primitivity import period
 
 
@@ -56,15 +56,15 @@ def test_dense_vecmat_is_the_unblocked_reduction_bit_for_bit(side, n, density, s
     heavy=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=40, fill=[0.1, 0.1], heavy=False, seed=0)  # 4 terms in every bin: slots
-@example(n=40, fill=[0.1, 0.1], heavy=True, seed=0)  # one bin of 40 terms: bincount
-def test_loop_kernel_is_bincount_and_dense_bit_for_bit(side, n, fill, heavy, seed):
+@example(n=40, fill=[0.1, 0.1], heavy=False, seed=0)  # 4 terms in every bin
+@example(n=40, fill=[0.1, 0.1], heavy=True, seed=0)  # and one bin of 40 terms
+def test_csr_kernel_is_dense_bit_for_bit_and_fills_out(side, n, fill, heavy, seed):
     """Output bin j (a column for the column side, a row for the row side)
     holds a count of terms drawn between the two ``fill`` shares of n, and
-    with ``heavy`` bin 0 holds n, so the slots number from nnz to n² and
-    either CSR path runs.  Entries and vector components span e^±30, so
-    every add rounds.  The loop kernel keeps scratch between calls, and
-    fills and returns ``out`` when given one."""
+    with ``heavy`` bin 0 holds n, so the bins range from even to one bin of
+    n terms among nearly empty ones.  Entries and vector components span
+    e^±30, so every add rounds.  Each kernel, called again, gives the same
+    bits, and fills and returns ``out`` when given one."""
     rng = np.random.default_rng(seed)
     counts = rng.integers(round(fill[0] * n), round(fill[1] * n) + 1, n)
     if heavy:
@@ -75,15 +75,11 @@ def test_loop_kernel_is_bincount_and_dense_bit_for_bit(side, n, fill, heavy, see
     if side is Side.ROW:
         D = np.ascontiguousarray(D.T)
     i, j = np.nonzero(D)
-    dense, csr = from_dense(D), from_coordinates(n, i, j, D[i, j])
-    loop = _kernel(csr, side, loop=True)
-    slots = counts.max() * n <= _SLOT_FILL * csr.nnz
-    assert ("_slot_product" in loop.__qualname__) == slots
+    kernels = _kernel(from_coordinates(n, i, j, D[i, j]), side), _kernel(from_dense(D), side)
     for v in (np.exp(rng.uniform(-30.0, 30.0, n)), np.exp(rng.uniform(-30.0, 30.0, n))):
-        want = _kernel(csr, side)(v)
-        assert want.tobytes() == _kernel(dense, side)(v).tobytes()
-        assert loop(v).tobytes() == want.tobytes()
-        for kernel in (loop, _kernel(csr, side), _kernel(dense, side), _kernel(dense, side, loop=True)):
+        want = kernels[0](v)
+        for kernel in kernels:
+            assert kernel(v).tobytes() == want.tobytes()
             out = np.full(n, np.nan)
             assert kernel(v, out=out) is out
             assert out.tobytes() == want.tobytes()
@@ -103,23 +99,6 @@ def test_dense_vecmat_fuses_no_multiply_add(side):
     assert got.tobytes() == vecmat_unblocked(M, v).tobytes()
     i, j = np.nonzero(D)
     assert got.tobytes() == _kernel(from_coordinates(2, i, j, D[i, j]), side)(v).tobytes()
-
-
-@pytest.mark.parametrize("side", [Side.COLUMN, Side.ROW])
-def test_slot_kernel_fuses_no_multiply_add(side):
-    """The slot layout's einsum adds -1 and then (1 + 2⁻³⁰)(1 − 2⁻³⁰),
-    which rounds to 1, in output 0, so that output is 0 exactly, as in
-    bincount; a fused multiply-add would return -2⁻⁶⁰."""
-    eps = 2.0**-30
-    D = np.array([[1.0, 1.0], [1.0 + eps, 1.0]])
-    D = D if side is Side.COLUMN else np.ascontiguousarray(D.T)
-    i, j = np.nonzero(D)
-    A = from_coordinates(2, i, j, D[i, j])
-    loop = _kernel(A, side, loop=True)
-    assert "_slot_product" in loop.__qualname__
-    got = loop(np.array([-1.0, 1.0 - eps]))
-    assert got.tobytes() == np.array([0.0, -eps]).tobytes()
-    assert got.tobytes() == _kernel(A, side)(np.array([-1.0, 1.0 - eps])).tobytes()
 
 
 # orders of one and two, powers of two, and the orders just past them,

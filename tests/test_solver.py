@@ -31,9 +31,7 @@ from perronkit import (
     stationary,
     sums,
     tridiagonal,
-    write_matrix_market,
 )
-from perronkit.cli import main
 from perronkit.errors import DomainError
 from perronkit.matcore import _SQUARE_ROWS, NonnegMatrix, _csr, _entries
 from perronkit.solver import _STAGNATION_WINDOW, _iterate, _operator, _squares, _stalled, _ulp
@@ -371,52 +369,11 @@ class TestStoppingRules:
         x, z = (np.reciprocal(ref_y), ref_y) if side is Side.ROW else (ref_y, np.reciprocal(ref_y))
         assert res.balanced.to_dense().tobytes() == rank_one_hadamard(A, x, z).to_dense().tobytes()
 
-    @pytest.mark.parametrize(
-        "run, steps",
-        [
-            (lambda A, path: bounds_report(A), 1),
-            (lambda A, path: main(["perron", "--max-iter", "1", str(path)]), 1),
-            (lambda A, path: algorithm_b(A, SolverConfig(max_iterations=1_000)), 1_000),
-            (lambda A, path: stationary(make_stochastic(A), SolverConfig(max_iterations=1_000)), 1_000),
-        ],
-        ids=["bounds", "perron-max-iter-1", "algorithm-b", "stationary"],
-    )
-    def test_the_slot_layout_is_built_only_past_one_step(self, monkeypatch, tmp_path, run, steps):
-        # a one-step solve (bounds_report runs two) must not pay for it; a
-        # longer one builds it with its operator and makes every call through it
-        built, slot_product, kernel = [], perronkit.matcore._slot_product, perronkit.solver._kernel
-        kernels = []  # the kernel behind each call the solver makes
-
-        def counted_slots(*args):
-            built.append(None)
-            return slot_product(*args)
-
-        def counted_kernel(*args):
-            product = kernel(*args)
-
-            def call(v, out=None):
-                kernels.append(product.__qualname__)
-                return product(v, out=out)
-
-            return call
-
-        monkeypatch.setattr(perronkit.matcore, "_slot_product", counted_slots)
-        monkeypatch.setattr(perronkit.solver, "_kernel", counted_kernel)
-        A = tridiagonal(600, 1.0, 3.0, 2.0)
-        path = tmp_path / "t600.mtx"
-        write_matrix_market(A, path)
-        res = run(A, path)
-        if steps == 1:
-            assert built == []
-        else:
-            assert (res.iterations, len(built)) == (1_000, 1)
-            assert kernels and all("_slot_product" in name for name in kernels)
-
     def test_each_block_runs_one_step_past_the_last_blocks_keep(self, sample3):
         # blocks of 1, 2, 3, 4, 5 and 6 steps: the sixth stops after two, so
         # the run computes 21 steps to keep 17, plus the input's sums
         calls = []
-        op = counted(_operator(sample3, loop=True), calls)
+        op = counted(_operator(sample3), calls)
         _, t, status, _ = _iterate(op, op.apply(np.ones(sample3.n)), SolverConfig())
         assert (t, status, len(calls)) == (17, Status.CONVERGED, 22)
 
@@ -435,7 +392,7 @@ class TestStoppingRules:
         # kept (23 360 and 151 993 calls); the third is never cut.  All three
         # would square: the power loop runs alone on operators with no dense form
         A, made = build(), []
-        op = counted(power_only(_operator(A, loop=True)), made)
+        op = counted(power_only(_operator(A)), made)
         y, t, status, history = _iterate(op, op.apply(np.ones(A.n)), SolverConfig())
         assert (len(made), t, status) == (calls, steps, Status.CONVERGED)
         if steps < 20_000:  # blocks change no bit: the one-step reference loop agrees
@@ -450,7 +407,7 @@ class TestStoppingRules:
         # the run would square, so the power loop runs alone, on the row side
         # that algorithm_b picks
         A = tridiagonal(200, 1.0, 3.0, 2.0)
-        op = power_only(_operator(A, Side.ROW, loop=True))
+        op = power_only(_operator(A, Side.ROW))
         (_, t, status, _), peak = traced_peak(lambda: _iterate(op, sums(A, Side.ROW), SolverConfig()))
         assert (t, status) == (76_599, Status.CONVERGED)
         assert peak <= 3.5e6

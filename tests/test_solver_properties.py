@@ -173,7 +173,7 @@ def blocked_iterate(A, cfg, side=Side.COLUMN):
     of its ``on_step`` calls and the number of ``primitive()`` calls.
     """
     steps = []
-    op = _operator(A, side, cfg.max_iterations > 1)
+    op = _operator(A, side)
     asked = CountedThunk(op.primitive)
     run = _iterate(replace(op, primitive=asked), sums(A, side), cfg, lambda t, r: steps.append((t, r.tobytes())))
     return (*run, steps, asked.calls)
